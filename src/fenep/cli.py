@@ -336,10 +336,14 @@ def run_simulation(setup: RunSetup) -> RunResult:
 
     all_pass = True
     snapshots = []
+    worst = None
     for step in range(1, n_steps + 1):
         state, report, audit = scheme.step(state, setup.dt, setup.picard)
         fb = breakdown(state)
         all_pass &= audit.passed
+        if worst is None or report.iterations > worst["iterations"]:
+            worst = {"step": step, "iterations": report.iterations,
+                     "history": report.history}
         if setup.vtk_every > 0 and step % setup.vtk_every == 0:
             snapshots.append((step, state))
         rows.append({
@@ -381,6 +385,7 @@ def run_simulation(setup: RunSetup) -> RunResult:
         "min_eig_sigma": min(r["min_eig_sigma"] for r in rows),
         "max_trace_sigma": max(r["max_trace_sigma"] for r in rows),
         "picard_iters_total": sum(r["picard_iters"] for r in rows),
+        "picard_worst": worst,
     }
     if init_report is not None:
         summary["initial_projection"] = {

@@ -33,7 +33,6 @@ __all__ = [
     "PicardConfig",
     "SolveReport",
     "SaddleOperator",
-    "saddle_solve",
     "picard_solve",
 ]
 
@@ -45,10 +44,21 @@ class SolverError(RuntimeError):
 class SaddleOperator:
     """Factorized Stokes-type saddle system with a zero-mean pressure.
 
-    The system is ``[[A, B^T], [B, 0]]`` augmented by one Lagrange
-    multiplier enforcing ``mean_vec . p = 0``; for compatible data the
-    multiplier solves to zero and is discarded.  ``A`` acts on the free
+    The system is ``[[A, B^T], [B, 0]]`` with the pressure determined up
+    to a constant.  The factorized matrix is ``[[A, B0^T], [B0, 0]]``,
+    where ``B0`` is ``B`` without the row of pressure dof 0: that dof is
+    pinned to zero, and after each solve the pressure is shifted by the
+    constant that gives ``mean_vec . p = 0``.  ``A`` acts on the free
     (non-Dirichlet) velocity dofs only; constrained dofs stay zero.
+
+    Dropping the row is exact for compatible data.  With the boundary
+    velocity dofs removed, constant pressures lie in the kernel of
+    ``B^T`` (``1^T B = 0``): the rows of ``B`` sum to zero, so the
+    dropped row is implied by the kept ones whenever the pressure data
+    sums to zero, as the divergence residual ``-B u`` always does.
+    Bordering the system with a multiplier for the mean instead would
+    add a dense row and column that defeat the fill-reducing ordering
+    of the LU.
     """
 
     def __init__(self, a_mat, b_mat, mean_vec):
@@ -58,31 +68,26 @@ class SaddleOperator:
         self.n_p = b_mat.shape[0]
         if b_mat.shape[1] != self.n_u:
             raise ValueError("velocity dimensions of A and B disagree")
-        m = np.asarray(mean_vec, float).reshape(self.n_p, 1)
-        k = sp.bmat(
-            [[a_mat, b_mat.T, None],
-             [b_mat, None, sp.csr_matrix(m)],
-             [None, sp.csr_matrix(m.T), None]],
-            format="csc")
+        mean = np.asarray(mean_vec, float).reshape(self.n_p)
+        self._mean_weights = mean / mean.sum()
+        b_kept = b_mat[1:]
+        k = sp.bmat([[a_mat, b_kept.T], [b_kept, None]], format="csc")
         try:
             self._lu = splu(k)
         except RuntimeError as exc:
             raise SolverError(f"saddle matrix factorization failed: {exc}") from exc
 
     def solve(self, rhs_u, rhs_p=None):
-        rhs = np.zeros(self.n_u + self.n_p + 1)
+        rhs = np.zeros(self.n_u + self.n_p - 1)
         rhs[:self.n_u] = rhs_u
         if rhs_p is not None:
-            rhs[self.n_u:self.n_u + self.n_p] = rhs_p
+            rhs[self.n_u:] = np.asarray(rhs_p)[1:]
         sol = self._lu.solve(rhs)
         if not np.all(np.isfinite(sol)):
             raise SolverError("saddle solve produced non-finite values")
-        return sol[:self.n_u], sol[self.n_u:self.n_u + self.n_p]
-
-
-def saddle_solve(a_mat, b_mat, mean_vec, rhs_u, rhs_p=None):
-    """One-shot convenience wrapper around :class:`SaddleOperator`."""
-    return SaddleOperator(a_mat, b_mat, mean_vec).solve(rhs_u, rhs_p)
+        p = np.concatenate([[0.0], sol[self.n_u:]])
+        p -= self._mean_weights @ p
+        return sol[:self.n_u], p
 
 
 @dataclass(frozen=True)

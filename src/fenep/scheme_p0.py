@@ -246,6 +246,7 @@ class SchemeP0:
         self.div = divergence_matrix(mesh, self.v, self.q)
         self.mean_p = pressure_integral_vector(mesh, self.q)
         self.free = np.nonzero(~self.v.dirichlet_mask)[0]
+        self.b_free = self.div[:, self.free].tocsr()
         self.forcing = forcing
         self.fvec = (velocity_load(mesh, self.v, forcing)
                      if forcing is not None else np.zeros(self.v.n_dofs))
@@ -266,8 +267,7 @@ class SchemeP0:
         if u0 is not None:
             load = velocity_load(mesh, v, u0)
             m_ff = self.mass[self.free][:, self.free]
-            b_f = self.div[:, self.free]
-            op = SaddleOperator(m_ff, b_f, self.mean_p)
+            op = SaddleOperator(m_ff, self.b_free, self.mean_p)
             u_f, _ = op.solve(load[self.free])
             u[self.free] = u_f
         if sigma0 is None:
@@ -347,7 +347,7 @@ class _P0Step:
         a_mat = (prm.re / dt) * scheme.mass + prm.re * conv \
             + (1.0 - prm.eps) * scheme.stiff
         self.a_ff = a_mat[free][:, free].tocsr()
-        self.b_f = scheme.div[:, free].tocsr()
+        self.b_f = scheme.b_free
         self.saddle = SaddleOperator(self.a_ff, self.b_f, scheme.mean_p)
 
         areas = mesh.cell_areas

@@ -184,6 +184,7 @@ class SchemeP1Diff:
         self.div = divergence_matrix(mesh, self.v, self.q)
         self.mean_p = pressure_integral_vector(mesh, self.q)
         self.free = np.nonzero(~self.v.dirichlet_mask)[0]
+        self.b_free = self.div[:, self.free].tocsr()
         self.lumped = lumped_weights(mesh)
         self.k_scalar = scalar_stiffness(mesh)
         self.non_obtuse = audit_mesh(mesh).non_obtuse
@@ -383,7 +384,7 @@ class _P1Step:
         a_mat = (prm.re / dt) * scheme.mass + prm.re * conv \
             + (1.0 - prm.eps) * scheme.stiff
         self.a_ff = a_mat[free][:, free].tocsr()
-        self.b_f = scheme.div[:, free].tocsr()
+        self.b_f = scheme.b_free
         self.saddle = SaddleOperator(self.a_ff, self.b_f, scheme.mean_p)
         self.s_mat, self.stress_lu = scheme.scalar_operator(dt)
 

@@ -177,6 +177,12 @@ def test_run_p0_roundtrip(tmp_path, capsys):
     assert summary["energy"]["final"] < summary["energy"]["initial"]
     assert summary["min_eig_sigma"] > 0
     assert "initial_projection" not in summary
+    worst = summary["picard_worst"]
+    assert worst["iterations"] == max(r["picard_iters"] for r in rows)
+    assert rows[worst["step"]]["picard_iters"] == worst["iterations"]
+    assert len(worst["history"]) == worst["iterations"] + 1
+    assert worst["history"][-1] == pytest.approx(
+        rows[worst["step"]]["residual"])
 
     vtk = (outdir / "final.vtk").read_text()
     assert "CELL_DATA" in vtk and "sig_xx" in vtk

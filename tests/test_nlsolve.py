@@ -16,7 +16,6 @@ from fenep.nlsolve import (
     SaddleOperator,
     SolverError,
     picard_solve,
-    saddle_solve,
 )
 
 
@@ -87,9 +86,9 @@ def test_stokes_zero_forcing_gives_rest():
     free = ~v.dirichlet_mask
     k = fe.velocity_stiffness(mesh, v).tocsr()
     b = fe.divergence_matrix(mesh, v, p).tocsr()
-    uf, ph = saddle_solve(k[free][:, free], b[:, free],
-                          fe.pressure_integral_vector(mesh, p),
-                          np.zeros(int(free.sum())))
+    op = SaddleOperator(k[free][:, free], b[:, free],
+                        fe.pressure_integral_vector(mesh, p))
+    uf, ph = op.solve(np.zeros(int(free.sum())))
     assert np.allclose(uf, 0.0, atol=1e-13)
     assert np.allclose(ph, 0.0, atol=1e-12)
 
@@ -100,7 +99,7 @@ def test_stokes_manufactured_convergence():
         mesh, v, coeffs, ph = solve_stokes(n)
         errors[n] = velocity_l2_error(mesh, v, coeffs)
         # pressure of the manufactured solution is zero mean anyway;
-        # the multiplier pins the discrete mean to zero
+        # the operator shifts the discrete pressure to zero mean
         w = fe.pressure_integral_vector(mesh,
                                         fe.build_space(mesh, "pressure_p1"))
         assert abs(w @ ph) < 1e-12
@@ -118,6 +117,59 @@ def test_saddle_operator_validates_shapes():
     with pytest.raises(ValueError):
         SaddleOperator(k[:10][:, :10], b,
                        fe.pressure_integral_vector(mesh, p))
+
+
+PAIRS = [("velocity_p2", "pressure_p0"), ("velocity_mini", "pressure_p1")]
+
+
+def convective_saddle(vel, pres, seed=0):
+    """Non-symmetric free-dof blocks of one implicit step on n = 4."""
+    rng = np.random.default_rng(seed)
+    mesh = structured_unit_square(4)
+    v = fe.build_space(mesh, vel)
+    p = fe.build_space(mesh, pres)
+    free = ~v.dirichlet_mask
+    conv = fe.convection_matrix(mesh, v, rng.standard_normal(v.n_dofs))
+    a = (20.0 * fe.velocity_mass(mesh, v) + conv
+         + fe.velocity_stiffness(mesh, v)).tocsr()[free][:, free]
+    b = fe.divergence_matrix(mesh, v, p).tocsr()[:, free]
+    return a, b, fe.pressure_integral_vector(mesh, p), rng
+
+
+def bordered_solve(a, b, mean_vec, rhs_u, rhs_p):
+    """Dense solve with one multiplier bordering the mean constraint."""
+    n_u, n_p = a.shape[0], b.shape[0]
+    k = np.zeros((n_u + n_p + 1,) * 2)
+    k[:n_u, :n_u] = a.toarray()
+    k[:n_u, n_u:n_u + n_p] = b.T.toarray()
+    k[n_u:n_u + n_p, :n_u] = b.toarray()
+    k[n_u:n_u + n_p, -1] = mean_vec
+    k[-1, n_u:n_u + n_p] = mean_vec
+    sol = np.linalg.solve(k, np.concatenate([rhs_u, rhs_p, [0.0]]))
+    return sol[:n_u], sol[n_u:n_u + n_p]
+
+
+@pytest.mark.parametrize("vel,pres", PAIRS)
+def test_pinned_saddle_matches_bordered_system(vel, pres):
+    a, b, mean_vec, rng = convective_saddle(vel, pres)
+    assert abs(a - a.T).max() > 1e-3          # convection makes A non-symmetric
+    op = SaddleOperator(a, b, mean_vec)
+    rhs_u = rng.standard_normal(a.shape[0])
+    # rhs_p = -B u is the compatible data the schemes' residuals pass
+    for rhs_p in (np.zeros(b.shape[0]),
+                  -(b @ rng.standard_normal(a.shape[0]))):
+        u, p = op.solve(rhs_u, rhs_p)
+        u_ref, p_ref = bordered_solve(a, b, mean_vec, rhs_u, rhs_p)
+        assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+        assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+        assert abs(mean_vec @ p) <= 1e-12 * np.linalg.norm(p)
+
+
+@pytest.mark.parametrize("vel,pres", PAIRS)
+def test_singular_saddle_raises_solver_error(vel, pres):
+    a, b, mean_vec, _ = convective_saddle(vel, pres)
+    with pytest.raises(SolverError):
+        SaddleOperator(0.0 * a, b, mean_vec)
 
 
 # ---------------------------------------------------------------------------
