@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorcalc as tc
-from .energy import free_energy
 from .meshing import MeshError, TriMesh, audit_mesh, load_mesh, save_mesh, structured_unit_square
 from .nlsolve import PicardConfig, SolverError
 from .params import ModelParams, ParameterError, validate_time_steps
@@ -310,19 +309,12 @@ def run_simulation(setup: RunSetup) -> RunResult:
         scheme = SchemeP0(mesh, setup.params, velocity=setup.velocity,
                           forcing=forcing)
         state = scheme.initial_state(u0, sigma0)
-        layout = "cell"
     else:
         scheme = SchemeP1Diff(mesh, setup.params, velocity=setup.velocity,
                               forcing=forcing)
         state, init_report = scheme.project_initial(setup.dt0, u0, sigma0)
-        layout = "vertex"
 
-    def breakdown(st):
-        eta = getattr(st, "rho", None)
-        return free_energy(setup.params, mesh, scheme.mass, st.u.values,
-                           st.sigma, eta, layout=layout)
-
-    f0 = breakdown(state)
+    f0 = state.energy
     w0, _ = tc.eig_sym(state.sigma)
     rows = [{
         "step": 0, "t": state.t, "F_total": f0.total, "kinetic": f0.kinetic,
@@ -339,7 +331,7 @@ def run_simulation(setup: RunSetup) -> RunResult:
     worst = None
     for step in range(1, n_steps + 1):
         state, report, audit = scheme.step(state, setup.dt, setup.picard)
-        fb = breakdown(state)
+        fb = state.energy
         all_pass &= audit.passed
         if worst is None or report.iterations > worst["iterations"]:
             worst = {"step": step, "iterations": report.iterations,
@@ -399,10 +391,9 @@ def run_simulation(setup: RunSetup) -> RunResult:
 
 
 def _initial_balance(state, mesh) -> float:
-    rho = getattr(state, "rho", None)
-    if rho is None:
+    if state.rho is None:
         return 0.0
-    return float(lumped_weights(mesh) @ (tc.trace(state.sigma) - rho))
+    return float(lumped_weights(mesh) @ (tc.trace(state.sigma) - state.rho))
 
 
 def _json_float(x):

@@ -5,7 +5,8 @@ the accumulated dissipation stays below the previous energy plus the
 work done by the body force.  This module evaluates both sides of that
 budget from the very operators and coefficient vectors the solver used,
 so a passing audit certifies the computed state rather than a separately
-discretized approximation of it.
+discretized approximation of it.  ``spd_audit`` adds the positivity and
+trace-bound indicators of the stress.
 
 Conventions: the free energy is
 
@@ -19,6 +20,7 @@ vertex rule of the diffusive scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,8 @@ __all__ = [
     "tensor_gradient_energy",
     "audit_slack",
     "audit_step",
+    "SpdAudit",
+    "spd_audit",
 ]
 
 
@@ -179,3 +183,20 @@ def audit_step(f_before: float, f_after: float, *, kinetic_jump: float,
         trace_balance=float(trace_balance),
         min_eig_sigma=float(min_eig_sigma),
         max_trace_sigma=float(max_trace_sigma))
+
+
+@dataclass(frozen=True)
+class SpdAudit:
+    min_eig: float
+    max_trace: float
+    positive: bool
+    within_bound: bool
+
+
+def spd_audit(sigma, b: float = math.inf) -> SpdAudit:
+    """Smallest eigenvalue and largest trace over a tensor field."""
+    sigma = np.asarray(sigma, float)
+    w, _ = tc.eig_sym(sigma)
+    mn = float(w[..., 0].min())
+    mx = float(tc.trace(sigma).max())
+    return SpdAudit(mn, mx, mn > 0.0, mx < b)

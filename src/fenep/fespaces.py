@@ -50,7 +50,6 @@ __all__ = [
     "lumped_weights",
     "lumped_mass_integrate",
     "p1_at_points",
-    "assemble",
     "velocity_mass",
     "velocity_stiffness",
     "convection_matrix",
@@ -624,27 +623,6 @@ def pressure_integral_vector(mesh: TriMesh, p: ScalarSpace) -> np.ndarray:
     if p.degree == 0:
         return mesh.cell_areas.copy()
     return lumped_weights(mesh)  # exact for P1
-
-
-_FORMS = {
-    "mass": velocity_mass,
-    "stiffness": velocity_stiffness,
-    "convection": convection_matrix,
-    "divergence": divergence_matrix,
-    "load": velocity_load,
-    "grad_coupling": grad_coupling_load,
-    "scalar_mass": scalar_mass,
-    "scalar_stiffness": scalar_stiffness,
-}
-
-
-def assemble(mesh: TriMesh, form: str, *args, **kwargs):
-    """Dispatch into the fixed catalogue of bilinear/linear forms."""
-    try:
-        fn = _FORMS[form]
-    except KeyError:
-        raise ValueError(f"unknown form {form!r}; catalogue: {sorted(_FORMS)}") from None
-    return fn(mesh, *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,22 @@
-"""Saddle point solves and the damped Picard driver shared by both schemes.
+"""The implicit step shared by both schemes: saddle solves, the block
+sweep and the damped Picard driver.
 
 Each time step is a coupled implicit system for velocity, pressure and
-stress (plus the auxiliary trace in the diffusive scheme).  The schemes
-expose it to the driver as a fixed-point problem: one ``sweep`` performs
-a block Gauss-Seidel pass through the factorized linear blocks with the
-other fields frozen, and ``residual`` evaluates the monolithic implicit
-residual at a state, preconditioned block-wise by the same factorized
-operators so its entries carry the units of the unknowns themselves.
+stress (plus the auxiliary trace in the diffusive scheme).  Both schemes
+give it one shape, written once here as :class:`BlockStep`: a Stokes-type
+saddle block for velocity and pressure, with convection frozen at the
+previous velocity, and k scalar blocks (the three stress components, and
+the trace when the scheme carries one) that share one factorized matrix.
+The schemes supply only that matrix and the right-hand sides of the two
+kinds of block; :class:`ImplicitScheme` holds the operators, the step and
+its energy audit common to both.
+
+The step is exposed to the driver as a fixed-point problem: one
+``sweep`` performs a block Gauss-Seidel pass through the factorized
+linear blocks with the other fields frozen, and ``residual`` evaluates
+the monolithic implicit residual at a state, preconditioned block-wise
+by the same factorized operators so its entries carry the units of the
+unknowns themselves.
 
 The driver blends each sweep with a relaxation factor chosen two ways:
 a secant (Aitken) update estimates the dominant contraction factor from
@@ -22,11 +32,18 @@ is exactly the regime the adaptive blend is there for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+from .energy import (EnergyBreakdown, audit_slack, audit_step, free_energy,
+                     relaxation_dissipation, spd_audit)
+from .fespaces import (DiscreteField, build_space, convection_matrix,
+                       divergence_matrix, pressure_integral_vector,
+                       velocity_load, velocity_mass, velocity_stiffness)
 
 __all__ = [
     "SolverError",
@@ -34,6 +51,9 @@ __all__ = [
     "SolveReport",
     "SaddleOperator",
     "picard_solve",
+    "State",
+    "BlockStep",
+    "ImplicitScheme",
 ]
 
 
@@ -152,3 +172,187 @@ def picard_solve(problem, x0, config: PicardConfig | None = None):
             return x, SolveReport(False, it, r, omega, history)
 
     return x, SolveReport(r <= threshold, cfg.max_iters, r, omega, history)
+
+
+# ---------------------------------------------------------------------------
+# the implicit step shared by both schemes
+
+
+@dataclass
+class State:
+    """One time level of either scheme.
+
+    ``sigma`` holds symmetric tensors (n, 3), one per cell or per vertex;
+    ``rho`` is the auxiliary trace field of the diffusive scheme under a
+    finite extensibility bound, else None.  ``energy`` is the free energy
+    of the state under the parameters of the scheme that made it; the
+    next step takes it as its starting energy, and computes that value
+    itself only when ``energy`` is None.
+    """
+
+    u: DiscreteField
+    p: DiscreteField
+    sigma: np.ndarray
+    rho: np.ndarray | None = None
+    t: float = 0.0
+    energy: EnergyBreakdown | None = None
+
+
+class BlockStep:
+    """Factorized operators of one implicit step, exposed to the driver.
+
+    The unknowns are the velocity, the pressure and k scalar fields on
+    the m stress nodes: the three tensor components, plus the trace
+    field when the state carries one.  They are packed as
+    ``[u, p, scalars.T.ravel()]`` with ``scalars`` of shape (m, k).  The
+    velocity/pressure block is a :class:`SaddleOperator`; the k scalar
+    blocks share one matrix, which a subclass sets as ``s_mat`` with its
+    factorization ``scalar_lu`` after this constructor has factored the
+    saddle matrix (factoring the small matrix first raised the peak
+    memory of a run by a few MB).  Subclasses give the right-hand sides
+    with the other fields frozen: ``rhs_u(sig, rho) -> (rhs, frozen)``,
+    where ``frozen`` is handed on to ``rhs_scalars(u, sig, rho, frozen)``,
+    which returns the (m, k) scalar right-hand sides.
+    """
+
+    def __init__(self, scheme: ImplicitScheme, state: State, dt: float):
+        self.scheme = scheme
+        self.dt = dt
+        prm = scheme.params
+        u_prev = state.u.values
+        self.sigma_prev = state.sigma
+        self.rho_prev = state.rho
+        self.free = scheme.free
+        self.b_f = scheme.b_free
+
+        conv = convection_matrix(scheme.mesh, scheme.v, u_prev)
+        a_mat = (prm.re / dt) * scheme.mass + prm.re * conv \
+            + (1.0 - prm.eps) * scheme.stiff
+        self.a_ff = a_mat[self.free][:, self.free].tocsr()
+        self.saddle = SaddleOperator(self.a_ff, self.b_f, scheme.mean_p)
+        self.rhs_u_base = (prm.re / dt) * (scheme.mass @ u_prev) + scheme.fvec
+
+        self.n_u = scheme.v.n_dofs
+        self.n_up = self.n_u + scheme.q.n_dofs
+        self.m = len(state.sigma)
+        self.k = 3 if state.rho is None else 4
+        scalars = (state.sigma if state.rho is None
+                   else np.column_stack([state.sigma, state.rho]))
+        self.x0 = self.pack(u_prev, state.p.values, scalars)
+        self.scale = float(np.linalg.norm(self.x0)) + 1.0
+
+    def pack(self, u, p, scalars):
+        return np.concatenate([u, p, np.asarray(scalars).T.ravel()])
+
+    def _scalars(self, x):
+        return x[self.n_up:].reshape(self.k, self.m).T
+
+    def split(self, x):
+        """Views ``(u, p, sigma, rho)`` of an iterate; rho is None if k = 3."""
+        s = self._scalars(x)
+        rho = s[:, 3] if self.k == 4 else None
+        return x[:self.n_u], x[self.n_u:self.n_up], s[:, :3], rho
+
+    def sweep(self, x):
+        _, _, sig, rho = self.split(x)
+        rhs_u, frozen = self.rhs_u(sig, rho)
+        u_f, p_new = self.saddle.solve(rhs_u[self.free])
+        u_new = np.zeros(self.n_u)
+        u_new[self.free] = u_f
+        rhs_s = self.rhs_scalars(u_new, sig, rho, frozen)
+        return self.pack(u_new, p_new, self.scalar_lu.solve(rhs_s))
+
+    def residual(self, x):
+        u, p, sig, rho = self.split(x)
+        rhs_u, frozen = self.rhs_u(sig, rho)
+        u_f = u[self.free]
+        r_u = rhs_u[self.free] - self.a_ff @ u_f - self.b_f.T @ p
+        r_div = -(self.b_f @ u_f)
+        e_u, e_p = self.saddle.solve(r_u, r_div)
+        total = float(e_u @ e_u + e_p @ e_p)
+        r_s = (self.rhs_scalars(u, sig, rho, frozen)
+               - self.s_mat @ self._scalars(x))
+        for e_c in self.scalar_lu.solve(r_s).T:
+            total += float(e_c @ e_c)
+        return math.sqrt(total)
+
+
+class ImplicitScheme:
+    """Operators, free energy and the audited implicit step of a scheme.
+
+    A subclass names its spaces (``VELOCITIES``, ``PRESSURE``) and the
+    quadrature of its stress fields (``LAYOUT`` for
+    :func:`fenep.energy.free_energy` and the matching ``weights``), and
+    supplies ``_block_step(state, dt)``, the :class:`BlockStep` of one
+    step.  ``_extra_audit_terms`` adds scheme-specific terms to the
+    energy budget.
+    """
+
+    def __init__(self, mesh, params, velocity: str, pressure: str, forcing):
+        if velocity not in self.VELOCITIES:
+            raise ValueError(
+                f"velocity kind {velocity!r} is not supported here; "
+                f"choose one of {self.VELOCITIES}")
+        if pressure != self.PRESSURE:
+            raise ValueError(
+                f"{type(self).__name__} requires {self.PRESSURE}")
+        self.mesh = mesh
+        self.params = params
+        self.v = build_space(mesh, velocity)
+        self.q = build_space(mesh, pressure)
+        self.mass = velocity_mass(mesh, self.v)
+        self.stiff = velocity_stiffness(mesh, self.v)
+        self.div = divergence_matrix(mesh, self.v, self.q)
+        self.mean_p = pressure_integral_vector(mesh, self.q)
+        self.free = np.nonzero(~self.v.dirichlet_mask)[0]
+        self.b_free = self.div[:, self.free].tocsr()
+        self.forcing = forcing
+        self.fvec = (velocity_load(mesh, self.v, forcing)
+                     if forcing is not None else np.zeros(self.v.n_dofs))
+
+    def _free_energy(self, u, sigma, rho) -> EnergyBreakdown:
+        return free_energy(self.params, self.mesh, self.mass, u, sigma, rho,
+                           layout=self.LAYOUT)
+
+    def _extra_audit_terms(self, sig, rho, dt: float) -> dict:
+        return {}
+
+    def step(self, state: State, dt: float,
+             config: PicardConfig | None = None):
+        """Advance one step; returns (state, solve report, energy audit).
+
+        Raises :class:`SolverError` when the Picard iteration fails, with
+        the report attached as ``exc.report``.
+        """
+        cfg = config or PicardConfig()
+        problem = self._block_step(state, dt)
+        x, report = picard_solve(problem, problem.x0, cfg)
+        if not report.converged:
+            err = SolverError(
+                f"step at t={state.t:.6g} (dt={dt:.3g}) did not converge: "
+                f"residual {report.residual:.3e} after {report.iterations} "
+                f"iterations (damping {report.damping:.3g})")
+            err.report = report
+            raise err
+        u, p, sig, rho = problem.split(x)
+
+        prm = self.params
+        f_before = state.energy
+        if f_before is None:
+            f_before = self._free_energy(state.u.values, state.sigma,
+                                         state.rho)
+        f_after = self._free_energy(u, sig, rho)
+        du = u - state.u.values
+        relax = relaxation_dissipation(prm, self.weights, sig, rho)
+        spd = spd_audit(sig, prm.b)
+        audit = audit_step(
+            f_before.total, f_after.total,
+            kinetic_jump=0.5 * prm.re * float(du @ (self.mass @ du)),
+            viscous=dt * (1.0 - prm.eps) * float(u @ (self.stiff @ u)),
+            relaxation=dt * relax, forcing=dt * float(self.fvec @ u),
+            slack=audit_slack(cfg.tol, f_before.total, f_after.total),
+            min_eig_sigma=spd.min_eig, max_trace_sigma=spd.max_trace,
+            **self._extra_audit_terms(sig, rho, dt))
+        new_state = State(DiscreteField(self.v, u), DiscreteField(self.q, p),
+                          sig, rho, state.t + dt, f_after)
+        return new_state, report, audit

@@ -15,7 +15,12 @@ Every step runs that budget as an audit against the assembled operators
 The nonlinear step couples the momentum equation (convection frozen at
 the previous velocity) to the per-cell stress update through the
 regularized relaxation product; a damped Picard iteration alternates the
-two factorized linear solves.
+two factorized linear solves.  That step, its Picard driver and its
+audit are the skeleton shared with the diffusive scheme
+(:mod:`fenep.nlsolve`); this module supplies the stress matrix (cell
+areas over dt plus the upwind transport of the previous velocity,
+factorized once per step for the three components) and the right-hand
+sides.
 
 ``delta_continuation`` re-solves one step under a halving sequence of
 regularization cuts; once the answer stagnates while staying positive
@@ -26,7 +31,6 @@ certifiably inactive at that resolution.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +38,16 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
-from .energy import (audit_slack, audit_step, free_energy,
-                     relaxation_dissipation)
-from .fespaces import (DiscreteField, build_space, cell_mean_gradient,
-                       divergence_matrix, gauss01, grad_coupling_load,
-                       pressure_integral_vector, triangle_rule, velocity_load,
-                       velocity_mass, velocity_stiffness, convection_matrix)
+from .energy import SpdAudit, spd_audit
+from .fespaces import (DiscreteField, cell_mean_gradient, gauss01,
+                       grad_coupling_load, triangle_rule, velocity_load)
 from .meshing import TriMesh
-from .nlsolve import PicardConfig, SaddleOperator, SolverError, picard_solve
+from .nlsolve import (BlockStep, ImplicitScheme, PicardConfig,
+                      SaddleOperator, State)
 from .params import ModelParams
 
 __all__ = [
-    "StateP0",
     "SchemeP0",
-    "step_p0",
     "upwind_fluxes",
     "upwind_matrix",
     "upwind_edge_term",
@@ -59,14 +59,6 @@ __all__ = [
 
 #: pointwise normal velocities below this are treated as zero flux
 FLUX_FLOOR = 1e-14
-
-
-@dataclass
-class StateP0:
-    u: DiscreteField
-    p: DiscreteField
-    sigma: np.ndarray  # (n_cells, 3) symmetric tensors
-    t: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -190,31 +182,10 @@ def upwind_edge_term(mesh: TriMesh, vspace, u_coeffs, sigma, edge: int):
 
 
 # ---------------------------------------------------------------------------
-# positivity / bound diagnostics
-
-
-@dataclass(frozen=True)
-class SpdAudit:
-    min_eig: float
-    max_trace: float
-    positive: bool
-    within_bound: bool
-
-
-def spd_audit(sigma, b: float = math.inf) -> SpdAudit:
-    """Smallest eigenvalue and largest trace over a tensor field."""
-    sigma = np.asarray(sigma, float)
-    w, _ = tc.eig_sym(sigma)
-    mn = float(w[..., 0].min())
-    mx = float(tc.trace(sigma).max())
-    return SpdAudit(mn, mx, mn > 0.0, mx < b)
-
-
-# ---------------------------------------------------------------------------
 # the scheme
 
 
-class SchemeP0:
+class SchemeP0(ImplicitScheme):
     """Operator cache and step driver for the cellwise-stress scheme.
 
     Velocity/pressure pairs: the quadratic or reduced-quadratic velocity
@@ -225,35 +196,18 @@ class SchemeP0:
     """
 
     VELOCITIES = ("velocity_p2", "velocity_p2_reduced")
+    PRESSURE = "pressure_p0"
+    LAYOUT = "cell"
 
     def __init__(self, mesh: TriMesh, params: ModelParams, *,
                  velocity: str = "velocity_p2",
                  pressure: str = "pressure_p0", forcing=None):
-        if velocity not in self.VELOCITIES:
-            raise ValueError(
-                f"velocity kind {velocity!r} is not supported here; "
-                f"choose one of {self.VELOCITIES}")
-        if pressure != "pressure_p0":
-            raise ValueError(
-                "the cellwise-stress scheme requires pressure_p0")
-        self.mesh = mesh
-        self.params = params
-        self.v = build_space(mesh, velocity)
-        self.q = build_space(mesh, pressure)
-        self.stress = build_space(mesh, "stress_p0_sym")
-        self.mass = velocity_mass(mesh, self.v)
-        self.stiff = velocity_stiffness(mesh, self.v)
-        self.div = divergence_matrix(mesh, self.v, self.q)
-        self.mean_p = pressure_integral_vector(mesh, self.q)
-        self.free = np.nonzero(~self.v.dirichlet_mask)[0]
-        self.b_free = self.div[:, self.free].tocsr()
-        self.forcing = forcing
-        self.fvec = (velocity_load(mesh, self.v, forcing)
-                     if forcing is not None else np.zeros(self.v.n_dofs))
+        super().__init__(mesh, params, velocity, pressure, forcing)
+        self.weights = mesh.cell_areas
 
     # -- initial data --------------------------------------------------------
 
-    def initial_state(self, u0=None, sigma0=None) -> StateP0:
+    def initial_state(self, u0=None, sigma0=None) -> State:
         """Project initial data into the scheme's spaces.
 
         The velocity is L2-projected onto the discretely divergence-free
@@ -284,103 +238,33 @@ class SchemeP0:
                    else arr.copy())
             if sig.shape != (mesh.n_cells, 3):
                 raise ValueError("sigma0 must be (3,) or (n_cells, 3)")
-        return StateP0(DiscreteField(v, u),
-                       DiscreteField(self.q, np.zeros(self.q.n_dofs)),
-                       sig, 0.0)
+        return State(DiscreteField(v, u),
+                     DiscreteField(self.q, np.zeros(self.q.n_dofs)), sig,
+                     energy=self._free_energy(u, sig, None))
 
-    # -- one implicit step ----------------------------------------------------
-
-    def step(self, state: StateP0, dt: float,
-             config: PicardConfig | None = None):
-        """Advance one step; returns (state, solve report, energy audit).
-
-        Raises :class:`SolverError` when the Picard iteration fails, with
-        the report attached as ``exc.report``.
-        """
-        cfg = config or PicardConfig()
-        problem = _P0Step(self, state, dt)
-        x, report = picard_solve(problem, problem.x0, cfg)
-        if not report.converged:
-            err = SolverError(
-                f"step at t={state.t:.6g} (dt={dt:.3g}) did not converge: "
-                f"residual {report.residual:.3e} after {report.iterations} "
-                f"iterations (damping {report.damping:.3g})")
-            err.report = report
-            raise err
-        u, p, sig = problem.split(x)
-
-        prm = self.params
-        f_before = free_energy(prm, self.mesh, self.mass,
-                               state.u.values, state.sigma, layout="cell")
-        f_after = free_energy(prm, self.mesh, self.mass, u, sig, layout="cell")
-        du = u - state.u.values
-        kinetic_jump = 0.5 * prm.re * float(du @ (self.mass @ du))
-        viscous = dt * (1.0 - prm.eps) * float(u @ (self.stiff @ u))
-        relax = dt * relaxation_dissipation(prm, self.mesh.cell_areas, sig)
-        forcing = dt * float(self.fvec @ u)
-        spd = spd_audit(sig, prm.b)
-        audit = audit_step(
-            f_before.total, f_after.total,
-            kinetic_jump=kinetic_jump, viscous=viscous, relaxation=relax,
-            forcing=forcing,
-            slack=audit_slack(cfg.tol, f_before.total, f_after.total),
-            min_eig_sigma=spd.min_eig, max_trace_sigma=spd.max_trace)
-        new_state = StateP0(DiscreteField(self.v, u),
-                            DiscreteField(self.q, p), sig, state.t + dt)
-        return new_state, report, audit
+    def _block_step(self, state: State, dt: float) -> BlockStep:
+        return _P0Step(self, state, dt)
 
 
-class _P0Step:
-    """Factorized operators of one implicit step, exposed to the driver."""
+class _P0Step(BlockStep):
+    """Upwinded cellwise stress blocks: k = 3 components on the cells."""
 
-    def __init__(self, scheme: SchemeP0, state: StateP0, dt: float):
-        self.scheme = scheme
-        self.dt = dt
-        prm = scheme.params
+    def __init__(self, scheme: SchemeP0, state: State, dt: float):
+        super().__init__(scheme, state, dt)
         mesh = scheme.mesh
-        u_prev = state.u.values
-        self.u_prev = u_prev
-        self.sigma_prev = state.sigma
-        free = scheme.free
-
-        conv = convection_matrix(mesh, scheme.v, u_prev)
-        a_mat = (prm.re / dt) * scheme.mass + prm.re * conv \
-            + (1.0 - prm.eps) * scheme.stiff
-        self.a_ff = a_mat[free][:, free].tocsr()
-        self.b_f = scheme.b_free
-        self.saddle = SaddleOperator(self.a_ff, self.b_f, scheme.mean_p)
-
-        areas = mesh.cell_areas
-        transport = upwind_matrix(mesh, scheme.v, u_prev)
-        s_mat = sp.diags(areas / dt) + transport
-        self.stress_lu = splu(s_mat.tocsc())
+        transport = upwind_matrix(mesh, scheme.v, state.u.values)
+        s_mat = sp.diags(mesh.cell_areas / dt) + transport
+        self.scalar_lu = splu(s_mat.tocsc())
         self.s_mat = s_mat.tocsr()
-        self.areas = areas
 
-        self.n_u = scheme.v.n_dofs
-        self.n_p = scheme.q.n_dofs
-        self.m = mesh.n_cells
-        self.x0 = self.pack(u_prev, state.p.values, state.sigma)
-        self.scale = float(np.linalg.norm(self.x0)) + 1.0
-        self.rhs_u_base = (prm.re / dt) * (scheme.mass @ u_prev) + scheme.fvec
-
-    def pack(self, u, p, sig):
-        return np.concatenate([u, p, np.asarray(sig).T.ravel()])
-
-    def split(self, x):
-        u = x[:self.n_u]
-        p = x[self.n_u:self.n_u + self.n_p]
-        sig = x[self.n_u + self.n_p:].reshape(3, self.m).T
-        return u, p, sig
-
-    def _rhs_u(self, sig):
+    def rhs_u(self, sig, rho):
         prm = self.scheme.params
         flux = tc.relax_flux(sig, tc.trace(sig), prm.reg)
         coupling = grad_coupling_load(self.scheme.mesh, self.scheme.v,
                                       flux, "cell")
         return self.rhs_u_base - (prm.eps / prm.wi) * coupling, flux
 
-    def _stress_rhs(self, u, sig, flux):
+    def rhs_scalars(self, u, sig, rho, flux):
         """Per-component right sides with frozen coefficient fields."""
         prm = self.scheme.params
         grad_int = cell_mean_gradient(self.scheme.mesh, self.scheme.v, u)
@@ -391,43 +275,8 @@ class _P0Step:
             prod[:, 0, 1] + prod[:, 1, 0],
             2.0 * prod[:, 1, 1],
         ], axis=1)
-        return (self.areas[:, None] * (self.sigma_prev / self.dt
-                                       - flux / prm.wi) + src)
-
-    def sweep(self, x):
-        _, _, sig = self.split(x)
-        free = self.scheme.free
-        rhs_u, flux = self._rhs_u(sig)
-        u_f, p_new = self.saddle.solve(rhs_u[free])
-        u_new = np.zeros(self.n_u)
-        u_new[free] = u_f
-        rhs_s = self._stress_rhs(u_new, sig, flux)
-        sig_new = np.empty_like(sig)
-        for c in range(3):
-            sig_new[:, c] = self.stress_lu.solve(rhs_s[:, c])
-        return self.pack(u_new, p_new, sig_new)
-
-    def residual(self, x):
-        u, p, sig = self.split(x)
-        free = self.scheme.free
-        rhs_u, flux = self._rhs_u(sig)
-        u_f = u[free]
-        r_u = rhs_u[free] - self.a_ff @ u_f - self.b_f.T @ p
-        r_div = -(self.b_f @ u_f)
-        e_u, e_p = self.saddle.solve(r_u, r_div)
-        total = float(e_u @ e_u + e_p @ e_p)
-        rhs_s = self._stress_rhs(u, sig, flux)
-        for c in range(3):
-            r_c = rhs_s[:, c] - self.s_mat @ sig[:, c]
-            e_c = self.stress_lu.solve(r_c)
-            total += float(e_c @ e_c)
-        return math.sqrt(total)
-
-
-def step_p0(scheme: SchemeP0, state: StateP0, dt: float,
-            config: PicardConfig | None = None):
-    """Functional alias for :meth:`SchemeP0.step`."""
-    return scheme.step(state, dt, config)
+        return (self.scheme.weights[:, None]
+                * (self.sigma_prev / self.dt - flux / prm.wi) + src)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +287,12 @@ def step_p0(scheme: SchemeP0, state: StateP0, dt: float,
 class ContinuationReport:
     deltas: list
     diffs: list
-    state: StateP0
+    state: State
     stagnated: bool
     spd: SpdAudit
 
 
-def delta_continuation(mesh: TriMesh, params: ModelParams, state: StateP0,
+def delta_continuation(mesh: TriMesh, params: ModelParams, state: State,
                        dt: float, *, velocity: str = "velocity_p2",
                        forcing=None, delta_start: float = 0.25,
                        delta_min: float = 1.0 / 256.0,
@@ -456,13 +305,16 @@ def delta_continuation(mesh: TriMesh, params: ModelParams, state: StateP0,
     diagnostics of the final stress; stagnation plus a positive audit
     means the cut no longer binds and the unregularized step was solved.
     """
+    # the operators depend on mesh, velocity and forcing only, so one
+    # scheme serves every cut; a carried free energy belongs to one delta
+    scheme = SchemeP0(mesh, params, velocity=velocity, forcing=forcing)
+    state = dataclasses.replace(state, energy=None)
     deltas, diffs = [], []
     prev_vec = None
     last = None
     d = delta_start
     while d >= delta_min * (1.0 - 1e-12):
-        prm = dataclasses.replace(params, delta=d)
-        scheme = SchemeP0(mesh, prm, velocity=velocity, forcing=forcing)
+        scheme.params = dataclasses.replace(params, delta=d)
         new_state, _, _ = scheme.step(state, dt, config)
         vec = np.concatenate([new_state.u.values, new_state.sigma.ravel()])
         deltas.append(d)
@@ -473,6 +325,6 @@ def delta_continuation(mesh: TriMesh, params: ModelParams, state: StateP0,
             break
         d *= 0.5
     return ContinuationReport(
-        deltas, diffs, last,
+        deltas, diffs, dataclasses.replace(last, energy=None),
         stagnated=bool(diffs and diffs[-1] < stag_tol),
         spd=spd_audit(last.sigma, params.b))

@@ -22,11 +22,16 @@ obtuse corner (the vertex interpolant of a monotone function of a P1
 field has controlled gradients exactly when the stiffness matrix has
 nonpositive off-diagonal entries), so the audit marks them uncertified
 otherwise and excludes them from the required dissipation.
+
+The implicit step, its Picard driver and its audit are the skeleton
+shared with the cellwise scheme (:mod:`fenep.nlsolve`); this module
+supplies the scalar matrix (lumped mass over dt plus alpha times the
+stiffness, factorized once per dt for the stress components and the
+trace), the right-hand sides and the two extra budget terms.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,25 +40,18 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
-from .energy import (audit_slack, audit_step, free_energy,
-                     relaxation_dissipation, tensor_gradient_energy)
-from .fespaces import (DiscreteField, build_space, cell_mean_velocity,
-                       convection_matrix, divergence_matrix,
-                       grad_coupling_load, lumped_weights,
-                       pressure_integral_vector, scalar_stiffness,
-                       triangle_rule, velocity_load, velocity_mass,
-                       velocity_stiffness, vertex_weighted_gradient)
+from .energy import tensor_gradient_energy
+from .fespaces import (DiscreteField, cell_mean_velocity, grad_coupling_load,
+                       lumped_weights, scalar_stiffness, triangle_rule,
+                       velocity_load, vertex_weighted_gradient)
 from .meshing import TriMesh, audit_mesh
-from .nlsolve import PicardConfig, SaddleOperator, SolverError, picard_solve
+from .nlsolve import BlockStep, ImplicitScheme, State
 from .params import ModelParams
 
 __all__ = [
-    "StateP1",
     "InitialReport",
     "TimeStepWarning",
     "SchemeP1Diff",
-    "project_initial",
-    "step_p1diff",
     "lambda_scalar",
     "lambda_matrix",
     "lambda_transport",
@@ -62,15 +60,6 @@ __all__ = [
 
 class TimeStepWarning(UserWarning):
     """The step size exceeds the range the convergence theory covers."""
-
-
-@dataclass
-class StateP1:
-    u: DiscreteField
-    p: DiscreteField
-    sigma: np.ndarray          # (n_vertices, 3)
-    rho: np.ndarray | None     # (n_vertices,), None without a trace bound
-    t: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +141,7 @@ def lambda_transport(mesh: TriMesh, field, rp: tc.RegParams):
 # the scheme
 
 
-class SchemeP1Diff:
+class SchemeP1Diff(ImplicitScheme):
     """Operator cache and step driver for the diffusive linear-stress scheme.
 
     Velocity/pressure pairs: the mini element (default) or the quadratic
@@ -160,6 +149,8 @@ class SchemeP1Diff:
     """
 
     VELOCITIES = ("velocity_mini", "velocity_p2")
+    PRESSURE = "pressure_p1"
+    LAYOUT = "vertex"
 
     def __init__(self, mesh: TriMesh, params: ModelParams, *,
                  velocity: str = "velocity_mini",
@@ -167,30 +158,10 @@ class SchemeP1Diff:
                  dt_cap_zeta: float = 1.0, dt_cap_cstar: float = 1.0):
         if params.alpha is None:
             raise ValueError("this scheme requires a diffusion alpha > 0")
-        if velocity not in self.VELOCITIES:
-            raise ValueError(
-                f"velocity kind {velocity!r} is not supported here; "
-                f"choose one of {self.VELOCITIES}")
-        if pressure != "pressure_p1":
-            raise ValueError(
-                "the diffusive linear-stress scheme requires pressure_p1")
-        self.mesh = mesh
-        self.params = params
-        self.v = build_space(mesh, velocity)
-        self.q = build_space(mesh, pressure)
-        self.stress = build_space(mesh, "stress_p1_sym")
-        self.mass = velocity_mass(mesh, self.v)
-        self.stiff = velocity_stiffness(mesh, self.v)
-        self.div = divergence_matrix(mesh, self.v, self.q)
-        self.mean_p = pressure_integral_vector(mesh, self.q)
-        self.free = np.nonzero(~self.v.dirichlet_mask)[0]
-        self.b_free = self.div[:, self.free].tocsr()
-        self.lumped = lumped_weights(mesh)
+        super().__init__(mesh, params, velocity, pressure, forcing)
+        self.weights = lumped_weights(mesh)
         self.k_scalar = scalar_stiffness(mesh)
         self.non_obtuse = audit_mesh(mesh).non_obtuse
-        self.forcing = forcing
-        self.fvec = (velocity_load(mesh, self.v, forcing)
-                     if forcing is not None else np.zeros(self.v.n_dofs))
         self.dt_cap_zeta = dt_cap_zeta
         self.dt_cap_cstar = dt_cap_cstar
         self._scalar_cache: tuple | None = None
@@ -199,7 +170,7 @@ class SchemeP1Diff:
         """Factorized shared matrix lumped/dt + alpha * stiffness."""
         if self._scalar_cache is not None and self._scalar_cache[0] == dt:
             return self._scalar_cache[1], self._scalar_cache[2]
-        s_mat = (sp.diags(self.lumped / dt)
+        s_mat = (sp.diags(self.weights / dt)
                  + self.params.alpha * self.k_scalar).tocsc()
         lu = splu(s_mat)
         self._scalar_cache = (dt, s_mat.tocsr(), lu)
@@ -214,7 +185,7 @@ class SchemeP1Diff:
                 f"dt={dt:.3g} exceeds the theory-covered range "
                 f"{cap:.3g} (= C* alpha^(1+zeta) h^2); the energy audit "
                 "still runs but convergence guarantees do not apply",
-                TimeStepWarning, stacklevel=3)
+                TimeStepWarning, stacklevel=4)
 
     # -- initial data ----------------------------------------------------------
 
@@ -236,7 +207,7 @@ class SchemeP1Diff:
             u_f = splu(a_mat.tocsc()).solve(load)
             u[self.free] = u_f
 
-        s_mat = (sp.diags(self.lumped) + dt0 * self.k_scalar).tocsc()
+        s_mat = (sp.diags(self.weights) + dt0 * self.k_scalar).tocsc()
         lu = splu(s_mat)
         rhs, data_vals = _stress_data_moments(mesh, sigma0)
         sig = np.stack([lu.solve(rhs[:, c]) for c in range(3)], axis=1)
@@ -252,67 +223,31 @@ class SchemeP1Diff:
             vertex_min_eig=float(w_vert[..., 0].min()),
             vertex_max_eig=float(w_vert[..., 1].max()),
             vertex_max_trace=float(tc.trace(sig).max()))
-        state = StateP1(DiscreteField(v, u),
-                        DiscreteField(self.q, np.zeros(self.q.n_dofs)),
-                        sig, rho, 0.0)
+        state = State(DiscreteField(v, u),
+                      DiscreteField(self.q, np.zeros(self.q.n_dofs)),
+                      sig, rho, energy=self._free_energy(u, sig, rho))
         return state, report
 
     # -- one implicit step ------------------------------------------------------
 
-    def step(self, state: StateP1, dt: float,
-             config: PicardConfig | None = None):
-        """Advance one step; returns (state, solve report, energy audit)."""
-        cfg = config or PicardConfig()
+    def _block_step(self, state: State, dt: float) -> BlockStep:
         self.check_step_size(dt)
-        problem = _P1Step(self, state, dt)
-        x, report = picard_solve(problem, problem.x0, cfg)
-        if not report.converged:
-            err = SolverError(
-                f"step at t={state.t:.6g} (dt={dt:.3g}) did not converge: "
-                f"residual {report.residual:.3e} after {report.iterations} "
-                f"iterations (damping {report.damping:.3g})")
-            err.report = report
-            raise err
-        u, p, sig, rho = problem.split(x)
+        return _P1Step(self, state, dt)
 
-        prm = self.params
-        f_before = free_energy(prm, self.mesh, self.mass, state.u.values,
-                               state.sigma, state.rho, layout="vertex")
-        f_after = free_energy(prm, self.mesh, self.mass, u, sig, rho,
-                              layout="vertex")
-        du = u - state.u.values
-        kinetic_jump = 0.5 * prm.re * float(du @ (self.mass @ du))
-        viscous = dt * (1.0 - prm.eps) * float(u @ (self.stiff @ u))
-        eta = rho if rho is not None else tc.trace(sig)
-        relax = dt * relaxation_dissipation(prm, self.lumped, sig, eta)
-        forcing = dt * float(self.fvec @ u)
-
+    def _extra_audit_terms(self, sig, rho, dt: float) -> dict:
+        """Diffusion gradient terms and the trace balance of the budget."""
+        prm, k = self.params, self.k_scalar
         scale = dt * prm.alpha * prm.eps * prm.delta ** 2 / (2.0 * prm.wi)
         _, gp = tc.g_delta_mat(sig, prm.reg)
-        diff_sig = scale * tensor_gradient_energy(self.k_scalar, gp)
+        terms = {"diffusion_sigma": scale * tensor_gradient_energy(k, gp),
+                 "certified_gradient_terms": self.non_obtuse}
         if rho is not None:
             _, gp_tr = tc.g_delta(1.0 - rho / prm.b, prm.reg)
-            diff_rho = (scale * prm.b
-                        * tensor_gradient_energy(self.k_scalar, gp_tr))
-            balance = float(self.lumped @ (tc.trace(sig) - rho))
-        else:
-            diff_rho = 0.0
-            balance = 0.0
-
-        w_sig, _ = tc.eig_sym(sig)
-        audit = audit_step(
-            f_before.total, f_after.total,
-            kinetic_jump=kinetic_jump, viscous=viscous, relaxation=relax,
-            diffusion_sigma=diff_sig, diffusion_rho=diff_rho,
-            forcing=forcing,
-            slack=audit_slack(cfg.tol, f_before.total, f_after.total),
-            certified_gradient_terms=self.non_obtuse,
-            trace_balance=balance,
-            min_eig_sigma=float(w_sig[..., 0].min()),
-            max_trace_sigma=float(tc.trace(sig).max()))
-        new_state = StateP1(DiscreteField(self.v, u),
-                            DiscreteField(self.q, p), sig, rho, state.t + dt)
-        return new_state, report, audit
+            terms["diffusion_rho"] = (scale * prm.b
+                                      * tensor_gradient_energy(k, gp_tr))
+            terms["trace_balance"] = float(
+                self.weights @ (tc.trace(sig) - rho))
+        return terms
 
 
 @dataclass(frozen=True)
@@ -366,72 +301,33 @@ def _stress_data_moments(mesh: TriMesh, sigma0):
     return rhs, vals
 
 
-class _P1Step:
-    """Factorized operators of one implicit step, exposed to the driver."""
+class _P1Step(BlockStep):
+    """Diffusive vertex blocks: k = 3 stress components, plus the trace."""
 
-    def __init__(self, scheme: SchemeP1Diff, state: StateP1, dt: float):
-        self.scheme = scheme
-        self.dt = dt
-        prm = scheme.params
-        mesh = scheme.mesh
-        u_prev = state.u.values
-        self.u_prev = u_prev
-        self.sigma_prev = state.sigma
-        self.rho_prev = state.rho
-        free = scheme.free
-
-        conv = convection_matrix(mesh, scheme.v, u_prev)
-        a_mat = (prm.re / dt) * scheme.mass + prm.re * conv \
-            + (1.0 - prm.eps) * scheme.stiff
-        self.a_ff = a_mat[free][:, free].tocsr()
-        self.b_f = scheme.b_free
-        self.saddle = SaddleOperator(self.a_ff, self.b_f, scheme.mean_p)
-        self.s_mat, self.stress_lu = scheme.scalar_operator(dt)
-
+    def __init__(self, scheme: SchemeP1Diff, state: State, dt: float):
+        super().__init__(scheme, state, dt)
+        self.s_mat, self.scalar_lu = scheme.scalar_operator(dt)
         # transport velocity moments are explicit in the previous velocity
-        self.u_cell = cell_mean_velocity(mesh, scheme.v, u_prev)
+        self.u_cell = cell_mean_velocity(scheme.mesh, scheme.v,
+                                         state.u.values)
 
-        self.n_u = scheme.v.n_dofs
-        self.n_p = scheme.q.n_dofs
-        self.n_vert = mesh.n_vertices
-        self.has_rho = state.rho is not None
-        self.x0 = self.pack(u_prev, state.p.values, state.sigma, state.rho)
-        self.scale = float(np.linalg.norm(self.x0)) + 1.0
-        self.rhs_u_base = (prm.re / dt) * (scheme.mass @ u_prev) + scheme.fvec
-
-    def pack(self, u, p, sig, rho):
-        parts = [u, p, np.asarray(sig).T.ravel()]
-        if self.has_rho:
-            parts.append(rho)
-        return np.concatenate(parts)
-
-    def split(self, x):
-        n_u, n_p, n = self.n_u, self.n_p, self.n_vert
-        u = x[:n_u]
-        p = x[n_u:n_u + n_p]
-        sig = x[n_u + n_p:n_u + n_p + 3 * n].reshape(3, n).T
-        rho = x[n_u + n_p + 3 * n:] if self.has_rho else None
-        return u, p, sig, rho
-
-    def _frozen_fields(self, sig, rho):
+    def rhs_u(self, sig, rho):
         prm = self.scheme.params
         eta = rho if rho is not None else tc.trace(sig)
         flux = tc.relax_flux(sig, eta, prm.reg)
         kv = tc.k_delta(sig, eta, prm.reg)
         beta = tc.beta_delta_mat(sig, prm.reg)
-        return eta, flux, kv, beta
-
-    def _rhs_u(self, flux, kv):
-        prm = self.scheme.params
         coupling = grad_coupling_load(
             self.scheme.mesh, self.scheme.v, kv[:, None] * flux, "vertex")
-        return self.rhs_u_base - (prm.eps / prm.wi) * coupling
+        return (self.rhs_u_base - (prm.eps / prm.wi) * coupling,
+                (flux, kv, beta))
 
-    def _stress_rhs(self, u, sig, rho, flux, kv, beta):
+    def rhs_scalars(self, u, sig, rho, frozen):
         """Right sides of the component and trace solves, frozen fields."""
+        flux, kv, beta = frozen
         prm = self.scheme.params
         mesh = self.scheme.mesh
-        w = self.scheme.lumped
+        w = self.scheme.weights
         g_v = vertex_weighted_gradient(mesh, self.scheme.v, u)
         prod = g_v @ tc.to_full(beta)                 # (n, 2, 2)
         sym = np.stack([prod[:, 0, 0],
@@ -440,7 +336,7 @@ class _P1Step:
         defo = 2.0 * kv[:, None] * sym
 
         lam_t = lambda_transport(mesh, sig, prm.reg)  # (M, 2, 2, 3)
-        adv = np.zeros((self.n_vert, 3))
+        adv = np.zeros((self.m, 3))
         contrib = np.einsum("km,kmpc,klp->klc",
                             self.u_cell, lam_t, mesh.bary_grads)
         np.add.at(adv, mesh.cells.ravel(), contrib.reshape(-1, 3))
@@ -448,9 +344,9 @@ class _P1Step:
         rhs_sig = (w[:, None] * (self.sigma_prev / self.dt - flux / prm.wi)
                    + defo + adv)
         if rho is None:
-            return rhs_sig, None
+            return rhs_sig
         lam_s = lambda_transport(mesh, 1.0 - rho / prm.b, prm.reg)
-        adv_r = np.zeros(self.n_vert)
+        adv_r = np.zeros(self.m)
         contrib_r = np.einsum("km,kmp,klp->kl",
                               self.u_cell, lam_s, mesh.bary_grads)
         np.add.at(adv_r, mesh.cells.ravel(), contrib_r.ravel())
@@ -458,46 +354,4 @@ class _P1Step:
         tr_defo = 2.0 * kv * (prod[:, 0, 0] + prod[:, 1, 1])
         rhs_rho = (w * (self.rho_prev / self.dt - tr_flux / prm.wi)
                    + tr_defo - prm.b * adv_r)
-        return rhs_sig, rhs_rho
-
-    def sweep(self, x):
-        _, _, sig, rho = self.split(x)
-        _, flux, kv, beta = self._frozen_fields(sig, rho)
-        free = self.scheme.free
-        u_f, p_new = self.saddle.solve(self._rhs_u(flux, kv)[free])
-        u_new = np.zeros(self.n_u)
-        u_new[free] = u_f
-        rhs_sig, rhs_rho = self._stress_rhs(u_new, sig, rho, flux, kv, beta)
-        sig_new = np.stack(
-            [self.stress_lu.solve(rhs_sig[:, c]) for c in range(3)], axis=1)
-        rho_new = self.stress_lu.solve(rhs_rho) if self.has_rho else None
-        return self.pack(u_new, p_new, sig_new, rho_new)
-
-    def residual(self, x):
-        u, p, sig, rho = self.split(x)
-        _, flux, kv, beta = self._frozen_fields(sig, rho)
-        free = self.scheme.free
-        u_f = u[free]
-        r_u = self._rhs_u(flux, kv)[free] - self.a_ff @ u_f - self.b_f.T @ p
-        r_div = -(self.b_f @ u_f)
-        e_u, e_p = self.saddle.solve(r_u, r_div)
-        total = float(e_u @ e_u + e_p @ e_p)
-        rhs_sig, rhs_rho = self._stress_rhs(u, sig, rho, flux, kv, beta)
-        for c in range(3):
-            e_c = self.stress_lu.solve(rhs_sig[:, c] - self.s_mat @ sig[:, c])
-            total += float(e_c @ e_c)
-        if self.has_rho:
-            e_r = self.stress_lu.solve(rhs_rho - self.s_mat @ rho)
-            total += float(e_r @ e_r)
-        return math.sqrt(total)
-
-
-def project_initial(scheme: SchemeP1Diff, dt0: float, u0=None, sigma0=None):
-    """Functional alias for :meth:`SchemeP1Diff.project_initial`."""
-    return scheme.project_initial(dt0, u0, sigma0)
-
-
-def step_p1diff(scheme: SchemeP1Diff, state: StateP1, dt: float,
-                config: PicardConfig | None = None):
-    """Functional alias for :meth:`SchemeP1Diff.step`."""
-    return scheme.step(state, dt, config)
+        return np.column_stack([rhs_sig, rhs_rho])

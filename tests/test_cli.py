@@ -6,11 +6,13 @@ them.
 """
 
 import json
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+from fenep import energy
 from fenep.cli import (
     ENERGY_COLUMNS,
     ConfigError,
@@ -19,6 +21,7 @@ from fenep.cli import (
     main,
     parse_config,
     read_energy_csv,
+    run_simulation,
     scenario_fields,
     write_energy_csv,
 )
@@ -187,6 +190,30 @@ def test_run_p0_roundtrip(tmp_path, capsys):
     vtk = (outdir / "final.vtk").read_text()
     assert "CELL_DATA" in vtk and "sig_xx" in vtk
     assert "rho" not in vtk
+
+
+@pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
+@pytest.mark.parametrize("scheme", ["p0", "p1diff"])
+def test_run_evaluates_free_energy_once_per_step(tmp_path, monkeypatch,
+                                                 scheme):
+    calls = []
+    original = energy.free_energy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # replace the function under every name a fenep module binds it to
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("fenep")
+                and getattr(mod, "free_energy", None) is original):
+            monkeypatch.setattr(mod, "free_energy", counted)
+    result = run_simulation(build_setup(parse_config(
+        base_config(tmp_path, scheme=scheme))))
+    steps = len(result.rows) - 1
+    assert steps == 3
+    assert len(calls) == 1 + steps
+    assert result.state.energy.total == result.rows[-1]["F_total"]
 
 
 def test_run_is_deterministic(tmp_path):

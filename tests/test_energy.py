@@ -1,6 +1,7 @@
 """Tests for the free-energy functional and the per-step audit record."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from fenep.energy import (
     tensor_gradient_energy,
 )
 from fenep.meshing import structured_unit_square
+from fenep.nlsolve import PicardConfig
 from fenep.params import ModelParams
+from fenep.scheme_p0 import SchemeP0
+from fenep.scheme_p1diff import SchemeP1Diff, TimeStepWarning
 
 PARAMS = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1)
 
@@ -141,3 +145,49 @@ def test_step_audit_forcing_enters_budget():
                         relaxation=0.0, forcing=0.4, slack=1e-8,
                         min_eig_sigma=1.0, max_trace_sigma=2.0)
     assert not audit2.passed
+
+
+# ---------------------------------------------------------------------------
+# the free energy a step carries forward
+
+
+def _forcing(x, y):
+    return (np.sin(np.pi * x) * np.cos(np.pi * y),
+            -np.cos(np.pi * x) * np.sin(np.pi * y))
+
+
+def _p0_start():
+    scheme = SchemeP0(structured_unit_square(3), PARAMS, forcing=_forcing)
+    return scheme, scheme.initial_state(sigma0=np.array([1.5, 0.1, 1.2]))
+
+
+def _p1diff_start(b):
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=b, delta=0.1, alpha=0.1)
+    scheme = SchemeP1Diff(structured_unit_square(3), params,
+                          forcing=_forcing)
+    state, _ = scheme.project_initial(0.05, None, np.array([1.5, 0.1, 1.2]))
+    return scheme, state
+
+
+@pytest.mark.parametrize("start", [
+    _p0_start,
+    lambda: _p1diff_start(5.0),
+    lambda: _p1diff_start(math.inf),
+], ids=["p0", "p1diff", "p1diff-oldroyd-b"])
+def test_step_carries_free_energy(start):
+    scheme, state = start()
+    layout = "cell" if isinstance(scheme, SchemeP0) else "vertex"
+    cfg = PicardConfig(tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TimeStepWarning)
+        for _ in range(3):
+            f_prev = state.energy.total
+            state, report, audit = scheme.step(state, 0.05, cfg)
+            assert report.converged and audit.passed
+            assert audit.f_before == f_prev
+            fresh = free_energy(scheme.params, scheme.mesh, scheme.mass,
+                                state.u.values, state.sigma, state.rho,
+                                layout=layout)
+            assert state.energy == fresh
+            assert audit.f_after == fresh.total
+    assert np.abs(state.u.values).max() > 1e-6

@@ -330,16 +330,6 @@ def test_pressure_integral_vector():
                        fe.lumped_weights(mesh))
 
 
-def test_assemble_catalogue_dispatch():
-    mesh = structured_unit_square(2)
-    v = fe.build_space(mesh, "velocity_p2")
-    direct = fe.velocity_mass(mesh, v)
-    via = fe.assemble(mesh, "mass", v)
-    assert abs(direct - via).max() == 0.0
-    with pytest.raises(ValueError):
-        fe.assemble(mesh, "no_such_form", v)
-
-
 # ---------------------------------------------------------------------------
 # stability diagnostics
 

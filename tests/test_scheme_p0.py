@@ -19,7 +19,6 @@ from fenep.scheme_p0 import (
     SchemeP0,
     delta_continuation,
     spd_audit,
-    step_p0,
     upwind_edge_term,
     upwind_fluxes,
     upwind_matrix,
@@ -253,12 +252,10 @@ def test_forced_run_reports_forcing_power():
     assert np.abs(state.u.values).max() > 1e-8
 
 
-def test_step_alias_and_nonconvergence_report():
+def test_nonconvergence_report():
     mesh = structured_unit_square(2)
     scheme = SchemeP0(mesh, PARAMS)
     state = scheme.initial_state(sigma0=np.array([2.0, 0.0, 2.0]))
-    out = step_p0(scheme, state, 0.1, CFG)
-    assert len(out) == 3
     strict = PicardConfig(tol=1e-16, max_iters=2)
     with pytest.raises(SolverError) as err:
         scheme.step(state, 0.1, strict)

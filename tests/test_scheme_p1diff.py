@@ -23,8 +23,6 @@ from fenep.scheme_p1diff import (
     lambda_matrix,
     lambda_scalar,
     lambda_transport,
-    project_initial,
-    step_p1diff,
 )
 
 PARAMS = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1, alpha=0.1)
@@ -206,15 +204,6 @@ def test_project_initial_smooths_and_reports_bounds():
     assert report.bounds_hold
     assert np.allclose(state.rho, state.sigma[:, 0] + state.sigma[:, 2],
                        atol=1e-12)
-
-
-def test_module_level_aliases():
-    scheme = make_scheme()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TimeStepWarning)
-        state, report = project_initial(scheme, 0.01)
-        out = step_p1diff(scheme, state, 0.05, CFG)
-    assert len(out) == 3
 
 
 # ---------------------------------------------------------------------------
