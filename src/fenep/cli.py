@@ -39,7 +39,6 @@ from .nlsolve import PicardConfig, SolverError
 from .params import ModelParams, ParameterError, validate_time_steps
 from .scheme_p0 import SchemeP0
 from .scheme_p1diff import SchemeP1Diff
-from .fespaces import lumped_weights
 
 __all__ = [
     "ConfigError",
@@ -267,6 +266,15 @@ def scenario_fields(name: str, amplitude: float, params: ModelParams):
     raise ConfigError(f"unknown scenario {name!r}")
 
 
+def _sheared(mesh: TriMesh, shear: float) -> TriMesh:
+    """The mesh under the shear map y -> y + shear * x."""
+    if shear == 0.0:
+        return mesh
+    pts = mesh.vertices.copy()
+    pts[:, 1] += shear * pts[:, 0]
+    return TriMesh(pts, mesh.cells)
+
+
 def _build_mesh(setup: RunSetup) -> TriMesh:
     if setup.mesh_file is not None:
         mesh = load_mesh(setup.mesh_file)
@@ -274,11 +282,7 @@ def _build_mesh(setup: RunSetup) -> TriMesh:
         if setup.mesh_n < 1:
             raise ConfigError("[mesh] n must be at least 1")
         mesh = structured_unit_square(setup.mesh_n)
-    if setup.shear != 0.0:
-        pts = mesh.vertices.copy()
-        pts[:, 1] += setup.shear * pts[:, 0]
-        mesh = TriMesh(pts, mesh.cells)
-    return mesh
+    return _sheared(mesh, setup.shear)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,7 @@ def run_simulation(setup: RunSetup) -> RunResult:
         "step": 0, "t": state.t, "F_total": f0.total, "kinetic": f0.kinetic,
         "entropy": f0.entropy, "kinetic_jump": 0.0, "viscous": 0.0,
         "relaxation": 0.0, "diffusion_sigma": 0.0, "diffusion_rho": 0.0,
-        "forcing": 0.0, "trace_balance": _initial_balance(state, mesh),
+        "forcing": 0.0, "trace_balance": _initial_balance(state, scheme),
         "min_eig_sigma": float(w0[..., 0].min()),
         "max_trace_sigma": float(tc.trace(state.sigma).max()),
         "picard_iters": 0, "residual": 0.0, "audit_pass": True,
@@ -390,10 +394,10 @@ def run_simulation(setup: RunSetup) -> RunResult:
                      snapshots)
 
 
-def _initial_balance(state, mesh) -> float:
+def _initial_balance(state, scheme) -> float:
     if state.rho is None:
         return 0.0
-    return float(lumped_weights(mesh) @ (tc.trace(state.sigma) - state.rho))
+    return float(scheme.weights @ (tc.trace(state.sigma) - state.rho))
 
 
 def _json_float(x):
@@ -477,7 +481,7 @@ def write_vtk(path, mesh: TriMesh, velocity_vertices, *, point_tensors=None,
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_vertices} double"]
-    for x, y in mesh.vertices:
+    for x, y in mesh.vertices.tolist():
         lines.append(f"{x!r} {y!r} 0.0")
     lines.append(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}")
     for a, b, c in mesh.cells:
@@ -486,7 +490,7 @@ def write_vtk(path, mesh: TriMesh, velocity_vertices, *, point_tensors=None,
     lines.extend(["5"] * mesh.n_cells)
     lines.append(f"POINT_DATA {mesh.n_vertices}")
     lines.append("VECTORS velocity double")
-    for ux, uy in v:
+    for ux, uy in v.tolist():
         lines.append(f"{ux!r} {uy!r} 0.0")
 
     def scalar_block(name, vals):
@@ -517,7 +521,7 @@ def _write_outputs(setup: RunSetup, result: RunResult) -> None:
         fh.write("\n")
     def snapshot(path, st):
         vel = result.scheme.v.vertex_values(st.u.values)
-        if setup.scheme == "p0":
+        if result.scheme.LAYOUT == "cell":
             write_vtk(path, result.mesh, vel, cell_tensors=st.sigma)
         else:
             write_vtk(path, result.mesh, vel, point_tensors=st.sigma,
@@ -582,11 +586,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_mesh_gen(args) -> int:
-    mesh = structured_unit_square(args.n)
-    if args.shear:
-        pts = mesh.vertices.copy()
-        pts[:, 1] += args.shear * pts[:, 0]
-        mesh = TriMesh(pts, mesh.cells)
+    mesh = _sheared(structured_unit_square(args.n), args.shear)
     save_mesh(mesh, args.out)
     audit = audit_mesh(mesh)
     print(f"wrote {args.out}: {mesh.n_cells} cells, "

@@ -1,13 +1,16 @@
-"""Finite element spaces, quadrature, vertex sampling and assembly kernels.
+"""Finite element spaces, quadrature, vertex sampling and assembly.
 
 Every velocity element used by the schemes factors locally into scalar
-shape functions times constant direction vectors: the plain quadratic и
+shape functions times constant direction vectors: the plain quadratic and
 mini elements carry the two coordinate directions per scalar function,
 and the reduced-quadratic element adds one scalar bubble per edge whose
 direction is the edge's global unit normal.  Assembly therefore runs one
-generic code path over ``(scalar factor, direction)`` pairs; the
-divergence, convection and coupling kernels below never special-case an
-element.
+generic code path over ``(scalar factor, direction)`` pairs; the mass,
+stiffness, convection and gradient operators below never special-case
+an element.  The gradient operator ``G = integral( psi grad(phi) )``
+against a scalar test space is assembled once per scheme and serves
+three forms by matrix products: the tested velocity gradient ``G u``,
+the stress coupling ``G^T W`` and, in its trace rows, the divergence.
 
 Scalar fields (pressure, stress components, the auxiliary trace) use
 piecewise constants or continuous piecewise linears.  Tensor fields are
@@ -44,23 +47,19 @@ __all__ = [
     "build_space",
     "VelocitySpace",
     "ScalarSpace",
-    "StressSpace",
     "VELOCITY_KINDS",
     "pi_h",
     "lumped_weights",
     "lumped_mass_integrate",
-    "p1_at_points",
     "velocity_mass",
     "velocity_stiffness",
     "convection_matrix",
+    "gradient_matrix",
+    "gradient_trace",
     "divergence_matrix",
     "velocity_load",
-    "grad_coupling_load",
-    "cell_mean_gradient",
     "cell_mean_velocity",
-    "vertex_weighted_gradient",
     "evaluate_velocity",
-    "evaluate_velocity_gradient",
     "scalar_mass",
     "scalar_stiffness",
     "pressure_integral_vector",
@@ -346,28 +345,6 @@ class ScalarSpace:
         return self._dbary(lam)
 
 
-class StressSpace:
-    """Symmetric tensor space stored component-blocked [xx | xy | yy]."""
-
-    def __init__(self, mesh: TriMesh, kind: str):
-        self.mesh = mesh
-        self.kind = kind
-        if kind == "stress_p1_sym":
-            self.scalar_count = mesh.n_vertices
-            self.degree = 1
-        elif kind == "stress_p0_sym":
-            self.scalar_count = mesh.n_cells
-            self.degree = 0
-        else:
-            raise ValueError(f"unknown stress kind {kind!r}")
-        self.n_dofs = 3 * self.scalar_count
-
-    def block(self, values, component: int) -> np.ndarray:
-        """View of one component block of a flat coefficient vector."""
-        n = self.scalar_count
-        return np.asarray(values)[component * n:(component + 1) * n]
-
-
 VELOCITY_KINDS = (
     "velocity_p2", "velocity_p2_reduced", "velocity_mini", "velocity_p1")
 
@@ -382,8 +359,6 @@ def build_space(mesh: TriMesh, kind: str):
         return VelocitySpace(mesh, kind)
     if kind in ("pressure_p0", "pressure_p1", "trace_p1"):
         return ScalarSpace(mesh, kind)
-    if kind in ("stress_p0_sym", "stress_p1_sym"):
-        return StressSpace(mesh, kind)
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -426,15 +401,6 @@ def lumped_mass_integrate(mesh: TriMesh, expr) -> float:
     return float(lumped_weights(mesh) @ vals)
 
 
-def p1_at_points(mesh: TriMesh, vertex_vals, lam) -> np.ndarray:
-    """Evaluate a P1 field (scalar or stacked components) at barycentric
-    points, returning shape (n_cells, nq, ...)."""
-    vertex_vals = np.asarray(vertex_vals, float)
-    cellwise = vertex_vals[mesh.cells]  # (M, 3, ...)
-    lam = np.asarray(lam, float)
-    return np.einsum("qj,kj...->kq...", lam, cellwise)
-
-
 # ---------------------------------------------------------------------------
 # assembly kernels
 
@@ -447,16 +413,15 @@ def _to_csr(cellvals, rows_dofs, cols_dofs, shape):
     return mat.tocsr()
 
 
-def _quad_data(mesh: TriMesh, v: VelocitySpace, rule: QuadratureRule):
-    sval = v.scalar_val(rule.points)                    # (nq, nloc)
+def _shape_grads(mesh: TriMesh, v: VelocitySpace, rule: QuadratureRule):
+    """Physical gradients of the local scalar factors, (M, nloc, nq, 2)."""
     dbar = v.scalar_dbary(rule.points)                  # (nq, nloc, 3)
-    gx = np.einsum("qlj,kjd->klqd", dbar, mesh.bary_grads)
-    return sval.T, gx                                   # (nloc, nq), (M, nloc, nq, 2)
+    return np.einsum("qlj,kjd->klqd", dbar, mesh.bary_grads)
 
 
 def velocity_mass(mesh: TriMesh, v: VelocitySpace, degree: int | None = None):
     rule = triangle_rule(degree if degree is not None else 2 * v.degree)
-    sval, _ = _quad_data(mesh, v, rule)
+    sval = v.scalar_val(rule.points).T                  # (nloc, nq)
     s2 = np.einsum("iq,jq,q->ij", sval, sval, rule.weights)
     dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
     cellvals = dd * s2[None] * mesh.cell_areas[:, None, None]
@@ -466,7 +431,7 @@ def velocity_mass(mesh: TriMesh, v: VelocitySpace, degree: int | None = None):
 def velocity_stiffness(mesh: TriMesh, v: VelocitySpace, degree: int | None = None):
     rule = triangle_rule(degree if degree is not None else
                          max(2 * (v.degree - 1), 2 * v.degree - 2, 1))
-    _, gx = _quad_data(mesh, v, rule)
+    gx = _shape_grads(mesh, v, rule)
     e = np.einsum("kiqd,kjqd,q->kij", gx, gx, rule.weights)
     dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
     cellvals = e * dd * mesh.cell_areas[:, None, None]
@@ -480,14 +445,6 @@ def evaluate_velocity(mesh: TriMesh, v: VelocitySpace, coeffs, lam) -> np.ndarra
     return np.einsum("kl,ql,kld->kqd", c, sval, v.cell_dirs)
 
 
-def evaluate_velocity_gradient(mesh: TriMesh, v: VelocitySpace, coeffs, lam):
-    """Velocity gradients (du_a/dx_b) at barycentric points, (M, nq, 2, 2)."""
-    dbar = v.scalar_dbary(lam)
-    gx = np.einsum("qlj,kjd->klqd", dbar, mesh.bary_grads)
-    c = np.asarray(coeffs, float)[v.cell_dofs]
-    return np.einsum("kl,kla,klqb->kqab", c, v.cell_dirs, gx)
-
-
 def convection_matrix(mesh: TriMesh, v: VelocitySpace, w_coeffs,
                       degree: int | None = None):
     """Skew-symmetrized convection with a frozen transport velocity w:
@@ -498,7 +455,8 @@ def convection_matrix(mesh: TriMesh, v: VelocitySpace, w_coeffs,
     halves are built from the same quadrature sums.
     """
     rule = triangle_rule(degree if degree is not None else 3 * v.degree - 1)
-    sval, gx = _quad_data(mesh, v, rule)
+    sval = v.scalar_val(rule.points).T
+    gx = _shape_grads(mesh, v, rule)
     wq = evaluate_velocity(mesh, v, w_coeffs, rule.points)   # (M, nq, 2)
     adv = np.einsum("kqd,klqd->klq", wq, gx)                 # w . grad s_l
     dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
@@ -508,17 +466,54 @@ def convection_matrix(mesh: TriMesh, v: VelocitySpace, w_coeffs,
     return _to_csr(cellvals, v.cell_dofs, v.cell_dofs, (v.n_dofs, v.n_dofs))
 
 
-def divergence_matrix(mesh: TriMesh, v: VelocitySpace, p: ScalarSpace,
-                      degree: int | None = None):
+def gradient_matrix(mesh: TriMesh, v: VelocitySpace, s: ScalarSpace):
+    """G[4n + 2a + b, i] = integral( psi_n * d_b (phi_i)_a ), (4 n_s, n_u).
+
+    The moments of the velocity gradient against the scalar test space
+    ``s``, one flattened 2x2 block per test function:
+    ``(G @ u).reshape(-1, 2, 2)`` are the tested gradients of ``u``, and
+    ``G.T @ W.reshape(-1)`` is the coupling ``integral( W : grad(phi_i) )``
+    of a tensor field ``W = sum_n W_n psi_n`` given as full (n_s, 2, 2)
+    matrices.  The trace rows (:func:`gradient_trace`) are the
+    divergence matrix.  Only structural nonzeros are stored: a local
+    velocity dof enters the components its direction vector has.
+    """
+    rule = triangle_rule(max(v.degree - 1 + s.degree, 1))
+    gx = _shape_grads(mesh, v, rule)                      # (M, nloc, nq, 2)
+    sval = s.val(rule.points)                             # (nq, nloc_s)
+    mom = np.einsum("qn,kiqb,q->knib", sval, gx, rule.weights)
+    mom = mom * mesh.cell_areas[:, None, None, None]  # (M, nloc_s, nloc, 2)
+    # d_b (phi_i)_a = dirs[i, a] * d_b s_i for each structural (k, i, a)
+    k, i, a = np.nonzero(v.cell_dirs)
+    vals = v.cell_dirs[k, i, a][:, None, None] * mom[k, :, i, :]
+    rows = (4 * s.cell_dofs[k][:, :, None] + 2 * a[:, None, None]
+            + np.arange(2))
+    cols = np.broadcast_to(v.cell_dofs[k, i][:, None, None], rows.shape)
+    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(4 * s.n_dofs, v.n_dofs))
+    return mat.tocsr()
+
+
+def gradient_trace(grad):
+    """The trace rows ``G[0::4] + G[3::4]`` of a gradient matrix.
+
+    Summed through COO, which keeps explicit zeros: entries that cancel
+    stay, so the pattern couples every pressure and velocity dof of a
+    cell.  The saddle matrix built from it keeps that pattern and with
+    it the fill-reducing ordering of its LU; dropping the cancelled
+    entries reorders the P2/P0 factorization and raises its fill by 5%
+    at n = 32.
+    """
+    g = grad.tocoo()
+    keep = (g.row % 4 == 0) | (g.row % 4 == 3)
+    mat = sp.coo_matrix((g.data[keep], (g.row[keep] // 4, g.col[keep])),
+                        shape=(grad.shape[0] // 4, grad.shape[1]))
+    return mat.tocsr()
+
+
+def divergence_matrix(mesh: TriMesh, v: VelocitySpace, p: ScalarSpace):
     """B[q, i] = integral( psi_q * div(phi_i) ), shape (n_p, n_u)."""
-    rule = triangle_rule(degree if degree is not None else
-                         max(v.degree - 1 + p.degree, 1))
-    _, gx = _quad_data(mesh, v, rule)
-    div = np.einsum("kid,kiqd->kiq", v.cell_dirs, gx)
-    pval = p.val(rule.points)                             # (nq, nloc_p)
-    cellvals = np.einsum("qa,kiq,q->kai", pval, div, rule.weights)
-    cellvals = cellvals * mesh.cell_areas[:, None, None]
-    return _to_csr(cellvals, p.cell_dofs, v.cell_dofs, (p.n_dofs, v.n_dofs))
+    return gradient_trace(gradient_matrix(mesh, v, p))
 
 
 def _physical_points(mesh: TriMesh, lam):
@@ -529,7 +524,7 @@ def _physical_points(mesh: TriMesh, lam):
 def velocity_load(mesh: TriMesh, v: VelocitySpace, f, degree: int = 6):
     """Load vector integral( f . phi_i ) for a callable f(x, y) -> (fx, fy)."""
     rule = triangle_rule(degree)
-    sval, _ = _quad_data(mesh, v, rule)
+    sval = v.scalar_val(rule.points).T
     xq = _physical_points(mesh, rule.points)
     fx, fy = f(xq[..., 0], xq[..., 1])
     fq = np.stack(np.broadcast_arrays(fx, fy), axis=-1)   # (M, nq, 2)
@@ -541,65 +536,11 @@ def velocity_load(mesh: TriMesh, v: VelocitySpace, f, degree: int = 6):
     return out
 
 
-def grad_coupling_load(mesh: TriMesh, v: VelocitySpace, values, where: str):
-    """Vector of integral( W : grad(phi_i) ) for a symmetric tensor field W.
-
-    ``where`` selects the representation of ``W``: ``"cell"`` for a
-    piecewise constant field of shape (n_cells, 3) or ``"vertex"`` for a
-    P1 field of shape (n_vertices, 3) (the vertex-sampled interpolant).
-    Exact for both, since the integrand is polynomial.
-    """
-    values = np.asarray(values, float)
-    if where == "cell":
-        rule = triangle_rule(max(v.degree - 1, 1))
-        wq3 = np.broadcast_to(values[:, None, :],
-                              (mesh.n_cells, len(rule.weights), 3))
-    elif where == "vertex":
-        rule = triangle_rule(v.degree)
-        wq3 = p1_at_points(mesh, values, rule.points)     # (M, nq, 3)
-    else:
-        raise ValueError("where must be 'cell' or 'vertex'")
-    _, gx = _quad_data(mesh, v, rule)
-    # d^T W g with W in (xx, xy, yy) components
-    wxx, wxy, wyy = wq3[..., 0], wq3[..., 1], wq3[..., 2]
-    dx, dy = v.cell_dirs[..., 0], v.cell_dirs[..., 1]
-    gxq, gyq = gx[..., 0], gx[..., 1]
-    val = (dx[:, :, None] * (wxx[:, None] * gxq + wxy[:, None] * gyq)
-           + dy[:, :, None] * (wxy[:, None] * gxq + wyy[:, None] * gyq))
-    cellvals = np.einsum("klq,q->kl", val, rule.weights) * mesh.cell_areas[:, None]
-    out = np.zeros(v.n_dofs)
-    np.add.at(out, v.cell_dofs.ravel(), cellvals.ravel())
-    return out
-
-
-def cell_mean_gradient(mesh: TriMesh, v: VelocitySpace, coeffs) -> np.ndarray:
-    """Per-cell integral of the velocity gradient, shape (n_cells, 2, 2)."""
-    rule = triangle_rule(max(v.degree - 1, 1))
-    g = evaluate_velocity_gradient(mesh, v, coeffs, rule.points)
-    return np.einsum("kqab,q->kab", g, rule.weights) * mesh.cell_areas[:, None, None]
-
-
 def cell_mean_velocity(mesh: TriMesh, v: VelocitySpace, coeffs) -> np.ndarray:
     """Per-cell integral of the velocity, shape (n_cells, 2)."""
     rule = triangle_rule(v.degree)
     u = evaluate_velocity(mesh, v, coeffs, rule.points)
     return np.einsum("kqd,q->kd", u, rule.weights) * mesh.cell_areas[:, None]
-
-
-def vertex_weighted_gradient(mesh: TriMesh, v: VelocitySpace, coeffs) -> np.ndarray:
-    """G_p = integral( eta_p * grad u ), shape (n_vertices, 2, 2).
-
-    This is the hat-function moment of the velocity gradient that the
-    lumped deformation terms contract against vertex tensor values.
-    """
-    rule = triangle_rule(v.degree)  # eta (deg 1) * grad u (deg v.degree - 1)
-    g = evaluate_velocity_gradient(mesh, v, coeffs, rule.points)
-    hat = rule.points  # (nq, 3): the three hat functions at the points
-    cellvals = np.einsum("qj,kqab,q->kjab", hat, g, rule.weights)
-    cellvals = cellvals * mesh.cell_areas[:, None, None, None]
-    out = np.zeros((mesh.n_vertices, 2, 2))
-    np.add.at(out, mesh.cells.ravel(), cellvals.reshape(-1, 2, 2))
-    return out
 
 
 def scalar_mass(mesh: TriMesh, s: ScalarSpace, degree: int | None = None):

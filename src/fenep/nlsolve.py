@@ -42,8 +42,9 @@ from scipy.sparse.linalg import splu
 from .energy import (EnergyBreakdown, audit_slack, audit_step, free_energy,
                      relaxation_dissipation, spd_audit)
 from .fespaces import (DiscreteField, build_space, convection_matrix,
-                       divergence_matrix, pressure_integral_vector,
-                       velocity_load, velocity_mass, velocity_stiffness)
+                       gradient_matrix, gradient_trace,
+                       pressure_integral_vector, velocity_load,
+                       velocity_mass, velocity_stiffness)
 
 __all__ = [
     "SolverError",
@@ -229,6 +230,7 @@ class BlockStep:
         a_mat = (prm.re / dt) * scheme.mass + prm.re * conv \
             + (1.0 - prm.eps) * scheme.stiff
         self.a_ff = a_mat[self.free][:, self.free].tocsr()
+        del conv, a_mat  # freed before the factorization, the memory peak
         self.saddle = SaddleOperator(self.a_ff, self.b_f, scheme.mean_p)
         self.rhs_u_base = (prm.re / dt) * (scheme.mass @ u_prev) + scheme.fvec
 
@@ -286,6 +288,15 @@ class ImplicitScheme:
     supplies ``_block_step(state, dt)``, the :class:`BlockStep` of one
     step.  ``_extra_audit_terms`` adds scheme-specific terms to the
     energy budget.
+
+    The stress nodes are tested by the pressure space (cell constants in
+    the cellwise scheme, hat functions in the diffusive one), so
+    ``grad``, the :func:`fenep.fespaces.gradient_matrix` of the velocity
+    against the pressure space, serves both halves of the coupling that
+    cancels in the energy estimate: ``grad.T @ W`` is the momentum term
+    ``integral( W : grad(v) )`` and ``grad @ u`` the tested velocity
+    gradient of the stress equation's deformation term.  Its trace rows
+    are the divergence ``div``.
     """
 
     def __init__(self, mesh, params, velocity: str, pressure: str, forcing):
@@ -302,7 +313,8 @@ class ImplicitScheme:
         self.q = build_space(mesh, pressure)
         self.mass = velocity_mass(mesh, self.v)
         self.stiff = velocity_stiffness(mesh, self.v)
-        self.div = divergence_matrix(mesh, self.v, self.q)
+        self.grad = gradient_matrix(mesh, self.v, self.q)
+        self.div = gradient_trace(self.grad)
         self.mean_p = pressure_integral_vector(mesh, self.q)
         self.free = np.nonzero(~self.v.dirichlet_mask)[0]
         self.b_free = self.div[:, self.free].tocsr()

@@ -39,8 +39,7 @@ from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
 from .energy import SpdAudit, spd_audit
-from .fespaces import (DiscreteField, cell_mean_gradient, gauss01,
-                       grad_coupling_load, triangle_rule, velocity_load)
+from .fespaces import DiscreteField, gauss01, triangle_rule, velocity_load
 from .meshing import TriMesh
 from .nlsolve import (BlockStep, ImplicitScheme, PicardConfig,
                       SaddleOperator, State)
@@ -260,14 +259,13 @@ class _P0Step(BlockStep):
     def rhs_u(self, sig, rho):
         prm = self.scheme.params
         flux = tc.relax_flux(sig, tc.trace(sig), prm.reg)
-        coupling = grad_coupling_load(self.scheme.mesh, self.scheme.v,
-                                      flux, "cell")
+        coupling = self.scheme.grad.T @ tc.to_full(flux).reshape(-1)
         return self.rhs_u_base - (prm.eps / prm.wi) * coupling, flux
 
     def rhs_scalars(self, u, sig, rho, flux):
         """Per-component right sides with frozen coefficient fields."""
         prm = self.scheme.params
-        grad_int = cell_mean_gradient(self.scheme.mesh, self.scheme.v, u)
+        grad_int = (self.scheme.grad @ u).reshape(self.m, 2, 2)
         beta = tc.to_full(tc.beta_delta_mat(sig, prm.reg))
         prod = grad_int @ beta
         src = np.stack([

@@ -41,9 +41,8 @@ from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
-from .fespaces import (DiscreteField, cell_mean_velocity, grad_coupling_load,
-                       lumped_weights, scalar_stiffness, triangle_rule,
-                       velocity_load, vertex_weighted_gradient)
+from .fespaces import (DiscreteField, cell_mean_velocity, lumped_weights,
+                       scalar_stiffness, triangle_rule, velocity_load)
 from .meshing import TriMesh, audit_mesh
 from .nlsolve import BlockStep, ImplicitScheme, State
 from .params import ModelParams
@@ -317,8 +316,8 @@ class _P1Step(BlockStep):
         flux = tc.relax_flux(sig, eta, prm.reg)
         kv = tc.k_delta(sig, eta, prm.reg)
         beta = tc.beta_delta_mat(sig, prm.reg)
-        coupling = grad_coupling_load(
-            self.scheme.mesh, self.scheme.v, kv[:, None] * flux, "vertex")
+        coupling = (self.scheme.grad.T
+                    @ tc.to_full(kv[:, None] * flux).reshape(-1))
         return (self.rhs_u_base - (prm.eps / prm.wi) * coupling,
                 (flux, kv, beta))
 
@@ -328,7 +327,7 @@ class _P1Step(BlockStep):
         prm = self.scheme.params
         mesh = self.scheme.mesh
         w = self.scheme.weights
-        g_v = vertex_weighted_gradient(mesh, self.scheme.v, u)
+        g_v = (self.scheme.grad @ u).reshape(self.m, 2, 2)
         prod = g_v @ tc.to_full(beta)                 # (n, 2, 2)
         sym = np.stack([prod[:, 0, 0],
                         0.5 * (prod[:, 0, 1] + prod[:, 1, 0]),

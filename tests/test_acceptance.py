@@ -8,6 +8,7 @@ integrals) rather than trusting package output against itself.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ def test_criterion_01_inequality_oracles():
                   f"{worst:.2e}, {elapsed:.1f}s")
 
 
+def disjoint_copies(mesh, count):
+    """``count`` disjoint copies of ``mesh``, as the cell data that
+    ``lambda_transport`` and the chain-rule oracle read; vertex block c
+    belongs to copy c, so one field over the union is ``count`` fields."""
+    offsets = mesh.n_vertices * np.arange(count)
+    return SimpleNamespace(
+        cells=(mesh.cells[None] + offsets[:, None, None]).reshape(-1, 3),
+        affine_B=np.tile(mesh.affine_B, (count, 1, 1)),
+        affine_Binv=np.tile(mesh.affine_Binv, (count, 1, 1)),
+        bary_grads=np.tile(mesh.bary_grads, (count, 1, 1)))
+
+
 def test_criterion_02_transport_identities():
     rng = np.random.default_rng(202)
     rp = tc.RegParams(0.1, 5.0)
@@ -128,30 +141,33 @@ def test_criterion_02_transport_identities():
     worst = 0.0
     fields = 0
     for n, count in ((2, 4000), (4, 3000), (8, 3000)):
-        mesh = structured_unit_square(n)
+        # lambda_transport is cellwise, so the fields of one n are
+        # evaluated together, one per copy of the mesh
+        base = structured_unit_square(n)
+        mesh = disjoint_copies(base, count)
         grads, cells = mesh.bary_grads, mesh.cells
-        for _ in range(count):
-            field = rng.uniform(-3.0, 3.0, size=(mesh.n_vertices, 3))
-            lam = lambda_transport(mesh, field, rp)
-            _, gp = tc.g_delta_mat(field, rp)
-            w, _ = tc.eig_sym(field)
-            _, gpw = tc.g_delta(w, rp)
-            trh = tc.h_delta(gpw, rp).sum(axis=-1)
-            d_gp = np.einsum("kjp,kjc->kpc", grads, gp[cells])
-            d_trh = np.einsum("kjm,kj->km", grads, trh[cells])
-            lhs = np.einsum("kmpc,kpc,c->km", lam, d_gp, dup)
-            worst = max(worst, float(np.abs(lhs - d_trh).max()))
-            fields += 1
+        field = rng.uniform(-3.0, 3.0, size=(count * base.n_vertices, 3))
+        lam = lambda_transport(mesh, field, rp)
+        _, gp = tc.g_delta_mat(field, rp)
+        w, _ = tc.eig_sym(field)
+        _, gpw = tc.g_delta(w, rp)
+        trh = tc.h_delta(gpw, rp).sum(axis=-1)
+        d_gp = np.einsum("kjp,kjc->kpc", grads, gp[cells])
+        d_trh = np.einsum("kjm,kj->km", grads, trh[cells])
+        lhs = np.einsum("kmpc,kpc,c->km", lam, d_gp, dup)
+        worst = max(worst, float(np.abs(lhs - d_trh).max()))
+        fields += count
         # the scalar identity, same construction one rank down
-        for _ in range(500):
-            q = rng.uniform(-3.0, 3.0, size=mesh.n_vertices)
-            lam = lambda_transport(mesh, q, rp)
-            _, gp = tc.g_delta(q, rp)
-            h_of = tc.h_delta(gp, rp)
-            d_gp = np.einsum("kjp,kj->kp", grads, gp[cells])
-            d_h = np.einsum("kjm,kj->km", grads, h_of[cells])
-            lhs = np.einsum("kmp,kp->km", lam, d_gp)
-            worst = max(worst, float(np.abs(lhs - d_h).max()))
+        mesh = disjoint_copies(base, 500)
+        grads, cells = mesh.bary_grads, mesh.cells
+        q = rng.uniform(-3.0, 3.0, size=500 * base.n_vertices)
+        lam = lambda_transport(mesh, q, rp)
+        _, gp = tc.g_delta(q, rp)
+        h_of = tc.h_delta(gp, rp)
+        d_gp = np.einsum("kjp,kj->kp", grads, gp[cells])
+        d_h = np.einsum("kjm,kj->km", grads, h_of[cells])
+        lhs = np.einsum("kmp,kp->km", lam, d_gp)
+        worst = max(worst, float(np.abs(lhs - d_h).max()))
 
     # the tensor coefficient is a convex combination of the endpoint betas
     phi_a = rng.uniform(-3.0, 3.0, size=(10_000, 3))

@@ -329,6 +329,26 @@ def test_mesh_gen_shear_is_obtuse(tmp_path, capsys):
     assert mesh.vertices[:, 1].max() > 1.0
 
 
+@pytest.mark.filterwarnings("ignore:some cells have all vertices")
+@pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
+def test_run_with_shear_matches_mesh_gen(tmp_path, capsys):
+    path = tmp_path / "sheared.txt"
+    assert main(["mesh", "gen", "--n", "2", "--shear", "1.2",
+                 "--out", str(path)]) == 0
+    cfg = base_config(tmp_path, scheme="p1diff", mesh="n = 2\nshear = 1.2")
+    assert main(["run", cfg]) == 0
+    outdir = tmp_path / "out"
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["mesh"]["shear"] == 1.2
+    assert summary["mesh"]["non_obtuse"] is False
+    assert summary["initial_projection"]["non_obtuse"] is False
+    lines = (outdir / "final.vtk").read_text().splitlines()
+    start = lines.index("POINTS 9 double") + 1
+    points = np.array([[float(c) for c in ln.split()[:2]]
+                       for ln in lines[start:start + 9]])
+    assert np.array_equal(points, load_mesh(path).vertices)
+
+
 # ---------------------------------------------------------------------------
 # the audit command and csv round trip
 

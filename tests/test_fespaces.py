@@ -1,4 +1,4 @@
-"""Tests for quadrature, element spaces and the assembly catalogue.
+"""Tests for quadrature, element spaces and the assembled operators.
 
 Exactness statements use the closed-form reference
 ``int_T x^a y^b = a! b! / (a + b + 2)!`` on the unit reference triangle
@@ -79,8 +79,6 @@ def test_scalar_dof_counts():
     assert fe.build_space(mesh, "pressure_p0").n_dofs == mesh.n_cells
     assert fe.build_space(mesh, "pressure_p1").n_dofs == mesh.n_vertices
     assert fe.build_space(mesh, "trace_p1").n_dofs == mesh.n_vertices
-    assert fe.build_space(mesh, "stress_p0_sym").n_dofs == 3 * mesh.n_cells
-    assert fe.build_space(mesh, "stress_p1_sym").n_dofs == 3 * mesh.n_vertices
 
 
 def test_build_space_rejects_unknown():
@@ -107,16 +105,6 @@ def test_pi_h_reproduces_linear_and_is_idempotent():
     assert np.allclose(fe.pi_h(mesh, vals), vals)
 
 
-def test_p1_at_points_matches_barycentric_formula():
-    mesh = structured_unit_square(2)
-    rng = np.random.default_rng(30)
-    vv = rng.standard_normal(mesh.n_vertices)
-    lam = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
-    out = fe.p1_at_points(mesh, vv, lam)
-    ref = np.einsum("qj,kj->kq", lam, vv[mesh.cells])
-    assert np.allclose(out, ref)
-
-
 @pytest.mark.parametrize("kind", ["velocity_p2", "velocity_mini",
                                   "velocity_p2_reduced"])
 def test_velocity_space_reproduces_linear_fields(kind):
@@ -132,7 +120,8 @@ def test_velocity_space_reproduces_linear_fields(kind):
     pts = np.einsum("qj,kjd->kqd", lam, mesh.vertices[mesh.cells])
     ref = np.stack(f(pts[..., 0], pts[..., 1]), axis=-1)
     assert np.allclose(vals, ref, atol=1e-11)
-    grad = fe.evaluate_velocity_gradient(mesh, v, co, lam)
+    g = fe.gradient_matrix(mesh, v, fe.build_space(mesh, "pressure_p0"))
+    grad = (g @ co).reshape(-1, 2, 2) / mesh.cell_areas[:, None, None]
     exact = np.array([[2.0, -1.0], [1.0, 3.0]])
     assert np.allclose(grad, exact, atol=1e-11)
     assert np.allclose(v.vertex_values(co),
@@ -242,37 +231,69 @@ def test_velocity_load_matches_quadrature():
     assert co @ load == pytest.approx(exact, abs=1e-12)
 
 
-def test_grad_coupling_load_cellwise():
-    mesh = structured_unit_square(2)
+GRADIENT_PAIRS = [(v, s) for v in ("velocity_p2", "velocity_p2_reduced",
+                                     "velocity_mini")
+                  for s in ("pressure_p0", "pressure_p1")]
+
+
+@pytest.mark.parametrize("v_kind,s_kind", GRADIENT_PAIRS)
+def test_gradient_matrix_linear_field(v_kind, s_kind):
+    # u = A x + c: the tested gradient is A times the test function's mass
+    mesh = structured_unit_square(3)
+    v = fe.build_space(mesh, v_kind)
+    s = fe.build_space(mesh, s_kind)
+    g = fe.gradient_matrix(mesh, v, s)
+    assert g.shape == (4 * s.n_dofs, v.n_dofs)
+    co = project_velocity(mesh, v, lambda x, y: (x - 2 * y + 0.5,
+                                                 3 * x + y - 1.0))
+    a_mat = np.array([[1.0, -2.0], [3.0, 1.0]])
+    moments = (mesh.cell_areas if s.degree == 0
+               else fe.lumped_weights(mesh))
+    assert np.allclose((g @ co).reshape(-1, 2, 2),
+                       moments[:, None, None] * a_mat, atol=1e-12)
+
+
+def test_gradient_matrix_quadratic_field_cell_integrals():
+    mesh = structured_unit_square(3)
     v = fe.build_space(mesh, "velocity_p2")
-    rng = np.random.default_rng(32)
-    w_cells = rng.standard_normal((mesh.n_cells, 3))
-    vec = fe.grad_coupling_load(mesh, v, w_cells, where="cell")
+    g = fe.gradient_matrix(mesh, v, fe.build_space(mesh, "pressure_p0"))
     co = project_velocity(mesh, v, lambda x, y: (x * x, x * y))
-    # reference: sum_K int_K W : grad(u) with W constant per cell
-    g = fe.cell_mean_gradient(mesh, v, co)
-    full = np.empty((mesh.n_cells, 2, 2))
-    full[:, 0, 0] = w_cells[:, 0]
-    full[:, 0, 1] = full[:, 1, 0] = w_cells[:, 1]
-    full[:, 1, 1] = w_cells[:, 2]
-    ref = float(np.einsum("kij,kij->", full, g))
-    assert co @ vec == pytest.approx(ref, abs=1e-12)
+    # grad (x^2, xy) = [[2x, 0], [y, x]] is linear: exact at the centroid
+    cx, cy = mesh.vertices[mesh.cells].mean(axis=1).T
+    exact = np.zeros((mesh.n_cells, 2, 2))
+    exact[:, 0, 0] = 2.0 * cx
+    exact[:, 1, 0] = cy
+    exact[:, 1, 1] = cx
+    exact *= mesh.cell_areas[:, None, None]
+    assert np.allclose((g @ co).reshape(-1, 2, 2), exact, atol=1e-12)
 
 
-def test_grad_coupling_load_vertexwise():
-    mesh = structured_unit_square(2)
-    v = fe.build_space(mesh, "velocity_mini")
-    rng = np.random.default_rng(33)
-    w_verts = rng.standard_normal((mesh.n_vertices, 3))
-    vec = fe.grad_coupling_load(mesh, v, w_verts, where="vertex")
-    co = project_velocity(mesh, v, lambda x, y: (x - 2 * y, 3 * x + y))
-    gp = fe.vertex_weighted_gradient(mesh, v, co)
-    full = np.empty((mesh.n_vertices, 2, 2))
-    full[:, 0, 0] = w_verts[:, 0]
-    full[:, 0, 1] = full[:, 1, 0] = w_verts[:, 1]
-    full[:, 1, 1] = w_verts[:, 2]
-    ref = float(np.einsum("pij,pij->", full, gp))
-    assert co @ vec == pytest.approx(ref, abs=1e-12)
+@pytest.mark.parametrize("v_kind,s_kind", GRADIENT_PAIRS)
+def test_gradient_matrix_constant_tensor_coupling_vanishes(v_kind, s_kind):
+    # integral( W : grad(phi) ) = boundary flux of W phi, zero when phi = 0
+    # there; the test functions sum to one, so W_n = W is the constant W
+    mesh = structured_unit_square(3)
+    v = fe.build_space(mesh, v_kind)
+    s = fe.build_space(mesh, s_kind)
+    g = fe.gradient_matrix(mesh, v, s)
+    w_full = np.array([[1.5, -0.7], [-0.7, 2.0]])
+    load = g.T @ np.tile(w_full, (s.n_dofs, 1, 1)).reshape(-1)
+    assert np.abs(load[~v.dirichlet_mask]).max() < 1e-13
+    assert np.abs(load).max() > 1e-3
+
+
+@pytest.mark.parametrize("v_kind,s_kind", GRADIENT_PAIRS)
+def test_divergence_matrix_is_gradient_trace(v_kind, s_kind):
+    mesh = structured_unit_square(3)
+    v = fe.build_space(mesh, v_kind)
+    s = fe.build_space(mesh, s_kind)
+    g = fe.gradient_matrix(mesh, v, s)
+    b = fe.divergence_matrix(mesh, v, s)
+    assert abs(b - (g[0::4] + g[3::4])).max() == 0.0
+    # the pattern is that of both row sets, zeros that cancel included
+    ones = g.copy()
+    ones.data[:] = 1.0
+    assert b.nnz == (ones[0::4] + ones[3::4]).nnz
 
 
 def test_gradient_reductions():
@@ -280,9 +301,11 @@ def test_gradient_reductions():
     v = fe.build_space(mesh, "velocity_p2")
     co = project_velocity(mesh, v, lambda x, y: (2 * x - y, x + 3 * y))
     exact = np.array([[2.0, -1.0], [1.0, 3.0]])
-    g = fe.cell_mean_gradient(mesh, v, co)
+    g0 = fe.gradient_matrix(mesh, v, fe.build_space(mesh, "pressure_p0"))
+    g = (g0 @ co).reshape(-1, 2, 2)
     assert np.allclose(g, mesh.cell_areas[:, None, None] * exact, atol=1e-12)
-    gp = fe.vertex_weighted_gradient(mesh, v, co)
+    g1 = fe.gradient_matrix(mesh, v, fe.build_space(mesh, "pressure_p1"))
+    gp = (g1 @ co).reshape(-1, 2, 2)
     # hat-weighted gradients sum to the domain integral
     assert np.allclose(gp.sum(axis=0), exact, atol=1e-12)
     w = fe.lumped_weights(mesh)
