@@ -16,7 +16,11 @@ The step is exposed to the driver as a fixed-point problem: one
 linear blocks with the other fields frozen, and ``residual`` evaluates
 the monolithic implicit residual at a state, preconditioned block-wise
 by the same factorized operators so its entries carry the units of the
-unknowns themselves.
+unknowns themselves.  Everything that depends on the stress iterate
+alone (its spectral decomposition, the relaxation flux, the momentum
+coupling and the transport terms) is computed once per iterate: the
+residual computes it, and the sweep that follows from the same iterate
+reuses it.
 
 The driver blends each sweep with a relaxation factor chosen two ways:
 a secant (Aitken) update estimates the dominant contraction factor from
@@ -211,9 +215,18 @@ class BlockStep:
     factorization ``scalar_lu`` after this constructor has factored the
     saddle matrix (factoring the small matrix first raised the peak
     memory of a run by a few MB).  Subclasses give the right-hand sides
-    with the other fields frozen: ``rhs_u(sig, rho) -> (rhs, frozen)``,
-    where ``frozen`` is handed on to ``rhs_scalars(u, sig, rho, frozen)``,
-    which returns the (m, k) scalar right-hand sides.
+    with the other fields frozen: ``stress_terms(sig, rho) -> (rhs_u,
+    frozen)`` computes everything that depends on the stress iterate
+    alone (the momentum right-hand side and whatever ``frozen`` holds
+    for the scalar blocks), and ``rhs_scalars(u, frozen)`` adds the
+    velocity-dependent deformation term to give the (m, k) scalar
+    right-hand sides.
+
+    The stress terms are computed once per iterate.  The driver sweeps
+    from the iterate whose residual it evaluated last, so the sweep
+    reuses the residual's terms from a one-entry cache keyed on a copy
+    of the (m, k) scalar block.  The key is compared by value; an
+    iterate holding NaN never equals it and is always recomputed.
     """
 
     def __init__(self, scheme: ImplicitScheme, state: State, dt: float):
@@ -242,6 +255,8 @@ class BlockStep:
                    else np.column_stack([state.sigma, state.rho]))
         self.x0 = self.pack(u_prev, state.p.values, scalars)
         self.scale = float(np.linalg.norm(self.x0)) + 1.0
+        self._terms_key = None
+        self._terms = None
 
     def pack(self, u, p, scalars):
         return np.concatenate([u, p, np.asarray(scalars).T.ravel()])
@@ -255,25 +270,33 @@ class BlockStep:
         rho = s[:, 3] if self.k == 4 else None
         return x[:self.n_u], x[self.n_u:self.n_up], s[:, :3], rho
 
+    def _stress_terms(self, x):
+        scalars = self._scalars(x)
+        if not np.array_equal(self._terms_key, scalars):
+            _, _, sig, rho = self.split(x)
+            self._terms = self.stress_terms(sig, rho)
+            self._terms_key = scalars.copy()
+        return self._terms
+
     def sweep(self, x):
-        _, _, sig, rho = self.split(x)
-        rhs_u, frozen = self.rhs_u(sig, rho)
+        rhs_u, frozen = self._stress_terms(x)
         u_f, p_new = self.saddle.solve(rhs_u[self.free])
         u_new = np.zeros(self.n_u)
         u_new[self.free] = u_f
-        rhs_s = self.rhs_scalars(u_new, sig, rho, frozen)
-        return self.pack(u_new, p_new, self.scalar_lu.solve(rhs_s))
+        scalars = self.scalar_lu.solve(self.rhs_scalars(u_new, frozen))
+        if not np.all(np.isfinite(scalars)):
+            raise SolverError("scalar solve produced non-finite values")
+        return self.pack(u_new, p_new, scalars)
 
     def residual(self, x):
-        u, p, sig, rho = self.split(x)
-        rhs_u, frozen = self.rhs_u(sig, rho)
+        u, p, _, _ = self.split(x)
+        rhs_u, frozen = self._stress_terms(x)
         u_f = u[self.free]
         r_u = rhs_u[self.free] - self.a_ff @ u_f - self.b_f.T @ p
         r_div = -(self.b_f @ u_f)
         e_u, e_p = self.saddle.solve(r_u, r_div)
         total = float(e_u @ e_u + e_p @ e_p)
-        r_s = (self.rhs_scalars(u, sig, rho, frozen)
-               - self.s_mat @ self._scalars(x))
+        r_s = self.rhs_scalars(u, frozen) - self.s_mat @ self._scalars(x)
         for e_c in self.scalar_lu.solve(r_s).T:
             total += float(e_c @ e_c)
         return math.sqrt(total)

@@ -256,25 +256,27 @@ class _P0Step(BlockStep):
         self.scalar_lu = splu(s_mat.tocsc())
         self.s_mat = s_mat.tocsr()
 
-    def rhs_u(self, sig, rho):
+    def stress_terms(self, sig, rho):
         prm = self.scheme.params
-        flux = tc.relax_flux(sig, tc.trace(sig), prm.reg)
+        beta = tc.beta_delta_mat(sig, prm.reg)        # the one decomposition
+        flux = tc.relax_flux_of_beta(beta, tc.trace(sig), prm.reg)
         coupling = self.scheme.grad.T @ tc.to_full(flux).reshape(-1)
-        return self.rhs_u_base - (prm.eps / prm.wi) * coupling, flux
+        fixed = (self.scheme.weights[:, None]
+                 * (self.sigma_prev / self.dt - flux / prm.wi))
+        return (self.rhs_u_base - (prm.eps / prm.wi) * coupling,
+                (tc.to_full(beta), fixed))
 
-    def rhs_scalars(self, u, sig, rho, flux):
+    def rhs_scalars(self, u, frozen):
         """Per-component right sides with frozen coefficient fields."""
-        prm = self.scheme.params
+        beta, fixed = frozen
         grad_int = (self.scheme.grad @ u).reshape(self.m, 2, 2)
-        beta = tc.to_full(tc.beta_delta_mat(sig, prm.reg))
         prod = grad_int @ beta
         src = np.stack([
             2.0 * prod[:, 0, 0],
             prod[:, 0, 1] + prod[:, 1, 0],
             2.0 * prod[:, 1, 1],
         ], axis=1)
-        return (self.scheme.weights[:, None]
-                * (self.sigma_prev / self.dt - flux / prm.wi) + src)
+        return fixed + src
 
 
 # ---------------------------------------------------------------------------

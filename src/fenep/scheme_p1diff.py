@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,6 +55,8 @@ __all__ = [
     "lambda_scalar",
     "lambda_matrix",
     "lambda_transport",
+    "transport_nodes",
+    "TensorNodes",
 ]
 
 
@@ -65,6 +68,51 @@ class TimeStepWarning(UserWarning):
 # transport coefficients
 
 
+class TensorNodes(NamedTuple):
+    """Vertex values of a tensor field that fix its transport coefficients."""
+
+    beta: np.ndarray      # beta_delta(phi), (..., 3)
+    gprime: np.ndarray    # g_delta'(phi), (..., 3)
+    tr_h: np.ndarray      # tr h_delta(g_delta'(phi)), (...)
+
+    def take(self, idx) -> TensorNodes:
+        return TensorNodes(self.beta[idx], self.gprime[idx], self.tr_h[idx])
+
+
+def _tensor_nodes(phi, rp: tc.RegParams) -> TensorNodes:
+    w, v = tc.eig_sym(phi)
+    _, gp_w = tc.g_delta(w, rp)
+    return TensorNodes(tc._recompose(tc.beta_delta(w, rp), v),
+                       tc._recompose(gp_w, v),
+                       tc.h_delta(gp_w, rp).sum(axis=-1))
+
+
+def transport_nodes(field, rp: tc.RegParams):
+    """Per-vertex values the transport coefficients of a field depend on.
+
+    A tensor field (n, 3) gives its :class:`TensorNodes`, all from one
+    spectral decomposition per vertex; a scalar field (n,) gives
+    ``g'(field)``.  :func:`lambda_transport` gathers them to the cells.
+    """
+    field = np.asarray(field, float)
+    if field.ndim == 2:
+        return _tensor_nodes(field, rp)
+    return tc.g_delta(field, rp)[1]
+
+
+def _lambda_pair(a: TensorNodes, c: TensorNodes) -> np.ndarray:
+    """The matching-weight combination of beta(a) and beta(c)."""
+    d_tr = a.tr_h - c.tr_h
+    d_gp = a.gprime - c.gprime
+    num = d_tr - tc.ddot(a.beta, d_gp)
+    den = tc.ddot(c.beta - a.beta, d_gp)
+    scale = tc.frob_norm(c.beta - a.beta) * tc.frob_norm(d_gp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(np.abs(den) > 1e-13 * scale + 1e-300, num / den, 0.0)
+    lam = np.clip(np.nan_to_num(lam, nan=0.0), 0.0, 1.0)
+    return (1.0 - lam)[..., None] * a.beta + lam[..., None] * c.beta
+
+
 def lambda_scalar(a, c, rp: tc.RegParams):
     """Scalar transport coefficient for the vertex pair values (a, c).
 
@@ -73,9 +121,7 @@ def lambda_scalar(a, c, rp: tc.RegParams):
     and collapses to ``beta(a)`` at coincidence.  Always within the
     closed interval between ``beta(a)`` and ``beta(c)``.
     """
-    _, gpa = tc.g_delta(a, rp)
-    _, gpc = tc.g_delta(c, rp)
-    return tc._h_delta_dd(gpa, gpc, rp)
+    return tc._h_delta_dd(tc.g_delta(a, rp)[1], tc.g_delta(c, rp)[1], rp)
 
 
 def lambda_matrix(phi_a, phi_c, rp: tc.RegParams):
@@ -90,47 +136,31 @@ def lambda_matrix(phi_a, phi_c, rp: tc.RegParams):
     Coincident arguments (or a vanishing matching denominator) give
     ``beta(phi_a)``.
     """
-    phi_a = np.asarray(phi_a, float)
-    phi_c = np.asarray(phi_c, float)
-    beta_a = tc.beta_delta_mat(phi_a, rp)
-    beta_c = tc.beta_delta_mat(phi_c, rp)
-    _, gp_a = tc.g_delta_mat(phi_a, rp)
-    _, gp_c = tc.g_delta_mat(phi_c, rp)
-
-    def tr_h_of_gprime(phi):
-        w, _ = tc.eig_sym(phi)
-        _, gp = tc.g_delta(w, rp)
-        return tc.h_delta(gp, rp).sum(axis=-1)
-
-    d_tr = tr_h_of_gprime(phi_a) - tr_h_of_gprime(phi_c)
-    d_gp = gp_a - gp_c
-    num = d_tr - tc.ddot(beta_a, d_gp)
-    den = tc.ddot(beta_c - beta_a, d_gp)
-    scale = tc.frob_norm(beta_c - beta_a) * tc.frob_norm(d_gp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(np.abs(den) > 1e-13 * scale + 1e-300, num / den, 0.0)
-    lam = np.clip(np.nan_to_num(lam, nan=0.0), 0.0, 1.0)
-    return (1.0 - lam)[..., None] * beta_a + lam[..., None] * beta_c
+    return _lambda_pair(_tensor_nodes(phi_a, rp), _tensor_nodes(phi_c, rp))
 
 
-def lambda_transport(mesh: TriMesh, field, rp: tc.RegParams):
+def lambda_transport(mesh: TriMesh, nodes, rp: tc.RegParams):
     """Per-cell transport coefficients of a vertex field.
 
-    For a tensor field (n_vertices, 3) returns (n_cells, 2, 2, 3); for a
-    scalar field (n_vertices,) returns (n_cells, 2, 2).  Entry [k, m, p]
-    multiplies the m-th transport velocity component against the p-th
-    test derivative.  A constant field yields ``beta(value) * delta_mp``.
+    ``nodes`` is the :func:`transport_nodes` of the field: the vertex
+    values are evaluated once, per vertex, and only gathered to the
+    cells here, where each cell pairs its vertices 1 and 2 with vertex 0
+    through :func:`lambda_matrix` (tensor) or :func:`lambda_scalar`
+    (scalar) arithmetic.  For a tensor field (n_vertices, 3) returns
+    (n_cells, 2, 2, 3); for a scalar field (n_vertices,) returns
+    (n_cells, 2, 2).  Entry [k, m, p] multiplies the m-th transport
+    velocity component against the p-th test derivative.  A constant
+    field yields ``beta(value) * delta_mp``.
     """
-    field = np.asarray(field, float)
     cells = mesh.cells
     binv = mesh.affine_Binv          # rows j, columns m: (B^{-1})_{jm}
     bmat = mesh.affine_B
-    if field.ndim == 2:
-        hat = [lambda_matrix(field[cells[:, j]], field[cells[:, 0]], rp)
-               for j in (1, 2)]
+    if isinstance(nodes, TensorNodes):
+        corner0 = nodes.take(cells[:, 0])
+        hat = [_lambda_pair(nodes.take(cells[:, j]), corner0) for j in (1, 2)]
         lam_hat = np.stack(hat, axis=1)               # (M, 2, 3)
         return np.einsum("kjm,kpj,kjc->kmpc", binv, bmat, lam_hat)
-    hat = [lambda_scalar(field[cells[:, j]], field[cells[:, 0]], rp)
+    hat = [tc._h_delta_dd(nodes[cells[:, j]], nodes[cells[:, 0]], rp)
            for j in (1, 2)]
     lam_hat = np.stack(hat, axis=1)                   # (M, 2)
     return np.einsum("kjm,kpj,kj->kmp", binv, bmat, lam_hat)
@@ -310,47 +340,46 @@ class _P1Step(BlockStep):
         self.u_cell = cell_mean_velocity(scheme.mesh, scheme.v,
                                          state.u.values)
 
-    def rhs_u(self, sig, rho):
-        prm = self.scheme.params
-        eta = rho if rho is not None else tc.trace(sig)
-        flux = tc.relax_flux(sig, eta, prm.reg)
-        kv = tc.k_delta(sig, eta, prm.reg)
-        beta = tc.beta_delta_mat(sig, prm.reg)
-        coupling = (self.scheme.grad.T
-                    @ tc.to_full(kv[:, None] * flux).reshape(-1))
-        return (self.rhs_u_base - (prm.eps / prm.wi) * coupling,
-                (flux, kv, beta))
-
-    def rhs_scalars(self, u, sig, rho, frozen):
-        """Right sides of the component and trace solves, frozen fields."""
-        flux, kv, beta = frozen
+    def stress_terms(self, sig, rho):
         prm = self.scheme.params
         mesh = self.scheme.mesh
         w = self.scheme.weights
-        g_v = (self.scheme.grad @ u).reshape(self.m, 2, 2)
-        prod = g_v @ tc.to_full(beta)                 # (n, 2, 2)
-        sym = np.stack([prod[:, 0, 0],
-                        0.5 * (prod[:, 0, 1] + prod[:, 1, 0]),
-                        prod[:, 1, 1]], axis=1)
-        defo = 2.0 * kv[:, None] * sym
+        eta = rho if rho is not None else tc.trace(sig)
+        nodes = transport_nodes(sig, prm.reg)         # the one decomposition
+        flux = tc.relax_flux_of_beta(nodes.beta, eta, prm.reg)
+        kv = tc.k_delta_of_beta(nodes.beta, eta, prm.reg)
+        coupling = (self.scheme.grad.T
+                    @ tc.to_full(kv[:, None] * flux).reshape(-1))
+        rhs_u = self.rhs_u_base - (prm.eps / prm.wi) * coupling
 
-        lam_t = lambda_transport(mesh, sig, prm.reg)  # (M, 2, 2, 3)
+        lam_t = lambda_transport(mesh, nodes, prm.reg)  # (M, 2, 2, 3)
         adv = np.zeros((self.m, 3))
         contrib = np.einsum("km,kmpc,klp->klc",
                             self.u_cell, lam_t, mesh.bary_grads)
         np.add.at(adv, mesh.cells.ravel(), contrib.reshape(-1, 3))
+        fixed = w[:, None] * (self.sigma_prev / self.dt - flux / prm.wi)
+        if rho is not None:
+            lam_s = lambda_transport(
+                mesh, transport_nodes(1.0 - rho / prm.b, prm.reg), prm.reg)
+            adv_r = np.zeros(self.m)
+            contrib_r = np.einsum("km,kmp,klp->kl",
+                                  self.u_cell, lam_s, mesh.bary_grads)
+            np.add.at(adv_r, mesh.cells.ravel(), contrib_r.ravel())
+            fixed_r = w * (self.rho_prev / self.dt - tc.trace(flux) / prm.wi)
+            fixed = np.column_stack([fixed, fixed_r])
+            adv = np.column_stack([adv, -(prm.b * adv_r)])
+        return rhs_u, (kv, tc.to_full(nodes.beta), fixed, adv)
 
-        rhs_sig = (w[:, None] * (self.sigma_prev / self.dt - flux / prm.wi)
-                   + defo + adv)
-        if rho is None:
-            return rhs_sig
-        lam_s = lambda_transport(mesh, 1.0 - rho / prm.b, prm.reg)
-        adv_r = np.zeros(self.m)
-        contrib_r = np.einsum("km,kmp,klp->kl",
-                              self.u_cell, lam_s, mesh.bary_grads)
-        np.add.at(adv_r, mesh.cells.ravel(), contrib_r.ravel())
-        tr_flux = tc.trace(flux)
-        tr_defo = 2.0 * kv * (prod[:, 0, 0] + prod[:, 1, 1])
-        rhs_rho = (w * (self.rho_prev / self.dt - tr_flux / prm.wi)
-                   + tr_defo - prm.b * adv_r)
-        return np.column_stack([rhs_sig, rhs_rho])
+    def rhs_scalars(self, u, frozen):
+        """Right sides of the component and trace solves, frozen fields."""
+        kv, beta, fixed, adv = frozen
+        g_v = (self.scheme.grad @ u).reshape(self.m, 2, 2)
+        prod = g_v @ beta                             # (n, 2, 2)
+        sym = np.stack([prod[:, 0, 0],
+                        0.5 * (prod[:, 0, 1] + prod[:, 1, 0]),
+                        prod[:, 1, 1]], axis=1)
+        defo = 2.0 * kv[:, None] * sym
+        if self.k == 4:
+            tr_defo = 2.0 * kv * (prod[:, 0, 0] + prod[:, 1, 1])
+            defo = np.column_stack([defo, tr_defo])
+        return fixed + defo + adv

@@ -65,8 +65,10 @@ __all__ = [
     "relax_classic",
     "relax_reg",
     "k_delta",
+    "k_delta_of_beta",
     "entropy_density",
     "relax_flux",
+    "relax_flux_of_beta",
     "lemma_margins_pair",
     "lemma_margins_scalar",
 ]
@@ -396,11 +398,15 @@ def k_delta(phi, eta, rp: RegParams) -> np.ndarray:
     Bounds the momentum coupling in L2: ||k A beta||^2 <= b tr(A^2 beta)
     pointwise.  The Oldroyd-B limit of the scheme uses k = 1.
     """
+    return k_delta_of_beta(beta_delta_mat(phi, rp), eta, rp)
+
+
+def k_delta_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
+    """:func:`k_delta` from ``beta = beta_delta_mat(phi)``."""
     eta = np.asarray(eta, float)
     if rp.oldroyd_b:
-        return np.ones(np.broadcast_shapes(np.shape(eta), np.shape(phi)[:-1]))
-    denom = trace(beta_delta_mat(phi, rp))
-    return np.sqrt(beta_delta_b(eta, rp) / denom)
+        return np.ones(np.broadcast_shapes(np.shape(eta), np.shape(beta)[:-1]))
+    return np.sqrt(beta_delta_b(eta, rp) / trace(beta))
 
 
 def entropy_density(phi, eta, rp: RegParams) -> np.ndarray:
@@ -434,7 +440,11 @@ def relax_flux(phi, eta, rp: RegParams) -> np.ndarray:
     momentum equation couples to the velocity gradient and the stress
     relaxation drives to zero.
     """
-    beta = beta_delta_mat(phi, rp)
+    return relax_flux_of_beta(beta_delta_mat(phi, rp), eta, rp)
+
+
+def relax_flux_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
+    """:func:`relax_flux` from ``beta = beta_delta_mat(phi)``."""
     if rp.oldroyd_b:
         return beta - IDENTITY
     eta = np.asarray(eta, float)

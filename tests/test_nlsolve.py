@@ -1,4 +1,5 @@
-"""Tests for the saddle-point operator and the damped Picard driver.
+"""Tests for the saddle-point operator, the damped Picard driver and the
+block step both schemes share (its stress-terms cache and solve checks).
 
 The manufactured Stokes forcing below was generated symbolically from
 the stream function psi = x^2 (1-x)^2 y^2 (1-y)^2 (velocity u = curl
@@ -6,10 +7,14 @@ psi, pressure 0, f = -laplace u) and frozen here together with two
 point values and the exact L2 norm of u as cross-checks.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 import fenep.fespaces as fe
+import fenep.tensorcalc as tc
+from fenep import scheme_p0, scheme_p1diff
 from fenep.meshing import structured_unit_square
 from fenep.nlsolve import (
     PicardConfig,
@@ -17,6 +22,7 @@ from fenep.nlsolve import (
     SolverError,
     picard_solve,
 )
+from fenep.params import ModelParams
 
 
 def stream_velocity(x, y):
@@ -233,3 +239,126 @@ def test_picard_accepts_converged_start():
     assert rep.converged
     assert rep.iterations == 0
     assert np.allclose(x, toy.target)
+
+
+# ---------------------------------------------------------------------------
+# the block step of both schemes
+
+SCHEMES = ["p0", "p1diff"]
+
+
+def stirred_state(kind):
+    """A scheme on n = 3 and a moving, anisotropic initial state."""
+    mesh = structured_unit_square(3)
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1,
+                         alpha=None if kind == "p0" else 0.1)
+
+    def u0(x, y):
+        ux, uy = stream_velocity(x, y)
+        return 50.0 * ux, 50.0 * uy
+
+    def sigma0(x, y):
+        return 1.0 + x, 0.3 * y, 1.2 - 0.5 * x * y
+
+    if kind == "p0":
+        scheme = scheme_p0.SchemeP0(mesh, params)
+        return scheme, scheme.initial_state(u0, sigma0)
+    scheme = scheme_p1diff.SchemeP1Diff(mesh, params)
+    state, _ = scheme.project_initial(0.1, u0, sigma0)
+    return scheme, state
+
+
+def block_step(scheme, state, dt=0.5):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scheme_p1diff.TimeStepWarning)
+        return scheme._block_step(state, dt)
+
+
+def count_calls(monkeypatch):
+    """Count eig_sym and lambda_transport calls from here on."""
+    counts = {"eig_sym": 0, "lambda_transport": 0}
+    for mod, name in ((tc, "eig_sym"), (scheme_p1diff, "lambda_transport")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_sweep_reuses_the_residual_stress_terms(kind, monkeypatch):
+    scheme, state = stirred_state(kind)
+    first = block_step(scheme, state)
+    x = first.sweep(first.x0)
+    counts = count_calls(monkeypatch)
+    block_step(scheme, state).residual(x)
+    alone = dict(counts)
+    # one spectral decomposition per iterate; p1diff transports sigma, rho
+    assert alone == {"eig_sym": 1,
+                     "lambda_transport": 2 if kind == "p1diff" else 0}
+    problem = block_step(scheme, state)
+    counts.update(eig_sym=0, lambda_transport=0)
+    problem.residual(x)
+    problem.sweep(x)
+    assert counts == alone
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_sweep_from_an_unevaluated_iterate_matches_a_fresh_step(kind):
+    scheme, state = stirred_state(kind)
+    problem = block_step(scheme, state)
+    x = problem.sweep(problem.x0)
+    y = x.copy()
+    y[problem.n_up::problem.m] *= 1.01        # every scalar block moves
+    fresh_y = block_step(scheme, state).sweep(y)
+    assert not np.array_equal(fresh_y, block_step(scheme, state).sweep(x))
+    problem.residual(x)
+    assert np.array_equal(problem.sweep(y), fresh_y)
+    # the same array, changed in place after its residual
+    problem.residual(x)
+    x[problem.n_up::problem.m] *= 1.01
+    assert np.array_equal(problem.sweep(x), fresh_y)
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_nan_iterate_is_never_served_from_the_cache(kind):
+    scheme, state = stirred_state(kind)
+    problem = block_step(scheme, state)
+    calls = []
+    stress_terms = problem.stress_terms
+
+    def counted(sig, rho):
+        calls.append(1)
+        return stress_terms(np.nan_to_num(sig, nan=1.0), rho)
+
+    problem.stress_terms = counted
+    x = problem.x0.copy()
+    x[problem.n_up] = np.nan
+    problem.residual(x)
+    problem.residual(x)
+    problem.sweep(x)
+    assert len(calls) == 3
+    problem.residual(problem.x0)
+    problem.sweep(problem.x0)
+    assert len(calls) == 4
+
+
+class NaNFactor:
+    """A factorization whose every solve returns NaN."""
+
+    def __init__(self, matrix):
+        self.shape = matrix.shape
+
+    def solve(self, rhs):
+        return np.full(np.shape(rhs), np.nan)
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_non_finite_scalar_solve_raises_solver_error(kind, monkeypatch):
+    scheme, state = stirred_state(kind)
+    module = scheme_p0 if kind == "p0" else scheme_p1diff
+    monkeypatch.setattr(module, "splu", NaNFactor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scheme_p1diff.TimeStepWarning)
+        with pytest.raises(SolverError, match="scalar solve"):
+            scheme.step(state, 0.5)

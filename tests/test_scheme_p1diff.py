@@ -23,6 +23,7 @@ from fenep.scheme_p1diff import (
     lambda_matrix,
     lambda_scalar,
     lambda_transport,
+    transport_nodes,
 )
 
 PARAMS = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1, alpha=0.1)
@@ -90,7 +91,7 @@ def test_lambda_transport_constant_field_is_beta_times_identity():
     mesh = structured_unit_square(3)
     value = np.array([1.3, 0.1, 0.8])
     field = np.tile(value, (mesh.n_vertices, 1))
-    lam = lambda_transport(mesh, field, RP)
+    lam = lambda_transport(mesh, transport_nodes(field, RP), RP)
     assert lam.shape == (mesh.n_cells, 2, 2, 3)
     beta = tc.beta_delta_mat(value, RP)
     assert np.allclose(lam[:, 0, 1], 0.0, atol=1e-13)
@@ -106,7 +107,7 @@ def test_transport_chain_rule_tensor(n, seed):
     worst = 0.0
     for _ in range(25):
         field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
-        lam = lambda_transport(mesh, field, RP)
+        lam = lambda_transport(mesh, transport_nodes(field, RP), RP)
         _, gp = tc.g_delta_mat(field, RP)
         for k in range(mesh.n_cells):
             grads = mesh.bary_grads[k]
@@ -128,7 +129,7 @@ def test_transport_chain_rule_scalar():
     worst = 0.0
     for _ in range(25):
         field = rng.uniform(-1.5, 1.5, size=mesh.n_vertices)
-        lam = lambda_transport(mesh, field, RP)
+        lam = lambda_transport(mesh, transport_nodes(field, RP), RP)
         _, gp = tc.g_delta(field, RP)
         h_of = tc.h_delta(gp, RP)
         for k in range(mesh.n_cells):
@@ -140,6 +141,36 @@ def test_transport_chain_rule_scalar():
                 lhs = sum(lam[k, m, p] * d_gp[p] for p in range(2))
                 worst = max(worst, abs(lhs - d_h[m]))
     assert worst <= 1e-12, f"scalar chain-rule residual {worst:.3e}"
+
+
+def test_lambda_transport_is_pairwise_stacking():
+    """Vertex-first evaluation equals lambda_matrix/lambda_scalar per pair."""
+    mesh = structured_unit_square(4)
+    cells = mesh.cells
+    rng = np.random.default_rng(11)
+    # eigenvalues on both sides of delta, and traces up to 1.2 b
+    field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
+    rho = rng.uniform(0.0, 1.2 * RP.b, size=mesh.n_vertices)
+    field[cells[:6, 1]] = field[cells[:6, 0]]         # coincident pairs
+    rho[cells[:6, 2]] = rho[cells[:6, 0]]
+    field[cells[6:12, 0]] = np.outer(                 # isotropic tensors
+        [0.05, 0.1, 0.5, 1.0, 2.0, -0.3], tc.IDENTITY)
+    q = 1.0 - rho / RP.b
+    assert (q < RP.delta).any() and (q > RP.delta).any()
+    w, _ = tc.eig_sym(field)
+    assert (w < RP.delta).any() and (w > RP.delta).any()
+
+    hat = np.stack([lambda_matrix(field[cells[:, j]], field[cells[:, 0]], RP)
+                    for j in (1, 2)], axis=1)
+    want = np.einsum("kjm,kpj,kjc->kmpc", mesh.affine_Binv, mesh.affine_B, hat)
+    got = lambda_transport(mesh, transport_nodes(field, RP), RP)
+    assert np.array_equal(got, want)
+
+    hat = np.stack([lambda_scalar(q[cells[:, j]], q[cells[:, 0]], RP)
+                    for j in (1, 2)], axis=1)
+    want = np.einsum("kjm,kpj,kj->kmp", mesh.affine_Binv, mesh.affine_B, hat)
+    assert np.array_equal(lambda_transport(mesh, transport_nodes(q, RP), RP),
+                          want)
 
 
 # ---------------------------------------------------------------------------
