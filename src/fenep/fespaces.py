@@ -7,10 +7,13 @@ and the reduced-quadratic element adds one scalar bubble per edge whose
 direction is the edge's global unit normal.  Assembly therefore runs one
 generic code path over ``(scalar factor, direction)`` pairs; the mass,
 stiffness, convection and gradient operators below never special-case
-an element.  The gradient operator ``G = integral( psi grad(phi) )``
-against a scalar test space is assembled once per scheme and serves
-three forms by matrix products: the tested velocity gradient ``G u``,
-the stress coupling ``G^T W`` and, in its trace rows, the divergence.
+an element.  The convection, the one operator rebuilt on every time
+step, fills the data array of a :class:`FixedPattern` on the free dofs
+instead of assembling a new matrix.  The gradient operator
+``G = integral( psi grad(phi) )`` against a scalar test space is
+assembled once per scheme and serves three forms by matrix products:
+the tested velocity gradient ``G u``, the stress coupling ``G^T W`` and,
+in its trace rows, the divergence.
 
 Scalar fields (pressure, stress components, the auxiliary trace) use
 piecewise constants or continuous piecewise linears.  Tensor fields are
@@ -53,6 +56,8 @@ __all__ = [
     "lumped_mass_integrate",
     "velocity_mass",
     "velocity_stiffness",
+    "FixedPattern",
+    "velocity_pattern",
     "convection_matrix",
     "gradient_matrix",
     "gradient_trace",
@@ -442,28 +447,89 @@ def evaluate_velocity(mesh: TriMesh, v: VelocitySpace, coeffs, lam) -> np.ndarra
     """Velocity values at barycentric points, shape (n_cells, nq, 2)."""
     sval = v.scalar_val(lam)                             # (nq, nloc)
     c = np.asarray(coeffs, float)[v.cell_dofs]           # (M, nloc)
-    return np.einsum("kl,ql,kld->kqd", c, sval, v.cell_dirs)
+    return sval @ (c[:, :, None] * v.cell_dirs)
+
+
+@dataclass(frozen=True)
+class FixedPattern:
+    """CSR pattern of a velocity operator restricted to a set of dofs.
+
+    ``slots[k, i, j]`` is the position in the data array that the entry of
+    local dofs i, j of cell k adds to.  Entries outside the kept dofs, and
+    entries whose direction vectors are orthogonal (and so vanish in every
+    operator of the space), go to the dump slot ``nnz`` past the end.
+    """
+
+    slots: np.ndarray        # (n_cells, nloc, nloc) int32
+    indices: np.ndarray      # int32 column of each stored entry, row-sorted
+    indptr: np.ndarray
+
+
+def _dir_products(dirs):
+    """``dirs_i . dirs_j`` of each cell, (M, nloc, nloc), exactly symmetric."""
+    d_x, d_y = dirs[:, :, None, 0], dirs[:, :, None, 1]
+    return d_x * np.swapaxes(d_x, 1, 2) + d_y * np.swapaxes(d_y, 1, 2)
+
+
+def velocity_pattern(v: VelocitySpace, keep) -> FixedPattern:
+    """Fixed pattern of cell-assembled operators of ``v`` on dofs ``keep``.
+
+    ``keep`` is an increasing array of dof indices (the free dofs of a
+    scheme, or every dof); row and column r of the matrix belong to dof
+    ``keep[r]``.
+    """
+    n = len(keep)
+    pos = np.full(v.n_dofs, -1, np.int64)
+    pos[keep] = np.arange(n)
+    loc = pos[v.cell_dofs]                                # (M, nloc)
+    rows = np.broadcast_to(loc[:, :, None], (len(loc),) + (v.nloc,) * 2)
+    cols = np.swapaxes(rows, 1, 2)
+    stored = (rows >= 0) & (cols >= 0) & (_dir_products(v.cell_dirs) != 0.0)
+    key, inverse = np.unique(rows[stored] * n + cols[stored],
+                             return_inverse=True)
+    slots = np.full(rows.shape, len(key), np.int32)
+    slots[stored] = inverse
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(key // n,
+                                                        minlength=n))])
+    return FixedPattern(slots, (key % n).astype(np.int32),
+                        indptr.astype(np.int32))
+
+
+#: cells per block of the convection fill (bounds its temporaries)
+_CHUNK = 256
 
 
 def convection_matrix(mesh: TriMesh, v: VelocitySpace, w_coeffs,
-                      degree: int | None = None):
+                      pattern: FixedPattern):
     """Skew-symmetrized convection with a frozen transport velocity w:
 
         c(w; u, phi) = 1/2 * integral( ((w.grad)u).phi - ((w.grad)phi).u )
 
-    The assembled matrix satisfies C + C^T = 0 identically because both
-    halves are built from the same quadrature sums.
+    on the dofs of ``pattern`` (see :func:`velocity_pattern`).  The cell
+    matrices are summed into the pattern's data array block by block of
+    cells, so the only temporaries are one block's cell matrices and one
+    data array.  Entries (i, j) and (j, i) add exactly negated cell
+    values in the same order, so C + C^T = 0 holds exactly.
     """
-    rule = triangle_rule(degree if degree is not None else 3 * v.degree - 1)
-    sval = v.scalar_val(rule.points).T
-    gx = _shape_grads(mesh, v, rule)
+    rule = triangle_rule(3 * v.degree - 1)
+    sw = v.scalar_val(rule.points).T * rule.weights      # (nloc, nq)
+    dbar = v.scalar_dbary(rule.points)                   # (nq, nloc, 3)
     wq = evaluate_velocity(mesh, v, w_coeffs, rule.points)   # (M, nq, 2)
-    adv = np.einsum("kqd,klqd->klq", wq, gx)                 # w . grad s_l
-    dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
-    t = np.einsum("kjq,iq,q->kij", adv, sval, rule.weights)
-    t = t * dd * mesh.cell_areas[:, None, None]
-    cellvals = 0.5 * (t - np.swapaxes(t, 1, 2))
-    return _to_csr(cellvals, v.cell_dofs, v.cell_dofs, (v.n_dofs, v.n_dofs))
+    nnz, n = len(pattern.indices), len(pattern.indptr) - 1
+    data = np.zeros(nnz + 1)
+    for lo in range(0, mesh.n_cells, _CHUNK):
+        k = slice(lo, lo + _CHUNK)
+        # w . grad(lambda_j), then w . grad(s_l), at the points
+        w_bary = wq[k] @ np.swapaxes(mesh.bary_grads[k], 1, 2)
+        adv = np.einsum("kqj,qlj->kql", w_bary, dbar, optimize=True)
+        t = sw @ adv                      # t[i, l] = integral s_i w.grad s_l
+        scale = (_dir_products(v.cell_dirs[k])
+                 * (0.5 * mesh.cell_areas[k])[:, None, None])
+        vals = (t - np.swapaxes(t, 1, 2)) * scale
+        data += np.bincount(pattern.slots[k].ravel(), vals.ravel(),
+                            minlength=nnz + 1)
+    return sp.csr_matrix((data[:nnz], pattern.indices, pattern.indptr),
+                         shape=(n, n))
 
 
 def gradient_matrix(mesh: TriMesh, v: VelocitySpace, s: ScalarSpace):

@@ -37,7 +37,6 @@ __all__ = [
     "AffineMap",
     "TriMesh",
     "structured_unit_square",
-    "barycentric_gradients",
     "audit_mesh",
     "save_mesh",
     "load_mesh",
@@ -262,11 +261,6 @@ def structured_unit_square(n: int) -> TriMesh:
             cells.append((a, b, c))
             cells.append((a, c, d))
     return TriMesh(vertices, np.array(cells, np.int64))
-
-
-def barycentric_gradients(mesh: TriMesh, k: int) -> np.ndarray:
-    """Constant gradients of the three barycentric coordinates of cell k."""
-    return mesh.bary_grads[k].copy()
 
 
 def audit_mesh(mesh: TriMesh) -> MeshAudit:

@@ -11,16 +11,26 @@ The schemes supply only that matrix and the right-hand sides of the two
 kinds of block; :class:`ImplicitScheme` holds the operators, the step and
 its energy audit common to both.
 
+The saddle block is split as ``Re/dt M + (1-eps) K + Re C(u_prev)``.  The
+first two terms depend on the step size and the parameters alone, so
+their saddle matrix with ``B`` is factorized once per step size and kept
+on the scheme; only the convection ``C(u_prev)``, the one velocity
+operator that changes from step to step, is assembled per step, on a
+fixed sparsity pattern (the Picard/Oseen splitting of Elman, Silvester
+and Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).
+
 The step is exposed to the driver as a fixed-point problem: one
 ``sweep`` performs a block Gauss-Seidel pass through the factorized
-linear blocks with the other fields frozen, and ``residual`` evaluates
-the monolithic implicit residual at a state, preconditioned block-wise
-by the same factorized operators so its entries carry the units of the
-unknowns themselves.  Everything that depends on the stress iterate
-alone (its spectral decomposition, the relaxation flux, the momentum
-coupling and the transport terms) is computed once per iterate: the
-residual computes it, and the sweep that follows from the same iterate
-reuses it.
+linear blocks with the other fields frozen, the convection lagged at
+the velocity of the iterate, and ``residual`` evaluates the monolithic
+implicit residual at a state, convection included, preconditioned
+block-wise by the same factorized operators so its entries carry the
+units of the unknowns themselves.  Lagging the convection changes the
+path of the iteration, not its fixed point.  Everything that depends on
+the stress iterate alone (its spectral decomposition, the relaxation
+flux, the momentum coupling and the transport terms) is computed once
+per iterate: the residual computes it, and the sweep that follows from
+the same iterate reuses it.
 
 The driver blends each sweep with a relaxation factor chosen two ways:
 a secant (Aitken) update estimates the dominant contraction factor from
@@ -38,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +59,7 @@ from .energy import (EnergyBreakdown, audit_slack, audit_step, free_energy,
 from .fespaces import (DiscreteField, build_space, convection_matrix,
                        gradient_matrix, gradient_trace,
                        pressure_integral_vector, velocity_load,
-                       velocity_mass, velocity_stiffness)
+                       velocity_mass, velocity_pattern, velocity_stiffness)
 
 __all__ = [
     "SolverError",
@@ -210,17 +221,26 @@ class BlockStep:
     the m stress nodes: the three tensor components, plus the trace
     field when the state carries one.  They are packed as
     ``[u, p, scalars.T.ravel()]`` with ``scalars`` of shape (m, k).  The
-    velocity/pressure block is a :class:`SaddleOperator`; the k scalar
-    blocks share one matrix, which a subclass sets as ``s_mat`` with its
-    factorization ``scalar_lu`` after this constructor has factored the
-    saddle matrix (factoring the small matrix first raised the peak
-    memory of a run by a few MB).  Subclasses give the right-hand sides
-    with the other fields frozen: ``stress_terms(sig, rho) -> (rhs_u,
-    frozen)`` computes everything that depends on the stress iterate
-    alone (the momentum right-hand side and whatever ``frozen`` holds
-    for the scalar blocks), and ``rhs_scalars(u, frozen)`` adds the
-    velocity-dependent deformation term to give the (m, k) scalar
-    right-hand sides.
+    velocity/pressure block is the scheme's :class:`SaddleOperator` of
+    ``Re/dt M + (1-eps) K`` with ``B``, factorized once per step size
+    (:meth:`ImplicitScheme.saddle_operator`); the step adds only the
+    convection ``c_ff = Re C(u_prev)`` on the free dofs, which the sweep
+    moves to its right-hand side at the velocity of the iterate and the
+    residual applies in its matvec.  The k scalar blocks share one
+    matrix, which a subclass sets as ``s_mat`` with its factorization
+    ``scalar_lu`` after this constructor.  On the first step of a step
+    size the saddle matrix is therefore factored first (factoring the
+    small matrix first raised the peak memory of a run by a few MB).
+    Factorizations held across steps raise the floor under every later
+    peak, so the convection fills the data array of a fixed pattern
+    instead of assembling through COO temporaries.
+
+    Subclasses give the right-hand sides with the other fields frozen:
+    ``stress_terms(sig, rho) -> (rhs_u, frozen)`` computes everything
+    that depends on the stress iterate alone (the momentum right-hand
+    side and whatever ``frozen`` holds for the scalar blocks), and
+    ``rhs_scalars(u, frozen)`` adds the velocity-dependent deformation
+    term to give the (m, k) scalar right-hand sides.
 
     The stress terms are computed once per iterate.  The driver sweeps
     from the iterate whose residual it evaluated last, so the sweep
@@ -239,12 +259,11 @@ class BlockStep:
         self.free = scheme.free
         self.b_f = scheme.b_free
 
-        conv = convection_matrix(scheme.mesh, scheme.v, u_prev)
-        a_mat = (prm.re / dt) * scheme.mass + prm.re * conv \
-            + (1.0 - prm.eps) * scheme.stiff
-        self.a_ff = a_mat[self.free][:, self.free].tocsr()
-        del conv, a_mat  # freed before the factorization, the memory peak
-        self.saddle = SaddleOperator(self.a_ff, self.b_f, scheme.mean_p)
+        self.a_ff, self.saddle = scheme.saddle_operator(dt)
+        # Re C(u_prev) on the free dofs; filled in place, no second a_ff
+        self.c_ff = convection_matrix(scheme.mesh, scheme.v, u_prev,
+                                      scheme.free_pattern)
+        self.c_ff.data *= prm.re
         self.rhs_u_base = (prm.re / dt) * (scheme.mass @ u_prev) + scheme.fvec
 
         self.n_u = scheme.v.n_dofs
@@ -280,7 +299,8 @@ class BlockStep:
 
     def sweep(self, x):
         rhs_u, frozen = self._stress_terms(x)
-        u_f, p_new = self.saddle.solve(rhs_u[self.free])
+        u_lag = x[:self.n_u][self.free]
+        u_f, p_new = self.saddle.solve(rhs_u[self.free] - self.c_ff @ u_lag)
         u_new = np.zeros(self.n_u)
         u_new[self.free] = u_f
         scalars = self.scalar_lu.solve(self.rhs_scalars(u_new, frozen))
@@ -292,7 +312,8 @@ class BlockStep:
         u, p, _, _ = self.split(x)
         rhs_u, frozen = self._stress_terms(x)
         u_f = u[self.free]
-        r_u = rhs_u[self.free] - self.a_ff @ u_f - self.b_f.T @ p
+        r_u = (rhs_u[self.free] - self.a_ff @ u_f - self.c_ff @ u_f
+               - self.b_f.T @ p)
         r_div = -(self.b_f @ u_f)
         e_u, e_p = self.saddle.solve(r_u, r_div)
         total = float(e_u @ e_u + e_p @ e_p)
@@ -311,6 +332,13 @@ class ImplicitScheme:
     supplies ``_block_step(state, dt)``, the :class:`BlockStep` of one
     step.  ``_extra_audit_terms`` adds scheme-specific terms to the
     energy budget.
+
+    Operators that depend on the step size are factorized on the first
+    step that needs them and kept in a one-entry cache per operator
+    (:meth:`_cached`), keyed on everything the matrix reads: the saddle
+    matrix on ``(dt, re, eps)``, the diffusive scheme's scalar matrix on
+    ``(dt, alpha)``.  A step at a new key replaces the entry; a change of
+    the regularization ``delta`` alone keeps it.
 
     The stress nodes are tested by the pressure space (cell constants in
     the cellwise scheme, hat functions in the diffusive one), so
@@ -344,6 +372,36 @@ class ImplicitScheme:
         self.forcing = forcing
         self.fvec = (velocity_load(mesh, self.v, forcing)
                      if forcing is not None else np.zeros(self.v.n_dofs))
+        self._cache = {}
+
+    def _cached(self, name: str, key, build):
+        """The value ``build()`` made for ``key``, kept until the key changes.
+
+        The old value is dropped before the new one is built, so two
+        factorizations of one operator are never held at once.
+        """
+        if name not in self._cache or self._cache[name][0] != key:
+            self._cache.pop(name, None)
+            self._cache[name] = (key, build())
+        return self._cache[name][1]
+
+    def saddle_operator(self, dt: float):
+        """``(a_ff, saddle)``: ``Re/dt M + (1-eps) K`` on the free dofs and
+        its factorized saddle matrix with ``B``."""
+        prm = self.params
+
+        def build():
+            a_mat = (prm.re / dt) * self.mass + (1.0 - prm.eps) * self.stiff
+            a_ff = a_mat[self.free][:, self.free].tocsr()
+            del a_mat  # freed before the factorization, the memory peak
+            return a_ff, SaddleOperator(a_ff, self.b_free, self.mean_p)
+
+        return self._cached("saddle", (dt, prm.re, prm.eps), build)
+
+    @cached_property
+    def free_pattern(self):
+        """Fixed free x free pattern of the per-step convection."""
+        return velocity_pattern(self.v, self.free)
 
     def _free_energy(self, u, sigma, rho) -> EnergyBreakdown:
         return free_energy(self.params, self.mesh, self.mass, u, sigma, rho,

@@ -15,12 +15,14 @@ Every step runs that budget as an audit against the assembled operators
 The nonlinear step couples the momentum equation (convection frozen at
 the previous velocity) to the per-cell stress update through the
 regularized relaxation product; a damped Picard iteration alternates the
-two factorized linear solves.  That step, its Picard driver and its
-audit are the skeleton shared with the diffusive scheme
-(:mod:`fenep.nlsolve`); this module supplies the stress matrix (cell
-areas over dt plus the upwind transport of the previous velocity,
-factorized once per step for the three components) and the right-hand
-sides.
+two factorized linear solves.  The velocity/pressure matrix without the
+convection is factorized once per step size and kept on the scheme; the
+convection is lagged to the right-hand side of each sweep.  That step,
+its Picard driver and its audit are the skeleton shared with the
+diffusive scheme (:mod:`fenep.nlsolve`); this module supplies the stress
+matrix (cell areas over dt plus the upwind transport of the previous
+velocity, factorized once per step for the three components) and the
+right-hand sides.
 
 ``delta_continuation`` re-solves one step under a halving sequence of
 regularization cuts; once the answer stagnates while staying positive
@@ -305,8 +307,9 @@ def delta_continuation(mesh: TriMesh, params: ModelParams, state: State,
     diagnostics of the final stress; stagnation plus a positive audit
     means the cut no longer binds and the unregularized step was solved.
     """
-    # the operators depend on mesh, velocity and forcing only, so one
-    # scheme serves every cut; a carried free energy belongs to one delta
+    # the operators, and the cached saddle factorization, do not depend on
+    # delta, so one scheme serves every cut; a carried free energy belongs
+    # to one delta
     scheme = SchemeP0(mesh, params, velocity=velocity, forcing=forcing)
     state = dataclasses.replace(state, energy=None)
     deltas, diffs = [], []

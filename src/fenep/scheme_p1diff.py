@@ -193,17 +193,18 @@ class SchemeP1Diff(ImplicitScheme):
         self.non_obtuse = audit_mesh(mesh).non_obtuse
         self.dt_cap_zeta = dt_cap_zeta
         self.dt_cap_cstar = dt_cap_cstar
-        self._scalar_cache: tuple | None = None
 
     def scalar_operator(self, dt: float):
-        """Factorized shared matrix lumped/dt + alpha * stiffness."""
-        if self._scalar_cache is not None and self._scalar_cache[0] == dt:
-            return self._scalar_cache[1], self._scalar_cache[2]
-        s_mat = (sp.diags(self.weights / dt)
-                 + self.params.alpha * self.k_scalar).tocsc()
-        lu = splu(s_mat)
-        self._scalar_cache = (dt, s_mat.tocsr(), lu)
-        return self._scalar_cache[1], self._scalar_cache[2]
+        """``(s_mat, lu)``: the shared matrix lumped/dt + alpha * stiffness
+        and its factorization."""
+        alpha = self.params.alpha
+
+        def build():
+            s_mat = sp.diags(self.weights / dt) + alpha * self.k_scalar
+            s_mat = s_mat.tocsc()
+            return s_mat.tocsr(), splu(s_mat)
+
+        return self._cached("scalar", (dt, alpha), build)
 
     def check_step_size(self, dt: float) -> None:
         cap = (self.dt_cap_cstar

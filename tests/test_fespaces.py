@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
 import fenep.fespaces as fe
@@ -186,9 +187,53 @@ def test_convection_is_antisymmetric(kind):
     v = fe.build_space(mesh, kind)
     rng = np.random.default_rng(31)
     w = rng.standard_normal(v.n_dofs)
-    c = fe.convection_matrix(mesh, v, w)
+    every_dof = fe.velocity_pattern(v, np.arange(v.n_dofs))
+    c = fe.convection_matrix(mesh, v, w, every_dof)
     asym = abs(c + c.T)
     assert asym.max() < 1e-13
+
+
+def coo_convection(mesh, v, w):
+    """Full convection matrix assembled through COO (the oracle)."""
+    rule = fe.triangle_rule(3 * v.degree - 1)
+    sval = v.scalar_val(rule.points).T
+    gx = np.einsum("qlj,kjd->klqd", v.scalar_dbary(rule.points),
+                   mesh.bary_grads)
+    wq = fe.evaluate_velocity(mesh, v, w, rule.points)
+    adv = np.einsum("kqd,klqd->klq", wq, gx)
+    dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
+    t = np.einsum("kjq,iq,q->kij", adv, sval, rule.weights)
+    t = t * dd * mesh.cell_areas[:, None, None]
+    cellvals = 0.5 * (t - np.swapaxes(t, 1, 2))
+    rows = np.repeat(v.cell_dofs, v.nloc, axis=1).ravel()
+    cols = np.tile(v.cell_dofs, (1, v.nloc)).ravel()
+    return sp.coo_matrix((cellvals.ravel(), (rows, cols)),
+                         shape=(v.n_dofs, v.n_dofs)).tocsr()
+
+
+@pytest.mark.parametrize("chunk", [7, fe._CHUNK])
+@pytest.mark.parametrize("kind", ["velocity_p2", "velocity_p2_reduced",
+                                  "velocity_mini"])
+def test_fixed_pattern_convection_matches_coo_assembly(kind, chunk,
+                                                       monkeypatch):
+    monkeypatch.setattr(fe, "_CHUNK", chunk)   # 7: several uneven blocks
+    square = structured_unit_square(6)
+    verts = square.vertices.copy()
+    verts[:, 1] += 0.7 * verts[:, 0]
+    mesh = TriMesh(verts, square.cells)
+    v = fe.build_space(mesh, kind)
+    free = np.nonzero(~v.dirichlet_mask)[0]
+    pattern = fe.velocity_pattern(v, free)
+    rng = np.random.default_rng(8)
+    re = 3.7
+    for _ in range(2):                   # the same pattern serves each w
+        w = rng.standard_normal(v.n_dofs)
+        c_ff = fe.convection_matrix(mesh, v, w, pattern)
+        c_ff.data *= re
+        ref = (re * coo_convection(mesh, v, w))[free][:, free]
+        assert abs(c_ff - ref).max() <= 1e-14 * abs(ref).max()
+        assert (c_ff + c_ff.T).count_nonzero() == 0
+        assert np.shares_memory(c_ff.indices, pattern.indices)
 
 
 def test_divergence_matrix_values():

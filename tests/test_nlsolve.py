@@ -1,5 +1,6 @@
 """Tests for the saddle-point operator, the damped Picard driver and the
-block step both schemes share (its stress-terms cache and solve checks).
+block step both schemes share (its stress-terms cache, solve checks and
+the per-step-size saddle factorization).
 
 The manufactured Stokes forcing below was generated symbolically from
 the stream function psi = x^2 (1-x)^2 y^2 (1-y)^2 (velocity u = curl
@@ -7,6 +8,7 @@ psi, pressure 0, f = -laplace u) and frozen here together with two
 point values and the exact L2 norm of u as cross-checks.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
-from fenep import scheme_p0, scheme_p1diff
+from fenep import nlsolve, scheme_p0, scheme_p1diff
 from fenep.meshing import structured_unit_square
 from fenep.nlsolve import (
     PicardConfig,
@@ -135,9 +137,10 @@ def convective_saddle(vel, pres, seed=0):
     v = fe.build_space(mesh, vel)
     p = fe.build_space(mesh, pres)
     free = ~v.dirichlet_mask
-    conv = fe.convection_matrix(mesh, v, rng.standard_normal(v.n_dofs))
-    a = (20.0 * fe.velocity_mass(mesh, v) + conv
-         + fe.velocity_stiffness(mesh, v)).tocsr()[free][:, free]
+    conv = fe.convection_matrix(mesh, v, rng.standard_normal(v.n_dofs),
+                                fe.velocity_pattern(v, np.nonzero(free)[0]))
+    a = (20.0 * fe.velocity_mass(mesh, v)
+         + fe.velocity_stiffness(mesh, v)).tocsr()[free][:, free] + conv
     b = fe.divergence_matrix(mesh, v, p).tocsr()[:, free]
     return a, b, fe.pressure_integral_vector(mesh, p), rng
 
@@ -362,3 +365,85 @@ def test_non_finite_scalar_solve_raises_solver_error(kind, monkeypatch):
         warnings.simplefilter("ignore", scheme_p1diff.TimeStepWarning)
         with pytest.raises(SolverError, match="scalar solve"):
             scheme.step(state, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# one saddle factorization per step size
+
+
+def count_saddles(monkeypatch):
+    """Record the SaddleOperator constructions of the step from here on."""
+    made = []
+
+    class Counted(nlsolve.SaddleOperator):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(nlsolve, "SaddleOperator", Counted)
+    return made
+
+
+def step(scheme, state, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scheme_p1diff.TimeStepWarning)
+        return scheme.step(state, dt)[0]
+
+
+def state_vector(state):
+    parts = [state.u.values, state.p.values, state.sigma.T.ravel()]
+    return np.concatenate(parts + ([] if state.rho is None else [state.rho]))
+
+
+def assert_same_step(scheme, state, dt, new):
+    """``new`` is the step a freshly built scheme makes, within tol * scale."""
+    fresh = type(scheme)(scheme.mesh, scheme.params)
+    ref = step(fresh, state, dt)
+    scale = float(np.linalg.norm(state_vector(state))) + 1.0
+    diff = np.linalg.norm(state_vector(new) - state_vector(ref))
+    assert diff <= PicardConfig().tol * scale
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_one_saddle_factorization_per_step_size(kind, monkeypatch):
+    made = count_saddles(monkeypatch)
+    scheme, state = stirred_state(kind)
+    assert made == []                         # built on the first step
+    states = [state]
+    for _ in range(3):
+        states.append(step(scheme, states[-1], 0.5))
+    assert len(made) == 1
+    step(scheme, states[-1], 0.25)
+    assert len(made) == 2
+    # back at the first step size, from the refactored cache
+    assert_same_step(scheme, states[1], 0.5, step(scheme, states[1], 0.5))
+    assert len(made) == 4                     # 0.5 again, and the fresh one
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_saddle_cache_keys_on_what_the_matrix_reads(kind, monkeypatch):
+    made = count_saddles(monkeypatch)
+    scheme, state = stirred_state(kind)
+    base = scheme.params
+    step(scheme, state, 0.5)
+    changes = [("delta", 0.05, 0), ("re", 2.0, 1), ("eps", 0.25, 1)]
+    if kind == "p1diff":
+        changes.append(("alpha", 0.2, 0))     # refactors the scalar block
+    for name, value, refactors in changes:
+        before = len(made)
+        # as delta_continuation does: swap the parameters of one scheme
+        scheme.params = dataclasses.replace(base, **{name: value})
+        new = step(scheme, state, 0.5)
+        assert len(made) - before == refactors, name
+        assert_same_step(scheme, state, 0.5, new)
+        scheme.params = base
+        step(scheme, state, 0.5)
+
+
+def test_delta_continuation_reuses_one_saddle_factorization(monkeypatch):
+    made = count_saddles(monkeypatch)
+    scheme, state = stirred_state("p0")
+    rep = scheme_p0.delta_continuation(scheme.mesh, scheme.params, state,
+                                       0.5, delta_min=1.0 / 16.0)
+    assert len(rep.deltas) > 1
+    assert len(made) == 1
