@@ -53,7 +53,6 @@ __all__ = [
     "VELOCITY_KINDS",
     "pi_h",
     "lumped_weights",
-    "lumped_mass_integrate",
     "velocity_mass",
     "velocity_stiffness",
     "FixedPattern",
@@ -69,7 +68,6 @@ __all__ = [
     "scalar_stiffness",
     "pressure_integral_vector",
     "inf_sup_estimate",
-    "lumped_norm_equivalence_constant",
 ]
 
 
@@ -396,16 +394,6 @@ def lumped_weights(mesh: TriMesh) -> np.ndarray:
     return w
 
 
-def lumped_mass_integrate(mesh: TriMesh, expr) -> float:
-    """Integral of the vertex interpolant, i.e. the lumped (vertex) rule.
-
-    Exact for P1 integrands.  ``expr`` is a callable of vertex coordinates
-    or an array of per-vertex values.
-    """
-    vals = pi_h(mesh, expr)
-    return float(lumped_weights(mesh) @ vals)
-
-
 # ---------------------------------------------------------------------------
 # assembly kernels
 
@@ -665,21 +653,3 @@ def inf_sup_estimate(mesh: TriMesh, velocity_kind: str, pressure_kind: str) -> f
     eigs = la.eigh(0.5 * (s_mat + s_mat.T), m_p, eigvals_only=True)
     # the constant pressure is in the kernel; the next eigenvalue is mu^2
     return float(math.sqrt(max(eigs[1], 0.0)))
-
-
-def lumped_norm_equivalence_constant(mesh: TriMesh) -> float:
-    """Largest ratio of the lumped to the consistent P1 L2 norm squared.
-
-    Equals the largest generalized eigenvalue of the lumped against the
-    consistent mass matrix (4 in exact arithmetic on any triangulation,
-    attained on mean-zero local modes).  Dense; test utility.
-    """
-    import scipy.linalg as la
-
-    if mesh.n_vertices > 1500:
-        raise SupportError("dense test utility; use small meshes")
-    s = ScalarSpace(mesh, "pressure_p1")
-    mc = scalar_mass(mesh, s).toarray()
-    ml = np.diag(lumped_weights(mesh))
-    eigs = la.eigh(ml, mc, eigvals_only=True)
-    return float(eigs[-1])

@@ -42,7 +42,8 @@ __all__ = [
     "load_mesh",
 ]
 
-_REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+#: reference gradients of the barycentric coordinates, row l = grad_xi lambda_l
+REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 class MeshError(Exception):
@@ -142,7 +143,7 @@ class TriMesh:
         inv[:, 1, 1] = B[:, 0, 0] / det
         self.affine_Binv = inv
         # gradients of the three barycentric coordinates, constant per cell
-        self.bary_grads = np.einsum("kji,lj->kli", inv, _REF_GRADS)
+        self.bary_grads = np.einsum("kji,lj->kli", inv, REF_GRADS)
 
         self._build_edges()
         self._check_edge_connected()

@@ -258,6 +258,7 @@ class BlockStep:
         self.rho_prev = state.rho
         self.free = scheme.free
         self.b_f = scheme.b_free
+        self.b_ft = scheme.b_free_t
 
         self.a_ff, self.saddle = scheme.saddle_operator(dt)
         # Re C(u_prev) on the free dofs; filled in place, no second a_ff
@@ -313,7 +314,7 @@ class BlockStep:
         rhs_u, frozen = self._stress_terms(x)
         u_f = u[self.free]
         r_u = (rhs_u[self.free] - self.a_ff @ u_f - self.c_ff @ u_f
-               - self.b_f.T @ p)
+               - self.b_ft @ p)
         r_div = -(self.b_f @ u_f)
         e_u, e_p = self.saddle.solve(r_u, r_div)
         total = float(e_u @ e_u + e_p @ e_p)
@@ -344,10 +345,11 @@ class ImplicitScheme:
     the cellwise scheme, hat functions in the diffusive one), so
     ``grad``, the :func:`fenep.fespaces.gradient_matrix` of the velocity
     against the pressure space, serves both halves of the coupling that
-    cancels in the energy estimate: ``grad.T @ W`` is the momentum term
+    cancels in the energy estimate: ``grad_t @ W`` is the momentum term
     ``integral( W : grad(v) )`` and ``grad @ u`` the tested velocity
     gradient of the stress equation's deformation term.  Its trace rows
-    are the divergence ``div``.
+    are the divergence ``div``.  ``grad_t`` and ``b_free_t`` are the
+    transposes, bound once as views that share the arrays.
     """
 
     def __init__(self, mesh, params, velocity: str, pressure: str, forcing):
@@ -369,6 +371,8 @@ class ImplicitScheme:
         self.mean_p = pressure_integral_vector(mesh, self.q)
         self.free = np.nonzero(~self.v.dirichlet_mask)[0]
         self.b_free = self.div[:, self.free].tocsr()
+        self.grad_t = self.grad.T
+        self.b_free_t = self.b_free.T
         self.forcing = forcing
         self.fvec = (velocity_load(mesh, self.v, forcing)
                      if forcing is not None else np.zeros(self.v.n_dofs))

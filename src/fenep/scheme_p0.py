@@ -51,7 +51,6 @@ __all__ = [
     "SchemeP0",
     "upwind_fluxes",
     "upwind_matrix",
-    "upwind_edge_term",
     "SpdAudit",
     "spd_audit",
     "ContinuationReport",
@@ -164,24 +163,6 @@ def upwind_matrix(mesh: TriMesh, vspace, u_coeffs):
     return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
 
 
-def upwind_edge_term(mesh: TriMesh, vspace, u_coeffs, sigma, edge: int):
-    """Transport contributions of one edge to its two cell residuals.
-
-    Returns ``(contrib_left, contrib_right)``, each a length-3 component
-    vector added to the stress equation of the respective cell.  Boundary
-    edges carry no flux under the no-flow condition and return zeros.
-    """
-    sigma = np.asarray(sigma, float)
-    zeros = np.zeros(3)
-    if mesh.is_boundary_edge[edge]:
-        return zeros, zeros
-    pos = int(np.searchsorted(mesh.interior_edges, edge))
-    a_plus, a_minus = upwind_fluxes(mesh, vspace, u_coeffs)
-    kl, kr = mesh.edge_cells[edge]
-    jump = sigma[kr] - sigma[kl]
-    return -a_minus[pos] * jump, a_plus[pos] * jump
-
-
 # ---------------------------------------------------------------------------
 # the scheme
 
@@ -262,7 +243,7 @@ class _P0Step(BlockStep):
         prm = self.scheme.params
         beta = tc.beta_delta_mat(sig, prm.reg)        # the one decomposition
         flux = tc.relax_flux_of_beta(beta, tc.trace(sig), prm.reg)
-        coupling = self.scheme.grad.T @ tc.to_full(flux).reshape(-1)
+        coupling = self.scheme.grad_t @ tc.to_full(flux).reshape(-1)
         fixed = (self.scheme.weights[:, None]
                  * (self.sigma_prev / self.dt - flux / prm.wi))
         return (self.rhs_u_base - (prm.eps / prm.wi) * coupling,

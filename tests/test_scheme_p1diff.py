@@ -6,6 +6,7 @@ homogeneous oracle, the conserved trace integral and the obtuse-mesh
 certification flag.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from fenep.params import ModelParams
 from fenep.scheme_p1diff import (
     SchemeP1Diff,
     TimeStepWarning,
+    corner_coefficients,
     lambda_matrix,
     lambda_scalar,
     lambda_transport,
@@ -171,6 +173,62 @@ def test_lambda_transport_is_pairwise_stacking():
     want = np.einsum("kjm,kpj,kj->kmp", mesh.affine_Binv, mesh.affine_B, hat)
     assert np.array_equal(lambda_transport(mesh, transport_nodes(q, RP), RP),
                           want)
+
+
+def einsum_advection(mesh, u_cell, lam):
+    """Vertex advection contracted from the physical-frame Lambda.
+
+    The formula the step used before it mapped corner coefficients
+    directly; kept as the oracle of :func:`advection_map`.
+    """
+    if lam.ndim == 4:
+        contrib = np.einsum("km,kmpc,klp->klc", u_cell, lam, mesh.bary_grads)
+        adv = np.zeros((mesh.n_vertices, 3))
+        np.add.at(adv, mesh.cells.ravel(), contrib.reshape(-1, 3))
+        return adv
+    contrib = np.einsum("km,kmp,klp->kl", u_cell, lam, mesh.bary_grads)
+    adv = np.zeros(mesh.n_vertices)
+    np.add.at(adv, mesh.cells.ravel(), contrib.ravel())
+    return adv
+
+
+def test_advection_map_matches_einsum_contraction():
+    base = structured_unit_square(6)
+    pts = base.vertices.copy()
+    pts[:, 0] += 0.4 * pts[:, 1]
+    scheme = SchemeP1Diff(TriMesh(pts, base.cells), PARAMS)
+    mesh, v = scheme.mesh, scheme.v
+    rng = np.random.default_rng(12)
+    state, _ = quiet_initial(scheme, 0.1)
+    sig = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
+    rho = rng.uniform(0.0, 1.2 * RP.b, size=mesh.n_vertices)
+    nodes = transport_nodes(sig, RP)
+    nodes_r = transport_nodes(1.0 - rho / RP.b, RP)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # two steps of one scheme: each maps its own previous velocity
+    for _ in range(2):
+        u = rng.standard_normal(v.n_dofs)
+        state = dataclasses.replace(state, u=fe.DiscreteField(v, u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TimeStepWarning)
+            problem = scheme._block_step(state, 0.1)
+        u_cell = fe.cell_mean_velocity(mesh, v, u)
+        want = einsum_advection(mesh, u_cell,
+                                lambda_transport(mesh, nodes, RP))
+        want_r = einsum_advection(mesh, u_cell,
+                                  lambda_transport(mesh, nodes_r, RP))
+        amap = problem.adv_map
+        assert amap.shape == (mesh.n_vertices, 2 * mesh.n_cells)
+        assert close(amap @ corner_coefficients(mesh, nodes, RP)
+                     .reshape(-1, 3), want)
+        assert close(amap @ corner_coefficients(mesh, nodes_r, RP)
+                     .reshape(-1), want_r)
+        adv = problem.stress_terms(sig, rho)[1][3]
+        assert close(adv[:, :3], want)
+        assert close(adv[:, 3], -RP.b * want_r)
 
 
 # ---------------------------------------------------------------------------
