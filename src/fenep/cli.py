@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensorcalc as tc
 from .meshing import MeshError, TriMesh, audit_mesh, load_mesh, save_mesh, structured_unit_square
 from .nlsolve import PicardConfig, SolverError
 from .params import ModelParams, ParameterError, validate_time_steps
@@ -126,6 +125,10 @@ def _as_float(raw, where):
         raise ConfigError(f"{where} must be a number, got {raw!r}") from None
 
 
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def _as_int(raw, where):
     try:
         return int(raw)
@@ -199,6 +202,8 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
             f"{scenario!r}")
     amplitude = _as_float(_get(cfg, "model", "amplitude", "1.0"),
                           "[model] amplitude")
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"[model] amplitude must be finite, got {amplitude}")
 
     n_raw = _get(cfg, "mesh", "n")
     file_raw = _get(cfg, "mesh", "file")
@@ -213,21 +218,30 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
         raise ConfigError("[time] dt and tmax are required")
     dt = _as_float(dt_raw, "[time] dt")
     tmax = _as_float(tmax_raw, "[time] tmax")
-    if not (dt > 0 and tmax > 0):
-        raise ConfigError("[time] dt and tmax must be positive")
+    if not (_positive(dt) and _positive(tmax)):
+        raise ConfigError("[time] dt and tmax must be positive and finite")
     dt0 = _as_float(_get(cfg, "time", "dt0", repr(dt)), "[time] dt0")
+    if not _positive(dt0):
+        raise ConfigError(f"[time] dt0 must be positive and finite, got {dt0}")
 
-    picard = PicardConfig(
-        tol=_as_float(_get(cfg, "solver", "tol", "1e-10"), "[solver] tol"),
-        max_iters=_as_int(_get(cfg, "solver", "max_iters", "200"),
-                          "[solver] max_iters"),
-        min_damping=_as_float(_get(cfg, "solver", "min_damping",
-                                   repr(1.0 / 16.0)),
-                              "[solver] min_damping"))
+    tol = _as_float(_get(cfg, "solver", "tol", "1e-10"), "[solver] tol")
+    max_iters = _as_int(_get(cfg, "solver", "max_iters", "200"),
+                        "[solver] max_iters")
+    min_damping = _as_float(
+        _get(cfg, "solver", "min_damping", repr(1.0 / 16.0)),
+        "[solver] min_damping")
+    try:
+        picard = PicardConfig(tol=tol, max_iters=max_iters,
+                              min_damping=min_damping)
+    except ValueError as exc:
+        raise ConfigError(f"[solver] {exc}") from exc
 
     out_dir = overrides.get("out") or _get(cfg, "output", "dir", "out")
     vtk_every = _as_int(_get(cfg, "output", "vtk_every", "0"),
                         "[output] vtk_every")
+    if vtk_every < 0:
+        raise ConfigError(
+            f"[output] vtk_every must be 0 (off) or positive, got {vtk_every}")
     return RunSetup(
         scheme=scheme, velocity=velocity, params=params, scenario=scenario,
         amplitude=amplitude, mesh_n=mesh_n, mesh_file=file_raw, shear=shear,
@@ -318,43 +332,19 @@ def run_simulation(setup: RunSetup) -> RunResult:
                               forcing=forcing)
         state, init_report = scheme.project_initial(setup.dt0, u0, sigma0)
 
-    f0 = state.energy
-    w0, _ = tc.eig_sym(state.sigma)
-    rows = [{
-        "step": 0, "t": state.t, "F_total": f0.total, "kinetic": f0.kinetic,
-        "entropy": f0.entropy, "kinetic_jump": 0.0, "viscous": 0.0,
-        "relaxation": 0.0, "diffusion_sigma": 0.0, "diffusion_rho": 0.0,
-        "forcing": 0.0, "trace_balance": _initial_balance(state, scheme),
-        "min_eig_sigma": float(w0[..., 0].min()),
-        "max_trace_sigma": float(tc.trace(state.sigma).max()),
-        "picard_iters": 0, "residual": 0.0, "audit_pass": True,
-    }]
-
+    rows = [_row(0, state, 0, 0.0)]
     all_pass = True
     snapshots = []
     worst = None
     for step in range(1, n_steps + 1):
         state, report, audit = scheme.step(state, setup.dt, setup.picard)
-        fb = state.energy
         all_pass &= audit.passed
         if worst is None or report.iterations > worst["iterations"]:
             worst = {"step": step, "iterations": report.iterations,
                      "history": report.history}
         if setup.vtk_every > 0 and step % setup.vtk_every == 0:
             snapshots.append((step, state))
-        rows.append({
-            "step": step, "t": state.t, "F_total": fb.total,
-            "kinetic": fb.kinetic, "entropy": fb.entropy,
-            "kinetic_jump": audit.kinetic_jump, "viscous": audit.viscous,
-            "relaxation": audit.relaxation,
-            "diffusion_sigma": audit.diffusion_sigma,
-            "diffusion_rho": audit.diffusion_rho, "forcing": audit.forcing,
-            "trace_balance": audit.trace_balance,
-            "min_eig_sigma": audit.min_eig_sigma,
-            "max_trace_sigma": audit.max_trace_sigma,
-            "picard_iters": report.iterations, "residual": report.residual,
-            "audit_pass": audit.passed,
-        })
+        rows.append(_row(step, state, report.iterations, report.residual))
 
     summary = {
         "scheme": setup.scheme,
@@ -394,10 +384,21 @@ def run_simulation(setup: RunSetup) -> RunResult:
                      snapshots)
 
 
-def _initial_balance(state, scheme) -> float:
-    if state.rho is None:
-        return 0.0
-    return float(scheme.weights @ (tc.trace(state.sigma) - state.rho))
+def _row(step: int, state, picard_iters: int, residual: float) -> dict:
+    """The ``energy.csv`` row of a state, from its energy and its audit."""
+    f, audit = state.energy, state.audit
+    return {
+        "step": step, "t": state.t, "F_total": f.total, "kinetic": f.kinetic,
+        "entropy": f.entropy, "kinetic_jump": audit.kinetic_jump,
+        "viscous": audit.viscous, "relaxation": audit.relaxation,
+        "diffusion_sigma": audit.diffusion_sigma,
+        "diffusion_rho": audit.diffusion_rho, "forcing": audit.forcing,
+        "trace_balance": audit.trace_balance,
+        "min_eig_sigma": audit.min_eig_sigma,
+        "max_trace_sigma": audit.max_trace_sigma,
+        "picard_iters": picard_iters, "residual": residual,
+        "audit_pass": audit.passed,
+    }
 
 
 def _json_float(x):
@@ -521,7 +522,7 @@ def _write_outputs(setup: RunSetup, result: RunResult) -> None:
         fh.write("\n")
     def snapshot(path, st):
         vel = result.scheme.v.vertex_values(st.u.values)
-        if result.scheme.LAYOUT == "cell":
+        if setup.scheme == "p0":
             write_vtk(path, result.mesh, vel, cell_tensors=st.sigma)
         else:
             write_vtk(path, result.mesh, vel, point_tensors=st.sigma,

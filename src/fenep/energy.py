@@ -13,9 +13,16 @@ Conventions: the free energy is
     F = (Re/2) |u|^2  +  (eps / 2 Wi) * integral(entropy density)
 
 with the entropy density of :func:`fenep.tensorcalc.entropy_density`
-(regularized, nonnegative at admissible states).  The stress layout
-``"cell"`` integrates cellwise constants, ``"vertex"`` uses the lumped
-vertex rule of the diffusive scheme.
+(regularized, nonnegative at admissible states).  The integral is the
+weighted sum over the stress nodes with the scheme's quadrature
+``weights``: the cell areas of the cellwise scheme, the lumped vertex
+weights of the diffusive one.
+
+Every stress quantity the audit needs is a spectral function of the
+stress plus the trace variable ``eta``, so the functions here take the
+eigenvalues ``eigs`` (n, 2) of :func:`fenep.tensorcalc.eig_sym` rather
+than the tensors: a caller decomposes each audited state once and hands
+the same spectrum to every term.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorcalc as tc
-from .fespaces import lumped_weights
 from .params import ModelParams
 
 __all__ = [
@@ -37,7 +43,6 @@ __all__ = [
     "relaxation_dissipation",
     "tensor_gradient_energy",
     "audit_slack",
-    "audit_step",
     "SpdAudit",
     "spd_audit",
 ]
@@ -53,51 +58,45 @@ class EnergyBreakdown:
         return self.kinetic + self.entropy
 
 
-def free_energy(params: ModelParams, mesh, mass_mat, u_coeffs,
-                sigma, eta=None, layout: str = "cell") -> EnergyBreakdown:
+def free_energy(params: ModelParams, weights, mass_mat, u_coeffs,
+                eigs, eta) -> EnergyBreakdown:
     """Discrete free energy of a state.
 
-    ``sigma`` holds symmetric tensors (n, 3); ``eta`` is the auxiliary
-    trace field where the scheme carries one, else the trace of sigma.
+    ``eigs`` (n, 2) are the eigenvalues of the stress at the n nodes of
+    the quadrature ``weights``; ``eta`` is the auxiliary trace field
+    where the scheme carries one, else the trace of the stress.
     """
     u = np.asarray(u_coeffs, float)
     kinetic = 0.5 * params.re * float(u @ (mass_mat @ u))
-    sigma = np.asarray(sigma, float)
-    if eta is None:
-        eta = tc.trace(sigma)
-    if layout == "cell":
-        w = mesh.cell_areas
-    elif layout == "vertex":
-        w = lumped_weights(mesh)
-    else:
-        raise ValueError("layout must be 'cell' or 'vertex'")
-    dens = tc.entropy_density(sigma, np.asarray(eta, float), params.reg)
-    entropy = params.eps / (2.0 * params.wi) * float(w @ dens)
+    dens = tc.entropy_density(eigs, eta, params.reg)
+    entropy = params.eps / (2.0 * params.wi) * float(weights @ dens)
     return EnergyBreakdown(kinetic, entropy)
 
 
-def relaxation_integrand(params: ModelParams, sigma, eta=None) -> np.ndarray:
+def relaxation_integrand(params: ModelParams, eigs, eta) -> np.ndarray:
     """Pointwise tr(A^2 beta) with A the regularized relaxation tensor.
 
     This is the quantity whose weighted sum, scaled by eps / (2 Wi^2),
-    the energy estimate collects as relaxation dissipation.  Nonnegative
+    the energy estimate collects as relaxation dissipation.  A and beta
+    are spectral functions of the stress in one eigenframe, so from its
+    eigenvalues ``eigs`` it is ``sum_i (c - g'(w_i))^2 max(w_i, delta)``
+    with ``c = g'(1 - eta/b)`` (1 in the Oldroyd-B limit).  Nonnegative
     for every argument.
     """
-    sigma = np.asarray(sigma, float)
-    if eta is None:
-        eta = tc.trace(sigma)
     rp = params.reg
-    a = tc.relax_reg(sigma, np.asarray(eta, float), rp)
-    beta = tc.beta_delta_mat(sigma, rp)
-    af = tc.to_full(a)
-    bf = tc.to_full(beta)
-    prod = af @ af @ bf
-    return prod[..., 0, 0] + prod[..., 1, 1]
+    eigs = np.asarray(eigs, float)
+    _, gp = tc.g_delta(eigs, rp)
+    if rp.oldroyd_b:
+        coef = 1.0
+    else:
+        _, coef = tc.g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
+        coef = coef[..., None]
+    return ((coef - gp) ** 2 * tc.beta_delta(eigs, rp)).sum(axis=-1)
 
 
-def relaxation_dissipation(params: ModelParams, weights, sigma, eta=None) -> float:
+def relaxation_dissipation(params: ModelParams, weights, eigs, eta) -> float:
     """Weighted relaxation dissipation rate eps/(2 Wi^2) * sum(w * tr(A^2 beta))."""
-    vals = relaxation_integrand(params, sigma, eta)
+    vals = relaxation_integrand(params, eigs, eta)
     return params.eps / (2.0 * params.wi ** 2) * float(np.asarray(weights) @ vals)
 
 
@@ -123,7 +122,7 @@ def audit_slack(tol: float, f_before: float, f_after: float) -> float:
     return max(1e-8, 100.0 * tol * (abs(f_before) + abs(f_after) + 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StepAudit:
     """Outcome of one free-energy budget check.
 
@@ -132,7 +131,10 @@ class StepAudit:
     Nonnegative margin means the step respected its energy estimate.
     When ``certified_gradient_terms`` is False (obtuse cells present),
     the diffusion gradient terms carry no guarantee and are excluded
-    from the required dissipation; they are still reported.
+    from the required dissipation; they are still reported.  All
+    dissipation fields are per-step totals (already multiplied by the
+    step length), taken from the assembled operators of the scheme; the
+    terms a scheme does not have default to zero.
     """
 
     f_before: float
@@ -140,12 +142,12 @@ class StepAudit:
     kinetic_jump: float
     viscous: float
     relaxation: float
-    diffusion_sigma: float
-    diffusion_rho: float
-    forcing: float
+    diffusion_sigma: float = 0.0
+    diffusion_rho: float = 0.0
+    forcing: float = 0.0
     slack: float
-    certified_gradient_terms: bool
-    trace_balance: float
+    certified_gradient_terms: bool = True
+    trace_balance: float = 0.0
     min_eig_sigma: float
     max_trace_sigma: float
 
@@ -160,29 +162,6 @@ class StepAudit:
     @property
     def passed(self) -> bool:
         return bool(self.margin >= 0.0)
-
-
-def audit_step(f_before: float, f_after: float, *, kinetic_jump: float,
-               viscous: float, relaxation: float, diffusion_sigma: float = 0.0,
-               diffusion_rho: float = 0.0, forcing: float = 0.0,
-               slack: float, certified_gradient_terms: bool = True,
-               trace_balance: float = 0.0, min_eig_sigma: float,
-               max_trace_sigma: float) -> StepAudit:
-    """Assemble a :class:`StepAudit`; see the class for the pass rule.
-
-    All dissipation arguments are per-step totals (already multiplied by
-    the step length), taken from the assembled operators of the scheme.
-    """
-    return StepAudit(
-        f_before=float(f_before), f_after=float(f_after),
-        kinetic_jump=float(kinetic_jump), viscous=float(viscous),
-        relaxation=float(relaxation), diffusion_sigma=float(diffusion_sigma),
-        diffusion_rho=float(diffusion_rho), forcing=float(forcing),
-        slack=float(slack),
-        certified_gradient_terms=bool(certified_gradient_terms),
-        trace_balance=float(trace_balance),
-        min_eig_sigma=float(min_eig_sigma),
-        max_trace_sigma=float(max_trace_sigma))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ the test suite against closed-form monomial integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -272,7 +272,6 @@ class VelocitySpace:
             self.dirichlet_mask = np.concatenate([sc_boundary, sc_boundary])
             self.vertex_dof_x = np.arange(n_p)
             self.vertex_dof_y = n_s + np.arange(n_p)
-            self._scalar_repeat = 2
 
         elif kind == "velocity_p2_reduced":
             # linear vector part plus one quadratic normal bubble per edge
@@ -289,7 +288,6 @@ class VelocitySpace:
             self.dirichlet_mask = np.concatenate([bvert, bvert, bedge])
             self.vertex_dof_x = np.arange(n_p)
             self.vertex_dof_y = n_p + np.arange(n_p)
-            self._scalar_repeat = None
         else:
             raise ValueError(f"unknown velocity kind {kind!r}")
 

@@ -34,7 +34,6 @@ __all__ = [
     "MeshError",
     "MeshFormatError",
     "MeshAudit",
-    "AffineMap",
     "TriMesh",
     "structured_unit_square",
     "audit_mesh",
@@ -67,15 +66,6 @@ class MeshAudit:
     max_regularity_ratio: float
     quasi_uniform_ratio: float
     min_area: float
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine map x = origin + B xi from the reference triangle to a cell."""
-
-    origin: np.ndarray
-    matrix: np.ndarray
-    inverse_transpose: np.ndarray
 
 
 class TriMesh:
@@ -230,12 +220,6 @@ class TriMesh:
     @property
     def h_max(self) -> float:
         return float(self.cell_diameters.max())
-
-    def affine(self, k: int) -> AffineMap:
-        """Affine reference map of cell ``k``."""
-        return AffineMap(self.vertices[self.cells[k, 0]].copy(),
-                         self.affine_B[k].copy(),
-                         self.affine_Binv[k].T.copy())
 
     def cells_with_interior_vertex(self) -> np.ndarray:
         """Per-cell flag: at least one vertex off the boundary."""

@@ -54,8 +54,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import (EnergyBreakdown, audit_slack, audit_step, free_energy,
-                     relaxation_dissipation, spd_audit)
+from . import tensorcalc as tc
+from .energy import (EnergyBreakdown, StepAudit, audit_slack, free_energy,
+                     relaxation_dissipation)
 from .fespaces import (DiscreteField, build_space, convection_matrix,
                        gradient_matrix, gradient_trace,
                        pressure_integral_vector, velocity_load,
@@ -133,6 +134,15 @@ class PicardConfig:
     min_damping: float = 1.0 / 16.0
     divergence_factor: float = 1e8
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not 0.0 < self.min_damping <= 1.0:
+            raise ValueError(
+                f"min_damping must lie in (0, 1], got {self.min_damping}")
+
 
 @dataclass
 class SolveReport:
@@ -203,7 +213,10 @@ class State:
     finite extensibility bound, else None.  ``energy`` is the free energy
     of the state under the parameters of the scheme that made it; the
     next step takes it as its starting energy, and computes that value
-    itself only when ``energy`` is None.
+    itself only when ``energy`` is None.  ``audit`` is the budget check
+    of the step that made the state; an initial state carries the check
+    of a step of length zero (no dissipation, no work), which records its
+    trace balance and stress bounds.
     """
 
     u: DiscreteField
@@ -212,6 +225,7 @@ class State:
     rho: np.ndarray | None = None
     t: float = 0.0
     energy: EnergyBreakdown | None = None
+    audit: StepAudit | None = None
 
 
 class BlockStep:
@@ -327,12 +341,16 @@ class BlockStep:
 class ImplicitScheme:
     """Operators, free energy and the audited implicit step of a scheme.
 
-    A subclass names its spaces (``VELOCITIES``, ``PRESSURE``) and the
-    quadrature of its stress fields (``LAYOUT`` for
-    :func:`fenep.energy.free_energy` and the matching ``weights``), and
-    supplies ``_block_step(state, dt)``, the :class:`BlockStep` of one
-    step.  ``_extra_audit_terms`` adds scheme-specific terms to the
-    energy budget.
+    A subclass names its spaces (``VELOCITIES``, ``PRESSURE``), sets
+    ``weights``, the quadrature of its stress nodes that every stress
+    integral of the energy budget uses, and supplies
+    ``_block_step(state, dt)``, the :class:`BlockStep` of one step.
+    ``_extra_audit_terms`` adds scheme-specific terms to the budget.
+
+    Each audited state is decomposed once: :func:`fenep.tensorcalc.eig_sym`
+    of its stress gives the eigenvalues that the free energy, the
+    relaxation dissipation and the positivity bound take, and the
+    eigenframe that ``_extra_audit_terms`` may use.
 
     Operators that depend on the step size are factorized on the first
     step that needs them and kept in a one-entry cache per operator
@@ -407,19 +425,37 @@ class ImplicitScheme:
         """Fixed free x free pattern of the per-step convection."""
         return velocity_pattern(self.v, self.free)
 
-    def _free_energy(self, u, sigma, rho) -> EnergyBreakdown:
-        return free_energy(self.params, self.mesh, self.mass, u, sigma, rho,
-                           layout=self.LAYOUT)
+    def _bounds(self, sig, rho, eigs) -> dict:
+        """Trace balance, smallest eigenvalue and largest trace of a stress."""
+        tr = tc.trace(sig)
+        return {"trace_balance": (0.0 if rho is None
+                                  else float(self.weights @ (tr - rho))),
+                "min_eig_sigma": float(eigs[:, 0].min()),
+                "max_trace_sigma": float(tr.max())}
 
-    def _extra_audit_terms(self, sig, rho, dt: float) -> dict:
+    def _start(self, u, sig, rho, eigs) -> State:
+        """The initial state of the given fields at zero pressure, with its
+        free energy and its zero-length audit, from ``eigs``, the
+        eigenvalues of ``sig`` (the state's one decomposition)."""
+        f0 = free_energy(self.params, self.weights, self.mass, u, eigs,
+                         _eta(sig, rho))
+        audit = StepAudit(f_before=f0.total, f_after=f0.total,
+                          kinetic_jump=0.0, viscous=0.0, relaxation=0.0,
+                          slack=0.0, **self._bounds(sig, rho, eigs))
+        return State(DiscreteField(self.v, u),
+                     DiscreteField(self.q, np.zeros(self.q.n_dofs)), sig, rho,
+                     energy=f0, audit=audit)
+
+    def _extra_audit_terms(self, eigs, vecs, rho, dt: float) -> dict:
         return {}
 
     def step(self, state: State, dt: float,
              config: PicardConfig | None = None):
         """Advance one step; returns (state, solve report, energy audit).
 
-        Raises :class:`SolverError` when the Picard iteration fails, with
-        the report attached as ``exc.report``.
+        The audit is also the new state's ``audit``.  Raises
+        :class:`SolverError` when the Picard iteration fails, with the
+        report attached as ``exc.report``.
         """
         cfg = config or PicardConfig()
         problem = self._block_step(state, dt)
@@ -433,23 +469,30 @@ class ImplicitScheme:
             raise err
         u, p, sig, rho = problem.split(x)
 
-        prm = self.params
+        prm, w = self.params, self.weights
+        eigs, vecs = tc.eig_sym(sig)       # the one decomposition of the state
+        eta = _eta(sig, rho)
+        f_after = free_energy(prm, w, self.mass, u, eigs, eta)
         f_before = state.energy
         if f_before is None:
-            f_before = self._free_energy(state.u.values, state.sigma,
-                                         state.rho)
-        f_after = self._free_energy(u, sig, rho)
+            f_before = free_energy(prm, w, self.mass, state.u.values,
+                                   tc.eig_sym(state.sigma)[0],
+                                   _eta(state.sigma, state.rho))
         du = u - state.u.values
-        relax = relaxation_dissipation(prm, self.weights, sig, rho)
-        spd = spd_audit(sig, prm.b)
-        audit = audit_step(
-            f_before.total, f_after.total,
+        audit = StepAudit(
+            f_before=f_before.total, f_after=f_after.total,
             kinetic_jump=0.5 * prm.re * float(du @ (self.mass @ du)),
             viscous=dt * (1.0 - prm.eps) * float(u @ (self.stiff @ u)),
-            relaxation=dt * relax, forcing=dt * float(self.fvec @ u),
+            relaxation=dt * relaxation_dissipation(prm, w, eigs, eta),
+            forcing=dt * float(self.fvec @ u),
             slack=audit_slack(cfg.tol, f_before.total, f_after.total),
-            min_eig_sigma=spd.min_eig, max_trace_sigma=spd.max_trace,
-            **self._extra_audit_terms(sig, rho, dt))
+            **self._bounds(sig, rho, eigs),
+            **self._extra_audit_terms(eigs, vecs, rho, dt))
         new_state = State(DiscreteField(self.v, u), DiscreteField(self.q, p),
-                          sig, rho, state.t + dt, f_after)
+                          sig, rho, state.t + dt, f_after, audit)
         return new_state, report, audit
+
+
+def _eta(sig, rho):
+    """The trace variable: the carried trace field, else the trace of sig."""
+    return tc.trace(sig) if rho is None else rho

@@ -41,7 +41,7 @@ from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
 from .energy import SpdAudit, spd_audit
-from .fespaces import DiscreteField, gauss01, triangle_rule, velocity_load
+from .fespaces import gauss01, triangle_rule, velocity_load
 from .meshing import TriMesh
 from .nlsolve import (BlockStep, ImplicitScheme, PicardConfig,
                       SaddleOperator, State)
@@ -51,8 +51,6 @@ __all__ = [
     "SchemeP0",
     "upwind_fluxes",
     "upwind_matrix",
-    "SpdAudit",
-    "spd_audit",
     "ContinuationReport",
     "delta_continuation",
 ]
@@ -179,7 +177,6 @@ class SchemeP0(ImplicitScheme):
 
     VELOCITIES = ("velocity_p2", "velocity_p2_reduced")
     PRESSURE = "pressure_p0"
-    LAYOUT = "cell"
 
     def __init__(self, mesh: TriMesh, params: ModelParams, *,
                  velocity: str = "velocity_p2",
@@ -220,9 +217,7 @@ class SchemeP0(ImplicitScheme):
                    else arr.copy())
             if sig.shape != (mesh.n_cells, 3):
                 raise ValueError("sigma0 must be (3,) or (n_cells, 3)")
-        return State(DiscreteField(v, u),
-                     DiscreteField(self.q, np.zeros(self.q.n_dofs)), sig,
-                     energy=self._free_energy(u, sig, None))
+        return self._start(u, sig, None, tc.eig_sym(sig)[0])
 
     def _block_step(self, state: State, dt: float) -> BlockStep:
         return _P0Step(self, state, dt)

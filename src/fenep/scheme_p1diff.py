@@ -50,8 +50,8 @@ from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
-from .fespaces import (DiscreteField, cell_mean_velocity, lumped_weights,
-                       scalar_stiffness, triangle_rule, velocity_load)
+from .fespaces import (cell_mean_velocity, lumped_weights, scalar_stiffness,
+                       triangle_rule, velocity_load)
 from .meshing import REF_GRADS, TriMesh, audit_mesh
 from .nlsolve import BlockStep, ImplicitScheme, State
 from .params import ModelParams
@@ -225,7 +225,6 @@ class SchemeP1Diff(ImplicitScheme):
 
     VELOCITIES = ("velocity_mini", "velocity_p2")
     PRESSURE = "pressure_p1"
-    LAYOUT = "vertex"
 
     def __init__(self, mesh: TriMesh, params: ModelParams, *,
                  velocity: str = "velocity_mini",
@@ -290,7 +289,7 @@ class SchemeP1Diff(ImplicitScheme):
         rho = None if self.params.oldroyd_b else tc.trace(sig)
 
         w_data, _ = tc.eig_sym(data_vals)
-        w_vert, _ = tc.eig_sym(sig)
+        w_vert, _ = tc.eig_sym(sig)        # the one decomposition of the state
         report = InitialReport(
             non_obtuse=self.non_obtuse,
             data_min_eig=float(w_data[..., 0].min()),
@@ -299,10 +298,7 @@ class SchemeP1Diff(ImplicitScheme):
             vertex_min_eig=float(w_vert[..., 0].min()),
             vertex_max_eig=float(w_vert[..., 1].max()),
             vertex_max_trace=float(tc.trace(sig).max()))
-        state = State(DiscreteField(v, u),
-                      DiscreteField(self.q, np.zeros(self.q.n_dofs)),
-                      sig, rho, energy=self._free_energy(u, sig, rho))
-        return state, report
+        return self._start(u, sig, rho, w_vert), report
 
     # -- one implicit step ------------------------------------------------------
 
@@ -310,19 +306,18 @@ class SchemeP1Diff(ImplicitScheme):
         self.check_step_size(dt)
         return _P1Step(self, state, dt)
 
-    def _extra_audit_terms(self, sig, rho, dt: float) -> dict:
-        """Diffusion gradient terms and the trace balance of the budget."""
+    def _extra_audit_terms(self, eigs, vecs, rho, dt: float) -> dict:
+        """Diffusion gradient terms of the budget; g'(sigma) is recomposed
+        in the eigenframe ``vecs`` of the audited stress."""
         prm, k = self.params, self.k_scalar
         scale = dt * prm.alpha * prm.eps * prm.delta ** 2 / (2.0 * prm.wi)
-        _, gp = tc.g_delta_mat(sig, prm.reg)
+        gp = tc._recompose(tc.g_delta(eigs, prm.reg)[1], vecs)
         terms = {"diffusion_sigma": scale * tensor_gradient_energy(k, gp),
                  "certified_gradient_terms": self.non_obtuse}
         if rho is not None:
             _, gp_tr = tc.g_delta(1.0 - rho / prm.b, prm.reg)
             terms["diffusion_rho"] = (scale * prm.b
                                       * tensor_gradient_energy(k, gp_tr))
-            terms["trace_balance"] = float(
-                self.weights @ (tc.trace(sig) - rho))
         return terms
 
 

@@ -293,7 +293,8 @@ def _h_delta_dd(x, y, rp: RegParams) -> np.ndarray:
     # piece above the kink: constant slope delta
     lin_part = d * (np.maximum(hi, cap) - np.maximum(lo, cap))
     dd = (log_part + lin_part) / safe
-    # h_delta'(s) = min(1/s, delta) ... careful: slope is 1/s below cap, delta above
+    # coincident arguments: h_delta'(s) = max(1/s, delta), which is 1/s up
+    # to the kink at 1/delta and delta above it
     deriv = np.where(lo <= cap, 1.0 / lo, d)
     return np.where(same, deriv, dd)
 
@@ -385,22 +386,23 @@ def k_delta_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
     return np.sqrt(beta_delta_b(eta, rp) / trace(beta))
 
 
-def entropy_density(phi, eta, rp: RegParams) -> np.ndarray:
-    """Regularized elastic entropy density.
+def entropy_density(eigs, eta, rp: RegParams) -> np.ndarray:
+    """Regularized elastic entropy density from the spectrum of ``phi``.
 
+    ``eigs`` (..., 2) are the eigenvalues of ``phi`` (:func:`eig_sym`);
+    the density is a spectral function, ``tr g(phi) = sum_i g(w_i)``.
     For finite ``b`` this is ``-[b g(1 - eta/b) + tr(g(phi) + I)]`` with
     the regularized logarithm ``g``; it is nonnegative whenever
     ``eta = trace(phi)``.  The Oldroyd-B limit drops the ``b``-term in
     favor of its limit ``eta -> trace(phi)`` contribution, giving
-    ``tr(phi - g(phi) - I)``.
+    ``tr(phi - g(phi) - I)``, and ignores ``eta``.
     """
-    eta = np.asarray(eta, float)
-    gval, _ = g_delta_mat(phi, rp)
-    tr_g = trace(gval)
+    eigs = np.asarray(eigs, float)
+    g, _ = g_delta(eigs, rp)
     if rp.oldroyd_b:
-        return trace(phi) - tr_g - 2.0
-    bval, _ = g_delta(1.0 - eta / rp.b, rp)
-    return -(rp.b * bval + tr_g + 2.0)
+        return (eigs - g).sum(axis=-1) - 2.0
+    bval, _ = g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
+    return -(rp.b * bval + g.sum(axis=-1) + 2.0)
 
 
 def relax_flux(phi, eta, rp: RegParams) -> np.ndarray:

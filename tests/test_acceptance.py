@@ -16,7 +16,7 @@ import scipy.optimize
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
-from fenep.energy import audit_step, free_energy
+from fenep.energy import StepAudit, free_energy
 from fenep.meshing import TriMesh, structured_unit_square
 from fenep.nlsolve import PicardConfig
 from fenep.params import ModelParams
@@ -287,14 +287,14 @@ def test_criterion_06_delta_continuation():
                   f"{rep.spd.max_trace:.4f} < b")
 
 
-def run_decay(scheme, state, dt, n_steps, layout):
+def run_decay(scheme, state, dt, n_steps):
     """Step a scheme and accumulate the telescoped budget pieces."""
-    params, mesh = scheme.params, scheme.mesh
+    params = scheme.params
 
     def total(st):
-        eta = getattr(st, "rho", None)
-        return free_energy(params, mesh, scheme.mass, st.u.values,
-                           st.sigma, eta, layout=layout).total
+        eta = tc.trace(st.sigma) if st.rho is None else st.rho
+        return free_energy(params, scheme.weights, scheme.mass, st.u.values,
+                           tc.eig_sym(st.sigma)[0], eta).total
 
     f0 = total(state)
     spent = 0.0
@@ -318,7 +318,7 @@ def test_criterion_07_telescoped_bound_and_alpha_independence():
     params = ModelParams(delta=0.1, **BASE)
     p0 = SchemeP0(mesh, params)
     f0, fend, spent, forc, slack = run_decay(
-        p0, p0.initial_state(u0, sigma0), 0.1, 10, "cell")
+        p0, p0.initial_state(u0, sigma0), 0.1, 10)
     bound_p0 = fend + spent <= f0 + forc + slack
 
     starts = []
@@ -328,7 +328,7 @@ def test_criterion_07_telescoped_bound_and_alpha_independence():
         scheme = SchemeP1Diff(mesh, prm)
         state, _ = scheme.project_initial(0.1, u0, sigma0)
         f0, fend, spent, forc, slack = run_decay(
-            scheme, state, 0.1, 10, "vertex")
+            scheme, state, 0.1, 10)
         starts.append(f0)
         bounds.append(fend + spent <= f0 + forc + slack)
     # the budget's right-hand side carries no alpha term: identical
@@ -350,8 +350,9 @@ def test_criterion_08_infinite_extensibility_collapse():
     scheme = SchemeP0(mesh, params)
     sigma = rng.uniform(0.3, 3.0, size=(mesh.n_cells, 3))
     sigma[:, 1] = 0.2 * rng.standard_normal(mesh.n_cells)
-    bd = free_energy(params, mesh, scheme.mass,
-                     np.zeros(scheme.v.n_dofs), sigma, layout="cell")
+    bd = free_energy(params, scheme.weights, scheme.mass,
+                     np.zeros(scheme.v.n_dofs), tc.eig_sym(sigma)[0],
+                     tc.trace(sigma))
     g, _ = tc.g_delta_mat(sigma, rp)
     direct = (params.eps / (2.0 * params.wi)) * float(
         mesh.cell_areas @ (tc.trace(sigma) - tc.trace(g) - 2.0))
@@ -461,10 +462,12 @@ def test_criterion_10_negative_controls():
     state, rep, aud = scheme.step(state, 0.1, CFG)
     assert rep.converged and aud.passed
 
-    corrupted_f = free_energy(params, mesh, scheme.mass, state.u.values,
-                              2.0 * state.sigma, layout="cell").total
-    corrupted = audit_step(
-        aud.f_before, corrupted_f, kinetic_jump=aud.kinetic_jump,
+    corrupted_f = free_energy(params, scheme.weights, scheme.mass,
+                              state.u.values, tc.eig_sym(2.0 * state.sigma)[0],
+                              tc.trace(2.0 * state.sigma)).total
+    corrupted = StepAudit(
+        f_before=aud.f_before, f_after=corrupted_f,
+        kinetic_jump=aud.kinetic_jump,
         viscous=aud.viscous, relaxation=aud.relaxation,
         forcing=aud.forcing, slack=aud.slack,
         min_eig_sigma=aud.min_eig_sigma,

@@ -12,7 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from fenep import energy
+from fenep import cli, energy
 from fenep.cli import (
     ENERGY_COLUMNS,
     ConfigError,
@@ -301,6 +301,41 @@ def test_run_exit_codes(tmp_path, capsys):
                        out="solverr")
     assert main(["run", cfg2]) == 4
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme, section, setting", [
+    ("p1diff", "time", "dt0 = nan"),
+    ("p1diff", "time", "dt0 = -1"),
+    ("p0", "solver", "tol = -1"),
+    ("p0", "solver", "tol = nan"),
+    ("p0", "solver", "max_iters = 0"),
+    ("p0", "model", "amplitude = nan"),
+    ("p0", "model", "amplitude = inf"),
+    ("p0", "solver", "min_damping = 0"),
+    ("p0", "solver", "min_damping = 2"),
+    ("p0", "output", "vtk_every = -3"),
+])
+def test_run_rejects_bad_settings_before_compute(tmp_path, capsys,
+                                                 monkeypatch, scheme,
+                                                 section, setting):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad setting")
+
+    monkeypatch.setattr(cli, "structured_unit_square", no_mesh)
+    sections = {"model": ["scenario = decay"], "mesh": ["n = 2"],
+                "time": ["dt = 0.1", "tmax = 0.2"],
+                "solver": [f"scheme = {scheme}"],
+                "output": [f"dir = {tmp_path / 'out'}"]}
+    if scheme == "p1diff":
+        sections["model"].append("alpha = 0.1")
+    sections[section].append(setting)
+    cfg = write_config(tmp_path, "".join(
+        f"[{name}]\n" + "".join(line + "\n" for line in lines)
+        for name, lines in sections.items()))
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and setting.split()[0] in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore:some cells have all vertices")

@@ -9,10 +9,11 @@ import scipy.sparse.linalg as spl
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
+from fenep import nlsolve
+from fenep.cli import build_setup, parse_config, run_simulation
 from fenep.energy import (
     StepAudit,
     audit_slack,
-    audit_step,
     free_energy,
     relaxation_dissipation,
     relaxation_integrand,
@@ -38,15 +39,17 @@ def test_free_energy_frozen_homogeneous_state():
     mesh, v, m = p2_setup()
     u = np.zeros(v.n_dofs)
     sig = np.tile(tc.IDENTITY, (mesh.n_cells, 1))
-    out = free_energy(PARAMS, mesh, m, u, sig, layout="cell")
+    out = free_energy(PARAMS, mesh.cell_areas, m, u, tc.eig_sym(sig)[0],
+                      tc.trace(sig))
     expected = -0.25 * (5.0 * math.log(0.6) + 2.0)
     assert out.kinetic == 0.0
     assert out.entropy == pytest.approx(expected, abs=1e-14)
     assert out.total == pytest.approx(0.1385320297074884, abs=1e-13)
-    # vertex layout with the matching trace field agrees exactly
+    # lumped vertex weights with the matching trace field agree exactly
     sig_v = np.tile(tc.IDENTITY, (mesh.n_vertices, 1))
     eta_v = 2.0 * np.ones(mesh.n_vertices)
-    out_v = free_energy(PARAMS, mesh, m, u, sig_v, eta_v, layout="vertex")
+    out_v = free_energy(PARAMS, fe.lumped_weights(mesh), m, u,
+                        tc.eig_sym(sig_v)[0], eta_v)
     assert out_v.total == pytest.approx(out.total, abs=1e-14)
 
 
@@ -57,7 +60,8 @@ def test_free_energy_kinetic_part():
     sig = np.tile(tc.IDENTITY, (mesh.n_cells, 1))
     re = 2.0
     params = ModelParams(re=re, wi=1.0, eps=0.5, b=5.0, delta=0.1)
-    out = free_energy(params, mesh, m, u, sig, layout="cell")
+    out = free_energy(params, mesh.cell_areas, m, u, tc.eig_sym(sig)[0],
+                      tc.trace(sig))
     assert out.kinetic == pytest.approx(0.5 * re * 25.0, abs=1e-10)
     assert out.total == pytest.approx(out.kinetic + out.entropy)
 
@@ -68,9 +72,10 @@ def test_relaxation_dissipation_closed_form():
     mesh = structured_unit_square(2)
     sig = np.tile(2.0 * tc.IDENTITY, (mesh.n_cells, 1))
     eta = 4.0 * np.ones(mesh.n_cells)
-    vals = relaxation_integrand(PARAMS, sig, eta)
+    eigs, _ = tc.eig_sym(sig)
+    vals = relaxation_integrand(PARAMS, eigs, eta)
     assert np.allclose(vals, 81.0)
-    d = relaxation_dissipation(PARAMS, mesh.cell_areas, sig, eta)
+    d = relaxation_dissipation(PARAMS, mesh.cell_areas, eigs, eta)
     assert d == pytest.approx(PARAMS.eps / (2.0 * PARAMS.wi ** 2) * 81.0)
 
 
@@ -78,7 +83,7 @@ def test_relaxation_dissipation_nonnegative_on_random_states():
     rng = np.random.default_rng(40)
     sig = rng.uniform(-5.0, 5.0, size=(400, 3))
     eta = rng.uniform(-5.0, 5.0, size=400)
-    vals = relaxation_integrand(PARAMS, sig, eta)
+    vals = relaxation_integrand(PARAMS, tc.eig_sym(sig)[0], eta)
     assert np.all(vals >= -1e-12)
 
 
@@ -87,7 +92,8 @@ def test_relaxation_dissipation_zero_at_equilibrium():
     c = b / (b + 2.0)
     sig = np.tile(c * tc.IDENTITY, (7, 1))
     eta = 2.0 * c * np.ones(7)
-    assert relaxation_dissipation(PARAMS, np.ones(7) / 7.0, sig, eta) == \
+    eigs, _ = tc.eig_sym(sig)
+    assert relaxation_dissipation(PARAMS, np.ones(7) / 7.0, eigs, eta) == \
         pytest.approx(0.0, abs=1e-14)
 
 
@@ -121,29 +127,32 @@ def test_step_audit_margin_and_pass():
                   diffusion_sigma=0.05, diffusion_rho=0.01, forcing=0.0,
                   slack=1e-8, trace_balance=0.0, min_eig_sigma=0.5,
                   max_trace_sigma=3.0)
-    ok = audit_step(2.0, 1.3, certified_gradient_terms=True, **common)
+    ok = StepAudit(f_before=2.0, f_after=1.3, certified_gradient_terms=True,
+                   **common)
     assert isinstance(ok, StepAudit)
     assert ok.margin == pytest.approx(2.0 - 1.3 - 0.66 + 1e-8)
     assert ok.passed
-    bad = audit_step(2.0, 1.5, certified_gradient_terms=True, **common)
+    bad = StepAudit(f_before=2.0, f_after=1.5, certified_gradient_terms=True,
+                    **common)
     assert bad.margin < 0 and not bad.passed
     # uncertified gradient terms drop out of the requirement: a budget
     # between the two thresholds passes only without them
-    border = audit_step(2.0, 1.37, certified_gradient_terms=False, **common)
+    border = StepAudit(f_before=2.0, f_after=1.37,
+                       certified_gradient_terms=False, **common)
     assert border.margin == pytest.approx(2.0 - 1.37 - 0.6 + 1e-8)
     assert border.passed
-    assert not audit_step(2.0, 1.37, certified_gradient_terms=True,
-                          **common).passed
+    assert not StepAudit(f_before=2.0, f_after=1.37,
+                         certified_gradient_terms=True, **common).passed
 
 
 def test_step_audit_forcing_enters_budget():
-    audit = audit_step(1.0, 1.5, kinetic_jump=0.0, viscous=0.0,
-                       relaxation=0.0, forcing=0.6, slack=1e-8,
-                       min_eig_sigma=1.0, max_trace_sigma=2.0)
+    audit = StepAudit(f_before=1.0, f_after=1.5, kinetic_jump=0.0,
+                      viscous=0.0, relaxation=0.0, forcing=0.6, slack=1e-8,
+                      min_eig_sigma=1.0, max_trace_sigma=2.0)
     assert audit.passed
-    audit2 = audit_step(1.0, 1.5, kinetic_jump=0.0, viscous=0.0,
-                        relaxation=0.0, forcing=0.4, slack=1e-8,
-                        min_eig_sigma=1.0, max_trace_sigma=2.0)
+    audit2 = StepAudit(f_before=1.0, f_after=1.5, kinetic_jump=0.0,
+                       viscous=0.0, relaxation=0.0, forcing=0.4, slack=1e-8,
+                       min_eig_sigma=1.0, max_trace_sigma=2.0)
     assert not audit2.passed
 
 
@@ -176,7 +185,6 @@ def _p1diff_start(b):
 ], ids=["p0", "p1diff", "p1diff-oldroyd-b"])
 def test_step_carries_free_energy(start):
     scheme, state = start()
-    layout = "cell" if isinstance(scheme, SchemeP0) else "vertex"
     cfg = PicardConfig(tol=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TimeStepWarning)
@@ -185,9 +193,117 @@ def test_step_carries_free_energy(start):
             state, report, audit = scheme.step(state, 0.05, cfg)
             assert report.converged and audit.passed
             assert audit.f_before == f_prev
-            fresh = free_energy(scheme.params, scheme.mesh, scheme.mass,
-                                state.u.values, state.sigma, state.rho,
-                                layout=layout)
+            eta = (tc.trace(state.sigma) if state.rho is None
+                   else state.rho)
+            fresh = free_energy(scheme.params, scheme.weights, scheme.mass,
+                                state.u.values, tc.eig_sym(state.sigma)[0],
+                                eta)
             assert state.energy == fresh
             assert audit.f_after == fresh.total
     assert np.abs(state.u.values).max() > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue forms against the full-matrix compositions they replace
+
+
+def entropy_oracle(phi, eta, rp):
+    """Entropy density from the trace of the matrix function g(phi)."""
+    tr_g = tc.trace(tc.g_delta_mat(phi, rp)[0])
+    if rp.oldroyd_b:
+        return tc.trace(phi) - tr_g - 2.0
+    return -(rp.b * tc.g_delta(1.0 - eta / rp.b, rp)[0] + tr_g + 2.0)
+
+
+def relaxation_oracle(phi, eta, rp):
+    """tr(A A beta) from the matrices A = relax_reg and beta_delta_mat."""
+    a = tc.to_full(tc.relax_reg(phi, eta, rp))
+    prod = a @ a @ tc.to_full(tc.beta_delta_mat(phi, rp))
+    return prod[..., 0, 0] + prod[..., 1, 1]
+
+
+def oracle_tensors(rng, b):
+    """Random symmetric tensors with indefinite ones, repeated eigenvalues
+    and traces beyond b, and trace variables coupled and independent."""
+    n = 600
+    phi = rng.uniform(-5.0, 5.0, size=(n, 3))
+    phi[:100, 1] = 0.0                      # diagonal
+    phi[:50, 2] = phi[:50, 0]               # xx = yy, xy = 0: repeated
+    phi[100:200] *= 3.0                     # traces well beyond b = 5
+    phi[200:250] = rng.uniform(0.01, 0.2) * tc.IDENTITY   # below delta
+    eta = tc.trace(phi).copy()
+    eta[::2] = rng.uniform(-3.0 * b, 3.0 * b, size=n // 2)
+    return phi, eta
+
+
+@pytest.mark.parametrize("b", [5.0, math.inf], ids=["fene-p", "oldroyd-b"])
+def test_eigenvalue_forms_match_the_matrix_compositions(b):
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=b, delta=0.1)
+    rp = params.reg
+    phi, eta = oracle_tensors(np.random.default_rng(4040),
+                              5.0 if math.isinf(b) else b)
+    eigs, _ = tc.eig_sym(phi)
+    assert np.any(eigs[:, 0] < 0.0) and np.any(tc.trace(phi) > 5.0)
+    assert np.any(eigs[:, 0] == eigs[:, 1])
+
+    ent = tc.entropy_density(eigs, eta, rp)
+    ent_ref = entropy_oracle(phi, eta, rp)
+    # relative to the size of the summands, since they cancel at equilibrium
+    size = np.abs(tc.g_delta(eigs, rp)[0]).sum(axis=1) + np.abs(phi).sum(axis=1)
+    if not rp.oldroyd_b:
+        size += rp.b * np.abs(tc.g_delta(1.0 - eta / rp.b, rp)[0])
+    assert np.all(np.abs(ent - ent_ref) <= 1e-12 * (2.0 + size))
+
+    relax = relaxation_integrand(params, eigs, eta)
+    relax_ref = relaxation_oracle(phi, eta, rp)
+    assert np.all(relax >= 0.0)
+    assert np.all(np.abs(relax - relax_ref) <= 1e-12 * (1.0 + relax_ref))
+
+
+# ---------------------------------------------------------------------------
+# one spectral decomposition per audited state
+
+
+@pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
+@pytest.mark.parametrize("scheme", ["p0", "p1diff"])
+def test_each_audited_state_is_decomposed_once(tmp_path, monkeypatch,
+                                               scheme):
+    """eig_sym calls of a run outside the Picard loop, by phase and by
+    the shape of the decomposed field."""
+    calls = []
+    phase = ["setup"]
+
+    def counted(phi, _fn=tc.eig_sym):
+        calls.append((phase[0], np.shape(phi)))
+        return _fn(phi)
+
+    def in_phase(name, fn):
+        def wrapped(*args, **kwargs):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return wrapped
+
+    monkeypatch.setattr(tc, "eig_sym", counted)
+    monkeypatch.setattr(nlsolve, "picard_solve",
+                        in_phase("picard", nlsolve.picard_solve))
+    monkeypatch.setattr(nlsolve.ImplicitScheme, "step",
+                        in_phase("step", nlsolve.ImplicitScheme.step))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[model]\nscenario = forced-cavity\n"
+        + ("alpha = 0.1\n" if scheme == "p1diff" else "")
+        + f"[mesh]\nn = 3\n[time]\ndt = 0.1\ntmax = 0.3\n"
+        f"[solver]\nscheme = {scheme}\n[output]\ndir = {tmp_path}\n")
+    result = run_simulation(build_setup(parse_config(cfg)))
+    stress = result.state.sigma.shape
+    assert len(result.rows) == 4
+    outside = [c for c in calls if c[0] != "picard"]
+    assert outside.count(("setup", stress)) == 1
+    assert outside.count(("step", stress)) == 3
+    # the only other decomposition is p1diff's range check of the data
+    others = [c for c in outside if c[1] != stress]
+    assert others == ([] if scheme == "p0" else [("setup", others[0][1])])
+    assert any(c[0] == "picard" for c in calls)

@@ -13,12 +13,12 @@ import pytest
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
+from fenep.energy import spd_audit
 from fenep.meshing import structured_unit_square
 from fenep.nlsolve import PicardConfig, SolverError
 from fenep.scheme_p0 import (
     SchemeP0,
     delta_continuation,
-    spd_audit,
     upwind_fluxes,
     upwind_matrix,
 )

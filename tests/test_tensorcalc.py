@@ -255,24 +255,26 @@ def test_k_delta_frozen():
 
 
 def test_entropy_density_frozen_and_nonnegative():
-    assert tc.entropy_density(tc.IDENTITY, 2.0, RP_TENTH) == pytest.approx(
+    eig_i, _ = tc.eig_sym(tc.IDENTITY)
+    assert tc.entropy_density(eig_i, 2.0, RP_TENTH) == pytest.approx(
         0.5541281188299536, abs=1e-13)
-    assert tc.entropy_density(tc.IDENTITY, None, RP_OB) == pytest.approx(0.0)
+    assert tc.entropy_density(eig_i, None, RP_OB) == pytest.approx(0.0)
     # nonnegative on the coupled slice eta = tr(phi), and never below
     # eta - tr(phi) for independent eta
     rng = np.random.default_rng(20)
     phi = random_sym(rng, 500)
+    eigs, _ = tc.eig_sym(phi)
     eta = rng.uniform(-6.0, 6.0, size=500)
-    vals = tc.entropy_density(phi, eta, RP_TENTH)
+    vals = tc.entropy_density(eigs, eta, RP_TENTH)
     assert np.all(vals >= eta - tc.trace(phi) - 1e-12)
-    coupled = tc.entropy_density(phi, tc.trace(phi), RP_TENTH)
+    coupled = tc.entropy_density(eigs, tc.trace(phi), RP_TENTH)
     assert np.all(coupled >= -1e-12)
     # coupled minimum sits at the equilibrium state with the closed-form
     # offset left by the Oldroyd-B normalization
     b = 5.0
     c = b / (b + 2.0)
     e_eq = -(b + 2.0) * math.log(c) - 2.0
-    assert tc.entropy_density(c * tc.IDENTITY, 2.0 * c, RP_TENTH) == \
+    assert tc.entropy_density(c * eig_i, 2.0 * c, RP_TENTH) == \
         pytest.approx(e_eq, abs=1e-13)
     assert np.all(coupled >= e_eq - 1e-12)
 
