@@ -456,8 +456,9 @@ def audit_csv(path, tol: float = 1e-10):
 
     Uses only the table itself: for each row, the previous row's total
     plus forcing must cover the new total plus all recorded dissipation,
-    within ``tol`` scaled by the energy magnitudes.  Returns
-    ``(ok, failures)`` with the offending step numbers.
+    within ``tol`` scaled by the energy magnitudes.  A step whose budget
+    reads a value that is not finite fails.  Returns ``(ok, failures)``
+    with the offending step numbers.
     """
     rows = read_energy_csv(path)
     failures = []
@@ -466,7 +467,10 @@ def audit_csv(path, tol: float = 1e-10):
                  + cur["relaxation"] + cur["diffusion_sigma"]
                  + cur["diffusion_rho"])
         slack = tol * (1.0 + abs(prev["F_total"]) + abs(cur["F_total"]))
-        if spent > prev["F_total"] + cur["forcing"] + slack:
+        budget = prev["F_total"] + cur["forcing"] + slack
+        # a NaN or inf column leaves its sum non-finite
+        if not (math.isfinite(spent) and math.isfinite(budget)
+                and spent <= budget):
             failures.append(cur["step"])
     return (not failures), failures
 
@@ -475,8 +479,9 @@ def write_vtk(path, mesh: TriMesh, velocity_vertices, *, point_tensors=None,
               cell_tensors=None, rho=None, title="fenep state") -> None:
     """Write a legacy-ASCII VTK snapshot of one state.
 
-    Velocity is always vertexwise (z component zero); the stress goes to
-    POINT_DATA or CELL_DATA depending on the scheme's layout.
+    Velocity is always vertexwise (z component zero); ``point_tensors``
+    (with the trace ``rho``) go to POINT_DATA and ``cell_tensors`` to
+    CELL_DATA.
     """
     v = np.asarray(velocity_vertices, float)
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",

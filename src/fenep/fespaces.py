@@ -419,9 +419,8 @@ def velocity_mass(mesh: TriMesh, v: VelocitySpace, degree: int | None = None):
     return _to_csr(cellvals, v.cell_dofs, v.cell_dofs, (v.n_dofs, v.n_dofs))
 
 
-def velocity_stiffness(mesh: TriMesh, v: VelocitySpace, degree: int | None = None):
-    rule = triangle_rule(degree if degree is not None else
-                         max(2 * (v.degree - 1), 2 * v.degree - 2, 1))
+def velocity_stiffness(mesh: TriMesh, v: VelocitySpace):
+    rule = triangle_rule(max(2 * v.degree - 2, 1))
     gx = _shape_grads(mesh, v, rule)
     e = np.einsum("kiqd,kjqd,q->kij", gx, gx, rule.weights)
     dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
@@ -595,8 +594,8 @@ def cell_mean_velocity(mesh: TriMesh, v: VelocitySpace, coeffs) -> np.ndarray:
     return np.einsum("kqd,q->kd", u, rule.weights) * mesh.cell_areas[:, None]
 
 
-def scalar_mass(mesh: TriMesh, s: ScalarSpace, degree: int | None = None):
-    rule = triangle_rule(degree if degree is not None else max(2 * s.degree, 1))
+def scalar_mass(mesh: TriMesh, s: ScalarSpace):
+    rule = triangle_rule(max(2 * s.degree, 1))
     val = s.val(rule.points)
     m = np.einsum("qi,qj,q->ij", val, val, rule.weights)
     cellvals = m[None] * mesh.cell_areas[:, None, None]

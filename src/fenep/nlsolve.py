@@ -22,15 +22,16 @@ and Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).
 The step is exposed to the driver as a fixed-point problem: one
 ``sweep`` performs a block Gauss-Seidel pass through the factorized
 linear blocks with the other fields frozen, the convection lagged at
-the velocity of the iterate, and ``residual`` evaluates the monolithic
+the velocity of the iterate, and ``residual`` measures the monolithic
 implicit residual at a state, convection included, preconditioned
 block-wise by the same factorized operators so its entries carry the
 units of the unknowns themselves.  Lagging the convection changes the
-path of the iteration, not its fixed point.  Everything that depends on
-the stress iterate alone (its spectral decomposition, the relaxation
-flux, the momentum coupling and the transport terms) is computed once
-per iterate: the residual computes it, and the sweep that follows from
-the same iterate reuses it.
+path of the iteration, not its fixed point.  By linearity that
+residual is the increment of one block-Jacobi pass through the
+factorizations, so the step's operator is held only in them: the
+residual computes the pass's stress terms (the spectral decomposition,
+relaxation flux, momentum coupling and transport of the iterate) and
+its saddle solve, and the sweep from the same iterate reuses both.
 
 The driver blends each sweep with a relaxation factor chosen two ways:
 a secant (Aitken) update estimates the dominant contraction factor from
@@ -72,6 +73,10 @@ __all__ = [
     "BlockStep",
     "ImplicitScheme",
 ]
+
+
+#: the driver gives up once the residual exceeds this multiple of its start
+DIVERGENCE_FACTOR = 1e8
 
 
 class SolverError(RuntimeError):
@@ -132,7 +137,6 @@ class PicardConfig:
     tol: float = 1e-10
     max_iters: int = 200
     min_damping: float = 1.0 / 16.0
-    divergence_factor: float = 1e8
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -167,7 +171,7 @@ def picard_solve(problem, x0, config: PicardConfig | None = None):
     x = np.asarray(x0, float).copy()
     r = problem.residual(x)
     threshold = cfg.tol * problem.scale
-    guard = cfg.divergence_factor * (r + threshold)
+    guard = DIVERGENCE_FACTOR * (r + threshold)
     history = [r]
     omega = 1.0
     incr_prev = None
@@ -238,12 +242,11 @@ class BlockStep:
     velocity/pressure block is the scheme's :class:`SaddleOperator` of
     ``Re/dt M + (1-eps) K`` with ``B``, factorized once per step size
     (:meth:`ImplicitScheme.saddle_operator`); the step adds only the
-    convection ``c_ff = Re C(u_prev)`` on the free dofs, which the sweep
-    moves to its right-hand side at the velocity of the iterate and the
-    residual applies in its matvec.  The k scalar blocks share one
-    matrix, which a subclass sets as ``s_mat`` with its factorization
-    ``scalar_lu`` after this constructor.  On the first step of a step
-    size the saddle matrix is therefore factored first (factoring the
+    convection ``c_ff = Re C(u_prev)`` on the free dofs, which the block
+    pass moves to its right-hand side at the velocity of the iterate.
+    The k scalar blocks share one matrix, whose factorization a subclass
+    sets as ``scalar_lu`` after this constructor.  On the first step of a
+    step size the saddle matrix is therefore factored first (factoring the
     small matrix first raised the peak memory of a run by a few MB).
     Factorizations held across steps raise the floor under every later
     peak, so the convection fills the data array of a fixed pattern
@@ -256,11 +259,14 @@ class BlockStep:
     ``rhs_scalars(u, frozen)`` adds the velocity-dependent deformation
     term to give the (m, k) scalar right-hand sides.
 
-    The stress terms are computed once per iterate.  The driver sweeps
-    from the iterate whose residual it evaluated last, so the sweep
-    reuses the residual's terms from a one-entry cache keyed on a copy
-    of the (m, k) scalar block.  The key is compared by value; an
-    iterate holding NaN never equals it and is always recomputed.
+    One cached block pass per iterate serves both methods: the stress
+    terms and the saddle solve ``(u_new, p_new)`` of ``rhs_u - c_ff u``.
+    ``sweep`` returns ``(u_new, p_new, S^-1 R(u_new))``, ``residual`` the
+    norm of ``(u_new - u, p_new - p, S^-1 R(u) - s)`` with ``R`` the
+    ``rhs_scalars``: the block solve of the monolithic residual whenever
+    ``p`` has zero mean, as the saddle solve and the driver's blends
+    keep it.  The one-entry cache is keyed on a copy of the whole
+    iterate, compared by value; an iterate holding NaN never equals it.
     """
 
     def __init__(self, scheme: ImplicitScheme, state: State, dt: float):
@@ -271,11 +277,9 @@ class BlockStep:
         self.sigma_prev = state.sigma
         self.rho_prev = state.rho
         self.free = scheme.free
-        self.b_f = scheme.b_free
-        self.b_ft = scheme.b_free_t
 
-        self.a_ff, self.saddle = scheme.saddle_operator(dt)
-        # Re C(u_prev) on the free dofs; filled in place, no second a_ff
+        self.saddle = scheme.saddle_operator(dt)
+        # Re C(u_prev) on the free dofs; filled in place on a fixed pattern
         self.c_ff = convection_matrix(scheme.mesh, scheme.v, u_prev,
                                       scheme.free_pattern)
         self.c_ff.data *= prm.re
@@ -289,8 +293,7 @@ class BlockStep:
                    else np.column_stack([state.sigma, state.rho]))
         self.x0 = self.pack(u_prev, state.p.values, scalars)
         self.scale = float(np.linalg.norm(self.x0)) + 1.0
-        self._terms_key = None
-        self._terms = None
+        self._pass_key = self._pass = None
 
     def pack(self, u, p, scalars):
         return np.concatenate([u, p, np.asarray(scalars).T.ravel()])
@@ -304,38 +307,35 @@ class BlockStep:
         rho = s[:, 3] if self.k == 4 else None
         return x[:self.n_u], x[self.n_u:self.n_up], s[:, :3], rho
 
-    def _stress_terms(self, x):
-        scalars = self._scalars(x)
-        if not np.array_equal(self._terms_key, scalars):
-            _, _, sig, rho = self.split(x)
-            self._terms = self.stress_terms(sig, rho)
-            self._terms_key = scalars.copy()
-        return self._terms
+    def _block_pass(self, x):
+        """``(frozen, u_new, p_new)``: the stress terms of ``x`` and the
+        saddle solve with the convection lagged at the velocity of ``x``."""
+        if not np.array_equal(self._pass_key, x):
+            u, _, sig, rho = self.split(x)
+            rhs_u, frozen = self.stress_terms(sig, rho)
+            u_f, p_new = self.saddle.solve(
+                rhs_u[self.free] - self.c_ff @ u[self.free])
+            u_new = np.zeros(self.n_u)
+            u_new[self.free] = u_f
+            self._pass = (frozen, u_new, p_new)
+            self._pass_key = x.copy()
+        return self._pass
 
-    def sweep(self, x):
-        rhs_u, frozen = self._stress_terms(x)
-        u_lag = x[:self.n_u][self.free]
-        u_f, p_new = self.saddle.solve(rhs_u[self.free] - self.c_ff @ u_lag)
-        u_new = np.zeros(self.n_u)
-        u_new[self.free] = u_f
-        scalars = self.scalar_lu.solve(self.rhs_scalars(u_new, frozen))
+    def _scalar_solve(self, u, frozen):
+        scalars = self.scalar_lu.solve(self.rhs_scalars(u, frozen))
         if not np.all(np.isfinite(scalars)):
             raise SolverError("scalar solve produced non-finite values")
-        return self.pack(u_new, p_new, scalars)
+        return scalars
+
+    def sweep(self, x):
+        frozen, u_new, p_new = self._block_pass(x)
+        return self.pack(u_new, p_new, self._scalar_solve(u_new, frozen))
 
     def residual(self, x):
-        u, p, _, _ = self.split(x)
-        rhs_u, frozen = self._stress_terms(x)
-        u_f = u[self.free]
-        r_u = (rhs_u[self.free] - self.a_ff @ u_f - self.c_ff @ u_f
-               - self.b_ft @ p)
-        r_div = -(self.b_f @ u_f)
-        e_u, e_p = self.saddle.solve(r_u, r_div)
-        total = float(e_u @ e_u + e_p @ e_p)
-        r_s = self.rhs_scalars(u, frozen) - self.s_mat @ self._scalars(x)
-        for e_c in self.scalar_lu.solve(r_s).T:
-            total += float(e_c @ e_c)
-        return math.sqrt(total)
+        frozen, u_new, p_new = self._block_pass(x)
+        u = x[:self.n_u]
+        return float(np.linalg.norm(
+            self.pack(u_new, p_new, self._scalar_solve(u, frozen)) - x))
 
 
 class ImplicitScheme:
@@ -366,8 +366,8 @@ class ImplicitScheme:
     cancels in the energy estimate: ``grad_t @ W`` is the momentum term
     ``integral( W : grad(v) )`` and ``grad @ u`` the tested velocity
     gradient of the stress equation's deformation term.  Its trace rows
-    are the divergence ``div``.  ``grad_t`` and ``b_free_t`` are the
-    transposes, bound once as views that share the arrays.
+    are the divergence ``div``.  ``grad_t`` is the transpose, bound once
+    as a view that shares the arrays.
     """
 
     def __init__(self, mesh, params, velocity: str, pressure: str, forcing):
@@ -390,7 +390,6 @@ class ImplicitScheme:
         self.free = np.nonzero(~self.v.dirichlet_mask)[0]
         self.b_free = self.div[:, self.free].tocsr()
         self.grad_t = self.grad.T
-        self.b_free_t = self.b_free.T
         self.forcing = forcing
         self.fvec = (velocity_load(mesh, self.v, forcing)
                      if forcing is not None else np.zeros(self.v.n_dofs))
@@ -407,16 +406,16 @@ class ImplicitScheme:
             self._cache[name] = (key, build())
         return self._cache[name][1]
 
-    def saddle_operator(self, dt: float):
-        """``(a_ff, saddle)``: ``Re/dt M + (1-eps) K`` on the free dofs and
-        its factorized saddle matrix with ``B``."""
+    def saddle_operator(self, dt: float) -> SaddleOperator:
+        """The factorized saddle matrix of ``Re/dt M + (1-eps) K`` on the
+        free dofs with ``B``."""
         prm = self.params
 
         def build():
             a_mat = (prm.re / dt) * self.mass + (1.0 - prm.eps) * self.stiff
             a_ff = a_mat[self.free][:, self.free].tocsr()
             del a_mat  # freed before the factorization, the memory peak
-            return a_ff, SaddleOperator(a_ff, self.b_free, self.mean_p)
+            return SaddleOperator(a_ff, self.b_free, self.mean_p)
 
         return self._cached("saddle", (dt, prm.re, prm.eps), build)
 

@@ -230,9 +230,8 @@ class _P0Step(BlockStep):
         super().__init__(scheme, state, dt)
         mesh = scheme.mesh
         transport = upwind_matrix(mesh, scheme.v, state.u.values)
-        s_mat = sp.diags(mesh.cell_areas / dt) + transport
-        self.scalar_lu = splu(s_mat.tocsc())
-        self.s_mat = s_mat.tocsr()
+        self.scalar_lu = splu((sp.diags(mesh.cell_areas / dt)
+                               + transport).tocsc())
 
     def stress_terms(self, sig, rho):
         prm = self.scheme.params

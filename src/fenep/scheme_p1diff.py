@@ -70,6 +70,11 @@ __all__ = [
 ]
 
 
+#: the theory covers dt <= DT_CAP_CSTAR * alpha^(1 + DT_CAP_ZETA) * h^2
+DT_CAP_CSTAR = 1.0
+DT_CAP_ZETA = 1.0
+
+
 class TimeStepWarning(UserWarning):
     """The step size exceeds the range the convergence theory covers."""
 
@@ -228,32 +233,27 @@ class SchemeP1Diff(ImplicitScheme):
 
     def __init__(self, mesh: TriMesh, params: ModelParams, *,
                  velocity: str = "velocity_mini",
-                 pressure: str = "pressure_p1", forcing=None,
-                 dt_cap_zeta: float = 1.0, dt_cap_cstar: float = 1.0):
+                 pressure: str = "pressure_p1", forcing=None):
         if params.alpha is None:
             raise ValueError("this scheme requires a diffusion alpha > 0")
         super().__init__(mesh, params, velocity, pressure, forcing)
         self.weights = lumped_weights(mesh)
         self.k_scalar = scalar_stiffness(mesh)
         self.non_obtuse = audit_mesh(mesh).non_obtuse
-        self.dt_cap_zeta = dt_cap_zeta
-        self.dt_cap_cstar = dt_cap_cstar
 
     def scalar_operator(self, dt: float):
-        """``(s_mat, lu)``: the shared matrix lumped/dt + alpha * stiffness
-        and its factorization."""
+        """The factorization of the shared matrix lumped/dt + alpha *
+        stiffness."""
         alpha = self.params.alpha
 
         def build():
-            s_mat = sp.diags(self.weights / dt) + alpha * self.k_scalar
-            s_mat = s_mat.tocsc()
-            return s_mat.tocsr(), splu(s_mat)
+            return splu((sp.diags(self.weights / dt)
+                         + alpha * self.k_scalar).tocsc())
 
         return self._cached("scalar", (dt, alpha), build)
 
     def check_step_size(self, dt: float) -> None:
-        cap = (self.dt_cap_cstar
-               * self.params.alpha ** (1.0 + self.dt_cap_zeta)
+        cap = (DT_CAP_CSTAR * self.params.alpha ** (1.0 + DT_CAP_ZETA)
                * self.mesh.h_max ** 2)
         if dt > cap * (1.0 + 1e-12):
             warnings.warn(
@@ -377,7 +377,7 @@ class _P1Step(BlockStep):
 
     def __init__(self, scheme: SchemeP1Diff, state: State, dt: float):
         super().__init__(scheme, state, dt)
-        self.s_mat, self.scalar_lu = scheme.scalar_operator(dt)
+        self.scalar_lu = scheme.scalar_operator(dt)
         # the transport velocity is explicit in the previous velocity, so
         # the advection is one fixed linear map of the corner coefficients
         self.adv_map = advection_map(

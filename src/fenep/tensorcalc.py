@@ -62,10 +62,8 @@ __all__ = [
     "neg_part",
     "relax_classic",
     "relax_reg",
-    "k_delta",
     "k_delta_of_beta",
     "entropy_density",
-    "relax_flux",
     "relax_flux_of_beta",
     "lemma_margins_pair",
     "lemma_margins_scalar",
@@ -369,17 +367,13 @@ def relax_reg(phi, eta, rp: RegParams) -> np.ndarray:
     return tensor(coef - gp[..., 0], -gp[..., 1], coef - gp[..., 2])
 
 
-def k_delta(phi, eta, rp: RegParams) -> np.ndarray:
-    """Stress-scaling factor sqrt(beta_delta_b(eta) / tr(beta_delta(phi))).
+def k_delta_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
+    """Stress-scaling factor sqrt(beta_delta_b(eta) / tr(beta_delta(phi)))
+    from ``beta = beta_delta_mat(phi)``.
 
     Bounds the momentum coupling in L2: ||k A beta||^2 <= b tr(A^2 beta)
     pointwise.  The Oldroyd-B limit of the scheme uses k = 1.
     """
-    return k_delta_of_beta(beta_delta_mat(phi, rp), eta, rp)
-
-
-def k_delta_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
-    """:func:`k_delta` from ``beta = beta_delta_mat(phi)``."""
     eta = np.asarray(eta, float)
     if rp.oldroyd_b:
         return np.ones(np.broadcast_shapes(np.shape(eta), np.shape(beta)[:-1]))
@@ -405,8 +399,9 @@ def entropy_density(eigs, eta, rp: RegParams) -> np.ndarray:
     return -(rp.b * bval + g.sum(axis=-1) + 2.0)
 
 
-def relax_flux(phi, eta, rp: RegParams) -> np.ndarray:
-    """The product A_delta(phi, eta) beta_delta(phi) in component form.
+def relax_flux_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
+    """The product A_delta(phi, eta) beta_delta(phi) in component form,
+    from ``beta = beta_delta_mat(phi)``.
 
     Both factors are spectral functions of ``phi`` (plus a multiple of the
     identity), so they commute and the product is symmetric; using
@@ -418,11 +413,6 @@ def relax_flux(phi, eta, rp: RegParams) -> np.ndarray:
     momentum equation couples to the velocity gradient and the stress
     relaxation drives to zero.
     """
-    return relax_flux_of_beta(beta_delta_mat(phi, rp), eta, rp)
-
-
-def relax_flux_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
-    """:func:`relax_flux` from ``beta = beta_delta_mat(phi)``."""
     if rp.oldroyd_b:
         return beta - IDENTITY
     eta = np.asarray(eta, float)
@@ -495,7 +485,7 @@ def lemma_margins_pair(phi, psi, eta, rp: RegParams) -> dict[str, np.ndarray]:
     out["relax_quadratic"] = relax_quad
 
     if not rp.oldroyd_b:
-        k = k_delta(phi, eta, rp)
+        k = k_delta_of_beta(b_phi, eta, rp)
         kab = k[..., None] * from_full(to_full(a) @ to_full(b_phi), tol=1e-9)
         out["k_coupling_bound"] = rp.b * relax_quad - frob_norm(kab) ** 2
     return out

@@ -39,7 +39,8 @@ def _check_frozen_values():
     rp2 = tc.RegParams(0.1, 5.0)
     flux = tc.relax_reg(tc.IDENTITY, 2.0, rp2)
     ok &= np.allclose(flux, (2.0 / 3.0) * tc.IDENTITY, atol=1e-15)
-    ok &= math.isclose(tc.k_delta(tc.IDENTITY, 8.0, tc.RegParams(0.1, 5.0)),
+    beta = tc.beta_delta_mat(tc.IDENTITY, rp2)
+    ok &= math.isclose(tc.k_delta_of_beta(beta, 8.0, rp2),
                        math.sqrt(2.5), abs_tol=1e-15)
     return ok, "closed-form values of g, h, relaxation, coupling weight"
 
@@ -121,7 +122,8 @@ def _check_equilibrium():
     rp = tc.RegParams(0.1, b)
     c = b / (b + 2.0)
     sig = c * tc.IDENTITY
-    res = float(np.max(np.abs(tc.relax_flux(sig, 2.0 * c, rp))))
+    flux = tc.relax_flux_of_beta(tc.beta_delta_mat(sig, rp), 2.0 * c, rp)
+    res = float(np.max(np.abs(flux)))
     return res <= 1e-15, f"relaxation residual at equilibrium {res:.2e}"
 
 

@@ -6,6 +6,7 @@ them.
 """
 
 import json
+import math
 import sys
 import textwrap
 
@@ -427,6 +428,24 @@ def test_audit_command_pass_and_fail(tmp_path, capsys):
 
     rows = read_energy_csv(csv_path)
     rows[-1]["F_total"] += 1.0
+    write_energy_csv(csv_path, rows)
+    ok, failures = audit_csv(csv_path)
+    assert not ok and failures == [rows[-1]["step"]]
+    assert main(["audit", str(csv_path)]) == 5
+    assert "audit FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"F_total": math.nan}, {"viscous": math.nan}, {"relaxation": math.nan},
+    {"F_total": math.inf, "forcing": math.inf}],
+    ids=["F_nan", "viscous_nan", "relaxation_nan", "F_forcing_inf"])
+def test_audit_fails_a_step_with_non_finite_terms(tmp_path, capsys, bad):
+    cfg = base_config(tmp_path)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    csv_path = tmp_path / "out" / "energy.csv"
+    rows = read_energy_csv(csv_path)
+    rows[-1].update(bad)
     write_energy_csv(csv_path, rows)
     ok, failures = audit_csv(csv_path)
     assert not ok and failures == [rows[-1]["step"]]

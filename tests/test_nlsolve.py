@@ -1,6 +1,7 @@
 """Tests for the saddle-point operator, the damped Picard driver and the
-block step both schemes share (its stress-terms cache, solve checks and
-the per-step-size saddle factorization).
+block step both schemes share (its block-pass cache, its residual
+against the monolithic form, solve checks and the per-step-size saddle
+factorization).
 
 The manufactured Stokes forcing below was generated symbolically from
 the stream function psi = x^2 (1-x)^2 y^2 (1-y)^2 (velocity u = curl
@@ -13,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
@@ -312,16 +314,21 @@ def test_sweep_from_an_unevaluated_iterate_matches_a_fresh_step(kind):
     scheme, state = stirred_state(kind)
     problem = block_step(scheme, state)
     x = problem.sweep(problem.x0)
-    y = x.copy()
-    y[problem.n_up::problem.m] *= 1.01        # every scalar block moves
-    fresh_y = block_step(scheme, state).sweep(y)
-    assert not np.array_equal(fresh_y, block_step(scheme, state).sweep(x))
-    problem.residual(x)
-    assert np.array_equal(problem.sweep(y), fresh_y)
-    # the same array, changed in place after its residual
-    problem.residual(x)
-    x[problem.n_up::problem.m] *= 1.01
-    assert np.array_equal(problem.sweep(x), fresh_y)
+    # every scalar block moves; the velocity alone moves
+    for part in (slice(problem.n_up, None, problem.m),
+                 slice(0, problem.n_u)):
+        y = x.copy()
+        y[part] *= 1.01
+        fresh_y = block_step(scheme, state).sweep(y)
+        assert not np.array_equal(fresh_y,
+                                  block_step(scheme, state).sweep(x))
+        problem.residual(x)
+        assert np.array_equal(problem.sweep(y), fresh_y)
+        # the same array, changed in place after its residual
+        z = x.copy()
+        problem.residual(z)
+        z[part] *= 1.01
+        assert np.array_equal(problem.sweep(z), fresh_y)
 
 
 @pytest.mark.parametrize("kind", SCHEMES)
@@ -345,6 +352,66 @@ def test_nan_iterate_is_never_served_from_the_cache(kind):
     problem.residual(problem.x0)
     problem.sweep(problem.x0)
     assert len(calls) == 4
+
+
+def count_saddle_solves(monkeypatch):
+    """Count the SaddleOperator solves from here on."""
+    calls = []
+    solve = nlsolve.SaddleOperator.solve
+
+    def counted(self, *args):
+        calls.append(1)
+        return solve(self, *args)
+
+    monkeypatch.setattr(nlsolve.SaddleOperator, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_residual_and_sweep_share_one_saddle_solve(kind, monkeypatch):
+    scheme, state = stirred_state(kind)
+    problem = block_step(scheme, state)
+    x = problem.sweep(problem.x0)
+    calls = count_saddle_solves(monkeypatch)
+    problem.residual(x)
+    problem.sweep(x)
+    assert len(calls) == 1
+
+
+def scalar_matrix(scheme, state, dt):
+    """The matrix the k scalar blocks of a step share."""
+    if isinstance(scheme, scheme_p0.SchemeP0):
+        return (sp.diags(scheme.mesh.cell_areas / dt)
+                + scheme_p0.upwind_matrix(scheme.mesh, scheme.v,
+                                          state.u.values))
+    return (sp.diags(scheme.weights / dt)
+            + scheme.params.alpha * scheme.k_scalar)
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_residual_matches_the_monolithic_block_solve(kind):
+    """The residual is the block solve of the monolithic implicit
+    residual, convection included, with every matvec written out."""
+    scheme, state = stirred_state(kind)
+    dt = 0.5
+    problem = block_step(scheme, state, dt)
+    x = 0.5 * (problem.x0 + problem.sweep(problem.x0))   # not converged
+    prm, free = scheme.params, scheme.free
+    u, p, sig, rho = problem.split(x)
+    rhs_u, frozen = problem.stress_terms(sig, rho)
+    a_ff = ((prm.re / dt) * scheme.mass
+            + (1.0 - prm.eps) * scheme.stiff).tocsr()[free][:, free]
+    b_f = scheme.div.tocsr()[:, free]
+    u_f = u[free]
+    r_u = rhs_u[free] - (a_ff + problem.c_ff) @ u_f - b_f.T @ p
+    e_u, e_p = bordered_solve(a_ff, b_f, scheme.mean_p, r_u, -(b_f @ u_f))
+    s_mat = scalar_matrix(scheme, state, dt).toarray()
+    scalars = x[problem.n_up:].reshape(problem.k, problem.m).T
+    e_s = np.linalg.solve(
+        s_mat, problem.rhs_scalars(u, frozen) - s_mat @ scalars)
+    want = np.sqrt(e_u @ e_u + e_p @ e_p + np.sum(e_s * e_s))
+    assert want > 1e-3
+    assert problem.residual(x) == pytest.approx(want, rel=1e-10)
 
 
 class NaNFactor:

@@ -19,6 +19,8 @@ from fenep.meshing import TriMesh, structured_unit_square
 from fenep.nlsolve import PicardConfig, SolverError
 from fenep.params import ModelParams
 from fenep.scheme_p1diff import (
+    DT_CAP_CSTAR,
+    DT_CAP_ZETA,
     SchemeP1Diff,
     TimeStepWarning,
     corner_coefficients,
@@ -254,7 +256,7 @@ def test_velocity_pairing_enforced():
 
 def test_step_size_warning_threshold():
     scheme = make_scheme(2)
-    cap = (scheme.dt_cap_cstar * PARAMS.alpha ** (1.0 + scheme.dt_cap_zeta)
+    cap = (DT_CAP_CSTAR * PARAMS.alpha ** (1.0 + DT_CAP_ZETA)
            * scheme.mesh.h_max ** 2)
     with pytest.warns(TimeStepWarning):
         scheme.check_step_size(2.0 * cap)

@@ -229,9 +229,9 @@ def test_relax_flux_is_commuted_product():
     rng = np.random.default_rng(19)
     phi = random_sym(rng, 120)
     eta = rng.uniform(-6.0, 6.0, size=120)
-    flux = tc.relax_flux(phi, eta, RP_TENTH)
-    a = tc.relax_reg(phi, eta, RP_TENTH)
     beta = tc.beta_delta_mat(phi, RP_TENTH)
+    flux = tc.relax_flux_of_beta(beta, eta, RP_TENTH)
+    a = tc.relax_reg(phi, eta, RP_TENTH)
     prod = tc.to_full(a) @ tc.to_full(beta)
     assert np.allclose(tc.to_full(flux), prod, atol=1e-10)
 
@@ -241,16 +241,22 @@ def test_relax_flux_vanishes_at_equilibrium():
         rp = tc.RegParams(0.1, min(0.1, b) if b < 0.1 else 0.1)
         rp = tc.RegParams(rp.delta, b)
         c = b / (b + 2.0)
-        flux = tc.relax_flux(c * tc.IDENTITY, 2.0 * c, rp)
+        beta = tc.beta_delta_mat(c * tc.IDENTITY, rp)
+        flux = tc.relax_flux_of_beta(beta, 2.0 * c, rp)
         assert np.allclose(flux, 0.0, atol=1e-14)
-    flux = tc.relax_flux(tc.IDENTITY, None, RP_OB)
+    beta = tc.beta_delta_mat(tc.IDENTITY, RP_OB)
+    flux = tc.relax_flux_of_beta(beta, None, RP_OB)
     assert np.allclose(flux, 0.0, atol=1e-15)
 
 
 def test_k_delta_frozen():
-    assert tc.k_delta(tc.IDENTITY, 8.0, RP_TENTH) == pytest.approx(
+    def k_delta(phi, eta):
+        return tc.k_delta_of_beta(tc.beta_delta_mat(phi, RP_TENTH), eta,
+                                  RP_TENTH)
+
+    assert k_delta(tc.IDENTITY, 8.0) == pytest.approx(
         1.5811388300841898, abs=1e-14)
-    assert tc.k_delta(3.0 * tc.IDENTITY, 0.0, RP_TENTH) == pytest.approx(
+    assert k_delta(3.0 * tc.IDENTITY, 0.0) == pytest.approx(
         0.12909944487358055, abs=1e-14)
 
 
@@ -284,8 +290,8 @@ def test_oldroyd_b_mode():
     assert not RP_TENTH.oldroyd_b
     rng = np.random.default_rng(21)
     phi = random_sym(rng, 50)
-    flux = tc.relax_flux(phi, None, RP_OB)
     beta = tc.beta_delta_mat(phi, RP_OB)
+    flux = tc.relax_flux_of_beta(beta, None, RP_OB)
     assert np.allclose(flux, beta - tc.IDENTITY, atol=1e-14)
 
 
