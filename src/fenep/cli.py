@@ -41,6 +41,7 @@ from .scheme_p1diff import SchemeP1Diff
 
 __all__ = [
     "ConfigError",
+    "SCHEMES",
     "main",
     "parse_config",
     "build_setup",
@@ -75,6 +76,8 @@ _SCHEMA = {
     "solver": {"scheme", "velocity", "tol", "max_iters", "min_damping"},
     "output": {"dir", "vtk_every"},
 }
+
+SCHEMES = {"p0": SchemeP0, "p1diff": SchemeP1Diff}
 
 _VELOCITY_TOKENS = {
     "p2": "velocity_p2",
@@ -166,22 +169,27 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
     scheme = oget("scheme", "solver", "scheme")
     if scheme is None:
         raise ConfigError("[solver] scheme is required (p0 or p1diff)")
-    if scheme not in ("p0", "p1diff"):
+    if scheme not in SCHEMES:
         raise ConfigError(f"scheme must be p0 or p1diff, got {scheme!r}")
+    kinds = SCHEMES[scheme].VELOCITIES
 
-    vel_raw = oget("velocity", "solver", "velocity",
-                   "p2" if scheme == "p0" else "mini")
-    if vel_raw not in _VELOCITY_TOKENS:
-        raise ConfigError(
-            f"velocity must be one of {sorted(_VELOCITY_TOKENS)}, "
-            f"got {vel_raw!r}")
-    velocity = _VELOCITY_TOKENS[vel_raw]
+    vel_raw = oget("velocity", "solver", "velocity")
+    velocity = kinds[0] if vel_raw is None else _VELOCITY_TOKENS.get(vel_raw)
+    if velocity not in kinds:
+        tokens = sorted(t for t, k in _VELOCITY_TOKENS.items() if k in kinds)
+        raise ConfigError(f"velocity of the {scheme} scheme must be one of "
+                          f"{tokens}, got {vel_raw!r}")
 
+    # the diffusion and the smoothing of the initial data are p1diff's own
     alpha_raw = oget("alpha", "model", "alpha")
+    dt0_raw = _get(cfg, "time", "dt0")
     if scheme == "p1diff" and alpha_raw is None:
         raise ConfigError("[model] alpha is required for the p1diff scheme")
-    if scheme == "p0" and alpha_raw is not None:
-        raise ConfigError("[model] alpha is not used by the p0 scheme")
+    if scheme == "p0":
+        for where, raw in (("[model] alpha", alpha_raw),
+                           ("[time] dt0", dt0_raw)):
+            if raw is not None:
+                raise ConfigError(f"{where} is not used by the p0 scheme")
     try:
         params = ModelParams(
             re=_as_float(oget("re", "model", "re", "1.0"), "[model] re"),
@@ -211,6 +219,8 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
         raise ConfigError("[mesh] needs exactly one of 'n' or 'file'")
     mesh_n = None if n_raw is None else _as_int(n_raw, "[mesh] n")
     shear = _as_float(_get(cfg, "mesh", "shear", "0.0"), "[mesh] shear")
+    if not math.isfinite(shear):
+        raise ConfigError(f"[mesh] shear must be finite, got {shear}")
 
     dt_raw = oget("dt", "time", "dt")
     tmax_raw = oget("tmax", "time", "tmax")
@@ -220,9 +230,12 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
     tmax = _as_float(tmax_raw, "[time] tmax")
     if not (_positive(dt) and _positive(tmax)):
         raise ConfigError("[time] dt and tmax must be positive and finite")
-    dt0 = _as_float(_get(cfg, "time", "dt0", repr(dt)), "[time] dt0")
-    if not _positive(dt0):
-        raise ConfigError(f"[time] dt0 must be positive and finite, got {dt0}")
+    dt0 = 0.0
+    if scheme == "p1diff":
+        dt0 = _as_float(_get(cfg, "time", "dt0", repr(dt)), "[time] dt0")
+        if not _positive(dt0):
+            raise ConfigError(
+                f"[time] dt0 must be positive and finite, got {dt0}")
 
     tol = _as_float(_get(cfg, "solver", "tol", "1e-10"), "[solver] tol")
     max_iters = _as_int(_get(cfg, "solver", "max_iters", "200"),
@@ -322,15 +335,10 @@ def run_simulation(setup: RunSetup) -> RunResult:
     n_steps = max(1, int(round(setup.tmax / setup.dt)))
     validate_time_steps([setup.dt] * n_steps)
 
-    init_report = None
-    if setup.scheme == "p0":
-        scheme = SchemeP0(mesh, setup.params, velocity=setup.velocity,
-                          forcing=forcing)
-        state = scheme.initial_state(u0, sigma0)
-    else:
-        scheme = SchemeP1Diff(mesh, setup.params, velocity=setup.velocity,
-                              forcing=forcing)
-        state, init_report = scheme.project_initial(setup.dt0, u0, sigma0)
+    scheme = SCHEMES[setup.scheme](mesh, setup.params,
+                                   velocity=setup.velocity, forcing=forcing)
+    state = scheme.initial_state(u0, sigma0, setup.dt0)
+    init_report = state.initial_report
 
     rows = [_row(0, state, 0, 0.0)]
     all_pass = True
@@ -527,7 +535,7 @@ def _write_outputs(setup: RunSetup, result: RunResult) -> None:
         fh.write("\n")
     def snapshot(path, st):
         vel = result.scheme.v.vertex_values(st.u.values)
-        if setup.scheme == "p0":
+        if result.scheme.q.degree == 0:       # stress nodes on the cells
             write_vtk(path, result.mesh, vel, cell_tensors=st.sigma)
         else:
             write_vtk(path, result.mesh, vel, point_tensors=st.sigma,
@@ -581,6 +589,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if not _positive(args.tol):
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
     ok, failures = audit_csv(args.csv, args.tol)
     if ok:
         print(f"audit PASS: {args.csv}")
@@ -621,7 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="time-step a configured scenario")
     run.add_argument("config")
-    run.add_argument("--scheme", choices=("p0", "p1diff"))
+    run.add_argument("--scheme", choices=sorted(SCHEMES))
     run.add_argument("--velocity", choices=sorted(_VELOCITY_TOKENS))
     for flag in ("delta", "alpha", "dt", "tmax", "b", "wi", "re", "eps"):
         run.add_argument(f"--{flag}", type=float)

@@ -62,6 +62,7 @@ __all__ = [
     "gradient_trace",
     "divergence_matrix",
     "velocity_load",
+    "sample_cells",
     "cell_mean_velocity",
     "evaluate_velocity",
     "scalar_mass",
@@ -567,18 +568,19 @@ def divergence_matrix(mesh: TriMesh, v: VelocitySpace, p: ScalarSpace):
     return gradient_trace(gradient_matrix(mesh, v, p))
 
 
-def _physical_points(mesh: TriMesh, lam):
-    p = mesh.vertices[mesh.cells]          # (M, 3, 2)
-    return np.einsum("qj,kjd->kqd", np.asarray(lam, float), p)
+def sample_cells(mesh: TriMesh, f, lam) -> np.ndarray:
+    """Components of a callable ``f(x, y) -> (f_0, f_1, ...)`` at the
+    barycentric points ``lam`` of every cell, shape (n_cells, nq, n_comp)."""
+    xq = np.einsum("qj,kjd->kqd", np.asarray(lam, float),
+                   mesh.vertices[mesh.cells])
+    return np.stack(np.broadcast_arrays(*f(xq[..., 0], xq[..., 1])), axis=-1)
 
 
 def velocity_load(mesh: TriMesh, v: VelocitySpace, f, degree: int = 6):
     """Load vector integral( f . phi_i ) for a callable f(x, y) -> (fx, fy)."""
     rule = triangle_rule(degree)
     sval = v.scalar_val(rule.points).T
-    xq = _physical_points(mesh, rule.points)
-    fx, fy = f(xq[..., 0], xq[..., 1])
-    fq = np.stack(np.broadcast_arrays(fx, fy), axis=-1)   # (M, nq, 2)
+    fq = sample_cells(mesh, f, rule.points)               # (M, nq, 2)
     fd = np.einsum("kqd,kld->klq", fq, v.cell_dirs)
     cellvals = np.einsum("klq,lq,q->kl", fd, sval, rule.weights)
     cellvals = cellvals * mesh.cell_areas[:, None]

@@ -8,8 +8,8 @@ saddle block for velocity and pressure, with convection frozen at the
 previous velocity, and k scalar blocks (the three stress components, and
 the trace when the scheme carries one) that share one factorized matrix.
 The schemes supply only that matrix and the right-hand sides of the two
-kinds of block; :class:`ImplicitScheme` holds the operators, the step and
-its energy audit common to both.
+kinds of block; :class:`ImplicitScheme` holds the operators, the
+projection of initial data, the step and its energy audit common to both.
 
 The saddle block is split as ``Re/dt M + (1-eps) K + Re C(u_prev)``.  The
 first two terms depend on the step size and the parameters alone, so
@@ -60,8 +60,9 @@ from .energy import (EnergyBreakdown, StepAudit, audit_slack, free_energy,
                      relaxation_dissipation)
 from .fespaces import (DiscreteField, build_space, convection_matrix,
                        gradient_matrix, gradient_trace,
-                       pressure_integral_vector, velocity_load,
-                       velocity_mass, velocity_pattern, velocity_stiffness)
+                       pressure_integral_vector, sample_cells, triangle_rule,
+                       velocity_load, velocity_mass, velocity_pattern,
+                       velocity_stiffness)
 
 __all__ = [
     "SolverError",
@@ -220,7 +221,9 @@ class State:
     itself only when ``energy`` is None.  ``audit`` is the budget check
     of the step that made the state; an initial state carries the check
     of a step of length zero (no dissipation, no work), which records its
-    trace balance and stress bounds.
+    trace balance and stress bounds.  An initial state of the diffusive
+    scheme also carries ``initial_report``, the range check of its
+    projected stress (:class:`fenep.scheme_p1diff.InitialReport`).
     """
 
     u: DiscreteField
@@ -230,6 +233,7 @@ class State:
     t: float = 0.0
     energy: EnergyBreakdown | None = None
     audit: StepAudit | None = None
+    initial_report: object | None = None
 
 
 class BlockStep:
@@ -345,7 +349,9 @@ class ImplicitScheme:
     ``weights``, the quadrature of its stress nodes that every stress
     integral of the energy budget uses, and supplies
     ``_block_step(state, dt)``, the :class:`BlockStep` of one step.
-    ``_extra_audit_terms`` adds scheme-specific terms to the budget.
+    ``_extra_audit_terms`` adds scheme-specific terms to the budget; a
+    scheme with stress diffusion sets ``k_scalar``, the stiffness of its
+    stress nodes, and one with a trace variable ``carries_trace``.
 
     Each audited state is decomposed once: :func:`fenep.tensorcalc.eig_sym`
     of its stress gives the eigenvalues that the free energy, the
@@ -369,6 +375,11 @@ class ImplicitScheme:
     are the divergence ``div``.  ``grad_t`` is the transpose, bound once
     as a view that shares the arrays.
     """
+
+    #: stiffness matrix of the stress nodes; None without stress diffusion
+    k_scalar = None
+    #: whether the states carry the auxiliary trace field ``rho``
+    carries_trace = False
 
     def __init__(self, mesh, params, velocity: str, pressure: str, forcing):
         if velocity not in self.VELOCITIES:
@@ -432,10 +443,49 @@ class ImplicitScheme:
                 "min_eig_sigma": float(eigs[:, 0].min()),
                 "max_trace_sigma": float(tr.max())}
 
-    def _start(self, u, sig, rho, eigs) -> State:
-        """The initial state of the given fields at zero pressure, with its
-        free energy and its zero-length audit, from ``eigs``, the
-        eigenvalues of ``sig`` (the state's one decomposition)."""
+    def initial_state(self, u0=None, sigma0=None, dt0: float = 0.0) -> State:
+        """The projection of initial data into the scheme's spaces.
+
+        The velocity solves the scheme's saddle system with ``M + dt0 K``
+        in place of the step's matrix: for all discrete v and q,
+        ``(u, v) + dt0 (grad u, grad v) + (p, div v) = (u0, v)`` and
+        ``(q, div u) = 0``.  With ``dt0 = 0`` that is the L2 projection
+        onto the discretely divergence-free velocities, else a smoothed
+        one; either way ``B u = 0``, which the energy identity of both
+        schemes needs of the first step's transport velocity.  Each stress
+        component solves ``(diag(w) + dt0 K_s) sigma = integral(sigma0
+        psi)``: the degree-6 moments against the stress nodes' test
+        functions ``psi`` (cell indicators or hats), with ``w`` the
+        ``weights`` and ``K_s`` the ``k_scalar`` of the scheme (none
+        without stress diffusion, which leaves the cell means).  A carried
+        trace starts as the trace of the projected stress.
+
+        ``u0``/``sigma0`` are callables of coordinate arrays, or None for
+        rest and the identity; ``sigma0`` may also be one tensor (3,) or a
+        stress-space field (n_nodes, 3).
+        """
+        u = np.zeros(self.v.n_dofs)
+        if u0 is not None:
+            a_ff = (self.mass + dt0 * self.stiff)[self.free][:, self.free]
+            load = velocity_load(self.mesh, self.v, u0)[self.free]
+            u[self.free] = SaddleOperator(a_ff, self.b_free,
+                                          self.mean_p).solve(load)[0]
+
+        rule = triangle_rule(6)
+        samples = self._stress_samples(sigma0, rule.points)
+        psi_w = self.q.val(rule.points).T * rule.weights      # (nloc, nq)
+        cellvals = (psi_w @ samples) * self.mesh.cell_areas[:, None, None]
+        moments = np.stack([np.bincount(self.q.cell_dofs.ravel(), comp,
+                                        self.q.n_dofs)
+                            for comp in cellvals.reshape(-1, 3).T], axis=1)
+        if self.k_scalar is None:
+            sig = moments / self.weights[:, None]
+        else:
+            sig = splu((sp.diags(self.weights)
+                        + dt0 * self.k_scalar).tocsc()).solve(moments)
+        rho = tc.trace(sig) if self.carries_trace else None
+
+        eigs = tc.eig_sym(sig)[0]          # the one decomposition of the state
         f0 = free_energy(self.params, self.weights, self.mass, u, eigs,
                          _eta(sig, rho))
         audit = StepAudit(f_before=f0.total, f_after=f0.total,
@@ -443,7 +493,27 @@ class ImplicitScheme:
                           slack=0.0, **self._bounds(sig, rho, eigs))
         return State(DiscreteField(self.v, u),
                      DiscreteField(self.q, np.zeros(self.q.n_dofs)), sig, rho,
-                     energy=f0, audit=audit)
+                     energy=f0, audit=audit,
+                     initial_report=self._initial_report(samples, sig, eigs))
+
+    def _stress_samples(self, sigma0, lam):
+        """The stress data at the barycentric points ``lam`` of every cell,
+        (n_cells, nq, 3)."""
+        if sigma0 is None:
+            sigma0 = tc.IDENTITY
+        if callable(sigma0):
+            return sample_cells(self.mesh, sigma0, lam)
+        arr = np.asarray(sigma0, float)
+        if arr.shape == (3,):
+            return np.broadcast_to(arr, (self.mesh.n_cells, len(lam), 3))
+        if arr.shape == (self.q.n_dofs, 3):
+            return self.q.val(lam) @ arr[self.q.cell_dofs]
+        raise ValueError(f"sigma0 must be callable, (3,) or "
+                         f"({self.q.n_dofs}, 3), got shape {arr.shape}")
+
+    def _initial_report(self, samples, sig, eigs):
+        """A check of the projected stress against its data; none here."""
+        return None
 
     def _extra_audit_terms(self, eigs, vecs, rho, dt: float) -> dict:
         return {}

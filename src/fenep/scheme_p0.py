@@ -41,10 +41,9 @@ from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
 from .energy import SpdAudit, spd_audit
-from .fespaces import gauss01, triangle_rule, velocity_load
+from .fespaces import gauss01
 from .meshing import TriMesh
-from .nlsolve import (BlockStep, ImplicitScheme, PicardConfig,
-                      SaddleOperator, State)
+from .nlsolve import BlockStep, ImplicitScheme, PicardConfig, State
 from .params import ModelParams
 
 __all__ = [
@@ -183,41 +182,6 @@ class SchemeP0(ImplicitScheme):
                  pressure: str = "pressure_p0", forcing=None):
         super().__init__(mesh, params, velocity, pressure, forcing)
         self.weights = mesh.cell_areas
-
-    # -- initial data --------------------------------------------------------
-
-    def initial_state(self, u0=None, sigma0=None) -> State:
-        """Project initial data into the scheme's spaces.
-
-        The velocity is L2-projected onto the discretely divergence-free
-        subspace (a mass-matrix saddle solve); the stress is averaged
-        cellwise.  ``u0``/``sigma0`` are callables of coordinate arrays,
-        ``sigma0`` may also be a single tensor or a per-cell array, and
-        both default to rest and identity.
-        """
-        mesh, v = self.mesh, self.v
-        u = np.zeros(v.n_dofs)
-        if u0 is not None:
-            load = velocity_load(mesh, v, u0)
-            m_ff = self.mass[self.free][:, self.free]
-            op = SaddleOperator(m_ff, self.b_free, self.mean_p)
-            u_f, _ = op.solve(load[self.free])
-            u[self.free] = u_f
-        if sigma0 is None:
-            sig = np.tile(tc.IDENTITY, (mesh.n_cells, 1))
-        elif callable(sigma0):
-            rule = triangle_rule(6)
-            pts = np.einsum("qj,kjd->kqd", rule.points, mesh.vertices[mesh.cells])
-            comps = sigma0(pts[..., 0], pts[..., 1])
-            vals = np.stack(np.broadcast_arrays(*comps), axis=-1)
-            sig = np.einsum("kqc,q->kc", vals, rule.weights)
-        else:
-            arr = np.asarray(sigma0, float)
-            sig = (np.tile(arr, (mesh.n_cells, 1)) if arr.shape == (3,)
-                   else arr.copy())
-            if sig.shape != (mesh.n_cells, 3):
-                raise ValueError("sigma0 must be (3,) or (n_cells, 3)")
-        return self._start(u, sig, None, tc.eig_sym(sig)[0])
 
     def _block_step(self, state: State, dt: float) -> BlockStep:
         return _P0Step(self, state, dt)

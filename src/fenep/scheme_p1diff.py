@@ -50,8 +50,7 @@ from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
-from .fespaces import (cell_mean_velocity, lumped_weights, scalar_stiffness,
-                       triangle_rule, velocity_load)
+from .fespaces import cell_mean_velocity, lumped_weights, scalar_stiffness
 from .meshing import REF_GRADS, TriMesh, audit_mesh
 from .nlsolve import BlockStep, ImplicitScheme, State
 from .params import ModelParams
@@ -262,43 +261,21 @@ class SchemeP1Diff(ImplicitScheme):
                 "still runs but convergence guarantees do not apply",
                 TimeStepWarning, stacklevel=4)
 
-    # -- initial data ----------------------------------------------------------
+    @property
+    def carries_trace(self) -> bool:
+        return not self.params.oldroyd_b
 
-    def project_initial(self, dt0: float, u0=None, sigma0=None):
-        """Smoothed projections of the initial data; see the module notes.
-
-        Velocity and stress each solve one linear system mixing an L2
-        match with ``dt0`` times a stiffness term; the auxiliary trace
-        starts as the exact vertex trace of the projected stress.
-        Returns ``(state, InitialReport)``; the report checks the
-        vertexwise eigenvalue and trace bounds that hold on non-obtuse
-        meshes.
-        """
-        mesh, v = self.mesh, self.v
-        u = np.zeros(v.n_dofs)
-        if u0 is not None:
-            a_mat = (self.mass + dt0 * self.stiff)[self.free][:, self.free]
-            load = velocity_load(mesh, v, u0)[self.free]
-            u_f = splu(a_mat.tocsc()).solve(load)
-            u[self.free] = u_f
-
-        s_mat = (sp.diags(self.weights) + dt0 * self.k_scalar).tocsc()
-        lu = splu(s_mat)
-        rhs, data_vals = _stress_data_moments(mesh, sigma0)
-        sig = np.stack([lu.solve(rhs[:, c]) for c in range(3)], axis=1)
-        rho = None if self.params.oldroyd_b else tc.trace(sig)
-
-        w_data, _ = tc.eig_sym(data_vals)
-        w_vert, _ = tc.eig_sym(sig)        # the one decomposition of the state
-        report = InitialReport(
+    def _initial_report(self, samples, sig, eigs) -> InitialReport:
+        """The vertex range check of ``sig`` (eigenvalues ``eigs``)."""
+        w_data = tc.eig_sym(samples)[0]
+        return InitialReport(
             non_obtuse=self.non_obtuse,
             data_min_eig=float(w_data[..., 0].min()),
             data_max_eig=float(w_data[..., 1].max()),
-            data_max_trace=float(tc.trace(data_vals).max()),
-            vertex_min_eig=float(w_vert[..., 0].min()),
-            vertex_max_eig=float(w_vert[..., 1].max()),
+            data_max_trace=float(tc.trace(samples).max()),
+            vertex_min_eig=float(eigs[:, 0].min()),
+            vertex_max_eig=float(eigs[:, 1].max()),
             vertex_max_trace=float(tc.trace(sig).max()))
-        return self._start(u, sig, rho, w_vert), report
 
     # -- one implicit step ------------------------------------------------------
 
@@ -344,32 +321,6 @@ class InitialReport:
         return bool(self.vertex_min_eig >= self.data_min_eig - tol
                     and self.vertex_max_eig <= self.data_max_eig + tol
                     and self.vertex_max_trace <= self.data_max_trace + tol)
-
-
-def _stress_data_moments(mesh: TriMesh, sigma0):
-    """Hat-function moments of the stress data and its sampled values.
-
-    Returns ``(rhs, samples)`` with ``rhs[v, c] = integral(sigma0_c eta_v)``
-    and ``samples`` the data tensors at the quadrature points used (for
-    range reporting).
-    """
-    rule = triangle_rule(6)
-    if sigma0 is None:
-        vals = np.tile(tc.IDENTITY, (mesh.n_cells, len(rule.weights), 1))
-    elif callable(sigma0):
-        pts = np.einsum("qj,kjd->kqd", rule.points, mesh.vertices[mesh.cells])
-        comps = sigma0(pts[..., 0], pts[..., 1])
-        vals = np.stack(np.broadcast_arrays(*comps), axis=-1)
-    else:
-        arr = np.asarray(sigma0, float)
-        if arr.shape != (3,):
-            raise ValueError("sigma0 must be callable or a single tensor (3,)")
-        vals = np.tile(arr, (mesh.n_cells, len(rule.weights), 1))
-    cellvals = np.einsum("qj,kqc,q->kjc", rule.points, vals, rule.weights)
-    cellvals = cellvals * mesh.cell_areas[:, None, None]
-    rhs = np.zeros((mesh.n_vertices, 3))
-    np.add.at(rhs, mesh.cells.ravel(), cellvals.reshape(-1, 3))
-    return rhs, vals
 
 
 class _P1Step(BlockStep):

@@ -220,7 +220,7 @@ def test_criterion_03_unconditional_stability():
                 worst_margin = min(worst_margin, aud.margin)
                 steps_checked += 1
             p1 = SchemeP1Diff(mesh, params_d)
-            state, _ = p1.project_initial(min(dt, 0.1), u0, sigma0)
+            state = p1.initial_state(u0, sigma0, min(dt, 0.1))
             for _ in range(3):
                 state, rep, aud = p1.step(state, dt, CFG)
                 assert rep.converged, f"p1diff dt={dt} delta={delta}"
@@ -244,7 +244,7 @@ def test_criterion_04_trace_conservation():
     mesh = structured_unit_square(8)
     scheme = SchemeP1Diff(mesh, params, forcing=forcing)
     c = params.b / (params.b + 2.0)
-    state, _ = scheme.project_initial(0.02, None, np.array([c, 0.0, c]))
+    state = scheme.initial_state(None, np.array([c, 0.0, c]), 0.02)
     w = fe.lumped_weights(mesh)
     worst = 0.0
     for _ in range(100):
@@ -326,7 +326,7 @@ def test_criterion_07_telescoped_bound_and_alpha_independence():
     for alpha in (0.01, 0.1, 1.0):
         prm = ModelParams(delta=0.1, alpha=alpha, **BASE)
         scheme = SchemeP1Diff(mesh, prm)
-        state, _ = scheme.project_initial(0.1, u0, sigma0)
+        state = scheme.initial_state(u0, sigma0, 0.1)
         f0, fend, spent, forc, slack = run_decay(
             scheme, state, 0.1, 10)
         starts.append(f0)
@@ -479,7 +479,8 @@ def test_criterion_10_negative_controls():
     sheared = TriMesh(pts, mesh.cells)
     prm = ModelParams(delta=0.1, alpha=0.1, **BASE)
     diff = SchemeP1Diff(sheared, prm)
-    st, init = diff.project_initial(0.05, None, np.array([1.5, 0.0, 1.5]))
+    st = diff.initial_state(None, np.array([1.5, 0.0, 1.5]), 0.05)
+    init = st.initial_report
     st, rep2, aud2 = diff.step(st, 0.1, CFG)
     uncertified = (not init.non_obtuse and rep2.converged
                    and not aud2.certified_gradient_terms)

@@ -127,7 +127,10 @@ def test_build_setup_defaults_and_overrides(tmp_path):
     setup = build_setup(cfg)
     assert setup.velocity == "velocity_p2"
     assert setup.params.b == 5.0
-    assert setup.dt0 == setup.dt
+    assert setup.dt0 == 0.0        # p0 does not smooth its initial data
+    p1 = build_setup(parse_config(base_config(tmp_path, scheme="p1diff",
+                                              out="o1")))
+    assert p1.velocity == "velocity_mini" and p1.dt0 == p1.dt
     assert setup.picard.tol == 1e-10
     assert setup.picard.max_iters == 200
     over = build_setup(cfg, {"b": 8.0, "velocity": "p2r"})
@@ -315,6 +318,10 @@ def test_run_exit_codes(tmp_path, capsys):
     ("p0", "solver", "min_damping = 0"),
     ("p0", "solver", "min_damping = 2"),
     ("p0", "output", "vtk_every = -3"),
+    ("p0", "mesh", "shear = nan"),
+    ("p0", "mesh", "shear = inf"),
+    ("p0", "time", "dt0 = 0.1"),
+    ("p0", "solver", "velocity = mini"),
 ])
 def test_run_rejects_bad_settings_before_compute(tmp_path, capsys,
                                                  monkeypatch, scheme,
@@ -433,6 +440,16 @@ def test_audit_command_pass_and_fail(tmp_path, capsys):
     assert not ok and failures == [rows[-1]["step"]]
     assert main(["audit", str(csv_path)]) == 5
     assert "audit FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_audit_rejects_bad_tolerance(tmp_path, capsys, tol):
+    cfg = base_config(tmp_path)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    csv_path = tmp_path / "out" / "energy.csv"
+    assert main(["audit", str(csv_path), f"--tol={tol}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --tol")
 
 
 @pytest.mark.parametrize("bad", [

@@ -174,7 +174,7 @@ def _p1diff_start(b):
     params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=b, delta=0.1, alpha=0.1)
     scheme = SchemeP1Diff(structured_unit_square(3), params,
                           forcing=_forcing)
-    state, _ = scheme.project_initial(0.05, None, np.array([1.5, 0.1, 1.2]))
+    state = scheme.initial_state(None, np.array([1.5, 0.1, 1.2]), 0.05)
     return scheme, state
 
 

@@ -269,7 +269,7 @@ def stirred_state(kind):
         scheme = scheme_p0.SchemeP0(mesh, params)
         return scheme, scheme.initial_state(u0, sigma0)
     scheme = scheme_p1diff.SchemeP1Diff(mesh, params)
-    state, _ = scheme.project_initial(0.1, u0, sigma0)
+    state = scheme.initial_state(u0, sigma0, 0.1)
     return scheme, state
 
 
@@ -476,7 +476,8 @@ def assert_same_step(scheme, state, dt, new):
 def test_one_saddle_factorization_per_step_size(kind, monkeypatch):
     made = count_saddles(monkeypatch)
     scheme, state = stirred_state(kind)
-    assert made == []                         # built on the first step
+    assert len(made) == 1                     # the initial projection's own
+    made.clear()                              # the step's: on the first step
     states = [state]
     for _ in range(3):
         states.append(step(scheme, states[-1], 0.5))
@@ -511,6 +512,8 @@ def test_saddle_cache_keys_on_what_the_matrix_reads(kind, monkeypatch):
 def test_delta_continuation_reuses_one_saddle_factorization(monkeypatch):
     made = count_saddles(monkeypatch)
     scheme, state = stirred_state("p0")
+    assert len(made) == 1                     # the initial projection's own
+    made.clear()
     rep = scheme_p0.delta_continuation(scheme.mesh, scheme.params, state,
                                        0.5, delta_min=1.0 / 16.0)
     assert len(rep.deltas) > 1

@@ -6,6 +6,7 @@ tensor code; the upwind checks exercise the exact edge-flux quadrature
 against structural identities.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from fenep.scheme_p0 import (
     upwind_matrix,
 )
 from fenep.params import ModelParams
+from fenep.scheme_p1diff import SchemeP1Diff
 
 PARAMS = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1)
 CFG = PicardConfig(tol=1e-12, max_iters=200)
@@ -196,12 +198,21 @@ def test_upwind_zero_velocity_gives_zero_fluxes():
 # initial data handling
 
 
-def test_initial_state_projects_divergence_free():
-    mesh, scheme, state = project_decay_velocity()
-    div = scheme.div @ state.u.values if hasattr(scheme, "div") else None
-    if div is None:
-        pytest.skip("divergence operator not exposed")
-    assert np.abs(div).max() < 1e-12
+@pytest.mark.parametrize("kind, velocity", [
+    ("p0", "velocity_p2"), ("p1diff", "velocity_mini"),
+    ("p1diff", "velocity_p2")], ids=["p0", "p1diff-mini", "p1diff-p2"])
+def test_initial_state_projects_divergence_free(kind, velocity):
+    """Both schemes start from a discretely divergence-free velocity, the
+    diffusive one also under its smoothing dt0 > 0."""
+    mesh = structured_unit_square(4)
+    if kind == "p0":
+        scheme, dt0 = SchemeP0(mesh, PARAMS, velocity=velocity), 0.0
+    else:
+        params = dataclasses.replace(PARAMS, alpha=0.1)
+        scheme, dt0 = SchemeP1Diff(mesh, params, velocity=velocity), 0.05
+    u = scheme.initial_state(decay_velocity, None, dt0).u.values
+    assert np.linalg.norm(u) > 1e-3
+    assert np.linalg.norm(scheme.div @ u) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_initial_sigma_forms():

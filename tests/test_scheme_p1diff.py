@@ -45,10 +45,10 @@ def quiet_step(scheme, state, dt, cfg=CFG):
         return scheme.step(state, dt, cfg)
 
 
-def quiet_initial(scheme, dt0, u0=None, sigma0=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TimeStepWarning)
-        return scheme.project_initial(dt0, u0, sigma0)
+def initial(scheme, dt0, u0=None, sigma0=None):
+    """The initial state and its range check."""
+    state = scheme.initial_state(u0, sigma0, dt0)
+    return state, state.initial_report
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_advection_map_matches_einsum_contraction():
     scheme = SchemeP1Diff(TriMesh(pts, base.cells), PARAMS)
     mesh, v = scheme.mesh, scheme.v
     rng = np.random.default_rng(12)
-    state, _ = quiet_initial(scheme, 0.1)
+    state, _ = initial(scheme, 0.1)
     sig = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
     rho = rng.uniform(0.0, 1.2 * RP.b, size=mesh.n_vertices)
     nodes = transport_nodes(sig, RP)
@@ -271,7 +271,7 @@ def test_step_size_warning_threshold():
 
 def test_project_initial_identity_data():
     scheme = make_scheme()
-    state, report = quiet_initial(scheme, 0.01)
+    state, report = initial(scheme, 0.01)
     assert report.non_obtuse
     assert report.bounds_hold
     assert np.allclose(state.sigma,
@@ -288,7 +288,7 @@ def test_project_initial_smooths_and_reports_bounds():
         base = 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
         return (base, 0.1 * x * (1 - x), base)
 
-    state, report = quiet_initial(scheme, 0.01, sigma0=sigma0)
+    state, report = initial(scheme, 0.01, sigma0=sigma0)
     assert report.non_obtuse
     assert report.data_min_eig > 0
     assert report.data_max_trace < PARAMS.b
@@ -320,8 +320,8 @@ def isotropic_backward_euler(c_prev, dt, params):
 
 def test_zero_velocity_reduces_to_vertexwise_ode():
     scheme = make_scheme(3)
-    state, _ = quiet_initial(scheme, 0.05,
-                             sigma0=np.array([2.0, 0.0, 2.0]))
+    state, _ = initial(scheme, 0.05,
+                       sigma0=np.array([2.0, 0.0, 2.0]))
     c = 2.0
     for _ in range(4):
         state, report, audit = quiet_step(scheme, state, 0.1)
@@ -343,7 +343,7 @@ def test_trace_integral_conserved_under_forcing():
 
     scheme = make_scheme(4, forcing=forcing)
     c = PARAMS.b / (PARAMS.b + 2.0)
-    state, _ = quiet_initial(scheme, 0.05, sigma0=np.array([c, 0.0, c]))
+    state, _ = initial(scheme, 0.05, sigma0=np.array([c, 0.0, c]))
     w = fe.lumped_weights(scheme.mesh)
     for _ in range(5):
         state, report, audit = quiet_step(scheme, state, 0.05)
@@ -358,7 +358,7 @@ def test_oldroyd_b_mode_drops_trace_variable():
     params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=math.inf, delta=0.1,
                          alpha=0.1)
     scheme = make_scheme(3, params=params)
-    state, report = quiet_initial(scheme, 0.05)
+    state, report = initial(scheme, 0.05)
     assert state.rho is None
     state, rep, audit = quiet_step(scheme, state, 0.1)
     assert rep.converged and audit.passed
@@ -375,8 +375,8 @@ def test_obtuse_mesh_marks_gradient_terms_uncertified():
     pts[:, 1] += 1.2 * pts[:, 0]
     mesh = TriMesh(pts, base.cells)
     scheme = SchemeP1Diff(mesh, PARAMS)
-    state, report = quiet_initial(scheme, 0.05,
-                                  sigma0=np.array([1.5, 0.0, 1.5]))
+    state, report = initial(scheme, 0.05,
+                            sigma0=np.array([1.5, 0.0, 1.5]))
     assert not report.non_obtuse
     state, rep, audit = quiet_step(scheme, state, 0.1)
     assert rep.converged
@@ -388,8 +388,8 @@ def test_obtuse_mesh_marks_gradient_terms_uncertified():
 
 def test_nonconvergence_raises_with_report():
     scheme = make_scheme(2)
-    state, _ = quiet_initial(scheme, 0.05,
-                             sigma0=np.array([2.0, 0.0, 2.0]))
+    state, _ = initial(scheme, 0.05,
+                       sigma0=np.array([2.0, 0.0, 2.0]))
     with pytest.raises(SolverError) as err:
         quiet_step(scheme, state, 0.1, PicardConfig(tol=1e-16, max_iters=2))
     assert not err.value.report.converged
