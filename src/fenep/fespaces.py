@@ -329,22 +329,18 @@ class ScalarSpace:
             self.degree = 1
             self.n_dofs = mesh.n_vertices
             self.cell_dofs = mesh.cells
-            self._val, self._dbary = _p1_val, _p1_dbary
+            self._val = _p1_val
         elif kind == "pressure_p0":
             self.degree = 0
             self.n_dofs = mesh.n_cells
             self.cell_dofs = np.arange(mesh.n_cells)[:, None]
             self._val = lambda lam: np.ones(np.shape(lam)[:-1] + (1,))
-            self._dbary = lambda lam: np.zeros(np.shape(lam)[:-1] + (1, 3))
         else:
             raise ValueError(f"unknown scalar kind {kind!r}")
         self.nloc = self.cell_dofs.shape[1]
 
     def val(self, lam) -> np.ndarray:
         return self._val(lam)
-
-    def dbary(self, lam) -> np.ndarray:
-        return self._dbary(lam)
 
 
 VELOCITY_KINDS = (

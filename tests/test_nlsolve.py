@@ -1,7 +1,9 @@
 """Tests for the saddle-point operator, the damped Picard driver and the
 block step both schemes share (its block-pass cache, its residual
 against the monolithic form, solve checks and the per-step-size saddle
-factorization).
+factorization).  The saddle solves are checked for their backward
+error, their failure when refinement stalls and the fill of their
+symmetric factorization.
 
 The manufactured Stokes forcing below was generated symbolically from
 the stream function psi = x^2 (1-x)^2 y^2 (1-y)^2 (velocity u = curl
@@ -15,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
@@ -181,6 +184,66 @@ def test_singular_saddle_raises_solver_error(vel, pres):
     a, b, mean_vec, _ = convective_saddle(vel, pres)
     with pytest.raises(SolverError):
         SaddleOperator(0.0 * a, b, mean_vec)
+
+
+def step_saddle(vel, pres, n, dt):
+    """Free-dof blocks of ``Re/dt M + (1-eps) K`` (Re = 1, eps = 0.5) with
+    ``B`` on n x n, or of the mass ``M`` alone when dt is None."""
+    mesh = structured_unit_square(n)
+    v = fe.build_space(mesh, vel)
+    p = fe.build_space(mesh, pres)
+    free = ~v.dirichlet_mask
+    a = fe.velocity_mass(mesh, v)
+    if dt is not None:
+        a = a / dt + 0.5 * fe.velocity_stiffness(mesh, v)
+    b = fe.divergence_matrix(mesh, v, p).tocsr()[:, free]
+    return a.tocsr()[free][:, free], b, fe.pressure_integral_vector(mesh, p)
+
+
+def pinned_matrix(a, b):
+    """``[[A, B0^T], [B0, 0]]``, ``B0`` being B less its first row."""
+    b0 = b[1:]
+    return sp.bmat([[a, b0.T], [b0, None]], format="csc")
+
+
+STEP_PAIRS = [("velocity_p2", "pressure_p0"),
+              ("velocity_p2_reduced", "pressure_p0"),
+              ("velocity_mini", "pressure_p1")]
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3, 0.05, 1.0, 10.0])
+@pytest.mark.parametrize("vel,pres", STEP_PAIRS)
+def test_saddle_solve_meets_its_backward_error_bound(vel, pres, dt):
+    a, b, mean_vec = step_saddle(vel, pres, 8, dt)
+    rhs_u = np.random.default_rng(1).standard_normal(a.shape[0])
+    u, p = SaddleOperator(a, b, mean_vec).solve(rhs_u)
+    # the unpinned system: the zero-mean shift of p leaves B^T p unchanged
+    k = sp.bmat([[a, b.T], [b, None]], format="csr")
+    x = np.concatenate([u, p])
+    res = np.concatenate([rhs_u, np.zeros(b.shape[0])]) - k @ x
+    k_norm = abs(k).sum(axis=1).max()
+    assert (np.abs(res).max()
+            <= 1e-14 * (np.abs(rhs_u).max() + k_norm * np.abs(x).max()))
+    assert np.linalg.norm(b @ u) <= 1e-12 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("vel,pres", PAIRS)
+def test_saddle_solve_raises_when_refinement_stalls(vel, pres):
+    a, b, mean_vec = step_saddle(vel, pres, 4, 0.05)
+    op = SaddleOperator(a, b, mean_vec)
+    # the factor of 2 K: each refinement only halves the error
+    op._lu = splu(2.0 * pinned_matrix(a, b))
+    with pytest.raises(SolverError, match="backward error"):
+        op.solve(np.ones(a.shape[0]))
+
+
+@pytest.mark.parametrize("vel,pres", PAIRS)
+def test_symmetric_saddle_factor_cuts_the_fill(vel, pres):
+    a, b, mean_vec = step_saddle(vel, pres, 16, 0.05)
+    lu = SaddleOperator(a, b, mean_vec)._lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)   # symmetric, no pivoting
+    plain = splu(pinned_matrix(a, b))          # COLAMD, partial pivoting
+    assert lu.L.nnz + lu.U.nnz <= 0.6 * (plain.L.nnz + plain.U.nnz)
 
 
 # ---------------------------------------------------------------------------
