@@ -7,9 +7,14 @@ give it one shape, written once here as :class:`BlockStep`: a Stokes-type
 saddle block for velocity and pressure, with convection frozen at the
 previous velocity, and k scalar blocks (the three stress components, and
 the trace when the scheme carries one) that share one factorized matrix.
-The schemes supply only that matrix and the right-hand sides of the two
-kinds of block; :class:`ImplicitScheme` holds the operators, the
-projection of initial data, the step and its energy audit common to both.
+The right-hand sides are written once too: both schemes owe their
+energy bound to the momentum coupling ``(eps/Wi) (k A beta, grad v)``
+cancelling the stress equation's deformation term ``2 k grad(u) beta``
+tested with ``A``.  A scheme supplies the factorization of its scalar
+matrix and, for the diffusive scheme, the coupling weight ``k`` and the
+corner-coefficient advection.  :class:`ImplicitScheme` holds the
+operators, the projection of initial data, the step and its energy
+audit common to both.
 
 The saddle block is split as ``Re/dt M + (1-eps) K + Re C(u_prev)``.  The
 first two terms depend on the step size and the parameters alone, so
@@ -307,20 +312,24 @@ class BlockStep:
     (:meth:`ImplicitScheme.saddle_operator`); the step adds only the
     convection ``c_ff = Re C(u_prev)`` on the free dofs, which the block
     pass moves to its right-hand side at the velocity of the iterate.
-    The k scalar blocks share one matrix, whose factorization a subclass
-    sets as ``scalar_lu`` after this constructor.  On the first step of a
-    step size the saddle matrix is therefore factored first (factoring the
-    small matrix first raised the peak memory of a run by a few MB).
-    Factorizations held across steps raise the floor under every later
-    peak, so the convection fills the data array of a fixed pattern
-    instead of assembling through COO temporaries.
+    The k scalar blocks share one matrix, whose factorization
+    ``scalar_lu`` the scheme's ``scalar_operator`` gives after the saddle
+    matrix is factored (factoring the small matrix first raised the peak
+    memory of a run by a few MB).  Factorizations held across steps
+    raise the floor under every later peak, so the convection fills the
+    data array of a fixed pattern instead of assembling through COO
+    temporaries.
 
-    Subclasses give the right-hand sides with the other fields frozen:
-    ``stress_terms(sig, rho) -> (rhs_u, frozen)`` computes everything
-    that depends on the stress iterate alone (the momentum right-hand
-    side and whatever ``frozen`` holds for the scalar blocks), and
-    ``rhs_scalars(u, frozen)`` adds the velocity-dependent deformation
-    term to give the (m, k) scalar right-hand sides.
+    ``stress_terms(sig, rho) -> (rhs_u, frozen)`` computes, from one
+    spectral decomposition, all that depends on the stress iterate
+    alone: the momentum right-hand side with the coupling ``(eps/Wi)
+    (k A beta, grad v)``, ``k`` the scheme's ``coupling_weight`` (None:
+    1), and the relaxation, previous-step and advection terms of the
+    scalar blocks, the last through ``adv_map``, the scheme's
+    ``transport_map`` (None: the transport is in ``scalar_lu`` and beta
+    alone is computed).  ``rhs_scalars(u, frozen)`` adds the deformation
+    term ``2 k sym(grad(u) beta)`` (and its trace) that the coupling
+    cancels, to give the (m, k) scalar right-hand sides.
 
     One cached block pass per iterate serves both methods: the stress
     terms and the saddle solve ``(u_new, p_new)`` of ``rhs_u - c_ff u``.
@@ -357,6 +366,8 @@ class BlockStep:
         self.x0 = self.pack(u_prev, state.p.values, scalars)
         self.scale = float(np.linalg.norm(self.x0)) + 1.0
         self._pass_key = self._pass = None
+        self.scalar_lu = scheme.scalar_operator(state, dt)
+        self.adv_map = scheme.transport_map(state)
 
     def pack(self, u, p, scalars):
         return np.concatenate([u, p, np.asarray(scalars).T.ravel()])
@@ -369,6 +380,40 @@ class BlockStep:
         s = self._scalars(x)
         rho = s[:, 3] if self.k == 4 else None
         return x[:self.n_u], x[self.n_u:self.n_up], s[:, :3], rho
+
+    def stress_terms(self, sig, rho):
+        scheme, prm = self.scheme, self.scheme.params
+        eta = _eta(sig, rho)
+        if self.adv_map is None:
+            beta = tc.beta_delta_mat(sig, prm.reg)    # the one decomposition
+            adv = None
+        else:
+            nodes = tc.transport_nodes(sig, prm.reg)  # the one decomposition
+            beta = nodes.beta
+            adv = scheme.advection(self.adv_map, nodes, rho)
+        flux = tc.relax_flux_of_beta(beta, eta, prm.reg)
+        kv = scheme.coupling_weight(beta, eta)
+        kflux = flux if kv is None else kv[:, None] * flux
+        coupling = scheme.grad_t @ tc.to_full(kflux).reshape(-1)
+        rhs_u = self.rhs_u_base - (prm.eps / prm.wi) * coupling
+
+        w = scheme.weights
+        fixed = w[:, None] * (self.sigma_prev / self.dt - flux / prm.wi)
+        if rho is not None:
+            fixed_r = w * (self.rho_prev / self.dt - tc.trace(flux) / prm.wi)
+            fixed = np.column_stack([fixed, fixed_r])
+        return rhs_u, (kv, tc.to_full(beta), fixed, adv)
+
+    def rhs_scalars(self, u, frozen):
+        kv, beta, fixed, adv = frozen
+        prod = (self.scheme.grad @ u).reshape(self.m, 2, 2) @ beta
+        sym = [prod[:, 0, 0], 0.5 * (prod[:, 0, 1] + prod[:, 1, 0]),
+               prod[:, 1, 1]]
+        if self.k == 4:
+            sym.append(prod[:, 0, 0] + prod[:, 1, 1])
+        weight = 2.0 if kv is None else 2.0 * kv[:, None]
+        rhs = fixed + weight * np.stack(sym, axis=1)
+        return rhs if adv is None else rhs + adv
 
     def _block_pass(self, x):
         """``(frozen, u_new, p_new)``: the stress terms of ``x`` and the
@@ -407,7 +452,11 @@ class ImplicitScheme:
     A subclass names its spaces (``VELOCITIES``, ``PRESSURE``), sets
     ``weights``, the quadrature of its stress nodes that every stress
     integral of the energy budget uses, and supplies
-    ``_block_step(state, dt)``, the :class:`BlockStep` of one step.
+    ``scalar_operator(state, dt)``, the factorization of the matrix the
+    scalar blocks of a step share; the step is the one :class:`BlockStep`
+    of both schemes.  Its other hooks have defaults here:
+    ``coupling_weight`` (k = 1), ``transport_map`` (None; a scheme with a
+    map also supplies ``advection``) and ``check_step_size`` (no cap).
     ``_extra_audit_terms`` adds scheme-specific terms to the budget; a
     scheme with stress diffusion sets ``k_scalar``, the stiffness of its
     stress nodes, and one with a trace variable ``carries_trace``.
@@ -577,6 +626,19 @@ class ImplicitScheme:
     def _extra_audit_terms(self, eigs, vecs, rho, dt: float) -> dict:
         return {}
 
+    def coupling_weight(self, beta, eta):
+        """The weight k of the momentum coupling; None for k = 1."""
+        return None
+
+    def transport_map(self, state: State):
+        """The map through which ``advection`` transports the stress of
+        the step from ``state``; None when the scalar matrix holds it."""
+        return None
+
+    def check_step_size(self, dt: float) -> None:
+        """Warn when ``dt`` leaves the range the scheme's theory covers,
+        naming the caller of :meth:`step`; every dt is covered here."""
+
     def step(self, state: State, dt: float,
              config: PicardConfig | None = None):
         """Advance one step; returns (state, solve report, energy audit).
@@ -586,7 +648,8 @@ class ImplicitScheme:
         report attached as ``exc.report``.
         """
         cfg = config or PicardConfig()
-        problem = self._block_step(state, dt)
+        self.check_step_size(dt)
+        problem = BlockStep(self, state, dt)
         x, report = picard_solve(problem, problem.x0, cfg)
         if not report.converged:
             err = SolverError(

@@ -18,11 +18,10 @@ regularized relaxation product; a damped Picard iteration alternates the
 two factorized linear solves.  The velocity/pressure matrix without the
 convection is factorized once per step size and kept on the scheme; the
 convection is lagged to the right-hand side of each sweep.  That step,
-its Picard driver and its audit are the skeleton shared with the
-diffusive scheme (:mod:`fenep.nlsolve`); this module supplies the stress
-matrix (cell areas over dt plus the upwind transport of the previous
-velocity, factorized once per step for the three components) and the
-right-hand sides.
+its right-hand sides, its Picard driver and its audit are shared with
+the diffusive scheme (:mod:`fenep.nlsolve`); this module supplies only
+the stress matrix (cell areas over dt plus the upwind transport of the
+previous velocity, factorized once per step for the three components).
 
 ``delta_continuation`` re-solves one step under a halving sequence of
 regularization cuts; once the answer stagnates while staying positive
@@ -39,11 +38,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import tensorcalc as tc
 from .energy import SpdAudit, spd_audit
 from .fespaces import gauss01
 from .meshing import TriMesh
-from .nlsolve import BlockStep, ImplicitScheme, PicardConfig, State
+from .nlsolve import ImplicitScheme, PicardConfig, State
 from .params import ModelParams
 
 __all__ = [
@@ -183,41 +181,11 @@ class SchemeP0(ImplicitScheme):
         super().__init__(mesh, params, velocity, pressure, forcing)
         self.weights = mesh.cell_areas
 
-    def _block_step(self, state: State, dt: float) -> BlockStep:
-        return _P0Step(self, state, dt)
-
-
-class _P0Step(BlockStep):
-    """Upwinded cellwise stress blocks: k = 3 components on the cells."""
-
-    def __init__(self, scheme: SchemeP0, state: State, dt: float):
-        super().__init__(scheme, state, dt)
-        mesh = scheme.mesh
-        transport = upwind_matrix(mesh, scheme.v, state.u.values)
-        self.scalar_lu = splu((sp.diags(mesh.cell_areas / dt)
-                               + transport).tocsc())
-
-    def stress_terms(self, sig, rho):
-        prm = self.scheme.params
-        beta = tc.beta_delta_mat(sig, prm.reg)        # the one decomposition
-        flux = tc.relax_flux_of_beta(beta, tc.trace(sig), prm.reg)
-        coupling = self.scheme.grad_t @ tc.to_full(flux).reshape(-1)
-        fixed = (self.scheme.weights[:, None]
-                 * (self.sigma_prev / self.dt - flux / prm.wi))
-        return (self.rhs_u_base - (prm.eps / prm.wi) * coupling,
-                (tc.to_full(beta), fixed))
-
-    def rhs_scalars(self, u, frozen):
-        """Per-component right sides with frozen coefficient fields."""
-        beta, fixed = frozen
-        grad_int = (self.scheme.grad @ u).reshape(self.m, 2, 2)
-        prod = grad_int @ beta
-        src = np.stack([
-            2.0 * prod[:, 0, 0],
-            prod[:, 0, 1] + prod[:, 1, 0],
-            2.0 * prod[:, 1, 1],
-        ], axis=1)
-        return fixed + src
+    def scalar_operator(self, state: State, dt: float):
+        """The factorization, made once per step, of the cell areas over dt
+        plus the upwind transport of the previous velocity."""
+        transport = upwind_matrix(self.mesh, self.v, state.u.values)
+        return splu((sp.diags(self.mesh.cell_areas / dt) + transport).tocsc())
 
 
 # ---------------------------------------------------------------------------

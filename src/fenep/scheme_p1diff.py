@@ -31,18 +31,18 @@ field has controlled gradients exactly when the stiffness matrix has
 nonpositive off-diagonal entries), so the audit marks them uncertified
 otherwise and excludes them from the required dissipation.
 
-The implicit step, its Picard driver and its audit are the skeleton
-shared with the cellwise scheme (:mod:`fenep.nlsolve`); this module
-supplies the scalar matrix (lumped mass over dt plus alpha times the
-stiffness, factorized once per dt for the stress components and the
-trace), the right-hand sides and the two extra budget terms.
+The implicit step, its right-hand sides, its Picard driver and its
+audit are shared with the cellwise scheme (:mod:`fenep.nlsolve`); this
+module supplies the scalar matrix (lumped mass over dt plus alpha times
+the stiffness, factorized once per dt for the stress components and the
+trace), the coupling weight k, the advection of the stress and the
+trace, and the two extra budget terms.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +52,7 @@ from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
 from .fespaces import cell_mean_velocity, lumped_weights, scalar_stiffness
 from .meshing import REF_GRADS, TriMesh, audit_mesh
-from .nlsolve import BlockStep, ImplicitScheme, State
+from .nlsolve import ImplicitScheme, State
 from .params import ModelParams
 
 __all__ = [
@@ -64,8 +64,6 @@ __all__ = [
     "lambda_transport",
     "corner_coefficients",
     "advection_map",
-    "transport_nodes",
-    "TensorNodes",
 ]
 
 
@@ -82,39 +80,7 @@ class TimeStepWarning(UserWarning):
 # transport coefficients
 
 
-class TensorNodes(NamedTuple):
-    """Vertex values of a tensor field that fix its transport coefficients."""
-
-    beta: np.ndarray      # beta_delta(phi), (..., 3)
-    gprime: np.ndarray    # g_delta'(phi), (..., 3)
-    tr_h: np.ndarray      # tr h_delta(g_delta'(phi)), (...)
-
-    def take(self, idx) -> TensorNodes:
-        return TensorNodes(self.beta[idx], self.gprime[idx], self.tr_h[idx])
-
-
-def _tensor_nodes(phi, rp: tc.RegParams) -> TensorNodes:
-    w, v = tc.eig_sym(phi)
-    _, gp_w = tc.g_delta(w, rp)
-    return TensorNodes(tc._recompose(tc.beta_delta(w, rp), v),
-                       tc._recompose(gp_w, v),
-                       tc.h_delta(gp_w, rp).sum(axis=-1))
-
-
-def transport_nodes(field, rp: tc.RegParams):
-    """Per-vertex values the transport coefficients of a field depend on.
-
-    A tensor field (n, 3) gives its :class:`TensorNodes`, all from one
-    spectral decomposition per vertex; a scalar field (n,) gives
-    ``g'(field)``.  :func:`corner_coefficients` gathers them to the cells.
-    """
-    field = np.asarray(field, float)
-    if field.ndim == 2:
-        return _tensor_nodes(field, rp)
-    return tc.g_delta(field, rp)[1]
-
-
-def _lambda_pair(a: TensorNodes, c: TensorNodes) -> np.ndarray:
+def _lambda_pair(a: tc.TensorNodes, c: tc.TensorNodes) -> np.ndarray:
     """The matching-weight combination of beta(a) and beta(c)."""
     d_tr = a.tr_h - c.tr_h
     d_gp = a.gprime - c.gprime
@@ -150,24 +116,25 @@ def lambda_matrix(phi_a, phi_c, rp: tc.RegParams):
     Coincident arguments (or a vanishing matching denominator) give
     ``beta(phi_a)``.
     """
-    return _lambda_pair(_tensor_nodes(phi_a, rp), _tensor_nodes(phi_c, rp))
+    return _lambda_pair(tc._tensor_nodes(phi_a, rp),
+                        tc._tensor_nodes(phi_c, rp))
 
 
 def corner_coefficients(mesh: TriMesh, nodes, rp: tc.RegParams):
     """Per-cell transport coefficients in the reference frame of each cell.
 
-    ``nodes`` is the :func:`transport_nodes` of the field: the vertex
-    values are evaluated once, per vertex, and only gathered to the
-    cells here, where each cell pairs its vertices 1 and 2 with vertex 0
-    through :func:`lambda_matrix` (tensor) or :func:`lambda_scalar`
-    (scalar) arithmetic.  Entry [k, j] belongs to the pair (j + 1, 0),
-    the edge along reference direction j; a tensor field gives
-    (n_cells, 2, 3), a scalar field (n_cells, 2).  The step advects
-    with them through :func:`advection_map`; :func:`lambda_transport`
-    expands them to physical coordinates.
+    ``nodes`` is the :func:`fenep.tensorcalc.transport_nodes` of the
+    field: the vertex values are evaluated once, per vertex, and only
+    gathered to the cells here, where each cell pairs its vertices 1
+    and 2 with vertex 0 through :func:`lambda_matrix` (tensor) or
+    :func:`lambda_scalar` (scalar) arithmetic.  Entry [k, j] belongs to
+    the pair (j + 1, 0), the edge along reference direction j; a tensor
+    field gives (n_cells, 2, 3), a scalar field (n_cells, 2).  The step
+    advects with them through :func:`advection_map`;
+    :func:`lambda_transport` expands them to physical coordinates.
     """
     cells = mesh.cells
-    if isinstance(nodes, TensorNodes):
+    if isinstance(nodes, tc.TensorNodes):
         corner0 = nodes.take(cells[:, 0])
         hat = [_lambda_pair(nodes.take(cells[:, j]), corner0) for j in (1, 2)]
     else:
@@ -240,9 +207,9 @@ class SchemeP1Diff(ImplicitScheme):
         self.k_scalar = scalar_stiffness(mesh)
         self.non_obtuse = audit_mesh(mesh).non_obtuse
 
-    def scalar_operator(self, dt: float):
+    def scalar_operator(self, state: State, dt: float):
         """The factorization of the shared matrix lumped/dt + alpha *
-        stiffness."""
+        stiffness, kept across steps of one size (``state`` is unused)."""
         alpha = self.params.alpha
 
         def build():
@@ -259,7 +226,7 @@ class SchemeP1Diff(ImplicitScheme):
                 f"dt={dt:.3g} exceeds the theory-covered range "
                 f"{cap:.3g} (= C* alpha^(1+zeta) h^2); the energy audit "
                 "still runs but convergence guarantees do not apply",
-                TimeStepWarning, stacklevel=4)
+                TimeStepWarning, stacklevel=3)
 
     @property
     def carries_trace(self) -> bool:
@@ -279,9 +246,29 @@ class SchemeP1Diff(ImplicitScheme):
 
     # -- one implicit step ------------------------------------------------------
 
-    def _block_step(self, state: State, dt: float) -> BlockStep:
-        self.check_step_size(dt)
-        return _P1Step(self, state, dt)
+    def coupling_weight(self, beta, eta):
+        """The stress-scaling factor k of the momentum coupling."""
+        return tc.k_delta_of_beta(beta, eta, self.params.reg)
+
+    def transport_map(self, state: State) -> sp.csr_matrix:
+        """The :func:`advection_map` of the step from ``state``: its
+        transport velocity is explicit in the previous velocity, so the
+        advection is one fixed linear map of the corner coefficients."""
+        return advection_map(self.mesh, cell_mean_velocity(
+            self.mesh, self.v, state.u.values))
+
+    def advection(self, amap, nodes: tc.TensorNodes, rho):
+        """The advection terms (m, k) of the stress, whose transport nodes
+        are ``nodes``, and of the trace ``rho`` (None: none), through the
+        step's map ``amap``."""
+        prm = self.params
+        adv = amap @ corner_coefficients(self.mesh, nodes,
+                                         prm.reg).reshape(-1, 3)
+        if rho is None:
+            return adv
+        lam_s = corner_coefficients(
+            self.mesh, tc.transport_nodes(1.0 - rho / prm.b, prm.reg), prm.reg)
+        return np.column_stack([adv, -(prm.b * (amap @ lam_s.reshape(-1)))])
 
     def _extra_audit_terms(self, eigs, vecs, rho, dt: float) -> dict:
         """Diffusion gradient terms of the budget; g'(sigma) is recomposed
@@ -321,54 +308,3 @@ class InitialReport:
         return bool(self.vertex_min_eig >= self.data_min_eig - tol
                     and self.vertex_max_eig <= self.data_max_eig + tol
                     and self.vertex_max_trace <= self.data_max_trace + tol)
-
-
-class _P1Step(BlockStep):
-    """Diffusive vertex blocks: k = 3 stress components, plus the trace."""
-
-    def __init__(self, scheme: SchemeP1Diff, state: State, dt: float):
-        super().__init__(scheme, state, dt)
-        self.scalar_lu = scheme.scalar_operator(dt)
-        # the transport velocity is explicit in the previous velocity, so
-        # the advection is one fixed linear map of the corner coefficients
-        self.adv_map = advection_map(
-            scheme.mesh, cell_mean_velocity(scheme.mesh, scheme.v,
-                                            state.u.values))
-
-    def stress_terms(self, sig, rho):
-        prm = self.scheme.params
-        mesh = self.scheme.mesh
-        w = self.scheme.weights
-        eta = rho if rho is not None else tc.trace(sig)
-        nodes = transport_nodes(sig, prm.reg)         # the one decomposition
-        flux = tc.relax_flux_of_beta(nodes.beta, eta, prm.reg)
-        kv = tc.k_delta_of_beta(nodes.beta, eta, prm.reg)
-        coupling = (self.scheme.grad_t
-                    @ tc.to_full(kv[:, None] * flux).reshape(-1))
-        rhs_u = self.rhs_u_base - (prm.eps / prm.wi) * coupling
-
-        lam_hat = corner_coefficients(mesh, nodes, prm.reg)      # (M, 2, 3)
-        adv = self.adv_map @ lam_hat.reshape(-1, 3)
-        fixed = w[:, None] * (self.sigma_prev / self.dt - flux / prm.wi)
-        if rho is not None:
-            lam_s = corner_coefficients(
-                mesh, transport_nodes(1.0 - rho / prm.b, prm.reg), prm.reg)
-            adv_r = self.adv_map @ lam_s.reshape(-1)
-            fixed_r = w * (self.rho_prev / self.dt - tc.trace(flux) / prm.wi)
-            fixed = np.column_stack([fixed, fixed_r])
-            adv = np.column_stack([adv, -(prm.b * adv_r)])
-        return rhs_u, (kv, tc.to_full(nodes.beta), fixed, adv)
-
-    def rhs_scalars(self, u, frozen):
-        """Right sides of the component and trace solves, frozen fields."""
-        kv, beta, fixed, adv = frozen
-        g_v = (self.scheme.grad @ u).reshape(self.m, 2, 2)
-        prod = g_v @ beta                             # (n, 2, 2)
-        sym = np.stack([prod[:, 0, 0],
-                        0.5 * (prod[:, 0, 1] + prod[:, 1, 0]),
-                        prod[:, 1, 1]], axis=1)
-        defo = 2.0 * kv[:, None] * sym
-        if self.k == 4:
-            tr_defo = 2.0 * kv * (prod[:, 0, 0] + prod[:, 1, 1])
-            defo = np.column_stack([defo, tr_defo])
-        return fixed + defo + adv

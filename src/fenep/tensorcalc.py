@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,8 @@ __all__ = [
     "h_delta",
     "g_delta_mat",
     "beta_delta_mat",
+    "TensorNodes",
+    "transport_nodes",
     "neg_part",
     "relax_classic",
     "relax_reg",
@@ -312,6 +315,38 @@ def beta_delta_mat(phi, rp: RegParams) -> np.ndarray:
     """Spectral ``max(., delta)`` of a tensor."""
     w, v = eig_sym(phi)
     return _recompose(np.maximum(w, rp.delta), v)
+
+
+class TensorNodes(NamedTuple):
+    """Nodal values of a tensor field that fix its transport coefficients."""
+
+    beta: np.ndarray      # beta_delta(phi), (..., 3)
+    gprime: np.ndarray    # g_delta'(phi), (..., 3)
+    tr_h: np.ndarray      # tr h_delta(g_delta'(phi)), (...)
+
+    def take(self, idx) -> TensorNodes:
+        return TensorNodes(self.beta[idx], self.gprime[idx], self.tr_h[idx])
+
+
+def _tensor_nodes(phi, rp: RegParams) -> TensorNodes:
+    w, v = eig_sym(phi)
+    _, gp_w = g_delta(w, rp)
+    return TensorNodes(_recompose(beta_delta(w, rp), v), _recompose(gp_w, v),
+                       h_delta(gp_w, rp).sum(axis=-1))
+
+
+def transport_nodes(field, rp: RegParams):
+    """Per-node values the transport coefficients of a field depend on.
+
+    A tensor field (n, 3) gives its :class:`TensorNodes`, all from one
+    spectral decomposition per node; a scalar field (n,) gives
+    ``g'(field)``.  :func:`fenep.scheme_p1diff.corner_coefficients`
+    gathers them to the cells.
+    """
+    field = np.asarray(field, float)
+    if field.ndim == 2:
+        return _tensor_nodes(field, rp)
+    return g_delta(field, rp)[1]
 
 
 def neg_part(phi) -> np.ndarray:

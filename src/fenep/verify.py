@@ -19,7 +19,7 @@ from .fespaces import triangle_rule
 from .meshing import structured_unit_square
 from .params import ModelParams
 from .scheme_p0 import SchemeP0, upwind_fluxes
-from .scheme_p1diff import lambda_transport, transport_nodes
+from .scheme_p1diff import lambda_transport
 
 __all__ = ["run_all"]
 
@@ -66,7 +66,7 @@ def _check_transport_identity():
     mesh = structured_unit_square(3)
     rp = tc.RegParams(0.25, 5.0)
     field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
-    lam = lambda_transport(mesh, transport_nodes(field, rp), rp)
+    lam = lambda_transport(mesh, tc.transport_nodes(field, rp), rp)
     _, gp = tc.g_delta_mat(field, rp)
     w, _ = tc.eig_sym(field)
     _, gpw = tc.g_delta(w, rp)

@@ -27,7 +27,6 @@ from fenep.scheme_p1diff import (
     lambda_matrix,
     lambda_scalar,
     lambda_transport,
-    transport_nodes,
 )
 
 BASE = dict(re=1.0, wi=1.0, eps=0.5, b=5.0)
@@ -148,7 +147,7 @@ def test_criterion_02_transport_identities():
         mesh = disjoint_copies(base, count)
         grads, cells = mesh.bary_grads, mesh.cells
         field = rng.uniform(-3.0, 3.0, size=(count * base.n_vertices, 3))
-        lam = lambda_transport(mesh, transport_nodes(field, rp), rp)
+        lam = lambda_transport(mesh, tc.transport_nodes(field, rp), rp)
         _, gp = tc.g_delta_mat(field, rp)
         w, _ = tc.eig_sym(field)
         _, gpw = tc.g_delta(w, rp)
@@ -162,7 +161,7 @@ def test_criterion_02_transport_identities():
         mesh = disjoint_copies(base, 500)
         grads, cells = mesh.bary_grads, mesh.cells
         q = rng.uniform(-3.0, 3.0, size=500 * base.n_vertices)
-        lam = lambda_transport(mesh, transport_nodes(q, rp), rp)
+        lam = lambda_transport(mesh, tc.transport_nodes(q, rp), rp)
         _, gp = tc.g_delta(q, rp)
         h_of = tc.h_delta(gp, rp)
         d_gp = np.einsum("kjp,kj->kp", grads, gp[cells])

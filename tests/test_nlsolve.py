@@ -337,9 +337,7 @@ def stirred_state(kind):
 
 
 def block_step(scheme, state, dt=0.5):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scheme_p1diff.TimeStepWarning)
-        return scheme._block_step(state, dt)
+    return nlsolve.BlockStep(scheme, state, dt)
 
 
 def count_calls(monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
 from fenep.meshing import TriMesh, structured_unit_square
-from fenep.nlsolve import PicardConfig, SolverError
+from fenep.nlsolve import BlockStep, PicardConfig, SolverError
 from fenep.params import ModelParams
 from fenep.scheme_p1diff import (
     DT_CAP_CSTAR,
@@ -27,7 +27,6 @@ from fenep.scheme_p1diff import (
     lambda_matrix,
     lambda_scalar,
     lambda_transport,
-    transport_nodes,
 )
 
 PARAMS = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1, alpha=0.1)
@@ -95,7 +94,7 @@ def test_lambda_transport_constant_field_is_beta_times_identity():
     mesh = structured_unit_square(3)
     value = np.array([1.3, 0.1, 0.8])
     field = np.tile(value, (mesh.n_vertices, 1))
-    lam = lambda_transport(mesh, transport_nodes(field, RP), RP)
+    lam = lambda_transport(mesh, tc.transport_nodes(field, RP), RP)
     assert lam.shape == (mesh.n_cells, 2, 2, 3)
     beta = tc.beta_delta_mat(value, RP)
     assert np.allclose(lam[:, 0, 1], 0.0, atol=1e-13)
@@ -111,7 +110,7 @@ def test_transport_chain_rule_tensor(n, seed):
     worst = 0.0
     for _ in range(25):
         field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
-        lam = lambda_transport(mesh, transport_nodes(field, RP), RP)
+        lam = lambda_transport(mesh, tc.transport_nodes(field, RP), RP)
         _, gp = tc.g_delta_mat(field, RP)
         for k in range(mesh.n_cells):
             grads = mesh.bary_grads[k]
@@ -133,7 +132,7 @@ def test_transport_chain_rule_scalar():
     worst = 0.0
     for _ in range(25):
         field = rng.uniform(-1.5, 1.5, size=mesh.n_vertices)
-        lam = lambda_transport(mesh, transport_nodes(field, RP), RP)
+        lam = lambda_transport(mesh, tc.transport_nodes(field, RP), RP)
         _, gp = tc.g_delta(field, RP)
         h_of = tc.h_delta(gp, RP)
         for k in range(mesh.n_cells):
@@ -167,14 +166,14 @@ def test_lambda_transport_is_pairwise_stacking():
     hat = np.stack([lambda_matrix(field[cells[:, j]], field[cells[:, 0]], RP)
                     for j in (1, 2)], axis=1)
     want = np.einsum("kjm,kpj,kjc->kmpc", mesh.affine_Binv, mesh.affine_B, hat)
-    got = lambda_transport(mesh, transport_nodes(field, RP), RP)
+    got = lambda_transport(mesh, tc.transport_nodes(field, RP), RP)
     assert np.array_equal(got, want)
 
     hat = np.stack([lambda_scalar(q[cells[:, j]], q[cells[:, 0]], RP)
                     for j in (1, 2)], axis=1)
     want = np.einsum("kjm,kpj,kj->kmp", mesh.affine_Binv, mesh.affine_B, hat)
-    assert np.array_equal(lambda_transport(mesh, transport_nodes(q, RP), RP),
-                          want)
+    assert np.array_equal(
+        lambda_transport(mesh, tc.transport_nodes(q, RP), RP), want)
 
 
 def einsum_advection(mesh, u_cell, lam):
@@ -204,8 +203,8 @@ def test_advection_map_matches_einsum_contraction():
     state, _ = initial(scheme, 0.1)
     sig = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
     rho = rng.uniform(0.0, 1.2 * RP.b, size=mesh.n_vertices)
-    nodes = transport_nodes(sig, RP)
-    nodes_r = transport_nodes(1.0 - rho / RP.b, RP)
+    nodes = tc.transport_nodes(sig, RP)
+    nodes_r = tc.transport_nodes(1.0 - rho / RP.b, RP)
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -214,9 +213,7 @@ def test_advection_map_matches_einsum_contraction():
     for _ in range(2):
         u = rng.standard_normal(v.n_dofs)
         state = dataclasses.replace(state, u=fe.DiscreteField(v, u))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TimeStepWarning)
-            problem = scheme._block_step(state, 0.1)
+        problem = BlockStep(scheme, state, 0.1)
         u_cell = fe.cell_mean_velocity(mesh, v, u)
         want = einsum_advection(mesh, u_cell,
                                 lambda_transport(mesh, nodes, RP))
@@ -263,6 +260,14 @@ def test_step_size_warning_threshold():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scheme.check_step_size(0.5 * cap)
+
+
+def test_step_size_warning_names_the_caller_of_step():
+    scheme = make_scheme(2)
+    state, _ = initial(scheme, 0.1)
+    with pytest.warns(TimeStepWarning) as caught:
+        scheme.step(state, 0.1, CFG)
+    assert [w.filename for w in caught] == [__file__]
 
 
 # ---------------------------------------------------------------------------
