@@ -7,9 +7,19 @@ and the reduced-quadratic element adds one scalar bubble per edge whose
 direction is the edge's global unit normal.  Assembly therefore runs one
 generic code path over ``(scalar factor, direction)`` pairs; the mass,
 stiffness, convection and gradient operators below never special-case
-an element.  The convection, the one operator rebuilt on every time
-step, fills the data array of a :class:`FixedPattern` on the free dofs
-instead of assembling a new matrix.  The gradient operator
+an element.
+
+Assembly works on whole arrays of cells, never cell by cell.  Each
+operator contracts a small reference tensor, tabulated once on the
+reference triangle, with the per-cell geometry (barycentric gradients
+and areas) in one matrix product or a few broadcast products; vectors are
+summed into dofs with ``np.bincount`` and matrices through one COO
+triple list.  A velocity matrix stores only entries whose two direction
+vectors are not orthogonal (``dirs_i . dirs_j != 0``), which halves the
+coordinate-direction elements, and no entry that sums to exactly zero.
+The convection, the one operator rebuilt on every time step, fills the
+data array of a :class:`FixedPattern` on the free dofs instead of
+assembling a new matrix.  The gradient operator
 ``G = integral( psi grad(phi) )`` against a scalar test space is
 assembled once per scheme and serves three forms by matrix products:
 the tested velocity gradient ``G u``, the stress coupling ``G^T W`` and,
@@ -33,7 +43,6 @@ the test suite against closed-form monomial integrals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +54,6 @@ __all__ = [
     "QuadratureRule",
     "triangle_rule",
     "gauss01",
-    "SupportError",
     "DiscreteField",
     "build_space",
     "VelocitySpace",
@@ -60,20 +68,13 @@ __all__ = [
     "convection_matrix",
     "gradient_matrix",
     "gradient_trace",
-    "divergence_matrix",
     "velocity_load",
     "sample_cells",
     "cell_mean_velocity",
     "evaluate_velocity",
-    "scalar_mass",
     "scalar_stiffness",
     "pressure_integral_vector",
-    "inf_sup_estimate",
 ]
-
-
-class SupportError(RuntimeError):
-    """Requested operation exceeds the supported (desk-scale) problem size."""
 
 
 # ---------------------------------------------------------------------------
@@ -383,46 +384,67 @@ def pi_h(mesh: TriMesh, f):
 
 def lumped_weights(mesh: TriMesh) -> np.ndarray:
     """Vertex quadrature weights: w_p = sum of |K|/3 over cells at p."""
-    w = np.zeros(mesh.n_vertices)
-    np.add.at(w, mesh.cells.ravel(),
-              np.repeat(mesh.cell_areas / 3.0, 3))
-    return w
+    return np.bincount(mesh.cells.ravel(), np.repeat(mesh.cell_areas / 3.0, 3),
+                       minlength=mesh.n_vertices)
 
 
 # ---------------------------------------------------------------------------
 # assembly kernels
 
 
-def _to_csr(cellvals, rows_dofs, cols_dofs, shape):
-    m, nr, nc = cellvals.shape
-    rows = np.repeat(rows_dofs, nc, axis=1).ravel()
-    cols = np.tile(cols_dofs, (1, nr)).ravel()
-    mat = sp.coo_matrix((cellvals.ravel(), (rows, cols)), shape=shape)
-    return mat.tocsr()
+def _to_csr(cellvals, dofs, n, stored=...):
+    """Sum the cell matrices ``cellvals`` (M, nloc, nloc) on the dofs
+    ``dofs`` (M, nloc) into an n x n CSR matrix; only the entries flagged
+    in ``stored`` enter it."""
+    rows = np.broadcast_to(dofs[:, :, None], cellvals.shape)
+    cols = np.swapaxes(rows, 1, 2)
+    return sp.csr_matrix(
+        (cellvals[stored].ravel(), (rows[stored].ravel(), cols[stored].ravel())),
+        shape=(n, n))
 
 
-def _shape_grads(mesh: TriMesh, v: VelocitySpace, rule: QuadratureRule):
-    """Physical gradients of the local scalar factors, (M, nloc, nq, 2)."""
-    dbar = v.scalar_dbary(rule.points)                  # (nq, nloc, 3)
-    return np.einsum("qlj,kjd->klqd", dbar, mesh.bary_grads)
+def _velocity_csr(v: VelocitySpace, cellvals):
+    """Assembled cell matrices ``cellvals_ij dirs_i . dirs_j`` of ``v``.
+
+    Only nonzeros are stored: entries of orthogonal direction pairs are
+    never assembled, and sums that cancel exactly are dropped.
+    """
+    dd = _dir_products(v.cell_dirs)
+    mat = _to_csr(dd * cellvals, v.cell_dofs, v.n_dofs, dd != 0.0)
+    mat.eliminate_zeros()
+    return mat
+
+
+def _weighted_products(a, b, weights):
+    """``sum_q weights_q a_q[..., :, None] b_q[..., None, :]`` over the
+    leading axis q; exactly symmetric when ``a`` is ``b``."""
+    prod = a[..., :, None] * b[..., None, :]
+    return (prod * weights.reshape((-1,) + (1,) * (prod.ndim - 1))).sum(axis=0)
 
 
 def velocity_mass(mesh: TriMesh, v: VelocitySpace, degree: int | None = None):
     rule = triangle_rule(degree if degree is not None else 2 * v.degree)
-    sval = v.scalar_val(rule.points).T                  # (nloc, nq)
-    s2 = np.einsum("iq,jq,q->ij", sval, sval, rule.weights)
-    dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
-    cellvals = dd * s2[None] * mesh.cell_areas[:, None, None]
-    return _to_csr(cellvals, v.cell_dofs, v.cell_dofs, (v.n_dofs, v.n_dofs))
+    sval = v.scalar_val(rule.points)                     # (nq, nloc)
+    s2 = _weighted_products(sval, sval, rule.weights)
+    return _velocity_csr(v, s2 * mesh.cell_areas[:, None, None])
 
 
 def velocity_stiffness(mesh: TriMesh, v: VelocitySpace):
+    """integral( grad(phi_i) : grad(phi_j) ) through the reference tensor
+    ``R[a, b] = integral( d_a s_i d_b s_j )`` of barycentric derivatives:
+    a cell's matrix is ``sum_ab (grad(lambda_a) . grad(lambda_b)) R[a, b]``,
+    one matrix product over all cells."""
     rule = triangle_rule(max(2 * v.degree - 2, 1))
-    gx = _shape_grads(mesh, v, rule)
-    e = np.einsum("kiqd,kjqd,q->kij", gx, gx, rule.weights)
-    dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
-    cellvals = e * dd * mesh.cell_areas[:, None, None]
-    return _to_csr(cellvals, v.cell_dofs, v.cell_dofs, (v.n_dofs, v.n_dofs))
+    dbar = np.swapaxes(v.scalar_dbary(rule.points), 1, 2)   # (nq, 3, nloc)
+    ref = _weighted_products(dbar[:, :, None], dbar[:, None, :],
+                             rule.weights)            # (3, 3, nloc, nloc)
+    g = mesh.bary_grads
+    gram = g @ np.swapaxes(g, 1, 2)                       # (M, 3, 3)
+    e = (gram.reshape(-1, 9) @ ref.reshape(9, -1)).reshape(-1, v.nloc, v.nloc)
+    # the product sums (i, j) and (j, i) in different orders: averaging
+    # the two makes the matrix exactly symmetric
+    e = (e + np.swapaxes(e, 1, 2)) * (0.5 * mesh.cell_areas[:, None, None])
+    return _velocity_csr(v, e)
 
 
 def evaluate_velocity(mesh: TriMesh, v: VelocitySpace, coeffs, lam) -> np.ndarray:
@@ -528,13 +550,19 @@ def gradient_matrix(mesh: TriMesh, v: VelocitySpace, s: ScalarSpace):
     are dropped after assembly.
     """
     rule = triangle_rule(max(v.degree - 1 + s.degree, 1))
-    gx = _shape_grads(mesh, v, rule)                      # (M, nloc, nq, 2)
-    sval = s.val(rule.points)                             # (nq, nloc_s)
-    mom = np.einsum("qn,kiqb,q->knib", sval, gx, rule.weights)
-    mom = mom * mesh.cell_areas[:, None, None, None]  # (M, nloc_s, nloc, 2)
+    dbar = v.scalar_dbary(rule.points)                    # (nq, nloc, 3)
+    # R[j, n, i] = integral( psi_n d_j s_i ) on the reference cell
+    ref = _weighted_products(s.val(rule.points)[:, None],
+                             np.swapaxes(dbar, 1, 2), rule.weights)
+    # mom[k, b, n, i] = integral over cell k of psi_n d_b s_i, summed term
+    # by term: a fused multiply-add would leave rounding residue where the
+    # moments cancel exactly, and so store entries that add LU fill
+    g = mesh.bary_grads * mesh.cell_areas[:, None, None]
+    mom = sum(g[:, j, :, None, None] * ref[j] for j in range(3))
     # d_b (phi_i)_a = dirs[i, a] * d_b s_i for each structural (k, i, a)
     k, i, a = np.nonzero(v.cell_dirs)
-    vals = v.cell_dirs[k, i, a][:, None, None] * mom[k, :, i, :]
+    vals = v.cell_dirs[k, i, a][:, None, None] * np.moveaxis(
+        mom[k, :, :, i], 1, 2)
     rows = (4 * s.cell_dofs[k][:, :, None] + 2 * a[:, None, None]
             + np.arange(2))
     cols = np.broadcast_to(v.cell_dofs[k, i][:, None, None], rows.shape)
@@ -549,30 +577,24 @@ def gradient_trace(grad):
     return grad[0::4] + grad[3::4]
 
 
-def divergence_matrix(mesh: TriMesh, v: VelocitySpace, p: ScalarSpace):
-    """B[q, i] = integral( psi_q * div(phi_i) ), shape (n_p, n_u)."""
-    return gradient_trace(gradient_matrix(mesh, v, p))
-
-
 def sample_cells(mesh: TriMesh, f, lam) -> np.ndarray:
     """Components of a callable ``f(x, y) -> (f_0, f_1, ...)`` at the
     barycentric points ``lam`` of every cell, shape (n_cells, nq, n_comp)."""
-    xq = np.einsum("qj,kjd->kqd", np.asarray(lam, float),
-                   mesh.vertices[mesh.cells])
+    xq = np.asarray(lam, float) @ mesh.vertices[mesh.cells]
     return np.stack(np.broadcast_arrays(*f(xq[..., 0], xq[..., 1])), axis=-1)
 
 
 def velocity_load(mesh: TriMesh, v: VelocitySpace, f, degree: int = 6):
     """Load vector integral( f . phi_i ) for a callable f(x, y) -> (fx, fy)."""
     rule = triangle_rule(degree)
-    sval = v.scalar_val(rule.points).T
+    sw = v.scalar_val(rule.points) * rule.weights[:, None]    # (nq, nloc)
     fq = sample_cells(mesh, f, rule.points)               # (M, nq, 2)
-    fd = np.einsum("kqd,kld->klq", fq, v.cell_dirs)
-    cellvals = np.einsum("klq,lq,q->kl", fd, sval, rule.weights)
-    cellvals = cellvals * mesh.cell_areas[:, None]
-    out = np.zeros(v.n_dofs)
-    np.add.at(out, v.cell_dofs.ravel(), cellvals.ravel())
-    return out
+    # f_d against every scalar factor, then dotted with the directions
+    fs = np.swapaxes(fq, 1, 2) @ sw                       # (M, 2, nloc)
+    cellvals = fs[:, 0] * v.cell_dirs[..., 0] + fs[:, 1] * v.cell_dirs[..., 1]
+    return np.bincount(v.cell_dofs.ravel(),
+                       (cellvals * mesh.cell_areas[:, None]).ravel(),
+                       minlength=v.n_dofs)
 
 
 def cell_mean_velocity(mesh: TriMesh, v: VelocitySpace, coeffs) -> np.ndarray:
@@ -582,20 +604,11 @@ def cell_mean_velocity(mesh: TriMesh, v: VelocitySpace, coeffs) -> np.ndarray:
     return np.einsum("kqd,q->kd", u, rule.weights) * mesh.cell_areas[:, None]
 
 
-def scalar_mass(mesh: TriMesh, s: ScalarSpace):
-    rule = triangle_rule(max(2 * s.degree, 1))
-    val = s.val(rule.points)
-    m = np.einsum("qi,qj,q->ij", val, val, rule.weights)
-    cellvals = m[None] * mesh.cell_areas[:, None, None]
-    return _to_csr(cellvals, s.cell_dofs, s.cell_dofs, (s.n_dofs, s.n_dofs))
-
-
 def scalar_stiffness(mesh: TriMesh):
     """P1 stiffness matrix integral( grad q . grad r )."""
     g = mesh.bary_grads                                   # (M, 3, 2)
     cellvals = np.einsum("kid,kjd->kij", g, g) * mesh.cell_areas[:, None, None]
-    return _to_csr(cellvals, mesh.cells, mesh.cells,
-                   (mesh.n_vertices, mesh.n_vertices))
+    return _to_csr(cellvals, mesh.cells, mesh.n_vertices)
 
 
 def pressure_integral_vector(mesh: TriMesh, p: ScalarSpace) -> np.ndarray:
@@ -603,38 +616,3 @@ def pressure_integral_vector(mesh: TriMesh, p: ScalarSpace) -> np.ndarray:
     if p.degree == 0:
         return mesh.cell_areas.copy()
     return lumped_weights(mesh)  # exact for P1
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def inf_sup_estimate(mesh: TriMesh, velocity_kind: str, pressure_kind: str) -> float:
-    """Numerical inf-sup constant of a velocity/pressure pairing.
-
-    Returns the smallest nonzero generalized singular value of the
-    divergence coupling against the H1 velocity norm and the L2 pressure
-    norm, restricted to homogeneous velocity data and mean-zero pressures.
-    Dense linear algebra; intended as a desk-scale test utility and
-    guarded accordingly.
-    """
-    import scipy.linalg as la
-    from scipy.sparse.linalg import splu
-
-    v = VelocitySpace(mesh, velocity_kind)
-    p = ScalarSpace(mesh, pressure_kind)
-    if v.n_dofs > 6000 or p.n_dofs > 1500:
-        raise SupportError(
-            "inf_sup_estimate is a dense test utility; use meshes with "
-            "n <= 16")
-    free = ~v.dirichlet_mask
-    x_mat = (velocity_stiffness(mesh, v) + velocity_mass(mesh, v)).tocsr()
-    x_ff = x_mat[free][:, free].tocsc()
-    b = divergence_matrix(mesh, v, p).tocsr()[:, free]
-    lu = splu(x_ff)
-    z = lu.solve(b.toarray().T)                      # X^{-1} B^T
-    s_mat = b @ z
-    m_p = scalar_mass(mesh, p).toarray()
-    eigs = la.eigh(0.5 * (s_mat + s_mat.T), m_p, eigvals_only=True)
-    # the constant pressure is in the kernel; the next eigenvalue is mu^2
-    return float(math.sqrt(max(eigs[1], 0.0)))

@@ -76,7 +76,8 @@ class TriMesh:
     vertices : array_like, shape (n_vertices, 2)
     cells : array_like, shape (n_cells, 3)
         Vertex index triples.  Clockwise cells are reoriented; degenerate
-        cells raise :class:`MeshError`.
+        or overlapping cells, an edge shared by more than two cells and a
+        mesh that is not edge-connected raise :class:`MeshError`.
     """
 
     def __init__(self, vertices, cells):
@@ -90,9 +91,10 @@ class TriMesh:
             raise MeshError("vertex coordinates must be finite")
         if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
             raise MeshError("cell vertex index out of range")
-        for k, (a, b, c) in enumerate(cells):
-            if a == b or b == c or a == c:
-                raise MeshError(f"cell {k} repeats a vertex index")
+        repeats = cells != np.roll(cells, 1, axis=1)
+        if not repeats.all():
+            k = int(np.argmin(repeats.all(axis=1)))
+            raise MeshError(f"cell {k} repeats a vertex index")
 
         def _signed_area(p):
             u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -141,31 +143,44 @@ class TriMesh:
     # -- construction helpers ------------------------------------------------
 
     def _build_edges(self) -> None:
-        m = len(self.cells)
-        local = self.cells[:, [[1, 2], [2, 0], [0, 1]]]  # edge opposite vertex i
-        pairs = np.sort(local.reshape(-1, 2), axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        m, n_v = len(self.cells), len(self.vertices)
+        # half-edge 3k + i: the edge opposite local vertex i of cell k
+        local = self.cells[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+        key = local.min(axis=1) * n_v + local.max(axis=1)
+        order = np.argsort(key, kind="stable")   # cells ascending per edge
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        n_e = len(first)
+        half_left = order[first]             # each edge's first half-edge
+        edges = np.column_stack(np.divmod(key[half_left], n_v))
+        count = np.diff(first, append=len(key))
+        if count.max(initial=0) > 2:
+            e = int(np.argmax(count > 2))
+            raise MeshError(f"edge {tuple(edges[e].tolist())} shared by more "
+                            "than two cells")
+        inverse = np.empty(len(key), np.int64)
+        inverse[order] = np.repeat(np.arange(n_e), count)
         self.edge_vertices = edges
         self.cell_edges = inverse.reshape(m, 3)
 
-        n_e = len(edges)
-        edge_cells = np.full((n_e, 2), -1, np.int64)
-        count = np.zeros(n_e, np.int64)
-        for k in range(m):
-            for e in self.cell_edges[k]:
-                if count[e] == 2:
-                    raise MeshError(
-                        f"edge {tuple(self.edge_vertices[e])} shared by more "
-                        "than two cells")
-                edge_cells[e, count[e]] = k
-                count[e] += 1
         # left cell = smaller index when interior
         interior = count == 2
-        swap = interior & (edge_cells[:, 0] > edge_cells[:, 1])
-        edge_cells[swap] = edge_cells[swap][:, ::-1]
+        edge_cells = np.full((n_e, 2), -1, np.int64)
+        edge_cells[:, 0] = half_left // 3
+        half_right = order[first[interior] + 1]
+        edge_cells[interior, 1] = half_right // 3
         self.edge_cells = edge_cells
         self.is_boundary_edge = ~interior
         self.interior_edges = np.nonzero(interior)[0]
+
+        # counterclockwise cells on opposite sides of their shared edge run
+        # along it in opposite directions
+        forward = local[:, 0] < local[:, 1]
+        folded = forward[half_left[interior]] == forward[half_right]
+        if folded.any():
+            e = int(self.interior_edges[np.argmax(folded)])
+            raise MeshError(
+                f"cells {tuple(edge_cells[e].tolist())} overlap: both lie on "
+                f"one side of their shared edge {tuple(edges[e].tolist())}")
 
         # oriented unit normals (left -> right, or outward on the boundary)
         pa = self.vertices[edges[:, 0]]
@@ -173,11 +188,12 @@ class TriMesh:
         tang = pb - pa
         self.edge_lengths = np.linalg.norm(tang, axis=1)
         normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / self.edge_lengths[:, None]
+
         centroids = self.vertices[self.cells].mean(axis=1)
         ref = np.where(interior[:, None],
                        centroids[edge_cells[:, 1]] - centroids[edge_cells[:, 0]],
                        0.5 * (pa + pb) - centroids[edge_cells[:, 0]])
-        sign = np.where(np.einsum("ej,ej->e", normal, ref) < 0.0, -1.0, 1.0)
+        sign = np.where((normal * ref).sum(axis=1) < 0.0, -1.0, 1.0)
         self.edge_normals = normal * sign[:, None]
 
         bmask = np.zeros(len(self.vertices), bool)
@@ -185,20 +201,25 @@ class TriMesh:
         self.is_boundary_vertex = bmask
 
     def _check_edge_connected(self) -> None:
+        """Min-label propagation with pointer jumping over interior edges."""
         m = len(self.cells)
-        if m <= 1:
-            return
-        seen = np.zeros(m, bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            k = stack.pop()
-            for e in self.cell_edges[k]:
-                for kk in self.edge_cells[e]:
-                    if kk >= 0 and not seen[kk]:
-                        seen[kk] = True
-                        stack.append(kk)
-        if not seen.all():
+        left, right = self.edge_cells[self.interior_edges].T
+        label = np.arange(m)
+        while True:
+            a, b = label[left], label[right]
+            differ = a != b
+            if not differ.any():
+                break
+            # every label is a root here: hook each larger root onto a
+            # smaller neighbouring one, then jump the pointers to roots
+            np.minimum.at(label, np.maximum(a, b)[differ],
+                          np.minimum(a, b)[differ])
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+        if m > 1 and label.max() > 0:
             raise MeshError(
                 "mesh is not edge-connected (cells touching at most at "
                 "vertices are not conforming)")
@@ -235,17 +256,11 @@ def structured_unit_square(n: int) -> TriMesh:
     xx, yy = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    return TriMesh(vertices, np.array(cells, np.int64))
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i                     # lower-left corner of square
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return TriMesh(vertices, cells)
 
 
 def audit_mesh(mesh: TriMesh) -> MeshAudit:

