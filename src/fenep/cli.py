@@ -10,7 +10,8 @@ Subcommands
     audit; config, mesh and solver problems exit 2, 3 and 4.
 ``fenep audit CSV``
     Recheck the energy budget of an existing ``energy.csv`` row by row
-    from the recorded columns alone; exit 5 on the first violation.
+    from the recorded columns alone; exit 5 on the first violation, 2
+    when the table cannot be read.
 ``fenep mesh gen``
     Write a structured triangulation (optionally sheared, which makes
     it obtuse) in the plain-text mesh format.
@@ -28,14 +29,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .meshing import MeshError, TriMesh, audit_mesh, load_mesh, save_mesh, structured_unit_square
 from .nlsolve import PicardConfig, SolverError
-from .params import ModelParams, ParameterError, validate_time_steps
+from .params import ModelParams, ParameterError
 from .scheme_p0 import SchemeP0
 from .scheme_p1diff import SchemeP1Diff
 
@@ -59,6 +60,9 @@ ENERGY_COLUMNS = (
     "relaxation", "diffusion_sigma", "diffusion_rho", "forcing",
     "trace_balance", "min_eig_sigma", "max_trace_sigma", "picard_iters",
     "residual", "audit_pass")
+#: how ``read_energy_csv`` parses a column that is not a float
+_COLUMN_TYPES = {"step": int, "picard_iters": int,
+                 "audit_pass": lambda raw: raw == "True"}
 
 
 class ConfigError(ValueError):
@@ -68,14 +72,34 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing
 
-_SCHEMA = {
-    "model": {"scenario", "amplitude", "re", "wi", "eps", "b", "delta",
-              "alpha"},
-    "mesh": {"n", "file", "shear"},
-    "time": {"dt", "tmax", "dt0"},
-    "solver": {"scheme", "velocity", "tol", "max_iters", "min_damping"},
-    "output": {"dir", "vtk_every"},
+#: section -> key -> (type, default) of every config entry; a default of
+#: None marks an entry that is required, or whose absence means something
+_KEYS = {
+    "model": {"scenario": (str, "relax"), "amplitude": (float, 1.0),
+              "re": (float, 1.0), "wi": (float, 1.0), "eps": (float, 0.5),
+              "b": (float, 5.0), "delta": (float, 0.1),
+              "alpha": (float, None)},
+    "mesh": {"n": (int, None), "file": (str, None), "shear": (float, 0.0)},
+    "time": {"dt": (float, None), "tmax": (float, None),
+             "dt0": (float, None)},
+    "solver": {"scheme": (str, None), "velocity": (str, None),
+               "tol": (float, 1e-10), "max_iters": (int, 200),
+               "min_damping": (float, 1.0 / 16.0)},
+    "output": {"dir": (str, "out"), "vtk_every": (int, 0)},
 }
+
+#: ``fenep run`` flag -> the config entry it overrides
+_FLAGS = {
+    "scheme": ("solver", "scheme"), "velocity": ("solver", "velocity"),
+    "delta": ("model", "delta"), "alpha": ("model", "alpha"),
+    "dt": ("time", "dt"), "tmax": ("time", "tmax"), "b": ("model", "b"),
+    "wi": ("model", "wi"), "re": ("model", "re"), "eps": ("model", "eps"),
+    "out": ("output", "dir"),
+}
+
+#: the flags ``--sweep`` may vary: the numbers, but not the run's length
+_SWEEPABLE = tuple(flag for flag, (section, key) in _FLAGS.items()
+                   if _KEYS[section][key][0] is float and key != "tmax")
 
 SCHEMES = {"p0": SchemeP0, "p1diff": SchemeP1Diff}
 
@@ -102,11 +126,11 @@ def parse_config(path) -> dict:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(
                 f"unknown section [{section}]; expected one of "
-                f"{sorted(_SCHEMA)}")
-        allowed = _SCHEMA[section]
+                f"{sorted(_KEYS)}")
+        allowed = _KEYS[section]
         out[section] = {}
         for key, value in parser.items(section):
             if key not in allowed:
@@ -117,26 +141,22 @@ def parse_config(path) -> dict:
     return out
 
 
-def _get(cfg, section, key, default=None):
-    return cfg.get(section, {}).get(key, default)
-
-
-def _as_float(raw, where):
+def _typed(section, key, raw):
+    """The value of a config entry given as the string ``raw`` (None:
+    absent, which gives the default)."""
+    kind, default = _KEYS[section][key]
+    if raw is None:
+        return default
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {raw!r}") from None
+        return kind(raw)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(
+            f"[{section}] {key} must be {noun}, got {raw!r}") from None
 
 
 def _positive(x) -> bool:
     return math.isfinite(x) and x > 0
-
-
-def _as_int(raw, where):
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -151,6 +171,7 @@ class RunSetup:
     shear: float
     dt: float
     tmax: float
+    steps: int
     dt0: float
     picard: PicardConfig
     out_dir: str
@@ -158,22 +179,28 @@ class RunSetup:
 
 
 def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
-    """Combine a parsed config with CLI overrides into a typed setup."""
-    overrides = overrides or {}
+    """Combine a parsed config with CLI overrides into a typed setup.
 
-    def oget(name, section, key, default=None):
-        if overrides.get(name) is not None:
-            return str(overrides[name])
-        return _get(cfg, section, key, default)
+    ``overrides`` maps ``fenep run`` flags to values; a value of None
+    leaves the config's entry.
+    """
+    raw = {section: dict(cfg.get(section, {})) for section in _KEYS}
+    for flag, value in (overrides or {}).items():
+        if value is not None:
+            section, key = _FLAGS[flag]
+            raw[section][key] = str(value)
+    model, mesh, time, solver, output = (
+        {key: _typed(section, key, raw[section].get(key)) for key in keys}
+        for section, keys in _KEYS.items())
 
-    scheme = oget("scheme", "solver", "scheme")
+    scheme = solver["scheme"]
     if scheme is None:
         raise ConfigError("[solver] scheme is required (p0 or p1diff)")
     if scheme not in SCHEMES:
         raise ConfigError(f"scheme must be p0 or p1diff, got {scheme!r}")
     kinds = SCHEMES[scheme].VELOCITIES
 
-    vel_raw = oget("velocity", "solver", "velocity")
+    vel_raw = solver["velocity"]
     velocity = kinds[0] if vel_raw is None else _VELOCITY_TOKENS.get(vel_raw)
     if velocity not in kinds:
         tokens = sorted(t for t, k in _VELOCITY_TOKENS.items() if k in kinds)
@@ -181,85 +208,61 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
                           f"{tokens}, got {vel_raw!r}")
 
     # the diffusion and the smoothing of the initial data are p1diff's own
-    alpha_raw = oget("alpha", "model", "alpha")
-    dt0_raw = _get(cfg, "time", "dt0")
-    if scheme == "p1diff" and alpha_raw is None:
+    if scheme == "p1diff" and model["alpha"] is None:
         raise ConfigError("[model] alpha is required for the p1diff scheme")
     if scheme == "p0":
-        for where, raw in (("[model] alpha", alpha_raw),
-                           ("[time] dt0", dt0_raw)):
-            if raw is not None:
+        for where, value in (("[model] alpha", model["alpha"]),
+                             ("[time] dt0", time["dt0"])):
+            if value is not None:
                 raise ConfigError(f"{where} is not used by the p0 scheme")
     try:
-        params = ModelParams(
-            re=_as_float(oget("re", "model", "re", "1.0"), "[model] re"),
-            wi=_as_float(oget("wi", "model", "wi", "1.0"), "[model] wi"),
-            eps=_as_float(oget("eps", "model", "eps", "0.5"), "[model] eps"),
-            b=_as_float(oget("b", "model", "b", "5.0"), "[model] b"),
-            delta=_as_float(oget("delta", "model", "delta", "0.1"),
-                            "[model] delta"),
-            alpha=(None if alpha_raw is None
-                   else _as_float(alpha_raw, "[model] alpha")))
-    except (ParameterError, ValueError) as exc:
+        params = ModelParams(**{f.name: model[f.name]
+                                for f in fields(ModelParams)})
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    scenario = _get(cfg, "model", "scenario", "relax")
-    if scenario not in ("relax", "decay", "forced-cavity"):
+    if model["scenario"] not in ("relax", "decay", "forced-cavity"):
         raise ConfigError(
             f"scenario must be relax, decay or forced-cavity, got "
-            f"{scenario!r}")
-    amplitude = _as_float(_get(cfg, "model", "amplitude", "1.0"),
-                          "[model] amplitude")
-    if not math.isfinite(amplitude):
-        raise ConfigError(f"[model] amplitude must be finite, got {amplitude}")
-
-    n_raw = _get(cfg, "mesh", "n")
-    file_raw = _get(cfg, "mesh", "file")
-    if (n_raw is None) == (file_raw is None):
+            f"{model['scenario']!r}")
+    for where, value in (("[model] amplitude", model["amplitude"]),
+                         ("[mesh] shear", mesh["shear"])):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value}")
+    if (mesh["n"] is None) == (mesh["file"] is None):
         raise ConfigError("[mesh] needs exactly one of 'n' or 'file'")
-    mesh_n = None if n_raw is None else _as_int(n_raw, "[mesh] n")
-    shear = _as_float(_get(cfg, "mesh", "shear", "0.0"), "[mesh] shear")
-    if not math.isfinite(shear):
-        raise ConfigError(f"[mesh] shear must be finite, got {shear}")
 
-    dt_raw = oget("dt", "time", "dt")
-    tmax_raw = oget("tmax", "time", "tmax")
-    if dt_raw is None or tmax_raw is None:
+    dt, tmax = time["dt"], time["tmax"]
+    if dt is None or tmax is None:
         raise ConfigError("[time] dt and tmax are required")
-    dt = _as_float(dt_raw, "[time] dt")
-    tmax = _as_float(tmax_raw, "[time] tmax")
     if not (_positive(dt) and _positive(tmax)):
         raise ConfigError("[time] dt and tmax must be positive and finite")
+    if not math.isfinite(tmax / dt):
+        raise ConfigError(
+            f"[time] tmax / dt must be a finite number of steps, got "
+            f"{tmax!r} / {dt!r}")
     dt0 = 0.0
     if scheme == "p1diff":
-        dt0 = _as_float(_get(cfg, "time", "dt0", repr(dt)), "[time] dt0")
+        dt0 = dt if time["dt0"] is None else time["dt0"]
         if not _positive(dt0):
             raise ConfigError(
                 f"[time] dt0 must be positive and finite, got {dt0}")
 
-    tol = _as_float(_get(cfg, "solver", "tol", "1e-10"), "[solver] tol")
-    max_iters = _as_int(_get(cfg, "solver", "max_iters", "200"),
-                        "[solver] max_iters")
-    min_damping = _as_float(
-        _get(cfg, "solver", "min_damping", repr(1.0 / 16.0)),
-        "[solver] min_damping")
     try:
-        picard = PicardConfig(tol=tol, max_iters=max_iters,
-                              min_damping=min_damping)
+        picard = PicardConfig(tol=solver["tol"], max_iters=solver["max_iters"],
+                              min_damping=solver["min_damping"])
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
 
-    out_dir = overrides.get("out") or _get(cfg, "output", "dir", "out")
-    vtk_every = _as_int(_get(cfg, "output", "vtk_every", "0"),
-                        "[output] vtk_every")
-    if vtk_every < 0:
-        raise ConfigError(
-            f"[output] vtk_every must be 0 (off) or positive, got {vtk_every}")
+    if output["vtk_every"] < 0:
+        raise ConfigError(f"[output] vtk_every must be 0 (off) or positive, "
+                          f"got {output['vtk_every']}")
     return RunSetup(
-        scheme=scheme, velocity=velocity, params=params, scenario=scenario,
-        amplitude=amplitude, mesh_n=mesh_n, mesh_file=file_raw, shear=shear,
-        dt=dt, tmax=tmax, dt0=dt0, picard=picard,
-        out_dir=str(out_dir), vtk_every=vtk_every)
+        scheme=scheme, velocity=velocity, params=params,
+        scenario=model["scenario"], amplitude=model["amplitude"],
+        mesh_n=mesh["n"], mesh_file=mesh["file"], shear=mesh["shear"],
+        dt=dt, tmax=tmax, steps=max(1, round(tmax / dt)), dt0=dt0,
+        picard=picard, out_dir=output["dir"], vtk_every=output["vtk_every"])
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +323,9 @@ def _build_mesh(setup: RunSetup) -> TriMesh:
 class RunResult:
     rows: list
     summary: dict
-    mesh: TriMesh
     scheme: object
     state: object
-    all_pass: bool
-    snapshots: list = field(default_factory=list)
+    snapshots: list
 
 
 def run_simulation(setup: RunSetup) -> RunResult:
@@ -332,21 +333,16 @@ def run_simulation(setup: RunSetup) -> RunResult:
     u0, sigma0, forcing = scenario_fields(
         setup.scenario, setup.amplitude, setup.params)
 
-    n_steps = max(1, int(round(setup.tmax / setup.dt)))
-    validate_time_steps([setup.dt] * n_steps)
-
     scheme = SCHEMES[setup.scheme](mesh, setup.params,
                                    velocity=setup.velocity, forcing=forcing)
     state = scheme.initial_state(u0, sigma0, setup.dt0)
     init_report = state.initial_report
 
     rows = [_row(0, state, 0, 0.0)]
-    all_pass = True
     snapshots = []
     worst = None
-    for step in range(1, n_steps + 1):
-        state, report, audit = scheme.step(state, setup.dt, setup.picard)
-        all_pass &= audit.passed
+    for step in range(1, setup.steps + 1):
+        state, report, _ = scheme.step(state, setup.dt, setup.picard)
         if worst is None or report.iterations > worst["iterations"]:
             worst = {"step": step, "iterations": report.iterations,
                      "history": report.history}
@@ -365,17 +361,13 @@ def run_simulation(setup: RunSetup) -> RunResult:
             "vertices": mesh.n_vertices,
             "non_obtuse": bool(audit_mesh(mesh).non_obtuse),
         },
-        "params": {
-            "re": setup.params.re, "wi": setup.params.wi,
-            "eps": setup.params.eps, "b": _json_float(setup.params.b),
-            "delta": setup.params.delta,
-            "alpha": setup.params.alpha,
-        },
+        "params": {key: _json_float(value)
+                   for key, value in asdict(setup.params).items()},
         "time": {"dt": setup.dt, "tmax": setup.tmax, "dt0": setup.dt0,
-                 "steps": n_steps},
+                 "steps": setup.steps},
         "energy": {"initial": rows[0]["F_total"],
                    "final": rows[-1]["F_total"]},
-        "audit_all_pass": bool(all_pass),
+        "audit_all_pass": all(r["audit_pass"] for r in rows[1:]),
         "min_eig_sigma": min(r["min_eig_sigma"] for r in rows),
         "max_trace_sigma": max(r["max_trace_sigma"] for r in rows),
         "picard_iters_total": sum(r["picard_iters"] for r in rows),
@@ -388,25 +380,16 @@ def run_simulation(setup: RunSetup) -> RunResult:
             "vertex_min_eig": init_report.vertex_min_eig,
             "vertex_max_trace": init_report.vertex_max_trace,
         }
-    return RunResult(rows, summary, mesh, scheme, state, bool(all_pass),
-                     snapshots)
+    return RunResult(rows, summary, scheme, state, snapshots)
 
 
 def _row(step: int, state, picard_iters: int, residual: float) -> dict:
     """The ``energy.csv`` row of a state, from its energy and its audit."""
-    f, audit = state.energy, state.audit
-    return {
-        "step": step, "t": state.t, "F_total": f.total, "kinetic": f.kinetic,
-        "entropy": f.entropy, "kinetic_jump": audit.kinetic_jump,
-        "viscous": audit.viscous, "relaxation": audit.relaxation,
-        "diffusion_sigma": audit.diffusion_sigma,
-        "diffusion_rho": audit.diffusion_rho, "forcing": audit.forcing,
-        "trace_balance": audit.trace_balance,
-        "min_eig_sigma": audit.min_eig_sigma,
-        "max_trace_sigma": audit.max_trace_sigma,
-        "picard_iters": picard_iters, "residual": residual,
-        "audit_pass": audit.passed,
-    }
+    values = {**asdict(state.energy), **asdict(state.audit), "step": step,
+              "t": state.t, "F_total": state.energy.total,
+              "picard_iters": picard_iters, "residual": residual,
+              "audit_pass": state.audit.passed}
+    return {c: values[c] for c in ENERGY_COLUMNS}
 
 
 def _json_float(x):
@@ -420,10 +403,8 @@ def _json_float(x):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, (bool, int, np.integer)):
+        return str(value)
     return repr(float(value))
 
 
@@ -435,7 +416,11 @@ def write_energy_csv(path, rows) -> None:
 
 
 def read_energy_csv(path) -> list:
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read energy table {path}: {exc}") from exc
+    with fh:
         header = fh.readline().strip()
         if header.split(",") != list(ENERGY_COLUMNS):
             raise ConfigError(
@@ -447,15 +432,11 @@ def read_energy_csv(path) -> list:
             parts = line.strip().split(",")
             if len(parts) != len(ENERGY_COLUMNS):
                 raise ConfigError(f"{path}:{ln}: wrong number of columns")
-            row = {}
-            for key, raw in zip(ENERGY_COLUMNS, parts):
-                if key in ("step", "picard_iters"):
-                    row[key] = int(raw)
-                elif key == "audit_pass":
-                    row[key] = raw == "True"
-                else:
-                    row[key] = float(raw)
-            rows.append(row)
+            try:
+                rows.append({key: _COLUMN_TYPES.get(key, float)(raw)
+                             for key, raw in zip(ENERGY_COLUMNS, parts)})
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{ln}: {exc}") from None
     return rows
 
 
@@ -534,11 +515,11 @@ def _write_outputs(setup: RunSetup, result: RunResult) -> None:
         json.dump(result.summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
     def snapshot(path, st):
-        vel = result.scheme.v.vertex_values(st.u.values)
+        vel = result.scheme.v.vertex_values(st.u)
         if result.scheme.q.degree == 0:       # stress nodes on the cells
-            write_vtk(path, result.mesh, vel, cell_tensors=st.sigma)
+            write_vtk(path, result.scheme.mesh, vel, cell_tensors=st.sigma)
         else:
-            write_vtk(path, result.mesh, vel, point_tensors=st.sigma,
+            write_vtk(path, result.scheme.mesh, vel, point_tensors=st.sigma,
                       rho=st.rho)
 
     for step, st in result.snapshots:
@@ -551,16 +532,14 @@ def _write_outputs(setup: RunSetup, result: RunResult) -> None:
 
 
 def _cmd_run(args) -> int:
-    overrides = {k: getattr(args, k) for k in
-                 ("scheme", "velocity", "delta", "alpha", "dt", "tmax", "b",
-                  "wi", "re", "eps", "out")}
+    overrides = {flag: getattr(args, flag) for flag in _FLAGS}
     cfg = parse_config(args.config)
 
     sweeps = [(None, None)]
     if args.sweep:
         key, _, raw = args.sweep.partition("=")
         key = key.strip()
-        if key not in ("delta", "alpha", "dt", "b", "wi", "re", "eps"):
+        if key not in _SWEEPABLE:
             raise ConfigError(f"cannot sweep {key!r}")
         values = [v.strip() for v in raw.split(",") if v.strip()]
         if not values:
@@ -569,22 +548,22 @@ def _cmd_run(args) -> int:
 
     worst = 0
     for key, value in sweeps:
-        ov = dict(overrides)
+        setup = build_setup(cfg, {**overrides, key: value} if key
+                            else overrides)
         if key is not None:
-            ov[key] = value
-            base = ov.get("out") or _get(cfg, "output", "dir", "out")
-            ov["out"] = str(Path(base) / f"{key}_{value}")
-        setup = build_setup(cfg, ov)
+            setup = replace(
+                setup, out_dir=str(Path(setup.out_dir) / f"{key}_{value}"))
         result = run_simulation(setup)
         _write_outputs(setup, result)
+        passed = result.summary["audit_all_pass"]
         tag = f" [{key}={value}]" if key else ""
         print(f"run{tag}: {len(result.rows) - 1} steps, "
               f"F {result.rows[0]['F_total']:.6g} -> "
               f"{result.rows[-1]['F_total']:.6g}, "
-              f"audit {'PASS' if result.all_pass else 'FAIL'} "
+              f"audit {'PASS' if passed else 'FAIL'} "
               f"({setup.out_dir})")
-        if not result.all_pass:
-            worst = max(worst, 5)
+        if not passed:
+            worst = 5
     return worst
 
 
@@ -631,11 +610,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="time-step a configured scenario")
     run.add_argument("config")
-    run.add_argument("--scheme", choices=sorted(SCHEMES))
-    run.add_argument("--velocity", choices=sorted(_VELOCITY_TOKENS))
-    for flag in ("delta", "alpha", "dt", "tmax", "b", "wi", "re", "eps"):
-        run.add_argument(f"--{flag}", type=float)
-    run.add_argument("--out", help="output directory (overrides config)")
+    choices = {"scheme": sorted(SCHEMES),
+               "velocity": sorted(_VELOCITY_TOKENS)}
+    for flag, (section, key) in _FLAGS.items():
+        run.add_argument(f"--{flag}", type=_KEYS[section][key][0],
+                         choices=choices.get(flag),
+                         help=f"overrides [{section}] {key}")
     run.add_argument("--sweep", metavar="KEY=V1,V2,...",
                      help="repeat the run over parameter values")
     run.set_defaults(fn=_cmd_run)

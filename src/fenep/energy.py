@@ -5,8 +5,8 @@ the accumulated dissipation stays below the previous energy plus the
 work done by the body force.  This module evaluates both sides of that
 budget from the very operators and coefficient vectors the solver used,
 so a passing audit certifies the computed state rather than a separately
-discretized approximation of it.  ``spd_audit`` adds the positivity and
-trace-bound indicators of the stress.
+discretized approximation of it.  The audit record also carries the
+stress bounds of the state, its smallest eigenvalue and largest trace.
 
 Conventions: the free energy is
 
@@ -27,7 +27,6 @@ the same spectrum to every term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,6 @@ __all__ = [
     "relaxation_dissipation",
     "tensor_gradient_energy",
     "audit_slack",
-    "SpdAudit",
-    "spd_audit",
 ]
 
 
@@ -134,7 +131,8 @@ class StepAudit:
     from the required dissipation; they are still reported.  All
     dissipation fields are per-step totals (already multiplied by the
     step length), taken from the assembled operators of the scheme; the
-    terms a scheme does not have default to zero.
+    terms a scheme does not have default to zero.  ``min_eig_sigma`` and
+    ``max_trace_sigma`` are the bounds of the new stress.
     """
 
     f_before: float
@@ -163,19 +161,3 @@ class StepAudit:
     def passed(self) -> bool:
         return bool(self.margin >= 0.0)
 
-
-@dataclass(frozen=True)
-class SpdAudit:
-    min_eig: float
-    max_trace: float
-    positive: bool
-    within_bound: bool
-
-
-def spd_audit(sigma, b: float = math.inf) -> SpdAudit:
-    """Smallest eigenvalue and largest trace over a tensor field."""
-    sigma = np.asarray(sigma, float)
-    w, _ = tc.eig_sym(sigma)
-    mn = float(w[..., 0].min())
-    mx = float(tc.trace(sigma).max())
-    return SpdAudit(mn, mx, mn > 0.0, mx < b)

@@ -1,4 +1,4 @@
-"""Finite element spaces, quadrature, vertex sampling and assembly.
+"""Finite element spaces, quadrature, lumped vertex weights and assembly.
 
 Every velocity element used by the schemes factors locally into scalar
 shape functions times constant direction vectors: the plain quadratic and
@@ -31,11 +31,6 @@ stored component-blocked as ``[xx | xy | yy]`` with each block a scalar
 field, which is what lets the implicit stress solves share one scalar
 matrix across components.
 
-The vertex-sampling interpolant ``pi_h`` replaces a nonlinear expression
-by the piecewise linear function matching it at mesh vertices; combined
-with the lumped (vertex) quadrature rule it integrates products of
-nonlinear functions of P1 fields exactly as the lumped scheme prescribes.
-
 Quadrature rules are symmetric tabulated rules up to degree 5 and
 collapsed-square Gauss product rules beyond; every rule is validated in
 the test suite against closed-form monomial integrals.
@@ -54,12 +49,10 @@ __all__ = [
     "QuadratureRule",
     "triangle_rule",
     "gauss01",
-    "DiscreteField",
     "build_space",
     "VelocitySpace",
     "ScalarSpace",
     "VELOCITY_KINDS",
-    "pi_h",
     "lumped_weights",
     "velocity_mass",
     "velocity_stiffness",
@@ -210,21 +203,6 @@ def _edge_bubble_dbary(lam):
 # spaces
 
 
-@dataclass
-class DiscreteField:
-    """A coefficient vector tied to its space."""
-
-    space: object
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, float)
-        if self.values.shape[0] != self.space.n_dofs:
-            raise ValueError(
-                f"coefficient length {self.values.shape[0]} does not match "
-                f"{self.space.kind} with {self.space.n_dofs} dofs")
-
-
 class VelocitySpace:
     """Vector-valued velocity space with no-flow Dirichlet bookkeeping.
 
@@ -326,7 +304,7 @@ class ScalarSpace:
     def __init__(self, mesh: TriMesh, kind: str):
         self.mesh = mesh
         self.kind = kind
-        if kind in ("pressure_p1", "trace_p1"):
+        if kind == "pressure_p1":
             self.degree = 1
             self.n_dofs = mesh.n_vertices
             self.cell_dofs = mesh.cells
@@ -356,30 +334,13 @@ def build_space(mesh: TriMesh, kind: str):
     """
     if kind in VELOCITY_KINDS:
         return VelocitySpace(mesh, kind)
-    if kind in ("pressure_p0", "pressure_p1", "trace_p1"):
+    if kind in ("pressure_p0", "pressure_p1"):
         return ScalarSpace(mesh, kind)
     raise ValueError(f"unknown space kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# vertex sampling and lumped integration
-
-
-def pi_h(mesh: TriMesh, f):
-    """Vertex-sampling interpolant onto P1.
-
-    ``f`` is either a callable of vertex coordinate arrays ``(x, y)`` or
-    an array of per-vertex values (returned unchanged, so the interpolant
-    is idempotent on P1 data).
-    """
-    if callable(f):
-        out = np.asarray(
-            f(mesh.vertices[:, 0], mesh.vertices[:, 1]), float)
-    else:
-        out = np.asarray(f, float)
-    if out.shape[0] != mesh.n_vertices:
-        raise ValueError("vertex value array has wrong length")
-    return out.copy()
+# lumped integration
 
 
 def lumped_weights(mesh: TriMesh) -> np.ndarray:

@@ -70,11 +70,10 @@ from scipy.sparse.linalg import splu
 from . import tensorcalc as tc
 from .energy import (EnergyBreakdown, StepAudit, audit_slack, free_energy,
                      relaxation_dissipation)
-from .fespaces import (DiscreteField, build_space, convection_matrix,
-                       gradient_matrix, gradient_trace,
-                       pressure_integral_vector, sample_cells, triangle_rule,
-                       velocity_load, velocity_mass, velocity_pattern,
-                       velocity_stiffness)
+from .fespaces import (build_space, convection_matrix, gradient_matrix,
+                       gradient_trace, pressure_integral_vector, sample_cells,
+                       triangle_rule, velocity_load, velocity_mass,
+                       velocity_pattern, velocity_stiffness)
 
 __all__ = [
     "SolverError",
@@ -277,21 +276,23 @@ def picard_solve(problem, x0, config: PicardConfig | None = None):
 class State:
     """One time level of either scheme.
 
-    ``sigma`` holds symmetric tensors (n, 3), one per cell or per vertex;
-    ``rho`` is the auxiliary trace field of the diffusive scheme under a
-    finite extensibility bound, else None.  ``energy`` is the free energy
-    of the state under the parameters of the scheme that made it; the
-    next step takes it as its starting energy, and computes that value
-    itself only when ``energy`` is None.  ``audit`` is the budget check
-    of the step that made the state; an initial state carries the check
-    of a step of length zero (no dissipation, no work), which records its
-    trace balance and stress bounds.  An initial state of the diffusive
-    scheme also carries ``initial_report``, the range check of its
-    projected stress (:class:`fenep.scheme_p1diff.InitialReport`).
+    ``u`` and ``p`` are coefficient vectors in the scheme's spaces ``v``
+    and ``q``; ``sigma`` holds symmetric tensors (n, 3), one per cell or
+    per vertex; ``rho`` is the auxiliary trace field of the diffusive
+    scheme under a finite extensibility bound, else None.  ``energy`` is
+    the free energy of the state under the parameters of the scheme that
+    made it; the next step takes it as its starting energy, and computes
+    that value itself only when ``energy`` is None.  ``audit`` is the
+    budget check of the step that made the state, and the one record of
+    its stress bounds; an initial state carries the check of a step of
+    length zero (no dissipation, no work), which records its trace
+    balance and stress bounds.  An initial state of the diffusive scheme
+    also carries ``initial_report``, the range check of its projected
+    stress (:class:`fenep.scheme_p1diff.InitialReport`).
     """
 
-    u: DiscreteField
-    p: DiscreteField
+    u: np.ndarray
+    p: np.ndarray
     sigma: np.ndarray
     rho: np.ndarray | None = None
     t: float = 0.0
@@ -345,7 +346,7 @@ class BlockStep:
         self.scheme = scheme
         self.dt = dt
         prm = scheme.params
-        u_prev = state.u.values
+        u_prev = state.u
         self.sigma_prev = state.sigma
         self.rho_prev = state.rho
         self.free = scheme.free
@@ -363,7 +364,7 @@ class BlockStep:
         self.k = 3 if state.rho is None else 4
         scalars = (state.sigma if state.rho is None
                    else np.column_stack([state.sigma, state.rho]))
-        self.x0 = self.pack(u_prev, state.p.values, scalars)
+        self.x0 = self.pack(u_prev, state.p, scalars)
         self.scale = float(np.linalg.norm(self.x0)) + 1.0
         self._pass_key = self._pass = None
         self.scalar_lu = scheme.scalar_operator(state, dt)
@@ -489,18 +490,15 @@ class ImplicitScheme:
     #: whether the states carry the auxiliary trace field ``rho``
     carries_trace = False
 
-    def __init__(self, mesh, params, velocity: str, pressure: str, forcing):
+    def __init__(self, mesh, params, velocity: str, forcing):
         if velocity not in self.VELOCITIES:
             raise ValueError(
                 f"velocity kind {velocity!r} is not supported here; "
                 f"choose one of {self.VELOCITIES}")
-        if pressure != self.PRESSURE:
-            raise ValueError(
-                f"{type(self).__name__} requires {self.PRESSURE}")
         self.mesh = mesh
         self.params = params
         self.v = build_space(mesh, velocity)
-        self.q = build_space(mesh, pressure)
+        self.q = build_space(mesh, self.PRESSURE)
         self.mass = velocity_mass(mesh, self.v)
         self.stiff = velocity_stiffness(mesh, self.v)
         self.grad = gradient_matrix(mesh, self.v, self.q)
@@ -599,8 +597,7 @@ class ImplicitScheme:
         audit = StepAudit(f_before=f0.total, f_after=f0.total,
                           kinetic_jump=0.0, viscous=0.0, relaxation=0.0,
                           slack=0.0, **self._bounds(sig, rho, eigs))
-        return State(DiscreteField(self.v, u),
-                     DiscreteField(self.q, np.zeros(self.q.n_dofs)), sig, rho,
+        return State(u, np.zeros(self.q.n_dofs), sig, rho,
                      energy=f0, audit=audit,
                      initial_report=self._initial_report(samples, sig, eigs))
 
@@ -666,10 +663,10 @@ class ImplicitScheme:
         f_after = free_energy(prm, w, self.mass, u, eigs, eta)
         f_before = state.energy
         if f_before is None:
-            f_before = free_energy(prm, w, self.mass, state.u.values,
+            f_before = free_energy(prm, w, self.mass, state.u,
                                    tc.eig_sym(state.sigma)[0],
                                    _eta(state.sigma, state.rho))
-        du = u - state.u.values
+        du = u - state.u
         audit = StepAudit(
             f_before=f_before.total, f_after=f_after.total,
             kinetic_jump=0.5 * prm.re * float(du @ (self.mass @ du)),
@@ -679,8 +676,7 @@ class ImplicitScheme:
             slack=audit_slack(cfg.tol, f_before.total, f_after.total),
             **self._bounds(sig, rho, eigs),
             **self._extra_audit_terms(eigs, vecs, rho, dt))
-        new_state = State(DiscreteField(self.v, u), DiscreteField(self.q, p),
-                          sig, rho, state.t + dt, f_after, audit)
+        new_state = State(u, p, sig, rho, state.t + dt, f_after, audit)
         return new_state, report, audit
 
 

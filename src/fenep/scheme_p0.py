@@ -38,7 +38,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import SpdAudit, spd_audit
 from .fespaces import gauss01
 from .meshing import TriMesh
 from .nlsolve import ImplicitScheme, PicardConfig, State
@@ -168,23 +167,21 @@ class SchemeP0(ImplicitScheme):
     Velocity/pressure pairs: the quadratic or reduced-quadratic velocity
     against piecewise-constant pressure.  Constant pressures are what
     make the per-cell divergence integrals vanish, which the transport
-    term's energy neutrality relies on, so other pressure spaces are
-    rejected.
+    term's energy neutrality relies on, so the pressure space is fixed.
     """
 
     VELOCITIES = ("velocity_p2", "velocity_p2_reduced")
     PRESSURE = "pressure_p0"
 
     def __init__(self, mesh: TriMesh, params: ModelParams, *,
-                 velocity: str = "velocity_p2",
-                 pressure: str = "pressure_p0", forcing=None):
-        super().__init__(mesh, params, velocity, pressure, forcing)
+                 velocity: str = "velocity_p2", forcing=None):
+        super().__init__(mesh, params, velocity, forcing)
         self.weights = mesh.cell_areas
 
     def scalar_operator(self, state: State, dt: float):
         """The factorization, made once per step, of the cell areas over dt
         plus the upwind transport of the previous velocity."""
-        transport = upwind_matrix(self.mesh, self.v, state.u.values)
+        transport = upwind_matrix(self.mesh, self.v, state.u)
         return splu((sp.diags(self.mesh.cell_areas / dt) + transport).tocsc())
 
 
@@ -198,7 +195,6 @@ class ContinuationReport:
     diffs: list
     state: State
     stagnated: bool
-    spd: SpdAudit
 
 
 def delta_continuation(mesh: TriMesh, params: ModelParams, state: State,
@@ -210,9 +206,10 @@ def delta_continuation(mesh: TriMesh, params: ModelParams, state: State,
     """Solve the same step under a halving regularization cut.
 
     Stops once successive solutions differ by less than ``stag_tol`` in
-    the max norm (or ``delta_min`` is reached) and reports the positivity
-    diagnostics of the final stress; stagnation plus a positive audit
-    means the cut no longer binds and the unregularized step was solved.
+    the max norm (or ``delta_min`` is reached) and reports the final
+    state, whose ``audit`` bounds its stress; stagnation with a positive
+    smallest eigenvalue and a largest trace below ``b`` means the cut no
+    longer binds and the unregularized step was solved.
     """
     # the operators, and the cached saddle factorization, do not depend on
     # delta, so one scheme serves every cut; a carried free energy belongs
@@ -226,7 +223,7 @@ def delta_continuation(mesh: TriMesh, params: ModelParams, state: State,
     while d >= delta_min * (1.0 - 1e-12):
         scheme.params = dataclasses.replace(params, delta=d)
         new_state, _, _ = scheme.step(state, dt, config)
-        vec = np.concatenate([new_state.u.values, new_state.sigma.ravel()])
+        vec = np.concatenate([new_state.u, new_state.sigma.ravel()])
         deltas.append(d)
         if prev_vec is not None:
             diffs.append(float(np.max(np.abs(vec - prev_vec))))
@@ -236,5 +233,4 @@ def delta_continuation(mesh: TriMesh, params: ModelParams, state: State,
         d *= 0.5
     return ContinuationReport(
         deltas, diffs, dataclasses.replace(last, energy=None),
-        stagnated=bool(diffs and diffs[-1] < stag_tol),
-        spd=spd_audit(last.sigma, params.b))
+        stagnated=bool(diffs and diffs[-1] < stag_tol))

@@ -198,11 +198,10 @@ class SchemeP1Diff(ImplicitScheme):
     PRESSURE = "pressure_p1"
 
     def __init__(self, mesh: TriMesh, params: ModelParams, *,
-                 velocity: str = "velocity_mini",
-                 pressure: str = "pressure_p1", forcing=None):
+                 velocity: str = "velocity_mini", forcing=None):
         if params.alpha is None:
             raise ValueError("this scheme requires a diffusion alpha > 0")
-        super().__init__(mesh, params, velocity, pressure, forcing)
+        super().__init__(mesh, params, velocity, forcing)
         self.weights = lumped_weights(mesh)
         self.k_scalar = scalar_stiffness(mesh)
         self.non_obtuse = audit_mesh(mesh).non_obtuse
@@ -255,7 +254,7 @@ class SchemeP1Diff(ImplicitScheme):
         transport velocity is explicit in the previous velocity, so the
         advection is one fixed linear map of the corner coefficients."""
         return advection_map(self.mesh, cell_mean_velocity(
-            self.mesh, self.v, state.u.values))
+            self.mesh, self.v, state.u))
 
     def advection(self, amap, nodes: tc.TensorNodes, rho):
         """The advection terms (m, k) of the stress, whose transport nodes

@@ -49,8 +49,6 @@ __all__ = [
     "trace",
     "frob_norm",
     "ddot",
-    "det_sym",
-    "inv_sym",
     "to_full",
     "from_full",
     "eig_sym",
@@ -63,7 +61,6 @@ __all__ = [
     "TensorNodes",
     "transport_nodes",
     "neg_part",
-    "relax_classic",
     "relax_reg",
     "k_delta_of_beta",
     "entropy_density",
@@ -126,18 +123,6 @@ def ddot(phi, psi) -> np.ndarray:
     psi = np.asarray(psi, float)
     return (phi[..., 0] * psi[..., 0] + 2.0 * phi[..., 1] * psi[..., 1]
             + phi[..., 2] * psi[..., 2])
-
-
-def det_sym(phi) -> np.ndarray:
-    phi = np.asarray(phi, float)
-    return phi[..., 0] * phi[..., 2] - phi[..., 1] ** 2
-
-
-def inv_sym(phi) -> np.ndarray:
-    """Inverse of a symmetric 2x2 tensor (caller guarantees invertibility)."""
-    phi = np.asarray(phi, float)
-    d = det_sym(phi)
-    return tensor(phi[..., 2] / d, -phi[..., 1] / d, phi[..., 0] / d)
 
 
 def to_full(phi) -> np.ndarray:
@@ -359,37 +344,12 @@ def neg_part(phi) -> np.ndarray:
 # model tensors
 
 
-def relax_classic(phi, b: float) -> np.ndarray:
-    """Unregularized relaxation tensor (1 - tr/b)^(-1) I - phi^(-1).
-
-    Requires ``phi`` positive definite and, for finite ``b``,
-    ``trace(phi) < b``.  With ``b = inf`` this is ``I - phi^(-1)``.
-    """
-    phi = np.asarray(phi, float)
-    w, _ = eig_sym(phi)
-    if np.any(w[..., 0] <= 0.0):
-        bad = w[..., 0][w[..., 0] <= 0.0]
-        raise ValueError(
-            f"relax_classic requires a positive definite tensor; "
-            f"smallest eigenvalue {bad.flat[0]!r}")
-    tr = trace(phi)
-    if math.isinf(b):
-        coef = np.ones_like(tr)
-    else:
-        if np.any(tr >= b):
-            bad = tr[tr >= b]
-            raise ValueError(
-                f"relax_classic requires trace < b={b}; got trace {bad.flat[0]!r}")
-        coef = 1.0 / (1.0 - tr / b)
-    inv = inv_sym(phi)
-    return tensor(coef - inv[..., 0], -inv[..., 1], coef - inv[..., 2])
-
-
 def relax_reg(phi, eta, rp: RegParams) -> np.ndarray:
     """Regularized relaxation tensor g'(1 - eta/b) I - g'(phi).
 
-    Total on symmetric tensors and real ``eta``; coincides with
-    ``relax_classic`` whenever the eigenvalues of ``phi`` and
+    Total on symmetric tensors and real ``eta``; coincides with the
+    unregularized ``(1 - tr/b)^(-1) I - phi^(-1)`` whenever the
+    eigenvalues of ``phi`` and
     ``1 - eta/b`` all sit above ``delta``.  In the Oldroyd-B limit the
     scalar prefactor is 1.
     """

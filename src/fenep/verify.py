@@ -108,7 +108,7 @@ def _check_upwind_neutrality():
         return gx * dgy, -dgx * gy
 
     state = scheme.initial_state(u0)
-    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u.values)
+    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u)
     net = np.zeros(mesh.n_cells)
     e = mesh.interior_edges
     np.add.at(net, mesh.edge_cells[e, 0], -(a_plus - a_minus))

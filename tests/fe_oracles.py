@@ -3,8 +3,8 @@
 The einsum kernels are the cell-by-cell contractions that
 :mod:`fenep.fespaces` replaced by matrix products: they assemble every
 local entry, orthogonal direction pairs included, through COO.  The
-scalar mass matrix, the divergence matrix and the dense inf-sup estimate
-are used by the tests alone.
+scalar mass matrix, the divergence matrix, the dense inf-sup estimate
+and the vertex-sampling interpolant are used by the tests alone.
 """
 
 import math
@@ -122,3 +122,20 @@ def inf_sup_estimate(mesh, velocity_kind, pressure_kind):
     eigs = la.eigh(0.5 * (s_mat + s_mat.T), m_p, eigvals_only=True)
     # the constant pressure is in the kernel; the next eigenvalue is mu^2
     return float(math.sqrt(max(eigs[1], 0.0)))
+
+
+def pi_h(mesh, f):
+    """Vertex-sampling interpolant onto P1.
+
+    ``f`` is either a callable of vertex coordinate arrays ``(x, y)`` or
+    an array of per-vertex values (returned unchanged, so the interpolant
+    is idempotent on P1 data).
+    """
+    if callable(f):
+        out = np.asarray(
+            f(mesh.vertices[:, 0], mesh.vertices[:, 1]), float)
+    else:
+        out = np.asarray(f, float)
+    if out.shape[0] != mesh.n_vertices:
+        raise ValueError("vertex value array has wrong length")
+    return out.copy()

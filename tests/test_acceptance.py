@@ -252,7 +252,7 @@ def test_criterion_04_trace_conservation():
         assert rep.converged and aud.passed
         worst = max(worst,
                     abs(float(w @ (tc.trace(state.sigma) - state.rho))))
-    moving = float(np.abs(state.u.values).max())
+    moving = float(np.abs(state.u).max())
     ok = worst < 1e-9 and moving > 1e-3
     report(4, ok, f"100 forced steps on n=8, worst |integral(tr sigma - "
                   f"rho)| = {worst:.2e}")
@@ -280,11 +280,12 @@ def test_criterion_06_delta_continuation():
                              stag_tol=1e-8, config=TIGHT)
     halving = all(b == pytest.approx(0.5 * a)
                   for a, b in zip(rep.deltas, rep.deltas[1:]))
+    audit = rep.state.audit
     ok = (rep.stagnated and halving and rep.diffs[-1] < 1e-8
-          and rep.spd.positive and rep.spd.within_bound)
+          and audit.min_eig_sigma > 0 and audit.max_trace_sigma < params.b)
     report(6, ok, f"deltas {rep.deltas}, final diff {rep.diffs[-1]:.2e}, "
-                  f"min eig {rep.spd.min_eig:.4f} > 0, max trace "
-                  f"{rep.spd.max_trace:.4f} < b")
+                  f"min eig {audit.min_eig_sigma:.4f} > 0, max trace "
+                  f"{audit.max_trace_sigma:.4f} < b")
 
 
 def run_decay(scheme, state, dt, n_steps):
@@ -293,7 +294,7 @@ def run_decay(scheme, state, dt, n_steps):
 
     def total(st):
         eta = tc.trace(st.sigma) if st.rho is None else st.rho
-        return free_energy(params, scheme.weights, scheme.mass, st.u.values,
+        return free_energy(params, scheme.weights, scheme.mass, st.u,
                            tc.eig_sym(st.sigma)[0], eta).total
 
     f0 = total(state)
@@ -463,7 +464,7 @@ def test_criterion_10_negative_controls():
     assert rep.converged and aud.passed
 
     corrupted_f = free_energy(params, scheme.weights, scheme.mass,
-                              state.u.values, tc.eig_sym(2.0 * state.sigma)[0],
+                              state.u, tc.eig_sym(2.0 * state.sigma)[0],
                               tc.trace(2.0 * state.sigma)).total
     corrupted = StepAudit(
         f_before=aud.f_before, f_after=corrupted_f,

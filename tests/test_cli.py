@@ -140,6 +140,60 @@ def test_build_setup_defaults_and_overrides(tmp_path):
         build_setup(cfg, {"velocity": "p3"})
 
 
+def test_flags_name_config_keys():
+    for flag, (section, key) in cli._FLAGS.items():
+        assert key in cli._KEYS[section], flag
+    assert cli._SWEEPABLE
+    for flag in cli._SWEEPABLE:
+        section, key = cli._FLAGS[flag]
+        assert cli._KEYS[section][key][0] is float, flag
+
+
+@pytest.mark.parametrize("section, key, raw, message", [
+    ("model", "re", "fast", "[model] re must be a number, got 'fast'"),
+    ("mesh", "n", "2.5", "[mesh] n must be an integer, got '2.5'"),
+    ("solver", "max_iters", "many",
+     "[solver] max_iters must be an integer, got 'many'"),
+], ids=["re", "n", "max_iters"])
+def test_build_setup_names_a_malformed_entry(tmp_path, section, key, raw,
+                                             message):
+    cfg = parse_config(base_config(tmp_path))
+    cfg[section][key] = raw
+    with pytest.raises(ConfigError) as err:
+        build_setup(cfg)
+    assert str(err.value) == message
+
+
+def test_build_setup_counts_the_steps(tmp_path):
+    cfg = parse_config(base_config(tmp_path))
+    assert build_setup(cfg).steps == 3
+    # a count too large to run is still counted, with no list of steps
+    assert build_setup(cfg, {"dt": 1e-12, "tmax": 1.0}).steps == 10 ** 12
+
+
+def test_run_rejects_a_step_count_that_overflows(tmp_path, capsys,
+                                                 monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad setting")
+
+    monkeypatch.setattr(cli, "structured_unit_square", no_mesh)
+    cfg = write_config(tmp_path, f"""\
+        [mesh]
+        n = 2
+        [time]
+        dt = 1e-300
+        tmax = 1e300
+        [solver]
+        scheme = p0
+        [output]
+        dir = {tmp_path / 'out'}
+        """)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [time] tmax / dt")
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_fields_shapes():
     params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1)
     u0, sigma0, forcing = scenario_fields("relax", 1.0, params)
@@ -440,6 +494,28 @@ def test_audit_command_pass_and_fail(tmp_path, capsys):
     assert not ok and failures == [rows[-1]["step"]]
     assert main(["audit", str(csv_path)]) == 5
     assert "audit FAIL" in capsys.readouterr().err
+
+
+def test_audit_rejects_a_missing_file(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    assert main(["audit", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read energy table")
+    assert str(missing) in err
+
+
+def test_audit_rejects_a_non_numeric_cell(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    csv_path = tmp_path / "out" / "energy.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[2] = "x" + lines[2][1:]          # the step column of step 1
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert main(["audit", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {csv_path}:3:")
+    assert "'x" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

@@ -445,7 +445,7 @@ def scalar_matrix(scheme, state, dt):
     if isinstance(scheme, scheme_p0.SchemeP0):
         return (sp.diags(scheme.mesh.cell_areas / dt)
                 + scheme_p0.upwind_matrix(scheme.mesh, scheme.v,
-                                          state.u.values))
+                                          state.u))
     return (sp.diags(scheme.weights / dt)
             + scheme.params.alpha * scheme.k_scalar)
 
@@ -521,7 +521,7 @@ def step(scheme, state, dt):
 
 
 def state_vector(state):
-    parts = [state.u.values, state.p.values, state.sigma.T.ravel()]
+    parts = [state.u, state.p, state.sigma.T.ravel()]
     return np.concatenate(parts + ([] if state.rho is None else [state.rho]))
 
 

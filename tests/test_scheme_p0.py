@@ -14,7 +14,6 @@ import pytest
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
-from fenep.energy import spd_audit
 from fenep.meshing import structured_unit_square
 from fenep.nlsolve import PicardConfig, SolverError
 from fenep.scheme_p0 import (
@@ -76,7 +75,7 @@ def test_zero_velocity_reduces_to_cellwise_ode():
         assert report.converged
         assert audit.passed
         c = isotropic_backward_euler(c, dt, PARAMS)
-        assert np.allclose(state.u.values, 0.0, atol=1e-13)
+        assert np.allclose(state.u, 0.0, atol=1e-13)
         assert np.allclose(state.sigma[:, 0], c, atol=1e-10)
         assert np.allclose(state.sigma[:, 2], c, atol=1e-10)
         assert np.allclose(state.sigma[:, 1], 0.0, atol=1e-12)
@@ -121,7 +120,7 @@ def project_decay_velocity(n=4):
 
 def test_upwind_fluxes_nonnegative_and_neutral():
     mesh, scheme, state = project_decay_velocity()
-    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u.values)
+    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u)
     assert a_plus.shape == (len(mesh.interior_edges),)
     assert np.all(a_plus >= 0.0)
     assert np.all(a_minus >= 0.0)
@@ -137,14 +136,14 @@ def test_upwind_fluxes_nonnegative_and_neutral():
 
 def test_upwind_matrix_annihilates_constants():
     mesh, scheme, state = project_decay_velocity()
-    u_mat = upwind_matrix(mesh, scheme.v, state.u.values)
+    u_mat = upwind_matrix(mesh, scheme.v, state.u)
     ones = np.ones(mesh.n_cells)
     assert np.abs(u_mat @ ones).max() < 1e-13
 
 
 def test_upwind_quadratic_form_nonnegative():
     mesh, scheme, state = project_decay_velocity()
-    u_mat = upwind_matrix(mesh, scheme.v, state.u.values)
+    u_mat = upwind_matrix(mesh, scheme.v, state.u)
     rng = np.random.default_rng(50)
     for _ in range(50):
         q = rng.standard_normal(mesh.n_cells)
@@ -170,13 +169,13 @@ def upwind_edge_term(mesh, vspace, u_coeffs, sigma, edge):
 
 def test_upwind_edge_term_matches_matrix():
     mesh, scheme, state = project_decay_velocity(3)
-    u_mat = upwind_matrix(mesh, scheme.v, state.u.values).toarray()
+    u_mat = upwind_matrix(mesh, scheme.v, state.u).toarray()
     rng = np.random.default_rng(51)
     sigma = rng.standard_normal((mesh.n_cells, 3))
     ref = u_mat @ sigma
     acc = np.zeros((mesh.n_cells, 3))
     for e in range(mesh.n_edges):
-        c_left, c_right = upwind_edge_term(mesh, scheme.v, state.u.values,
+        c_left, c_right = upwind_edge_term(mesh, scheme.v, state.u,
                                            sigma, e)
         left, right = mesh.edge_cells[e]
         acc[left] += c_left
@@ -189,7 +188,7 @@ def test_upwind_zero_velocity_gives_zero_fluxes():
     mesh = structured_unit_square(3)
     scheme = SchemeP0(mesh, PARAMS)
     state = scheme.initial_state()
-    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u.values)
+    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u)
     assert np.all(a_plus == 0.0)
     assert np.all(a_minus == 0.0)
 
@@ -210,7 +209,7 @@ def test_initial_state_projects_divergence_free(kind, velocity):
     else:
         params = dataclasses.replace(PARAMS, alpha=0.1)
         scheme, dt0 = SchemeP1Diff(mesh, params, velocity=velocity), 0.05
-    u = scheme.initial_state(decay_velocity, None, dt0).u.values
+    u = scheme.initial_state(decay_velocity, None, dt0).u
     assert np.linalg.norm(u) > 1e-3
     assert np.linalg.norm(scheme.div @ u) <= 1e-12 * np.linalg.norm(u)
 
@@ -239,8 +238,6 @@ def test_velocity_pairing_enforced():
         SchemeP0(mesh, PARAMS, velocity="velocity_mini")
     with pytest.raises(ValueError):
         SchemeP0(mesh, PARAMS, velocity="velocity_p1")
-    with pytest.raises(ValueError):
-        SchemeP0(mesh, PARAMS, pressure="pressure_p1")
     SchemeP0(mesh, PARAMS, velocity="velocity_p2_reduced")
 
 
@@ -276,7 +273,7 @@ def test_forced_run_reports_forcing_power():
     state, report, audit = scheme.step(state, 0.05, CFG)
     assert report.converged and audit.passed
     assert audit.forcing != 0.0
-    assert np.abs(state.u.values).max() > 1e-8
+    assert np.abs(state.u).max() > 1e-8
 
 
 def test_nonconvergence_report():
@@ -300,24 +297,25 @@ def test_state_time_advances():
 
 
 # ---------------------------------------------------------------------------
-# positivity audit
+# stress bounds of a state
 
 
-def test_spd_audit_classifies_states():
-    good = np.tile([1.0, 0.2, 2.0], (4, 1))
-    rep = spd_audit(good, 5.0)
-    assert rep.positive and rep.within_bound
-    assert rep.min_eig > 0
-    assert rep.max_trace == pytest.approx(3.0)
-    indef = np.array([[1.0, 3.0, 1.0]])
-    rep2 = spd_audit(indef, 5.0)
-    assert not rep2.positive
-    fat = np.array([[3.0, 0.0, 2.5]])
-    rep3 = spd_audit(fat, 5.0)
-    assert rep3.positive and not rep3.within_bound
-    # infinite extensibility never trips the trace bound
-    rep4 = spd_audit(fat, math.inf)
-    assert rep4.within_bound
+@pytest.mark.parametrize("sigma0, b, positive, within_bound", [
+    ([1.0, 0.2, 2.0], 5.0, True, True),
+    ([1.0, 3.0, 1.0], 5.0, False, True),         # indefinite
+    ([3.0, 0.0, 2.5], 5.0, True, False),         # over the trace bound
+    ([3.0, 0.0, 2.5], math.inf, True, True),     # no trace bound at b = inf
+], ids=["positive", "indefinite", "over_trace", "oldroyd_b"])
+def test_state_audit_bounds_classify_states(sigma0, b, positive,
+                                            within_bound):
+    params = dataclasses.replace(PARAMS, b=b)
+    scheme = SchemeP0(structured_unit_square(2), params)
+    audit = scheme.initial_state(sigma0=np.array(sigma0)).audit
+    w = np.linalg.eigvalsh([[sigma0[0], sigma0[1]], [sigma0[1], sigma0[2]]])
+    assert audit.min_eig_sigma == pytest.approx(w[0], abs=1e-14)
+    assert audit.max_trace_sigma == pytest.approx(sigma0[0] + sigma0[2])
+    assert (audit.min_eig_sigma > 0) == positive
+    assert (audit.max_trace_sigma < b) == within_bound
 
 
 # ---------------------------------------------------------------------------
@@ -335,4 +333,21 @@ def test_delta_continuation_stagnates_on_interior_state():
     assert all(b == a / 2 for a, b in zip(report.deltas, report.deltas[1:]))
     assert report.stagnated
     assert report.diffs[-1] < 1e-8
-    assert report.spd.positive and report.spd.within_bound
+    audit = report.state.audit
+    assert audit.min_eig_sigma > 0 and audit.max_trace_sigma < PARAMS.b
+
+
+def test_delta_continuation_reports_its_last_state_audit():
+    mesh = structured_unit_square(2)
+    state = SchemeP0(mesh, PARAMS).initial_state(
+        sigma0=np.array([1.2, 0.3, 0.9]))
+    report = delta_continuation(mesh, PARAMS, state, 0.1,
+                                delta_start=0.25, delta_min=1.0 / 64.0,
+                                config=CFG)
+    sigma = report.state.sigma
+    w, _ = tc.eig_sym(sigma)
+    assert report.state.audit.min_eig_sigma == float(w[:, 0].min())
+    assert report.state.audit.max_trace_sigma == float(tc.trace(sigma).max())
+    # the audit of the last cut's step: the initial state's has no
+    # relaxation dissipation
+    assert report.state.audit.passed and report.state.audit.relaxation > 0
