@@ -60,9 +60,17 @@ ENERGY_COLUMNS = (
     "relaxation", "diffusion_sigma", "diffusion_rho", "forcing",
     "trace_balance", "min_eig_sigma", "max_trace_sigma", "picard_iters",
     "residual", "audit_pass")
+
+
+def _flag(raw: str) -> bool:
+    """An ``audit_pass`` cell: exactly ``True`` or ``False``."""
+    if raw not in ("True", "False"):
+        raise ValueError(f"audit_pass must be True or False, not {raw!r}")
+    return raw == "True"
+
+
 #: how ``read_energy_csv`` parses a column that is not a float
-_COLUMN_TYPES = {"step": int, "picard_iters": int,
-                 "audit_pass": lambda raw: raw == "True"}
+_COLUMN_TYPES = {"step": int, "picard_iters": int, "audit_pass": _flag}
 
 
 class ConfigError(ValueError):

@@ -1,13 +1,14 @@
 """Finite element spaces, quadrature, lumped vertex weights and assembly.
 
-Every velocity element used by the schemes factors locally into scalar
-shape functions times constant direction vectors: the plain quadratic and
-mini elements carry the two coordinate directions per scalar function,
-and the reduced-quadratic element adds one scalar bubble per edge whose
-direction is the edge's global unit normal.  Assembly therefore runs one
-generic code path over ``(scalar factor, direction)`` pairs; the mass,
-stiffness, convection and gradient operators below never special-case
-an element.
+The elements are data.  ``_FAMILIES`` gives each family of scalar shape
+functions as the mesh entities its local functions attach to and the
+terms of each function, monomials in the barycentric coordinates.
+``_SPACES`` gives each space as (family, direction) blocks; a direction
+is a coordinate axis, the edge normal (the reduced-quadratic bubbles)
+or none (a scalar space).  :class:`FESpace` numbers the dofs of every
+kind and evaluates values and derivatives from the same terms.
+Assembly therefore runs one code path over ``(scalar factor,
+direction)`` pairs; the operators below never special-case an element.
 
 Assembly works on whole arrays of cells, never cell by cell.  Each
 operator contracts a small reference tensor, tabulated once on the
@@ -50,8 +51,7 @@ __all__ = [
     "triangle_rule",
     "gauss01",
     "build_space",
-    "VelocitySpace",
-    "ScalarSpace",
+    "FESpace",
     "VELOCITY_KINDS",
     "lumped_weights",
     "velocity_mass",
@@ -127,216 +127,143 @@ def triangle_rule(degree: int) -> QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
-# scalar shape function families
-#
-# Each family evaluates at arbitrary barycentric coordinates lam (..., 3)
-# and returns values (..., nloc) and barycentric derivatives (..., nloc, 3).
+# elements as data
+
+#: family -> (the mesh entities its local functions attach to, in dof
+#: order: three per cell for vertices and edges, edge i opposite vertex i,
+#: one for the cell; each function as terms (c, a, b, d), meaning
+#: c * lam0^a lam1^b lam2^d)
+_FAMILIES = {
+    "p0": (("cell",), [[(1, 0, 0, 0)]]),
+    "p1": (("vertex",), [[(1, 1, 0, 0)], [(1, 0, 1, 0)], [(1, 0, 0, 1)]]),
+    "p2": (("vertex", "edge"), [
+        [(2, 2, 0, 0), (-1, 1, 0, 0)], [(2, 0, 2, 0), (-1, 0, 1, 0)],
+        [(2, 0, 0, 2), (-1, 0, 0, 1)],
+        [(4, 0, 1, 1)], [(4, 1, 0, 1)], [(4, 1, 1, 0)]]),
+    # linear plus the cubic bubble: the scalar factor of the mini element
+    "p1b": (("vertex", "cell"), [
+        [(1, 1, 0, 0)], [(1, 0, 1, 0)], [(1, 0, 0, 1)], [(27, 1, 1, 1)]]),
+    "edge_bubble": (("edge",),
+                    [[(1, 0, 1, 1)], [(1, 1, 0, 1)], [(1, 1, 1, 0)]]),
+}
+
+#: kind -> (family, direction) blocks, numbered block after block; a
+#: direction is "x", "y", "normal" (the global unit normal of the
+#: function's edge) or None in a scalar space
+_SPACES = {
+    "velocity_p2": (("p2", "x"), ("p2", "y")),
+    "velocity_p2_reduced": (("p1", "x"), ("p1", "y"),
+                            ("edge_bubble", "normal")),
+    "velocity_mini": (("p1b", "x"), ("p1b", "y")),
+    "velocity_p1": (("p1", "x"), ("p1", "y")),
+    "pressure_p0": (("p0", None),),
+    "pressure_p1": (("p1", None),),
+}
+
+VELOCITY_KINDS = tuple(k for k, blocks in _SPACES.items() if blocks[0][1])
+
+_AXES = {"x": (1.0, 0.0), "y": (0.0, 1.0)}
 
 
-def _p1_val(lam):
-    return np.asarray(lam, float).copy()
+def _derivative(function, j):
+    """Terms of the derivative of ``function`` in ``lam_j``; one that
+    vanishes is the term ``0 * 1``, which evaluates to +0.0."""
+    return [(c * e[j], *e[:j], e[j] - 1, *e[j + 1:])
+            for c, *e in function if e[j]] or [(0, 0, 0, 0)]
 
 
-def _p1_dbary(lam):
+def _tabulate(functions):
+    """Arrays ``(coef, exps, starts)`` of functions given as term lists:
+    function i owns the terms from ``starts[i]`` to ``starts[i + 1]``."""
+    flat = np.array([t for f in functions for t in f], float)
+    starts = np.cumsum([0] + [len(f) for f in functions[:-1]])
+    return flat[:, 0], flat[:, 1:].astype(int), starts
+
+
+def _evaluate(table, lam):
+    """Values (..., n_functions) of tabulated functions at ``lam`` (..., 3):
+    each term its coefficient times its factors in coordinate order."""
+    coef, exps, starts = table
     lam = np.asarray(lam, float)
-    out = np.zeros(lam.shape[:-1] + (3, 3))
-    out[...] = np.eye(3)
-    return out
+    powers = [np.ones_like(lam)]
+    for _ in range(exps.max()):
+        powers.append(powers[-1] * lam)
+    powers = np.stack(powers, axis=-1)                  # (..., 3, degree + 1)
+    terms = coef * powers[..., 0, exps[:, 0]]
+    for i in (1, 2):
+        terms *= powers[..., i, exps[:, i]]
+    return np.add.reduceat(terms, starts, axis=-1)
 
 
-def _p2_val(lam):
-    lam = np.asarray(lam, float)
-    l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-    return np.stack([
-        l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
-        4 * l1 * l2, 4 * l2 * l0, 4 * l0 * l1,
-    ], axis=-1)
-
-
-def _p2_dbary(lam):
-    lam = np.asarray(lam, float)
-    l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-    z = np.zeros_like(l0)
-    rows = [
-        [4 * l0 - 1, z, z],
-        [z, 4 * l1 - 1, z],
-        [z, z, 4 * l2 - 1],
-        [z, 4 * l2, 4 * l1],
-        [4 * l2, z, 4 * l0],
-        [4 * l1, 4 * l0, z],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-
-def _p1b_val(lam):
-    lam = np.asarray(lam, float)
-    bub = 27.0 * lam[..., 0] * lam[..., 1] * lam[..., 2]
-    return np.concatenate([lam, bub[..., None]], axis=-1)
-
-
-def _p1b_dbary(lam):
-    lam = np.asarray(lam, float)
-    l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-    out = np.zeros(lam.shape[:-1] + (4, 3))
-    out[..., :3, :] = np.eye(3)
-    out[..., 3, 0] = 27.0 * l1 * l2
-    out[..., 3, 1] = 27.0 * l0 * l2
-    out[..., 3, 2] = 27.0 * l0 * l1
-    return out
-
-
-def _edge_bubble_val(lam):
-    lam = np.asarray(lam, float)
-    l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-    return np.stack([l1 * l2, l2 * l0, l0 * l1], axis=-1)
-
-
-def _edge_bubble_dbary(lam):
-    lam = np.asarray(lam, float)
-    l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-    z = np.zeros_like(l0)
-    rows = [[z, l2, l1], [l2, z, l0], [l1, l0, z]]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-
-# ---------------------------------------------------------------------------
-# spaces
-
-
-class VelocitySpace:
-    """Vector-valued velocity space with no-flow Dirichlet bookkeeping.
+class FESpace:
+    """The space of one kind of :data:`_SPACES` on a mesh: each local
+    function is a scalar factor of a family times a constant direction.
 
     Attributes
     ----------
     cell_dofs : (n_cells, nloc) global dof indices
-    cell_dirs : (n_cells, nloc, 2) constant direction of each local dof
+    cell_dirs : (n_cells, nloc, 2) direction of each local dof; None in a
+        scalar space
     dirichlet_mask : (n_dofs,) True on boundary-attached dofs
     degree : polynomial degree of the scalar factors
     """
 
     def __init__(self, mesh: TriMesh, kind: str):
         self.mesh = mesh
-        self.kind = kind
-        n_p, n_c, n_e = mesh.n_vertices, mesh.n_cells, mesh.n_edges
-        bvert = mesh.is_boundary_vertex
-        bedge = mesh.is_boundary_edge
-
-        if kind in ("velocity_p2", "velocity_mini", "velocity_p1"):
-            if kind == "velocity_p2":
-                self._val, self._dbary = _p2_val, _p2_dbary
-                self.degree = 2
-                scalar_dofs = np.hstack([mesh.cells, n_p + mesh.cell_edges])
-                n_s = n_p + n_e
-                sc_boundary = np.concatenate([bvert, bedge])
-            elif kind == "velocity_mini":
-                self._val, self._dbary = _p1b_val, _p1b_dbary
-                self.degree = 3
-                scalar_dofs = np.hstack(
-                    [mesh.cells, n_p + np.arange(n_c)[:, None]])
-                n_s = n_p + n_c
-                sc_boundary = np.concatenate([bvert, np.zeros(n_c, bool)])
-            else:
-                self._val, self._dbary = _p1_val, _p1_dbary
-                self.degree = 1
-                scalar_dofs = mesh.cells
-                n_s = n_p
-                sc_boundary = bvert
-            nloc_s = scalar_dofs.shape[1]
-            self.n_dofs = 2 * n_s
-            self.nloc = 2 * nloc_s
-            self.cell_dofs = np.hstack([scalar_dofs, n_s + scalar_dofs])
-            dirs = np.zeros((n_c, self.nloc, 2))
-            dirs[:, :nloc_s, 0] = 1.0
-            dirs[:, nloc_s:, 1] = 1.0
-            self.cell_dirs = dirs
-            self.dirichlet_mask = np.concatenate([sc_boundary, sc_boundary])
-            self.vertex_dof_x = np.arange(n_p)
-            self.vertex_dof_y = n_s + np.arange(n_p)
-
-        elif kind == "velocity_p2_reduced":
-            # linear vector part plus one quadratic normal bubble per edge
-            self.degree = 2
-            self.n_dofs = 2 * n_p + n_e
-            self.nloc = 9
-            self.cell_dofs = np.hstack(
-                [mesh.cells, n_p + mesh.cells, 2 * n_p + mesh.cell_edges])
-            dirs = np.zeros((n_c, 9, 2))
-            dirs[:, 0:3, 0] = 1.0
-            dirs[:, 3:6, 1] = 1.0
-            dirs[:, 6:9, :] = mesh.edge_normals[mesh.cell_edges]
-            self.cell_dirs = dirs
-            self.dirichlet_mask = np.concatenate([bvert, bvert, bedge])
-            self.vertex_dof_x = np.arange(n_p)
-            self.vertex_dof_y = n_p + np.arange(n_p)
-        else:
-            raise ValueError(f"unknown velocity kind {kind!r}")
-
-    def scalar_val(self, lam) -> np.ndarray:
-        """Scalar factors of all local dofs at barycentric points."""
-        if self.kind == "velocity_p2_reduced":
-            p1 = _p1_val(lam)
-            eb = _edge_bubble_val(lam)
-            return np.concatenate([p1, p1, eb], axis=-1)
-        v = self._val(lam)
-        return np.concatenate([v, v], axis=-1)
-
-    def scalar_dbary(self, lam) -> np.ndarray:
-        if self.kind == "velocity_p2_reduced":
-            p1 = _p1_dbary(lam)
-            eb = _edge_bubble_dbary(lam)
-            return np.concatenate([p1, p1, eb], axis=-2)
-        d = self._dbary(lam)
-        return np.concatenate([d, d], axis=-2)
-
-    def vertex_values(self, coeffs) -> np.ndarray:
-        """Velocity at mesh vertices, shape (n_vertices, 2).
-
-        Exact for every shipped element: bubbles vanish at vertices.
-        """
-        coeffs = np.asarray(coeffs, float)
-        return np.column_stack(
-            [coeffs[self.vertex_dof_x], coeffs[self.vertex_dof_y]])
-
-
-class ScalarSpace:
-    """Piecewise constant or continuous piecewise linear scalar space."""
-
-    def __init__(self, mesh: TriMesh, kind: str):
-        self.mesh = mesh
-        self.kind = kind
-        if kind == "pressure_p1":
-            self.degree = 1
-            self.n_dofs = mesh.n_vertices
-            self.cell_dofs = mesh.cells
-            self._val = _p1_val
-        elif kind == "pressure_p0":
-            self.degree = 0
-            self.n_dofs = mesh.n_cells
-            self.cell_dofs = np.arange(mesh.n_cells)[:, None]
-            self._val = lambda lam: np.ones(np.shape(lam)[:-1] + (1,))
-        else:
-            raise ValueError(f"unknown scalar kind {kind!r}")
-        self.nloc = self.cell_dofs.shape[1]
+        attached = {"vertex": (mesh.cells, mesh.is_boundary_vertex),
+                    "edge": (mesh.cell_edges, mesh.is_boundary_edge),
+                    "cell": (np.arange(mesh.n_cells)[:, None],
+                             np.zeros(mesh.n_cells, bool))}
+        functions, dofs, boundary, dirs = [], [], [], []
+        self.n_dofs = 0
+        for family, direction in _SPACES[kind]:
+            entities, terms = _FAMILIES[family]
+            functions += terms
+            for entity in entities:
+                local, on_boundary = attached[entity]
+                dofs.append(self.n_dofs + local)
+                boundary.append(on_boundary)
+                self.n_dofs += len(on_boundary)
+                if direction:
+                    dirs.append(np.broadcast_to(
+                        mesh.edge_normals[local] if direction == "normal"
+                        else _AXES[direction], local.shape + (2,)))
+        self.cell_dofs = np.hstack(dofs)
+        self.dirichlet_mask = np.concatenate(boundary)
+        self.cell_dirs = np.concatenate(dirs, axis=1) if dirs else None
+        self.nloc = len(functions)
+        self.degree = max(sum(e) for f in functions for _, *e in f)
+        self._val = _tabulate(functions)
+        self._dbary = _tabulate([_derivative(f, j)
+                                 for f in functions for j in range(3)])
 
     def val(self, lam) -> np.ndarray:
-        return self._val(lam)
+        """Scalar factors of the local dofs at barycentric points ``lam``
+        (..., 3), shape (..., nloc)."""
+        return _evaluate(self._val, lam)
+
+    def dbary(self, lam) -> np.ndarray:
+        """Their barycentric derivatives, shape (..., nloc, 3)."""
+        d = _evaluate(self._dbary, lam)
+        return d.reshape(d.shape[:-1] + (self.nloc, 3))
+
+    def vertex_values(self, coeffs) -> np.ndarray:
+        """Velocity at the mesh vertices, shape (n_vertices, 2)."""
+        out = np.empty((self.mesh.n_vertices, 2))
+        out[self.mesh.cells] = evaluate_velocity(self.mesh, self, coeffs,
+                                                 np.eye(3))
+        return out
 
 
-VELOCITY_KINDS = (
-    "velocity_p2", "velocity_p2_reduced", "velocity_mini", "velocity_p1")
-
-
-def build_space(mesh: TriMesh, kind: str):
+def build_space(mesh: TriMesh, kind: str) -> FESpace:
     """Construct the degree-of-freedom map for one of the shipped spaces.
 
     ``velocity_p1`` exists only as the classical unstable negative control
     for the inf-sup test utility; the schemes reject it.
     """
-    if kind in VELOCITY_KINDS:
-        return VelocitySpace(mesh, kind)
-    if kind in ("pressure_p0", "pressure_p1"):
-        return ScalarSpace(mesh, kind)
-    raise ValueError(f"unknown space kind {kind!r}")
+    if kind not in _SPACES:
+        raise ValueError(f"unknown space kind {kind!r}")
+    return FESpace(mesh, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +291,7 @@ def _to_csr(cellvals, dofs, n, stored=...):
         shape=(n, n))
 
 
-def _velocity_csr(v: VelocitySpace, cellvals):
+def _velocity_csr(v: FESpace, cellvals):
     """Assembled cell matrices ``cellvals_ij dirs_i . dirs_j`` of ``v``.
 
     Only nonzeros are stored: entries of orthogonal direction pairs are
@@ -383,20 +310,20 @@ def _weighted_products(a, b, weights):
     return (prod * weights.reshape((-1,) + (1,) * (prod.ndim - 1))).sum(axis=0)
 
 
-def velocity_mass(mesh: TriMesh, v: VelocitySpace, degree: int | None = None):
+def velocity_mass(mesh: TriMesh, v: FESpace, degree: int | None = None):
     rule = triangle_rule(degree if degree is not None else 2 * v.degree)
-    sval = v.scalar_val(rule.points)                     # (nq, nloc)
+    sval = v.val(rule.points)                            # (nq, nloc)
     s2 = _weighted_products(sval, sval, rule.weights)
     return _velocity_csr(v, s2 * mesh.cell_areas[:, None, None])
 
 
-def velocity_stiffness(mesh: TriMesh, v: VelocitySpace):
+def velocity_stiffness(mesh: TriMesh, v: FESpace):
     """integral( grad(phi_i) : grad(phi_j) ) through the reference tensor
     ``R[a, b] = integral( d_a s_i d_b s_j )`` of barycentric derivatives:
     a cell's matrix is ``sum_ab (grad(lambda_a) . grad(lambda_b)) R[a, b]``,
     one matrix product over all cells."""
     rule = triangle_rule(max(2 * v.degree - 2, 1))
-    dbar = np.swapaxes(v.scalar_dbary(rule.points), 1, 2)   # (nq, 3, nloc)
+    dbar = np.swapaxes(v.dbary(rule.points), 1, 2)       # (nq, 3, nloc)
     ref = _weighted_products(dbar[:, :, None], dbar[:, None, :],
                              rule.weights)            # (3, 3, nloc, nloc)
     g = mesh.bary_grads
@@ -408,9 +335,9 @@ def velocity_stiffness(mesh: TriMesh, v: VelocitySpace):
     return _velocity_csr(v, e)
 
 
-def evaluate_velocity(mesh: TriMesh, v: VelocitySpace, coeffs, lam) -> np.ndarray:
+def evaluate_velocity(mesh: TriMesh, v: FESpace, coeffs, lam) -> np.ndarray:
     """Velocity values at barycentric points, shape (n_cells, nq, 2)."""
-    sval = v.scalar_val(lam)                             # (nq, nloc)
+    sval = v.val(lam)                                    # (nq, nloc)
     c = np.asarray(coeffs, float)[v.cell_dofs]           # (M, nloc)
     return sval @ (c[:, :, None] * v.cell_dirs)
 
@@ -436,7 +363,7 @@ def _dir_products(dirs):
     return d_x * np.swapaxes(d_x, 1, 2) + d_y * np.swapaxes(d_y, 1, 2)
 
 
-def velocity_pattern(v: VelocitySpace, keep) -> FixedPattern:
+def velocity_pattern(v: FESpace, keep) -> FixedPattern:
     """Fixed pattern of cell-assembled operators of ``v`` on dofs ``keep``.
 
     ``keep`` is an increasing array of dof indices (the free dofs of a
@@ -464,7 +391,7 @@ def velocity_pattern(v: VelocitySpace, keep) -> FixedPattern:
 _CHUNK = 256
 
 
-def convection_matrix(mesh: TriMesh, v: VelocitySpace, w_coeffs,
+def convection_matrix(mesh: TriMesh, v: FESpace, w_coeffs,
                       pattern: FixedPattern):
     """Skew-symmetrized convection with a frozen transport velocity w:
 
@@ -477,8 +404,8 @@ def convection_matrix(mesh: TriMesh, v: VelocitySpace, w_coeffs,
     values in the same order, so C + C^T = 0 holds exactly.
     """
     rule = triangle_rule(3 * v.degree - 1)
-    sw = v.scalar_val(rule.points).T * rule.weights      # (nloc, nq)
-    dbar = v.scalar_dbary(rule.points)                   # (nq, nloc, 3)
+    sw = v.val(rule.points).T * rule.weights             # (nloc, nq)
+    dbar = v.dbary(rule.points)                          # (nq, nloc, 3)
     wq = evaluate_velocity(mesh, v, w_coeffs, rule.points)   # (M, nq, 2)
     nnz, n = len(pattern.indices), len(pattern.indptr) - 1
     data = np.zeros(nnz + 1)
@@ -497,7 +424,7 @@ def convection_matrix(mesh: TriMesh, v: VelocitySpace, w_coeffs,
                          shape=(n, n))
 
 
-def gradient_matrix(mesh: TriMesh, v: VelocitySpace, s: ScalarSpace):
+def gradient_matrix(mesh: TriMesh, v: FESpace, s: FESpace):
     """G[4n + 2a + b, i] = integral( psi_n * d_b (phi_i)_a ), (4 n_s, n_u).
 
     The moments of the velocity gradient against the scalar test space
@@ -511,7 +438,7 @@ def gradient_matrix(mesh: TriMesh, v: VelocitySpace, s: ScalarSpace):
     are dropped after assembly.
     """
     rule = triangle_rule(max(v.degree - 1 + s.degree, 1))
-    dbar = v.scalar_dbary(rule.points)                    # (nq, nloc, 3)
+    dbar = v.dbary(rule.points)                          # (nq, nloc, 3)
     # R[j, n, i] = integral( psi_n d_j s_i ) on the reference cell
     ref = _weighted_products(s.val(rule.points)[:, None],
                              np.swapaxes(dbar, 1, 2), rule.weights)
@@ -545,10 +472,10 @@ def sample_cells(mesh: TriMesh, f, lam) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*f(xq[..., 0], xq[..., 1])), axis=-1)
 
 
-def velocity_load(mesh: TriMesh, v: VelocitySpace, f, degree: int = 6):
+def velocity_load(mesh: TriMesh, v: FESpace, f, degree: int = 6):
     """Load vector integral( f . phi_i ) for a callable f(x, y) -> (fx, fy)."""
     rule = triangle_rule(degree)
-    sw = v.scalar_val(rule.points) * rule.weights[:, None]    # (nq, nloc)
+    sw = v.val(rule.points) * rule.weights[:, None]       # (nq, nloc)
     fq = sample_cells(mesh, f, rule.points)               # (M, nq, 2)
     # f_d against every scalar factor, then dotted with the directions
     fs = np.swapaxes(fq, 1, 2) @ sw                       # (M, 2, nloc)
@@ -558,7 +485,7 @@ def velocity_load(mesh: TriMesh, v: VelocitySpace, f, degree: int = 6):
                        minlength=v.n_dofs)
 
 
-def cell_mean_velocity(mesh: TriMesh, v: VelocitySpace, coeffs) -> np.ndarray:
+def cell_mean_velocity(mesh: TriMesh, v: FESpace, coeffs) -> np.ndarray:
     """Per-cell integral of the velocity, shape (n_cells, 2)."""
     rule = triangle_rule(v.degree)
     u = evaluate_velocity(mesh, v, coeffs, rule.points)
@@ -572,8 +499,9 @@ def scalar_stiffness(mesh: TriMesh):
     return _to_csr(cellvals, mesh.cells, mesh.n_vertices)
 
 
-def pressure_integral_vector(mesh: TriMesh, p: ScalarSpace) -> np.ndarray:
-    """Vector of integral( psi_q ), used for the zero-mean constraint."""
+def pressure_integral_vector(mesh: TriMesh, p: FESpace) -> np.ndarray:
+    """Vector of integral( psi_q ): the zero-mean weights of the pressure
+    and the quadrature of the stress nodes."""
     if p.degree == 0:
         return mesh.cell_areas.copy()
     return lumped_weights(mesh)  # exact for P1

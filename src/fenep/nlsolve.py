@@ -111,11 +111,10 @@ class SaddleOperator:
     constant that gives ``mean_vec . p = 0``.  ``A`` acts on the free
     (non-Dirichlet) velocity dofs only; constrained dofs stay zero.
 
-    Dropping the row is exact for compatible data.  With the boundary
-    velocity dofs removed, constant pressures lie in the kernel of
-    ``B^T`` (``1^T B = 0``): the rows of ``B`` sum to zero, so the
-    dropped row is implied by the kept ones whenever the pressure data
-    sums to zero, as the divergence residual ``-B u`` always does.
+    Dropping the row is exact: the constraint is ``B u = 0``, and with
+    the boundary velocity dofs removed, constant pressures lie in the
+    kernel of ``B^T`` (``1^T B = 0``), so the rows of ``B`` sum to zero
+    and the dropped row is implied by the kept ones.
     Bordering the system with a multiplier for the mean instead would
     add a dense row and column that defeat the fill-reducing ordering
     of the LU.
@@ -169,11 +168,9 @@ class SaddleOperator:
         except RuntimeError as exc:
             raise SolverError(f"saddle matrix factorization failed: {exc}") from exc
 
-    def solve(self, rhs_u, rhs_p=None):
+    def solve(self, rhs_u):
         rhs = np.zeros(self.n_u + self.n_p - 1)
         rhs[:self.n_u] = rhs_u
-        if rhs_p is not None:
-            rhs[self.n_u:] = np.asarray(rhs_p)[1:]
         rhs_norm = np.abs(rhs).max()
         # a solve with K_g is never one with K: refine it at least once
         sol = self._lu.solve(rhs)
@@ -450,15 +447,16 @@ class BlockStep:
 class ImplicitScheme:
     """Operators, free energy and the audited implicit step of a scheme.
 
-    A subclass names its spaces (``VELOCITIES``, ``PRESSURE``), sets
-    ``weights``, the quadrature of its stress nodes that every stress
-    integral of the energy budget uses, and supplies
-    ``scalar_operator(state, dt)``, the factorization of the matrix the
-    scalar blocks of a step share; the step is the one :class:`BlockStep`
-    of both schemes.  Its other hooks have defaults here:
-    ``coupling_weight`` (k = 1), ``transport_map`` (None; a scheme with a
-    map also supplies ``advection``) and ``check_step_size`` (no cap).
-    ``_extra_audit_terms`` adds scheme-specific terms to the budget; a
+    A subclass names its spaces (``VELOCITIES``, the first the default, and
+    ``PRESSURE``) and supplies ``scalar_operator(state, dt)``, the
+    factorization of the matrix the scalar blocks of a step share; the step
+    is the one :class:`BlockStep` of both schemes.  ``weights``, the
+    integrals of the pressure basis functions, is both the quadrature of the
+    stress nodes that every stress integral of the energy budget uses and
+    the zero-mean weight of the pressure.  The other hooks have defaults
+    here: ``coupling_weight`` (k = 1), ``transport_map`` (None; a scheme
+    with a map also supplies ``advection``) and ``check_step_size`` (no
+    cap).  ``_extra_audit_terms`` adds scheme-specific terms to the budget; a
     scheme with stress diffusion sets ``k_scalar``, the stiffness of its
     stress nodes, and one with a trace variable ``carries_trace``.
 
@@ -490,7 +488,9 @@ class ImplicitScheme:
     #: whether the states carry the auxiliary trace field ``rho``
     carries_trace = False
 
-    def __init__(self, mesh, params, velocity: str, forcing):
+    def __init__(self, mesh, params, *, velocity: str | None = None,
+                 forcing=None):
+        velocity = self.VELOCITIES[0] if velocity is None else velocity
         if velocity not in self.VELOCITIES:
             raise ValueError(
                 f"velocity kind {velocity!r} is not supported here; "
@@ -503,7 +503,7 @@ class ImplicitScheme:
         self.stiff = velocity_stiffness(mesh, self.v)
         self.grad = gradient_matrix(mesh, self.v, self.q)
         self.div = gradient_trace(self.grad)
-        self.mean_p = pressure_integral_vector(mesh, self.q)
+        self.weights = pressure_integral_vector(mesh, self.q)
         self.free = np.nonzero(~self.v.dirichlet_mask)[0]
         self.b_free = self.div[:, self.free].tocsr()
         self.grad_t = self.grad.T
@@ -532,7 +532,7 @@ class ImplicitScheme:
             a_mat = (prm.re / dt) * self.mass + (1.0 - prm.eps) * self.stiff
             a_ff = a_mat[self.free][:, self.free].tocsr()
             del a_mat  # freed before the factorization, the memory peak
-            return SaddleOperator(a_ff, self.b_free, self.mean_p)
+            return SaddleOperator(a_ff, self.b_free, self.weights)
 
         return self._cached("saddle", (dt, prm.re, prm.eps), build)
 
@@ -575,7 +575,7 @@ class ImplicitScheme:
             a_ff = (self.mass + dt0 * self.stiff)[self.free][:, self.free]
             load = velocity_load(self.mesh, self.v, u0)[self.free]
             u[self.free] = SaddleOperator(a_ff, self.b_free,
-                                          self.mean_p).solve(load)[0]
+                                          self.weights).solve(load)[0]
 
         rule = triangle_rule(6)
         samples = self._stress_samples(sigma0, rule.points)

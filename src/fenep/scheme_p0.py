@@ -83,7 +83,7 @@ def _edge_flux_coeffs(mesh: TriMesh, vspace, u_coeffs):
     for ti, t in enumerate(ts):
         lam[rows, ti, la] = 1.0 - t
         lam[rows, ti, lb] += t
-    svals = vspace.scalar_val(lam)                        # (ne, 3, nloc)
+    svals = vspace.val(lam)                        # (ne, 3, nloc)
     c_loc = np.asarray(u_coeffs, float)[vspace.cell_dofs[left]]
     dirs = vspace.cell_dirs[left]
     uq = np.einsum("el,etl,eld->etd", c_loc, svals, dirs)  # (ne, 3, 2)
@@ -172,11 +172,6 @@ class SchemeP0(ImplicitScheme):
 
     VELOCITIES = ("velocity_p2", "velocity_p2_reduced")
     PRESSURE = "pressure_p0"
-
-    def __init__(self, mesh: TriMesh, params: ModelParams, *,
-                 velocity: str = "velocity_p2", forcing=None):
-        super().__init__(mesh, params, velocity, forcing)
-        self.weights = mesh.cell_areas
 
     def scalar_operator(self, state: State, dt: float):
         """The factorization, made once per step, of the cell areas over dt

@@ -50,7 +50,7 @@ from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
-from .fespaces import cell_mean_velocity, lumped_weights, scalar_stiffness
+from .fespaces import cell_mean_velocity, scalar_stiffness
 from .meshing import REF_GRADS, TriMesh, audit_mesh
 from .nlsolve import ImplicitScheme, State
 from .params import ModelParams
@@ -198,11 +198,10 @@ class SchemeP1Diff(ImplicitScheme):
     PRESSURE = "pressure_p1"
 
     def __init__(self, mesh: TriMesh, params: ModelParams, *,
-                 velocity: str = "velocity_mini", forcing=None):
+                 velocity: str | None = None, forcing=None):
         if params.alpha is None:
             raise ValueError("this scheme requires a diffusion alpha > 0")
-        super().__init__(mesh, params, velocity, forcing)
-        self.weights = lumped_weights(mesh)
+        super().__init__(mesh, params, velocity=velocity, forcing=forcing)
         self.k_scalar = scalar_stiffness(mesh)
         self.non_obtuse = audit_mesh(mesh).non_obtuse
 

@@ -32,13 +32,13 @@ def coo_assemble(cellvals, dofs, n):
 
 def shape_grads(mesh, v, rule):
     """Physical gradients of the local scalar factors, (M, nloc, nq, 2)."""
-    return np.einsum("qlj,kjd->klqd", v.scalar_dbary(rule.points),
+    return np.einsum("qlj,kjd->klqd", v.dbary(rule.points),
                      mesh.bary_grads)
 
 
 def velocity_mass(mesh, v, degree=None):
     rule = fe.triangle_rule(degree if degree is not None else 2 * v.degree)
-    sval = v.scalar_val(rule.points).T
+    sval = v.val(rule.points).T
     s2 = np.einsum("iq,jq,q->ij", sval, sval, rule.weights)
     dd = np.einsum("kid,kjd->kij", v.cell_dirs, v.cell_dirs)
     cellvals = dd * s2[None] * mesh.cell_areas[:, None, None]
@@ -73,7 +73,7 @@ def gradient_matrix(mesh, v, s):
 
 def velocity_load(mesh, v, f, degree=6):
     rule = fe.triangle_rule(degree)
-    sval = v.scalar_val(rule.points).T
+    sval = v.val(rule.points).T
     xq = np.einsum("qj,kjd->kqd", rule.points, mesh.vertices[mesh.cells])
     fq = np.stack(np.broadcast_arrays(*f(xq[..., 0], xq[..., 1])), axis=-1)
     fd = np.einsum("kqd,kld->klq", fq, v.cell_dirs)
@@ -105,8 +105,8 @@ def inf_sup_estimate(mesh, velocity_kind, pressure_kind):
     norm, restricted to homogeneous velocity data and mean-zero pressures.
     Dense linear algebra, so guarded to desk-scale meshes.
     """
-    v = fe.VelocitySpace(mesh, velocity_kind)
-    p = fe.ScalarSpace(mesh, pressure_kind)
+    v = fe.build_space(mesh, velocity_kind)
+    p = fe.build_space(mesh, pressure_kind)
     if v.n_dofs > 6000 or p.n_dofs > 1500:
         raise SupportError(
             "inf_sup_estimate is a dense test utility; use meshes with "

@@ -518,6 +518,24 @@ def test_audit_rejects_a_non_numeric_cell(tmp_path, capsys):
     assert "'x" in err
 
 
+@pytest.mark.parametrize("flag", ["true", "TRUE", "1", ""])
+def test_audit_rejects_a_flag_that_is_not_true_or_false(tmp_path, capsys,
+                                                         flag):
+    cfg = base_config(tmp_path)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    csv_path = tmp_path / "out" / "energy.csv"
+    lines = csv_path.read_text().splitlines()
+    assert lines[2].endswith(",True")
+    lines[2] = lines[2][:-len("True")] + flag     # the flag of step 1
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"{csv_path}:3: audit_pass must "
+                                          f"be True or False, not '{flag}'"):
+        read_energy_csv(csv_path)
+    assert main(["audit", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {csv_path}:3:")
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_audit_rejects_bad_tolerance(tmp_path, capsys, tol):
     cfg = base_config(tmp_path)

@@ -95,6 +95,62 @@ def test_build_space_rejects_unknown():
         fe.build_space(structured_unit_square(1), "velocity_p9")
 
 
+# the shape function table: each kind's values, derivatives and degree
+
+#: midpoint of the edge opposite vertex i, row i
+MIDPOINTS = 0.5 * (1.0 - np.eye(3))
+I3, Z3 = np.eye(3), np.zeros((3, 3))
+#: kind -> (nodes, values of its local functions there)
+NODAL_VALUES = {
+    "velocity_p2": (np.vstack([I3, MIDPOINTS]), np.hstack([np.eye(6)] * 2)),
+    "velocity_p2_reduced": (I3, np.hstack([I3, I3, Z3])),
+    "velocity_mini": (I3, np.hstack([I3, np.zeros((3, 1))] * 2)),
+    "velocity_p1": (I3, np.hstack([I3, I3])),
+    "pressure_p0": (np.full((1, 3), 1.0 / 3.0), np.ones((1, 1))),
+    "pressure_p1": (I3, I3),
+}
+DEGREES = {"velocity_p2": 2, "velocity_p2_reduced": 2, "velocity_mini": 3,
+           "velocity_p1": 1, "pressure_p0": 0, "pressure_p1": 1}
+
+
+@pytest.mark.parametrize("kind", sorted(fe._SPACES))
+def test_dbary_matches_central_differences_of_val(kind):
+    space = fe.build_space(structured_unit_square(1), kind)
+    lam = np.random.default_rng(5).dirichlet([1.0] * 3, size=(4, 2))
+    h = 1e-6
+    for j, step in enumerate(h * np.eye(3)):
+        diff = (space.val(lam + step) - space.val(lam - step)) / (2 * h)
+        assert np.allclose(space.dbary(lam)[..., j], diff, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", sorted(fe._SPACES))
+def test_lagrange_functions_are_nodal_and_bubbles_vanish_at_vertices(kind):
+    """P1 is the identity at the vertices, P2 at the vertices and edge
+    midpoints; the cell and edge bubbles vanish at the vertices."""
+    nodes, values = NODAL_VALUES[kind]
+    space = fe.build_space(structured_unit_square(1), kind)
+    np.testing.assert_array_equal(space.val(nodes), values)
+
+
+@pytest.mark.parametrize("kind", fe.VELOCITY_KINDS)
+def test_vertex_values_are_the_velocity_at_every_cell_vertex(kind):
+    mesh = sheared_mesh(3)
+    v = fe.build_space(mesh, kind)
+    co = np.random.default_rng(9).standard_normal(v.n_dofs)
+    at_corners = fe.evaluate_velocity(mesh, v, co, np.eye(3))
+    assert np.allclose(v.vertex_values(co)[mesh.cells], at_corners,
+                       rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", sorted(fe._SPACES))
+def test_space_degree_and_local_dofs(kind):
+    mesh = structured_unit_square(2)
+    space = fe.build_space(mesh, kind)
+    assert space.degree == DEGREES[kind]
+    assert space.cell_dofs.shape == (mesh.n_cells, space.nloc)
+    assert space.val(np.eye(3)).shape == (3, space.nloc)
+
+
 def test_pi_h_reproduces_linear_and_is_idempotent():
     mesh = structured_unit_square(3)
 
@@ -196,8 +252,8 @@ def test_convection_is_antisymmetric(kind):
 def coo_convection(mesh, v, w):
     """Full convection matrix assembled through COO (the oracle)."""
     rule = fe.triangle_rule(3 * v.degree - 1)
-    sval = v.scalar_val(rule.points).T
-    gx = np.einsum("qlj,kjd->klqd", v.scalar_dbary(rule.points),
+    sval = v.val(rule.points).T
+    gx = np.einsum("qlj,kjd->klqd", v.dbary(rule.points),
                    mesh.bary_grads)
     wq = fe.evaluate_velocity(mesh, v, w, rule.points)
     adv = np.einsum("kqd,klqd->klq", wq, gx)
