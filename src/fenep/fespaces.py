@@ -172,6 +172,12 @@ def _derivative(function, j):
             for c, *e in function if e[j]] or [(0, 0, 0, 0)]
 
 
+#: family -> the terms of the barycentric derivatives of its functions,
+#: function after function and lam0, lam1, lam2 within each
+_DERIVATIVES = {family: [_derivative(f, j) for f in terms for j in range(3)]
+                for family, (_, terms) in _FAMILIES.items()}
+
+
 def _tabulate(functions):
     """Arrays ``(coef, exps, starts)`` of functions given as term lists:
     function i owns the terms from ``starts[i]`` to ``starts[i + 1]``."""
@@ -205,6 +211,8 @@ class FESpace:
     cell_dirs : (n_cells, nloc, 2) direction of each local dof; None in a
         scalar space
     dirichlet_mask : (n_dofs,) True on boundary-attached dofs
+    cell_local : (n_dofs,) True on dofs attached to a cell (the mini
+        bubbles, the P0 constants): each lives on that one cell alone
     degree : polynomial degree of the scalar factors
     """
 
@@ -214,15 +222,18 @@ class FESpace:
                     "edge": (mesh.cell_edges, mesh.is_boundary_edge),
                     "cell": (np.arange(mesh.n_cells)[:, None],
                              np.zeros(mesh.n_cells, bool))}
-        functions, dofs, boundary, dirs = [], [], [], []
+        functions, derivatives, dofs, boundary, in_cell, dirs = (
+            [], [], [], [], [], [])
         self.n_dofs = 0
         for family, direction in _SPACES[kind]:
             entities, terms = _FAMILIES[family]
             functions += terms
+            derivatives += _DERIVATIVES[family]
             for entity in entities:
                 local, on_boundary = attached[entity]
                 dofs.append(self.n_dofs + local)
                 boundary.append(on_boundary)
+                in_cell.append(np.full(len(on_boundary), entity == "cell"))
                 self.n_dofs += len(on_boundary)
                 if direction:
                     dirs.append(np.broadcast_to(
@@ -230,12 +241,12 @@ class FESpace:
                         else _AXES[direction], local.shape + (2,)))
         self.cell_dofs = np.hstack(dofs)
         self.dirichlet_mask = np.concatenate(boundary)
+        self.cell_local = np.concatenate(in_cell)
         self.cell_dirs = np.concatenate(dirs, axis=1) if dirs else None
         self.nloc = len(functions)
         self.degree = max(sum(e) for f in functions for _, *e in f)
         self._val = _tabulate(functions)
-        self._dbary = _tabulate([_derivative(f, j)
-                                 for f in functions for j in range(3)])
+        self._dbary = _tabulate(derivatives)
 
     def val(self, lam) -> np.ndarray:
         """Scalar factors of the local dofs at barycentric points ``lam``

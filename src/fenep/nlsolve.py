@@ -23,12 +23,16 @@ on the scheme; only the convection ``C(u_prev)``, the one velocity
 operator that changes from step to step, is assembled per step, on a
 fixed sparsity pattern (the Picard/Oseen splitting of Elman, Silvester
 and Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).  The
-:class:`SaddleOperator` factors the quasi-definite ``[[A, B0^T], [B0,
--g D]]`` (``D`` the Schur-complement diagonal, ``g`` =
-:data:`SADDLE_REGULARIZATION`) under a symmetric order without
-pivoting, and refines each solve against the exact matrix until its
-normwise backward error is at most :data:`SADDLE_BACKWARD_ERROR`, else
-raises :class:`SolverError`: the velocity stays discretely
+:class:`SaddleOperator` condenses the velocity dofs that live on one
+cell (the mini element's bubbles), which is exact because their block
+of the matrix is diagonal, and factors what remains under a symmetric
+order without pivoting.  It regularizes only the pressure rows whose
+condensed diagonal is zero, with ``-g D`` (``D`` the Schur-complement
+diagonal, ``g`` = :data:`SADDLE_REGULARIZATION`): none for the mini
+element, every row for the P2 and reduced-P2 pairs.  Each solve is
+checked against the exact matrix and refined only while its normwise
+backward error exceeds :data:`SADDLE_BACKWARD_ERROR`; one that cannot
+reach it raises :class:`SolverError`.  So the velocity stays discretely
 divergence-free, as the energy identity needs.
 
 The step is exposed to the driver as a fixed-point problem: one
@@ -119,28 +123,45 @@ class SaddleOperator:
     add a dense row and column that defeat the fill-reducing ordering
     of the LU.
 
-    The factorized matrix is the quasi-definite ``K_g = [[A, B0^T],
-    [B0, -g D]]``, with ``D = diag(B0 diag(A)^-1 B0^T)`` the diagonal
-    of the Schur complement and ``g`` = :data:`SADDLE_REGULARIZATION`.
-    A symmetric fill-reducing order without pivoting is stable for a
-    quasi-definite matrix (Vanderbei, SIAM J. Optim. 5, 1995), so
-    ``K_g`` is factored in SuperLU's symmetric mode under the minimum
-    degree order of ``K_g^T + K_g``: about a third of the fill of a
-    pivoted LU of ``K`` on the shipped pairs.  ``D`` scales the
-    regularization with ``A`` and the mesh, so it stays small against
-    ``K`` for a mass matrix alone and for any step size.  Each solve
-    then restores the exact solution of ``K`` by iterative refinement
+    ``cell_local`` marks the velocity dofs that live on one cell (the
+    bubbles of the mini element; :attr:`fenep.fespaces.FESpace.cell_local`
+    restricted to the free dofs).  Each vanishes outside its cell, and
+    the two of one cell point along different axes, which the mass,
+    the stiffness and the convection do not couple.  So their block
+    ``K_bb`` of ``K`` is diagonal, and eliminating them is exact: with
+    ``s`` the other unknowns, the factored matrix is ``K_c = K_ss -
+    K_sb K_bb^-1 K_bs``, a solve is ``y_s = K_c^-1 (r_s - K_sb K_bb^-1
+    r_b)`` and the local dofs follow cell by cell as ``y_b = K_bb^-1
+    (r_b - K_bs y_s)``.  Without cell-local dofs ``K_c`` is ``K``.  A
+    mask whose block is not diagonal raises :class:`SolverError`.
+
+    ``K_c`` is factored in SuperLU's symmetric mode, without pivoting,
+    under the minimum degree order of ``K_c^T + K_c``: about a third of
+    the fill of a pivoted LU of ``K`` on the shipped pairs.  That is
+    stable for a quasi-definite matrix (Vanderbei, SIAM J. Optim. 5,
+    1995).  The condensed pressure block ``-B0_b K_bb^-1 B0_b^T`` is
+    negative definite for the mini element, so its ``K_c`` is
+    quasi-definite as it stands, and its factor solves ``K`` exactly.
+    A pressure row whose condensed diagonal is exactly zero, which is
+    every row of a pair without cell-local velocity dofs, is regularized
+    to ``-g D``, with ``D = diag(B0 diag(A)^-1 B0^T)`` the diagonal of the
+    Schur complement and ``g`` = :data:`SADDLE_REGULARIZATION`.  ``D``
+    scales the regularization with ``A`` and the mesh, so it stays small
+    against ``K`` for a mass matrix alone and for any step size.
+
+    Every solve is checked against the exact ``K``: its normwise
+    backward error must reach ``|b - K x| <= SADDLE_BACKWARD_ERROR (|b| +
+    |K| |x|)`` (max norms).  While it does not, the solve is refined
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    ch. 12): ``x += K_g^-1 (b - K x)``, at least once and at most
-    :data:`SADDLE_MAX_REFINEMENTS` times, until the normwise backward
-    error ``|b - K x| <= SADDLE_BACKWARD_ERROR (|b| + |K| |x|)`` (max
-    norms).  Without it ``B u`` would be of order ``g |p|``, not zero.
-    A solve that misses the bound raises :class:`SolverError`, as does
-    an ``A`` whose diagonal is not positive, for which ``K_g`` is not
-    quasi-definite.
+    ch. 12), ``x += K_c^-1 (b - K x)`` through the same elimination, at
+    most :data:`SADDLE_MAX_REFINEMENTS` times.  An unregularized factor
+    meets the bound at once; a regularized one needs refinement, since
+    ``B u`` would otherwise be of order ``g |p|``, not zero.  A solve that
+    misses the bound raises :class:`SolverError`, as does an ``A`` whose
+    diagonal is not positive, for which ``K_c`` is not quasi-definite.
     """
 
-    def __init__(self, a_mat, b_mat, mean_vec):
+    def __init__(self, a_mat, b_mat, mean_vec, cell_local=None):
         a_mat = sp.csr_matrix(a_mat)
         b_mat = sp.csr_matrix(b_mat)
         self.n_u = a_mat.shape[0]
@@ -158,9 +179,19 @@ class SaddleOperator:
         self._k = sp.bmat([[a_mat, b_kept.T], [b_kept, None]], format="csr")
         self._k.eliminate_zeros()       # stored zeros of B would add fill
         self._k_norm = float(abs(self._k).sum(axis=1).max())
-        reg = np.concatenate([np.zeros(self.n_u),
-                              SADDLE_REGULARIZATION * schur_diag])
-        k_g = (self._k - sp.diags(reg)).tocsc()
+
+        local = np.zeros(self._k.shape[0], bool)
+        if cell_local is not None:
+            local[:self.n_u] = cell_local
+        self._s, self._b = np.nonzero(~local)[0], np.nonzero(local)[0]
+        k_c = self._condense() if len(self._b) else self._k
+        n_kept_u = len(self._s) - (self.n_p - 1)
+        singular = k_c.diagonal()[n_kept_u:] == 0.0
+        reg = np.zeros(len(self._s))
+        reg[n_kept_u:] = np.where(singular,
+                                  SADDLE_REGULARIZATION * schur_diag, 0.0)
+        k_g = (k_c - sp.diags(reg)).tocsc()
+        del k_c
         try:
             self._lu = splu(k_g, permc_spec="MMD_AT_PLUS_A",
                             diag_pivot_thresh=0.0,
@@ -168,26 +199,49 @@ class SaddleOperator:
         except RuntimeError as exc:
             raise SolverError(f"saddle matrix factorization failed: {exc}") from exc
 
+    def _condense(self):
+        """``K_c = K_ss - K_sb K_bb^-1 K_bs``, keeping ``K_sb``, ``K_bs``
+        and the diagonal of ``K_bb`` for the solves."""
+        k_s, k_b = self._k[self._s], self._k[self._b]
+        k_bb = k_b[:, self._b]
+        if k_bb.nnz != len(self._b):    # its diagonal is A's, stored and > 0
+            raise SolverError("saddle matrix couples the cell-local dofs "
+                              "it would condense")
+        self._d_b = k_bb.diagonal()
+        self._k_sb, self._k_bs = k_s[:, self._b], k_b[:, self._s]
+        return (k_s[:, self._s]
+                - self._k_sb @ sp.diags(1.0 / self._d_b) @ self._k_bs)
+
+    def _apply_factor(self, r):
+        """``K^-1 r`` through the factor of the condensed matrix: one
+        triangular solve, then the cell-local dofs cell by cell."""
+        if not len(self._b):            # nothing condensed: K_c is K
+            return self._lu.solve(r)
+        r_s, r_b = r[self._s], r[self._b]
+        y = np.empty_like(r)
+        y[self._s] = y_s = self._lu.solve(
+            r_s - self._k_sb @ (r_b / self._d_b))
+        y[self._b] = (r_b - self._k_bs @ y_s) / self._d_b
+        return y
+
     def solve(self, rhs_u):
         rhs = np.zeros(self.n_u + self.n_p - 1)
         rhs[:self.n_u] = rhs_u
         rhs_norm = np.abs(rhs).max()
-        # a solve with K_g is never one with K: refine it at least once
-        sol = self._lu.solve(rhs)
-        res = rhs - self._k @ sol
-        for _ in range(SADDLE_MAX_REFINEMENTS):
-            sol += self._lu.solve(res)
+        sol = self._apply_factor(rhs)
+        for refinement in range(SADDLE_MAX_REFINEMENTS + 1):
             res = rhs - self._k @ sol
             err = np.abs(res).max()
             bound = SADDLE_BACKWARD_ERROR * (
                 rhs_norm + self._k_norm * np.abs(sol).max())
             if err <= bound < math.inf:     # a non-finite sol fails here
                 break
-        else:
-            raise SolverError(
-                f"saddle solve missed its backward error bound after "
-                f"{SADDLE_MAX_REFINEMENTS} refinements: residual {err:.3e} "
-                f"> {bound:.3e}")
+            if refinement == SADDLE_MAX_REFINEMENTS:
+                raise SolverError(
+                    f"saddle solve missed its backward error bound after "
+                    f"{SADDLE_MAX_REFINEMENTS} refinements: residual "
+                    f"{err:.3e} > {bound:.3e}")
+            sol += self._apply_factor(res)
         p = np.concatenate([[0.0], sol[self.n_u:]])
         p -= self._mean_weights @ p
         return sol[:self.n_u], p
@@ -532,7 +586,8 @@ class ImplicitScheme:
             a_mat = (prm.re / dt) * self.mass + (1.0 - prm.eps) * self.stiff
             a_ff = a_mat[self.free][:, self.free].tocsr()
             del a_mat  # freed before the factorization, the memory peak
-            return SaddleOperator(a_ff, self.b_free, self.weights)
+            return SaddleOperator(a_ff, self.b_free, self.weights,
+                                  self.v.cell_local[self.free])
 
         return self._cached("saddle", (dt, prm.re, prm.eps), build)
 
@@ -574,8 +629,9 @@ class ImplicitScheme:
         if u0 is not None:
             a_ff = (self.mass + dt0 * self.stiff)[self.free][:, self.free]
             load = velocity_load(self.mesh, self.v, u0)[self.free]
-            u[self.free] = SaddleOperator(a_ff, self.b_free,
-                                          self.weights).solve(load)[0]
+            u[self.free] = SaddleOperator(
+                a_ff, self.b_free, self.weights,
+                self.v.cell_local[self.free]).solve(load)[0]
 
         rule = triangle_rule(6)
         samples = self._stress_samples(sigma0, rule.points)

@@ -212,6 +212,21 @@ def test_dirichlet_mask_marks_boundary_rows():
         assert np.all(np.abs(vv[mesh.is_boundary_vertex]).max(axis=1) > 0)
 
 
+def test_cell_local_marks_the_dofs_of_one_cell():
+    mesh = structured_unit_square(3)
+    n = mesh.n_cells
+    expected = {"velocity_p2": 0, "velocity_p2_reduced": 0,
+                "velocity_mini": 2 * n, "velocity_p1": 0,
+                "pressure_p0": n, "pressure_p1": 0}
+    assert set(expected) == set(fe._SPACES)
+    for kind, count in expected.items():
+        s = fe.build_space(mesh, kind)
+        cells_per_dof = np.bincount(s.cell_dofs.ravel(), minlength=s.n_dofs)
+        assert s.cell_local.sum() == count
+        assert np.all(cells_per_dof[s.cell_local] == 1)
+        assert not np.any(s.cell_local & s.dirichlet_mask)
+
+
 # ---------------------------------------------------------------------------
 # assembled operators
 

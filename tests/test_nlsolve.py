@@ -3,7 +3,9 @@ block step both schemes share (its block-pass cache, its residual
 against the monolithic form, solve checks and the per-step-size saddle
 factorization).  The saddle solves are checked for their backward
 error, their failure when refinement stalls and the fill of their
-symmetric factorization.
+symmetric factorization; with the mini element's bubbles condensed
+out, for one triangular solve each and for agreement with the
+uncondensed operator.
 
 The manufactured Stokes forcing below was generated symbolically from
 the stream function psi = x^2 (1-x)^2 y^2 (1-y)^2 (velocity u = curl
@@ -148,7 +150,8 @@ def convective_saddle(vel, pres, seed=0):
     a = (20.0 * fe.velocity_mass(mesh, v)
          + fe.velocity_stiffness(mesh, v)).tocsr()[free][:, free] + conv
     b = oracle.divergence_matrix(mesh, v, p).tocsr()[:, free]
-    return a, b, fe.pressure_integral_vector(mesh, p), rng
+    return (a, b, fe.pressure_integral_vector(mesh, p), v.cell_local[free],
+            rng)
 
 
 def bordered_solve(a, b, mean_vec, rhs_u, rhs_div):
@@ -167,9 +170,9 @@ def bordered_solve(a, b, mean_vec, rhs_u, rhs_div):
 
 @pytest.mark.parametrize("vel,pres", PAIRS)
 def test_pinned_saddle_matches_bordered_system(vel, pres):
-    a, b, mean_vec, rng = convective_saddle(vel, pres)
+    a, b, mean_vec, local, rng = convective_saddle(vel, pres)
     assert abs(a - a.T).max() > 1e-3          # convection makes A non-symmetric
-    op = SaddleOperator(a, b, mean_vec)
+    op = SaddleOperator(a, b, mean_vec, local)
     rhs_u = rng.standard_normal(a.shape[0])
     u, p = op.solve(rhs_u)
     u_ref, p_ref = bordered_solve(a, b, mean_vec, rhs_u, np.zeros(b.shape[0]))
@@ -180,14 +183,15 @@ def test_pinned_saddle_matches_bordered_system(vel, pres):
 
 @pytest.mark.parametrize("vel,pres", PAIRS)
 def test_singular_saddle_raises_solver_error(vel, pres):
-    a, b, mean_vec, _ = convective_saddle(vel, pres)
+    a, b, mean_vec, local, _ = convective_saddle(vel, pres)
     with pytest.raises(SolverError):
-        SaddleOperator(0.0 * a, b, mean_vec)
+        SaddleOperator(0.0 * a, b, mean_vec, local)
 
 
 def step_saddle(vel, pres, n, dt):
     """Free-dof blocks of ``Re/dt M + (1-eps) K`` (Re = 1, eps = 0.5) with
-    ``B`` on n x n, or of the mass ``M`` alone when dt is None."""
+    ``B`` on n x n, or of the mass ``M`` alone when dt is None, and the
+    free cell-local dofs."""
     mesh = structured_unit_square(n)
     v = fe.build_space(mesh, vel)
     p = fe.build_space(mesh, pres)
@@ -196,13 +200,40 @@ def step_saddle(vel, pres, n, dt):
     if dt is not None:
         a = a / dt + 0.5 * fe.velocity_stiffness(mesh, v)
     b = oracle.divergence_matrix(mesh, v, p).tocsr()[:, free]
-    return a.tocsr()[free][:, free], b, fe.pressure_integral_vector(mesh, p)
+    return (a.tocsr()[free][:, free], b, fe.pressure_integral_vector(mesh, p),
+            v.cell_local[free])
 
 
 def pinned_matrix(a, b):
     """``[[A, B0^T], [B0, 0]]``, ``B0`` being B less its first row."""
     b0 = b[1:]
     return sp.bmat([[a, b0.T], [b0, None]], format="csc")
+
+
+def condensed_matrix(a, b, local):
+    """``K_c = K_ss - K_sb K_bb^-1 K_bs`` of the pinned matrix ``K``, with
+    ``b`` the cell-local velocity dofs and ``s`` all other unknowns."""
+    k = pinned_matrix(a, b).tocsr()
+    bub = np.concatenate([local, np.zeros(b.shape[0] - 1, bool)])
+    k_s, k_b = k[~bub], k[bub]
+    return (k_s[:, ~bub] - k_s[:, bub] @ sp.diags(1.0 / k_b[:, bub].diagonal())
+            @ k_b[:, ~bub]).tocsc()
+
+
+class CountedFactor:
+    """A factor that counts its triangular solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.calls = 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.lu.solve(rhs)
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
 
 
 STEP_PAIRS = [("velocity_p2", "pressure_p0"),
@@ -213,9 +244,11 @@ STEP_PAIRS = [("velocity_p2", "pressure_p0"),
 @pytest.mark.parametrize("dt", [None, 1e-3, 0.05, 1.0, 10.0])
 @pytest.mark.parametrize("vel,pres", STEP_PAIRS)
 def test_saddle_solve_meets_its_backward_error_bound(vel, pres, dt):
-    a, b, mean_vec = step_saddle(vel, pres, 8, dt)
+    a, b, mean_vec, local = step_saddle(vel, pres, 8, dt)
     rhs_u = np.random.default_rng(1).standard_normal(a.shape[0])
-    u, p = SaddleOperator(a, b, mean_vec).solve(rhs_u)
+    op = SaddleOperator(a, b, mean_vec, local)
+    op._lu = factor = CountedFactor(op._lu)
+    u, p = op.solve(rhs_u)
     # the unpinned system: the zero-mean shift of p leaves B^T p unchanged
     k = sp.bmat([[a, b.T], [b, None]], format="csr")
     x = np.concatenate([u, p])
@@ -224,25 +257,53 @@ def test_saddle_solve_meets_its_backward_error_bound(vel, pres, dt):
     assert (np.abs(res).max()
             <= 1e-14 * (np.abs(rhs_u).max() + k_norm * np.abs(x).max()))
     assert np.linalg.norm(b @ u) <= 1e-12 * np.linalg.norm(u)
+    # the condensed factor is unregularized: it solves K at once
+    assert factor.calls == 1 or not local.any()
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3, 1.0])
+def test_condensed_saddle_solve_matches_the_uncondensed_one(dt):
+    a, b, mean_vec, local = step_saddle("velocity_mini", "pressure_p1", 8, dt)
+    assert local.any()
+    rhs_u = np.random.default_rng(3).standard_normal(a.shape[0])
+    u, p = SaddleOperator(a, b, mean_vec, local).solve(rhs_u)
+    u_ref, p_ref = SaddleOperator(a, b, mean_vec).solve(rhs_u)
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+def test_condensing_coupled_dofs_raises_solver_error():
+    a, b, mean_vec, local = step_saddle("velocity_mini", "pressure_p1", 4,
+                                        0.05)
+    # two vertex velocity dofs that A couples: K_bb is not diagonal
+    vertex = np.nonzero(~local)[0]
+    coo = sp.triu(a[vertex][:, vertex], k=1).tocoo()
+    coupled = np.zeros_like(local)
+    coupled[vertex[[coo.row[0], coo.col[0]]]] = True
+    with pytest.raises(SolverError, match="couples"):
+        SaddleOperator(a, b, mean_vec, coupled)
 
 
 @pytest.mark.parametrize("vel,pres", PAIRS)
 def test_saddle_solve_raises_when_refinement_stalls(vel, pres):
-    a, b, mean_vec = step_saddle(vel, pres, 4, 0.05)
-    op = SaddleOperator(a, b, mean_vec)
-    # the factor of 2 K: each refinement only halves the error
-    op._lu = splu(2.0 * pinned_matrix(a, b))
+    a, b, mean_vec, local = step_saddle(vel, pres, 4, 0.05)
+    op = SaddleOperator(a, b, mean_vec, local)
+    # the factor of 2 K_c (of 2 K when nothing is condensed): each
+    # refinement only halves the error
+    op._lu = splu(2.0 * condensed_matrix(a, b, local))
     with pytest.raises(SolverError, match="backward error"):
         op.solve(np.ones(a.shape[0]))
 
 
 @pytest.mark.parametrize("vel,pres", PAIRS)
 def test_symmetric_saddle_factor_cuts_the_fill(vel, pres):
-    a, b, mean_vec = step_saddle(vel, pres, 16, 0.05)
-    lu = SaddleOperator(a, b, mean_vec)._lu
+    a, b, mean_vec, local = step_saddle(vel, pres, 16, 0.05)
+    lu = SaddleOperator(a, b, mean_vec, local)._lu
     assert np.array_equal(lu.perm_r, lu.perm_c)   # symmetric, no pivoting
     plain = splu(pinned_matrix(a, b))          # COLAMD, partial pivoting
-    assert lu.L.nnz + lu.U.nnz <= 0.6 * (plain.L.nnz + plain.U.nnz)
+    assert fill(lu) <= 0.6 * fill(plain)
+    uncondensed = fill(SaddleOperator(a, b, mean_vec)._lu)
+    assert fill(lu) < uncondensed if local.any() else fill(lu) == uncondensed
 
 
 # ---------------------------------------------------------------------------
