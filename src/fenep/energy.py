@@ -75,7 +75,7 @@ def relaxation_integrand(params: ModelParams, eigs, eta) -> np.ndarray:
 
     This is the quantity whose weighted sum, scaled by eps / (2 Wi^2),
     the energy estimate collects as relaxation dissipation.  A and beta
-    are spectral functions of the stress in one eigenframe, so from its
+    are spectral functions of the same stress, so they commute and from its
     eigenvalues ``eigs`` it is ``sum_i (c - g'(w_i))^2 max(w_i, delta)``
     with ``c = g'(1 - eta/b)`` (1 in the Oldroyd-B limit).  Nonnegative
     for every argument.

@@ -516,8 +516,8 @@ class ImplicitScheme:
 
     Each audited state is decomposed once: :func:`fenep.tensorcalc.eig_sym`
     of its stress gives the eigenvalues that the free energy, the
-    relaxation dissipation and the positivity bound take, and the
-    eigenframe that ``_extra_audit_terms`` may use.
+    relaxation dissipation and the positivity bound take, and the frame
+    in which ``_extra_audit_terms`` may recompose spectral functions.
 
     Operators that depend on the step size are factorized on the first
     step that needs them and kept in a one-entry cache per operator
@@ -676,7 +676,7 @@ class ImplicitScheme:
         """A check of the projected stress against its data; none here."""
         return None
 
-    def _extra_audit_terms(self, eigs, vecs, rho, dt: float) -> dict:
+    def _extra_audit_terms(self, eigs, frame, rho, dt: float) -> dict:
         return {}
 
     def coupling_weight(self, beta, eta):
@@ -714,7 +714,7 @@ class ImplicitScheme:
         u, p, sig, rho = problem.split(x)
 
         prm, w = self.params, self.weights
-        eigs, vecs = tc.eig_sym(sig)       # the one decomposition of the state
+        eigs, frame = tc.eig_sym(sig)      # the one decomposition of the state
         eta = _eta(sig, rho)
         f_after = free_energy(prm, w, self.mass, u, eigs, eta)
         f_before = state.energy
@@ -731,7 +731,7 @@ class ImplicitScheme:
             forcing=dt * float(self.fvec @ u),
             slack=audit_slack(cfg.tol, f_before.total, f_after.total),
             **self._bounds(sig, rho, eigs),
-            **self._extra_audit_terms(eigs, vecs, rho, dt))
+            **self._extra_audit_terms(eigs, frame, rho, dt))
         new_state = State(u, p, sig, rho, state.t + dt, f_after, audit)
         return new_state, report, audit
 

@@ -268,12 +268,12 @@ class SchemeP1Diff(ImplicitScheme):
             self.mesh, tc.transport_nodes(1.0 - rho / prm.b, prm.reg), prm.reg)
         return np.column_stack([adv, -(prm.b * (amap @ lam_s.reshape(-1)))])
 
-    def _extra_audit_terms(self, eigs, vecs, rho, dt: float) -> dict:
+    def _extra_audit_terms(self, eigs, frame, rho, dt: float) -> dict:
         """Diffusion gradient terms of the budget; g'(sigma) is recomposed
-        in the eigenframe ``vecs`` of the audited stress."""
+        in the ``frame`` of the audited stress."""
         prm, k = self.params, self.k_scalar
         scale = dt * prm.alpha * prm.eps * prm.delta ** 2 / (2.0 * prm.wi)
-        gp = tc._recompose(tc.g_delta(eigs, prm.reg)[1], vecs)
+        gp = tc._recompose(tc.g_delta(eigs, prm.reg)[1], frame)
         terms = {"diffusion_sigma": scale * tensor_gradient_energy(k, gp),
                  "certified_gradient_terms": self.non_obtuse}
         if rho is not None:

@@ -24,11 +24,12 @@ cut parameter ``delta``:
 * ``h_delta``: the logarithm flattened to slope ``delta`` above
   ``1/delta``, so that ``h_delta'(g_delta'(s)) = beta_delta(s)``.
 
-Applied spectrally (via the closed-form 2x2 eigendecomposition) these
-give total, globally Lipschitz matrix functions, which is what lets the
-implicit schemes accept any symmetric iterate while still agreeing with
-the physical model wherever the conformation tensor is comfortably
-positive definite with trace below ``b``.
+Applied spectrally (closed-form 2x2 eigenvalues, then a two-term
+formula affine in the tensor) these give total, globally Lipschitz
+matrix functions, which is what lets the implicit schemes accept any
+symmetric iterate while still agreeing with the physical model wherever
+the conformation tensor is comfortably positive definite with trace
+below ``b``.
 
 Setting ``b = math.inf`` switches every ``b``-dependent formula to its
 infinite-extensibility (Oldroyd-B) limit.
@@ -151,20 +152,13 @@ def from_full(m, tol: float = 1e-12) -> np.ndarray:
 
 
 def eig_sym(phi):
-    """Closed-form eigendecomposition of symmetric 2x2 tensors.
+    """Closed-form spectrum of symmetric 2x2 tensors ``phi`` (..., 3).
 
-    Parameters
-    ----------
-    phi : array_like, shape (..., 3)
-
-    Returns
-    -------
-    w : ndarray, shape (..., 2)
-        Eigenvalues in ascending order.
-    v : ndarray, shape (..., 2, 2)
-        Orthogonal matrices whose columns are the eigenvectors, with a
-        deterministic sign (first nonzero component of each column is
-        positive).  A degenerate spectrum returns the identity.
+    Returns the eigenvalues ``w`` (..., 2) in ascending order and the
+    unit deviator ``frame = (phi - mean I) / r`` (..., 3) of their mean and
+    half-gap ``r``, zero where ``r = 0``; ``(I - frame)/2`` and
+    ``(I + frame)/2`` are the eigenprojectors of ``w[..., 0]`` and
+    ``w[..., 1]``.
     """
     phi = np.asarray(phi, float)
     if not np.all(np.isfinite(phi)):
@@ -174,41 +168,16 @@ def eig_sym(phi):
     half = 0.5 * (axx - ayy)
     r = np.hypot(half, axy)
     w = np.stack([mean - r, mean + r], axis=-1)
-
-    # Eigenvector of the larger eigenvalue, picking whichever of the two
-    # analytic forms keeps the dominant component free of cancellation.
-    v2x = np.where(half >= 0.0, r + half, axy)
-    v2y = np.where(half >= 0.0, axy, r - half)
-    norm = np.hypot(v2x, v2y)
-    degenerate = norm == 0.0
-    safe = np.where(degenerate, 1.0, norm)
-    v2x = np.where(degenerate, 0.0, v2x / safe)
-    v2y = np.where(degenerate, 1.0, v2y / safe)
-    v1x, v1y = -v2y, v2x
-
-    def _fix_sign(x, y):
-        flip = (x < 0.0) | ((x == 0.0) & (y < 0.0))
-        s = np.where(flip, -1.0, 1.0)
-        return x * s, y * s
-
-    v1x, v1y = _fix_sign(v1x, v1y)
-    v2x, v2y = _fix_sign(v2x, v2y)
-    v = np.empty(phi.shape[:-1] + (2, 2))
-    v[..., 0, 0], v[..., 1, 0] = v1x, v1y
-    v[..., 0, 1], v[..., 1, 1] = v2x, v2y
-    if np.any(degenerate):
-        v[degenerate] = np.eye(2)
-    return w, v
+    safe = np.where(r > 0.0, r, 1.0)    # r = 0 only where half = axy = 0
+    return w, tensor(half / safe, axy / safe, -half / safe)
 
 
-def _recompose(w_fun, v) -> np.ndarray:
-    """Assemble sum_i f(w_i) v_i v_i^T back into component form."""
-    f1, f2 = w_fun[..., 0], w_fun[..., 1]
-    v1x, v1y = v[..., 0, 0], v[..., 1, 0]
-    v2x, v2y = v[..., 0, 1], v[..., 1, 1]
-    return tensor(f1 * v1x ** 2 + f2 * v2x ** 2,
-                  f1 * v1x * v1y + f2 * v2x * v2y,
-                  f1 * v1y ** 2 + f2 * v2y ** 2)
+def _recompose(w_fun, frame) -> np.ndarray:
+    """The spectral function with eigenvalues ``w_fun`` in ``frame``:
+    ``f(phi) = (f0 + f1)/2 I + (f1 - f0)/2 frame`` (Lagrange-Sylvester)."""
+    avg = 0.5 * (w_fun[..., 0] + w_fun[..., 1])
+    gap = 0.5 * (w_fun[..., 1] - w_fun[..., 0])
+    return avg[..., None] * IDENTITY + gap[..., None] * frame
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +260,15 @@ def _h_delta_dd(x, y, rp: RegParams) -> np.ndarray:
 
 def g_delta_mat(phi, rp: RegParams):
     """Spectral regularized log of a tensor: returns ``(G(phi), G'(phi))``."""
-    w, v = eig_sym(phi)
+    w, frame = eig_sym(phi)
     val, der = g_delta(w, rp)
-    return _recompose(val, v), _recompose(der, v)
+    return _recompose(val, frame), _recompose(der, frame)
 
 
 def beta_delta_mat(phi, rp: RegParams) -> np.ndarray:
     """Spectral ``max(., delta)`` of a tensor."""
-    w, v = eig_sym(phi)
-    return _recompose(np.maximum(w, rp.delta), v)
+    w, frame = eig_sym(phi)
+    return _recompose(np.maximum(w, rp.delta), frame)
 
 
 class TensorNodes(NamedTuple):
@@ -314,9 +283,10 @@ class TensorNodes(NamedTuple):
 
 
 def _tensor_nodes(phi, rp: RegParams) -> TensorNodes:
-    w, v = eig_sym(phi)
+    w, frame = eig_sym(phi)
     _, gp_w = g_delta(w, rp)
-    return TensorNodes(_recompose(beta_delta(w, rp), v), _recompose(gp_w, v),
+    return TensorNodes(_recompose(beta_delta(w, rp), frame),
+                       _recompose(gp_w, frame),
                        h_delta(gp_w, rp).sum(axis=-1))
 
 
@@ -336,8 +306,8 @@ def transport_nodes(field, rp: RegParams):
 
 def neg_part(phi) -> np.ndarray:
     """Spectral negative part ``min(., 0)``."""
-    w, v = eig_sym(phi)
-    return _recompose(np.minimum(w, 0.0), v)
+    w, frame = eig_sym(phi)
+    return _recompose(np.minimum(w, 0.0), frame)
 
 
 # ---------------------------------------------------------------------------

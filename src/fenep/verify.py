@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from . import tensorcalc as tc
+from .cli import scenario_fields
 from .fespaces import triangle_rule
 from .meshing import structured_unit_square
 from .params import ModelParams
@@ -99,14 +100,7 @@ def _check_upwind_neutrality():
     mesh = structured_unit_square(4)
     params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1)
     scheme = SchemeP0(mesh, params)
-
-    def u0(x, y):
-        gx = x * x * (1.0 - x) ** 2
-        gy = y * y * (1.0 - y) ** 2
-        dgx = 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
-        dgy = 2.0 * y * (1.0 - y) * (1.0 - 2.0 * y)
-        return gx * dgy, -dgx * gy
-
+    u0, _, _ = scenario_fields("decay", 1.0, params)
     state = scheme.initial_state(u0)
     a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u)
     net = np.zeros(mesh.n_cells)

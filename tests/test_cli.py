@@ -444,6 +444,9 @@ def test_run_with_shear_matches_mesh_gen(tmp_path, capsys):
     points = np.array([[float(c) for c in ln.split()[:2]]
                        for ln in lines[start:start + 9]])
     assert np.array_equal(points, load_mesh(path).vertices)
+    # on an obtuse mesh each row's own audit leaves out the uncertified
+    # diffusion terms, which ``fenep audit`` counts: the two must agree
+    assert main(["audit", str(outdir / "energy.csv")]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ RP_OB = tc.RegParams(0.1)
 
 def apply_spectral(g, phi):
     """Reference matrix function: ``g`` applied to the eigenvalues of
-    ``eig_sym`` and recomposed in the eigenframe."""
-    w, v = tc.eig_sym(phi)
-    return tc._recompose(np.asarray(g(w), float), v)
+    ``eig_sym`` and recomposed in its frame."""
+    w, frame = tc.eig_sym(phi)
+    return tc._recompose(np.asarray(g(w), float), frame)
 
 
 def pos_part(phi):
@@ -74,29 +74,56 @@ def test_inverse():
 
 
 def test_eig_frozen_value():
-    w, v = tc.eig_sym(tc.tensor(0.0, 1.0, 0.0))
+    w, frame = tc.eig_sym(tc.tensor(0.0, 1.0, 0.0))
     assert np.allclose(w, [-1.0, 1.0])
-    s = 1.0 / math.sqrt(2.0)
-    assert np.allclose(v[:, 0], [s, -s])
-    assert np.allclose(v[:, 1], [s, s])
+    assert np.allclose(frame, [0.0, 1.0, 0.0])
+    w, frame = tc.eig_sym(tc.tensor(3.0, 0.0, 1.0))
+    assert np.array_equal(w, [1.0, 3.0])
+    assert np.array_equal(frame, [1.0, 0.0, -1.0])
 
 
 def test_eig_reconstructs_and_orders():
     rng = np.random.default_rng(13)
     phi = random_sym(rng, 200)
-    w, v = tc.eig_sym(phi)
+    w, frame = tc.eig_sym(phi)
     assert np.all(w[:, 0] <= w[:, 1] + 1e-14)
-    recon = np.einsum("kij,kj,klj->kil", v, w, v)
-    assert np.allclose(recon, tc.to_full(phi), atol=1e-12)
-    # sign convention: first nonzero eigenvector component positive
-    first = np.where(np.abs(v[:, 0, :]) > 1e-12, v[:, 0, :], v[:, 1, :])
-    assert np.all(first > -1e-12)
+    assert np.allclose(tc._recompose(w, frame), phi, atol=1e-12)
+    # (I -+ frame)/2 are complementary eigenprojectors: frame is
+    # traceless and squares to the identity
+    assert np.allclose(tc.trace(frame), 0.0, atol=1e-15)
+    sq = tc.to_full(frame) @ tc.to_full(frame)
+    assert np.allclose(sq, np.broadcast_to(np.eye(2), sq.shape), atol=1e-14)
 
 
-def test_eig_degenerate_gives_identity_frame():
-    w, v = tc.eig_sym(tc.tensor(2.0, 0.0, 2.0))
-    assert np.allclose(w, [2.0, 2.0])
-    assert np.allclose(v, np.eye(2))
+def test_eig_degenerate_gives_zero_frame():
+    w, frame = tc.eig_sym(tc.tensor(2.0, 0.0, 2.0))
+    assert np.array_equal(w, [2.0, 2.0])
+    assert np.array_equal(frame, np.zeros(3))
+    out = tc._recompose(np.exp(w), frame)
+    assert np.allclose(out, math.exp(2.0) * tc.IDENTITY, rtol=1e-15)
+
+
+@pytest.mark.parametrize("rel_gap", [1.0, 1e-4, 1e-8, 1e-12, 1e-15, 0.0])
+def test_spectral_functions_are_accurate_near_degenerate_spectra(rel_gap):
+    """exp, g' and max(., delta) through eig_sym/_recompose agree with
+    numpy's eigh recomposition as the two eigenvalues merge."""
+    rng = np.random.default_rng(16)
+    mean = rng.uniform(-2.0, 4.0, 50)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 50)
+    r = 0.5 * rel_gap * (1.0 + np.abs(mean))
+    # eigenvalues mean -+ r
+    phi = tc.tensor(mean + r * np.cos(angle), r * np.sin(angle),
+                    mean - r * np.cos(angle))
+    funcs = (np.exp, lambda w: tc.g_delta(w, RP_TENTH)[1],
+             lambda w: tc.beta_delta(w, RP_TENTH))
+    wr, vr = np.linalg.eigh(tc.to_full(phi))
+    worst = 0.0
+    for f in funcs:
+        ref = np.einsum("kij,kj,klj->kil", vr, f(wr), vr)
+        err = tc.to_full(apply_spectral(f, phi)) - ref
+        worst = max(worst, float(np.max(np.linalg.norm(err, axis=(1, 2))
+                                        / np.linalg.norm(ref, axis=(1, 2)))))
+    assert worst <= 1e-13
 
 
 def test_apply_spectral_matches_reference():
