@@ -29,6 +29,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MeshError",
@@ -201,25 +203,12 @@ class TriMesh:
         self.is_boundary_vertex = bmask
 
     def _check_edge_connected(self) -> None:
-        """Min-label propagation with pointer jumping over interior edges."""
+        """Cells joined across interior edges must form one component."""
         m = len(self.cells)
         left, right = self.edge_cells[self.interior_edges].T
-        label = np.arange(m)
-        while True:
-            a, b = label[left], label[right]
-            differ = a != b
-            if not differ.any():
-                break
-            # every label is a root here: hook each larger root onto a
-            # smaller neighbouring one, then jump the pointers to roots
-            np.minimum.at(label, np.maximum(a, b)[differ],
-                          np.minimum(a, b)[differ])
-            while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
-                    break
-                label = jumped
-        if m > 1 and label.max() > 0:
+        adjacency = sp.coo_matrix((np.ones(len(left)), (left, right)),
+                                  shape=(m, m))
+        if m > 1 and connected_components(adjacency, directed=False)[0] > 1:
             raise MeshError(
                 "mesh is not edge-connected (cells touching at most at "
                 "vertices are not conforming)")

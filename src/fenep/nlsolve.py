@@ -10,11 +10,11 @@ the trace when the scheme carries one) that share one factorized matrix.
 The right-hand sides are written once too: both schemes owe their
 energy bound to the momentum coupling ``(eps/Wi) (k A beta, grad v)``
 cancelling the stress equation's deformation term ``2 k grad(u) beta``
-tested with ``A``.  A scheme supplies the factorization of its scalar
-matrix and, for the diffusive scheme, the coupling weight ``k`` and the
-corner-coefficient advection.  :class:`ImplicitScheme` holds the
-operators, the projection of initial data, the step and its energy
-audit common to both.
+tested with ``A``.  The schemes differ only in the transport of the
+stress, which a scheme supplies as its stress block: the factorization
+of its scalar matrix and the cut, coupling weight ``k`` and advection of
+a stress iterate.  :class:`ImplicitScheme` holds the operators, the
+projection of initial data, the step and its energy audit common to both.
 
 The saddle block is split as ``Re/dt M + (1-eps) K + Re C(u_prev)``.  The
 first two terms depend on the step size and the parameters alone, so
@@ -365,23 +365,21 @@ class BlockStep:
     convection ``c_ff = Re C(u_prev)`` on the free dofs, which the block
     pass moves to its right-hand side at the velocity of the iterate.
     The k scalar blocks share one matrix, whose factorization
-    ``scalar_lu`` the scheme's ``scalar_operator`` gives after the saddle
-    matrix is factored (factoring the small matrix first raised the peak
-    memory of a run by a few MB).  Factorizations held across steps
-    raise the floor under every later peak, so the convection fills the
-    data array of a fixed pattern instead of assembling through COO
-    temporaries.
+    ``scalar_lu`` the scheme's ``stress_block`` gives, with its
+    ``local_terms``, after the saddle matrix is factored (factoring the
+    small matrix first raised the peak memory of a run by a few MB).
+    Factorizations held across steps raise the floor under every later
+    peak, so the convection fills the data array of a fixed pattern
+    instead of assembling through COO temporaries.
 
-    ``stress_terms(sig, rho) -> (rhs_u, frozen)`` computes, from one
-    spectral decomposition, all that depends on the stress iterate
-    alone: the momentum right-hand side with the coupling ``(eps/Wi)
-    (k A beta, grad v)``, ``k`` the scheme's ``coupling_weight`` (None:
-    1), and the relaxation, previous-step and advection terms of the
-    scalar blocks, the last through ``adv_map``, the scheme's
-    ``transport_map`` (None: the transport is in ``scalar_lu`` and beta
-    alone is computed).  ``rhs_scalars(u, frozen)`` adds the deformation
-    term ``2 k sym(grad(u) beta)`` (and its trace) that the coupling
-    cancels, to give the (m, k) scalar right-hand sides.
+    ``stress_terms(sig, rho) -> (rhs_u, frozen)`` computes all that
+    depends on the stress iterate alone, from its ``local_terms`` (one
+    spectral decomposition): the momentum right-hand side with the
+    coupling ``(eps/Wi) (k A beta, grad v)``, the relaxation,
+    previous-step and advection terms of the scalar blocks, and ``2 k``,
+    the weight of the deformation term ``2 k sym(grad(u) beta)`` (and
+    its trace) that the coupling cancels.  ``rhs_scalars(u, frozen)``
+    adds that term to give the (m, k) scalar right-hand sides.
 
     One cached block pass per iterate serves both methods: the stress
     terms and the saddle solve ``(u_new, p_new)`` of ``rhs_u - c_ff u``.
@@ -418,8 +416,7 @@ class BlockStep:
         self.x0 = self.pack(u_prev, state.p, scalars)
         self.scale = float(np.linalg.norm(self.x0)) + 1.0
         self._pass_key = self._pass = None
-        self.scalar_lu = scheme.scalar_operator(state, dt)
-        self.adv_map = scheme.transport_map(state)
+        self.scalar_lu, self.local_terms = scheme.stress_block(state, dt)
 
     def pack(self, u, p, scalars):
         return np.concatenate([u, p, np.asarray(scalars).T.ravel()])
@@ -436,17 +433,9 @@ class BlockStep:
     def stress_terms(self, sig, rho):
         scheme, prm = self.scheme, self.scheme.params
         eta = _eta(sig, rho)
-        if self.adv_map is None:
-            beta = tc.beta_delta_mat(sig, prm.reg)    # the one decomposition
-            adv = None
-        else:
-            nodes = tc.transport_nodes(sig, prm.reg)  # the one decomposition
-            beta = nodes.beta
-            adv = scheme.advection(self.adv_map, nodes, rho)
+        beta, kv, adv = self.local_terms(sig, eta, rho)
         flux = tc.relax_flux_of_beta(beta, eta, prm.reg)
-        kv = scheme.coupling_weight(beta, eta)
-        kflux = flux if kv is None else kv[:, None] * flux
-        coupling = scheme.grad_t @ tc.to_full(kflux).reshape(-1)
+        coupling = scheme.grad_t @ tc.to_full(kv[:, None] * flux).reshape(-1)
         rhs_u = self.rhs_u_base - (prm.eps / prm.wi) * coupling
 
         w = scheme.weights
@@ -454,18 +443,16 @@ class BlockStep:
         if rho is not None:
             fixed_r = w * (self.rho_prev / self.dt - tc.trace(flux) / prm.wi)
             fixed = np.column_stack([fixed, fixed_r])
-        return rhs_u, (kv, tc.to_full(beta), fixed, adv)
+        return rhs_u, (2.0 * kv[:, None], tc.to_full(beta), fixed, adv)
 
     def rhs_scalars(self, u, frozen):
-        kv, beta, fixed, adv = frozen
+        weight, beta, fixed, adv = frozen
         prod = (self.scheme.grad @ u).reshape(self.m, 2, 2) @ beta
         sym = [prod[:, 0, 0], 0.5 * (prod[:, 0, 1] + prod[:, 1, 0]),
                prod[:, 1, 1]]
         if self.k == 4:
             sym.append(prod[:, 0, 0] + prod[:, 1, 1])
-        weight = 2.0 if kv is None else 2.0 * kv[:, None]
-        rhs = fixed + weight * np.stack(sym, axis=1)
-        return rhs if adv is None else rhs + adv
+        return fixed + weight * np.stack(sym, axis=1) + adv
 
     def _block_pass(self, x):
         """``(frozen, u_new, p_new)``: the stress terms of ``x`` and the
@@ -502,17 +489,19 @@ class ImplicitScheme:
     """Operators, free energy and the audited implicit step of a scheme.
 
     A subclass names its spaces (``VELOCITIES``, the first the default, and
-    ``PRESSURE``) and supplies ``scalar_operator(state, dt)``, the
-    factorization of the matrix the scalar blocks of a step share; the step
-    is the one :class:`BlockStep` of both schemes.  ``weights``, the
-    integrals of the pressure basis functions, is both the quadrature of the
-    stress nodes that every stress integral of the energy budget uses and
-    the zero-mean weight of the pressure.  The other hooks have defaults
-    here: ``coupling_weight`` (k = 1), ``transport_map`` (None; a scheme
-    with a map also supplies ``advection``) and ``check_step_size`` (no
-    cap).  ``_extra_audit_terms`` adds scheme-specific terms to the budget; a
-    scheme with stress diffusion sets ``k_scalar``, the stiffness of its
-    stress nodes, and one with a trace variable ``carries_trace``.
+    ``PRESSURE``) and supplies ``stress_block(state, dt) -> (scalar_lu,
+    local_terms)``: the factorization of the matrix the scalar blocks of a
+    step share, and ``local_terms(sig, eta, rho) -> (beta, k, adv)``, the
+    cut (m, 3), coupling weight (m,) and advection (m, k) of a stress
+    iterate (``0.0`` when the matrix holds the transport).  The step is
+    the one :class:`BlockStep` of both schemes.  ``weights``, the
+    integrals of the pressure basis functions, is both the quadrature of
+    the stress nodes that every stress integral of the energy budget uses
+    and the zero-mean weight of the pressure.  ``check_step_size`` has
+    no cap here.  ``_extra_audit_terms`` adds scheme-specific terms to the
+    budget; a scheme with stress diffusion sets ``k_scalar``, the
+    stiffness of its stress nodes, and one with a trace variable
+    ``carries_trace``.
 
     Each audited state is decomposed once: :func:`fenep.tensorcalc.eig_sym`
     of its stress gives the eigenvalues that the free energy, the
@@ -678,15 +667,6 @@ class ImplicitScheme:
 
     def _extra_audit_terms(self, eigs, frame, rho, dt: float) -> dict:
         return {}
-
-    def coupling_weight(self, beta, eta):
-        """The weight k of the momentum coupling; None for k = 1."""
-        return None
-
-    def transport_map(self, state: State):
-        """The map through which ``advection`` transports the stress of
-        the step from ``state``; None when the scalar matrix holds it."""
-        return None
 
     def check_step_size(self, dt: float) -> None:
         """Warn when ``dt`` leaves the range the scheme's theory covers,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .tensorcalc import RegParams
 
@@ -37,16 +38,14 @@ class ModelParams:
             raise ParameterError(f"wi must be positive and finite, got {self.wi}")
         if not 0.0 < self.eps < 1.0:
             raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
-        if not self.b > 0:
-            raise ParameterError(f"b must be positive, got {self.b}")
         if self.alpha is not None and not (
                 self.alpha > 0 and math.isfinite(self.alpha)):
             raise ParameterError(
                 f"alpha must be positive and finite, got {self.alpha}")
-        # delta range checks live in RegParams; construct to validate now
+        # the delta and b checks live in RegParams; build it to validate now
         self.reg  # noqa: B018
 
-    @property
+    @cached_property
     def reg(self) -> RegParams:
         try:
             return RegParams(self.delta, self.b)

@@ -20,8 +20,9 @@ convection is factorized once per step size and kept on the scheme; the
 convection is lagged to the right-hand side of each sweep.  That step,
 its right-hand sides, its Picard driver and its audit are shared with
 the diffusive scheme (:mod:`fenep.nlsolve`); this module supplies only
-the stress matrix (cell areas over dt plus the upwind transport of the
-previous velocity, factorized once per step for the three components).
+the stress block: the stress matrix (cell areas over dt plus the upwind
+transport of the previous velocity, factorized once per step for the
+three components) and the cut of each iterate, with k = 1.
 
 ``delta_continuation`` re-solves one step under a halving sequence of
 regularization cuts; once the answer stagnates while staying positive
@@ -38,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import tensorcalc as tc
 from .fespaces import gauss01
 from .meshing import TriMesh
 from .nlsolve import ImplicitScheme, PicardConfig, State
@@ -173,11 +175,17 @@ class SchemeP0(ImplicitScheme):
     VELOCITIES = ("velocity_p2", "velocity_p2_reduced")
     PRESSURE = "pressure_p0"
 
-    def scalar_operator(self, state: State, dt: float):
-        """The factorization, made once per step, of the cell areas over dt
-        plus the upwind transport of the previous velocity."""
+    def stress_block(self, state: State, dt: float):
+        """The per-step factorization of the cell areas over dt plus the
+        upwind transport of the previous velocity; the cut, and k = 1."""
         transport = upwind_matrix(self.mesh, self.v, state.u)
-        return splu((sp.diags(self.mesh.cell_areas / dt) + transport).tocsc())
+        lu = splu((sp.diags(self.mesh.cell_areas / dt) + transport).tocsc())
+        reg, k = self.params.reg, np.ones(self.mesh.n_cells)
+
+        def local_terms(sig, eta, rho):
+            return tc.beta_delta_mat(sig, reg), k, 0.0
+
+        return lu, local_terms
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,11 @@ otherwise and excludes them from the required dissipation.
 
 The implicit step, its right-hand sides, its Picard driver and its
 audit are shared with the cellwise scheme (:mod:`fenep.nlsolve`); this
-module supplies the scalar matrix (lumped mass over dt plus alpha times
-the stiffness, factorized once per dt for the stress components and the
-trace), the coupling weight k, the advection of the stress and the
-trace, and the two extra budget terms.
+module supplies the two extra budget terms and the stress block: the
+scalar matrix (lumped mass over dt plus alpha times the stiffness,
+factorized once per dt for the stress components and the trace) and,
+per stress iterate, the cut, the coupling weight k and the advection of
+the stress and the trace.
 """
 
 from __future__ import annotations
@@ -205,17 +206,6 @@ class SchemeP1Diff(ImplicitScheme):
         self.k_scalar = scalar_stiffness(mesh)
         self.non_obtuse = audit_mesh(mesh).non_obtuse
 
-    def scalar_operator(self, state: State, dt: float):
-        """The factorization of the shared matrix lumped/dt + alpha *
-        stiffness, kept across steps of one size (``state`` is unused)."""
-        alpha = self.params.alpha
-
-        def build():
-            return splu((sp.diags(self.weights / dt)
-                         + alpha * self.k_scalar).tocsc())
-
-        return self._cached("scalar", (dt, alpha), build)
-
     def check_step_size(self, dt: float) -> None:
         cap = (DT_CAP_CSTAR * self.params.alpha ** (1.0 + DT_CAP_ZETA)
                * self.mesh.h_max ** 2)
@@ -244,29 +234,29 @@ class SchemeP1Diff(ImplicitScheme):
 
     # -- one implicit step ------------------------------------------------------
 
-    def coupling_weight(self, beta, eta):
-        """The stress-scaling factor k of the momentum coupling."""
-        return tc.k_delta_of_beta(beta, eta, self.params.reg)
-
-    def transport_map(self, state: State) -> sp.csr_matrix:
-        """The :func:`advection_map` of the step from ``state``: its
-        transport velocity is explicit in the previous velocity, so the
-        advection is one fixed linear map of the corner coefficients."""
-        return advection_map(self.mesh, cell_mean_velocity(
+    def stress_block(self, state: State, dt: float):
+        """The factorization of lumped/dt + alpha * stiffness, kept across
+        steps of one size, and the local terms.  The transport velocity is
+        explicit, so the advection is one :func:`advection_map` per step
+        of the corner coefficients of the stress and of the trace."""
+        prm, reg = self.params, self.params.reg
+        lu = self._cached("scalar", (dt, prm.alpha), lambda: splu(
+            (sp.diags(self.weights / dt) + prm.alpha * self.k_scalar).tocsc()))
+        amap = advection_map(self.mesh, cell_mean_velocity(
             self.mesh, self.v, state.u))
 
-    def advection(self, amap, nodes: tc.TensorNodes, rho):
-        """The advection terms (m, k) of the stress, whose transport nodes
-        are ``nodes``, and of the trace ``rho`` (None: none), through the
-        step's map ``amap``."""
-        prm = self.params
-        adv = amap @ corner_coefficients(self.mesh, nodes,
-                                         prm.reg).reshape(-1, 3)
-        if rho is None:
-            return adv
-        lam_s = corner_coefficients(
-            self.mesh, tc.transport_nodes(1.0 - rho / prm.b, prm.reg), prm.reg)
-        return np.column_stack([adv, -(prm.b * (amap @ lam_s.reshape(-1)))])
+        def local_terms(sig, eta, rho):
+            nodes = tc.transport_nodes(sig, reg)    # the one decomposition
+            adv = amap @ corner_coefficients(self.mesh, nodes,
+                                             reg).reshape(-1, 3)
+            if rho is not None:
+                lam_r = corner_coefficients(
+                    self.mesh, tc.transport_nodes(1.0 - rho / prm.b, reg), reg)
+                adv = np.column_stack(
+                    [adv, -(prm.b * (amap @ lam_r.reshape(-1)))])
+            return nodes.beta, tc.k_delta_of_beta(nodes.beta, eta, reg), adv
+
+        return lu, local_terms
 
     def _extra_audit_terms(self, eigs, frame, rho, dt: float) -> dict:
         """Diffusion gradient terms of the budget; g'(sigma) is recomposed

@@ -37,7 +37,7 @@ def write_config(tmp_path, body, name="run.cfg"):
 
 
 def base_config(tmp_path, scheme="p0", extra_model="", mesh="n = 2",
-                solver_extra="", out="out"):
+                solver_extra="", out="out", scenario="relax"):
     alpha = "alpha = 0.1" if scheme == "p1diff" else ""
 
     def ind(block):
@@ -46,7 +46,7 @@ def base_config(tmp_path, scheme="p0", extra_model="", mesh="n = 2",
 
     return write_config(tmp_path, f"""\
         [model]
-        scenario = relax
+        scenario = {scenario}
         {alpha}
         {ind(extra_model)}
 
@@ -432,7 +432,9 @@ def test_run_with_shear_matches_mesh_gen(tmp_path, capsys):
     path = tmp_path / "sheared.txt"
     assert main(["mesh", "gen", "--n", "2", "--shear", "1.2",
                  "--out", str(path)]) == 0
-    cfg = base_config(tmp_path, scheme="p1diff", mesh="n = 2\nshear = 1.2")
+    # driven, so the uncertified diffusion terms stand above round-off
+    cfg = base_config(tmp_path, scheme="p1diff", mesh="n = 2\nshear = 1.2",
+                      scenario="forced-cavity")
     assert main(["run", cfg]) == 0
     outdir = tmp_path / "out"
     summary = json.loads((outdir / "summary.json").read_text())
@@ -445,7 +447,12 @@ def test_run_with_shear_matches_mesh_gen(tmp_path, capsys):
                        for ln in lines[start:start + 9]])
     assert np.array_equal(points, load_mesh(path).vertices)
     # on an obtuse mesh each row's own audit leaves out the uncertified
-    # diffusion terms, which ``fenep audit`` counts: the two must agree
+    # diffusion terms, which ``fenep audit`` counts: the two must agree,
+    # on terms above the offline slack
+    rows = read_energy_csv(outdir / "energy.csv")
+    assert all(cur["diffusion_sigma"]
+               > 1e-10 * (1.0 + prev["F_total"] + cur["F_total"])
+               for prev, cur in zip(rows, rows[1:]))
     assert main(["audit", str(outdir / "energy.csv")]) == 0
 
 

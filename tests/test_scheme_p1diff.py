@@ -23,6 +23,7 @@ from fenep.scheme_p1diff import (
     DT_CAP_ZETA,
     SchemeP1Diff,
     TimeStepWarning,
+    advection_map,
     corner_coefficients,
     lambda_matrix,
     lambda_scalar,
@@ -219,7 +220,7 @@ def test_advection_map_matches_einsum_contraction():
                                 lambda_transport(mesh, nodes, RP))
         want_r = einsum_advection(mesh, u_cell,
                                   lambda_transport(mesh, nodes_r, RP))
-        amap = problem.adv_map
+        amap = advection_map(mesh, u_cell)
         assert amap.shape == (mesh.n_vertices, 2 * mesh.n_cells)
         assert close(amap @ corner_coefficients(mesh, nodes, RP)
                      .reshape(-1, 3), want)
