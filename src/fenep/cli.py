@@ -3,11 +3,12 @@
 Subcommands
 -----------
 ``fenep run CONFIG``
-    Time-step one of the built-in scenarios per an INI-style config,
-    writing ``energy.csv`` (one audited budget row per step, plus a
-    baseline row), ``summary.json`` and a legacy-ASCII VTK snapshot of
-    the final state.  Exit code 0, or 5 when any step failed its energy
-    audit; config, mesh and solver problems exit 2, 3 and 4.
+    Time-step one of the built-in scenarios per an INI-style config.
+    Each step's audited row of ``energy.csv`` (after a baseline row) and
+    due ``state_NNNN.vtk`` are written as the step finishes, and
+    ``summary.json`` and ``final.vtk`` after the last step.  Exit code 0,
+    or 5 when any step failed its energy audit; config (output directory
+    included), mesh and solver problems exit 2, 3 and 4.
 ``fenep audit CSV``
     Recheck the energy budget of an existing ``energy.csv`` row by row
     from the recorded columns alone; exit 5 on the first violation, 2
@@ -60,6 +61,7 @@ ENERGY_COLUMNS = (
     "relaxation", "diffusion_sigma", "diffusion_rho", "forcing",
     "trace_balance", "min_eig_sigma", "max_trace_sigma", "picard_iters",
     "residual", "audit_pass")
+_HEADER = ",".join(ENERGY_COLUMNS) + "\n"
 
 
 def _flag(raw: str) -> bool:
@@ -327,37 +329,60 @@ def _build_mesh(setup: RunSetup) -> TriMesh:
 # the run loop
 
 
-@dataclass
-class RunResult:
-    rows: list
-    summary: dict
-    scheme: object
-    state: object
-    snapshots: list
+def run_simulation(setup: RunSetup):
+    """Run the configured scenario, writing its outputs as it goes.
 
+    The output directory and ``energy.csv`` are set up before the mesh
+    is built, so a run stopped early keeps the rows and snapshots of the
+    steps it finished, without ``final.vtk`` or ``summary.json``.
+    Returns the final state and the summary.
+    """
+    out = Path(setup.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for stale in ("summary.json", "final.vtk"):
+            (out / stale).unlink(missing_ok=True)
+        # line buffered: each row reaches the file as it is written
+        table = open(out / "energy.csv", "w", buffering=1)
+    except OSError as exc:
+        raise ConfigError(f"[output] dir {setup.out_dir!r} cannot be "
+                          f"written: {exc}") from exc
 
-def run_simulation(setup: RunSetup) -> RunResult:
-    mesh = _build_mesh(setup)
-    u0, sigma0, forcing = scenario_fields(
-        setup.scenario, setup.amplitude, setup.params)
+    with table:
+        mesh = _build_mesh(setup)
+        u0, sigma0, forcing = scenario_fields(
+            setup.scenario, setup.amplitude, setup.params)
+        scheme = SCHEMES[setup.scheme](mesh, setup.params,
+                                       velocity=setup.velocity,
+                                       forcing=forcing)
+        state = scheme.initial_state(u0, sigma0, setup.dt0)
+        init_report = state.initial_report
 
-    scheme = SCHEMES[setup.scheme](mesh, setup.params,
-                                   velocity=setup.velocity, forcing=forcing)
-    state = scheme.initial_state(u0, sigma0, setup.dt0)
-    init_report = state.initial_report
+        def snapshot(name, st):
+            cells = scheme.q.degree == 0    # p0's stress nodes are cells
+            write_vtk(out / name, mesh, scheme.v.vertex_values(st.u),
+                      cell_tensors=st.sigma if cells else None,
+                      point_tensors=None if cells else st.sigma, rho=st.rho)
 
-    rows = [_row(0, state, 0, 0.0)]
-    snapshots = []
-    worst = None
-    for step in range(1, setup.steps + 1):
-        state, report, _ = scheme.step(state, setup.dt, setup.picard)
-        if worst is None or report.iterations > worst["iterations"]:
-            worst = {"step": step, "iterations": report.iterations,
-                     "history": report.history}
-        if setup.vtk_every > 0 and step % setup.vtk_every == 0:
-            snapshots.append((step, state))
-        rows.append(_row(step, state, report.iterations, report.residual))
+        first = row = _row(0, state, 0, 0.0)
+        table.write(_HEADER + _csv_line(row))
+        passed, iters, worst = True, 0, None
+        low, high = row["min_eig_sigma"], row["max_trace_sigma"]
+        for step in range(1, setup.steps + 1):
+            state, report, _ = scheme.step(state, setup.dt, setup.picard)
+            row = _row(step, state, report.iterations, report.residual)
+            table.write(_csv_line(row))
+            if setup.vtk_every > 0 and step % setup.vtk_every == 0:
+                snapshot(f"state_{step:04d}.vtk", state)
+            passed = passed and row["audit_pass"]
+            low = min(low, row["min_eig_sigma"])
+            high = max(high, row["max_trace_sigma"])
+            iters += report.iterations
+            if worst is None or report.iterations > worst["iterations"]:
+                worst = {"step": step, "iterations": report.iterations,
+                         "history": report.history}
 
+    snapshot("final.vtk", state)
     summary = {
         "scheme": setup.scheme,
         "velocity": setup.velocity,
@@ -373,12 +398,11 @@ def run_simulation(setup: RunSetup) -> RunResult:
                    for key, value in asdict(setup.params).items()},
         "time": {"dt": setup.dt, "tmax": setup.tmax, "dt0": setup.dt0,
                  "steps": setup.steps},
-        "energy": {"initial": rows[0]["F_total"],
-                   "final": rows[-1]["F_total"]},
-        "audit_all_pass": all(r["audit_pass"] for r in rows[1:]),
-        "min_eig_sigma": min(r["min_eig_sigma"] for r in rows),
-        "max_trace_sigma": max(r["max_trace_sigma"] for r in rows),
-        "picard_iters_total": sum(r["picard_iters"] for r in rows),
+        "energy": {"initial": first["F_total"], "final": row["F_total"]},
+        "audit_all_pass": passed,
+        "min_eig_sigma": low,
+        "max_trace_sigma": high,
+        "picard_iters_total": iters,
         "picard_worst": worst,
     }
     if init_report is not None:
@@ -388,7 +412,10 @@ def run_simulation(setup: RunSetup) -> RunResult:
             "vertex_min_eig": init_report.vertex_min_eig,
             "vertex_max_trace": init_report.vertex_max_trace,
         }
-    return RunResult(rows, summary, scheme, state, snapshots)
+    with open(out / "summary.json", "w") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return state, summary
 
 
 def _row(step: int, state, picard_iters: int, residual: float) -> dict:
@@ -416,11 +443,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _csv_line(row) -> str:
+    return ",".join(_fmt(row[c]) for c in ENERGY_COLUMNS) + "\n"
+
+
 def write_energy_csv(path, rows) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(ENERGY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in ENERGY_COLUMNS) + "\n")
+        fh.write(_HEADER + "".join(map(_csv_line, rows)))
 
 
 def read_energy_csv(path) -> list:
@@ -515,26 +544,6 @@ def write_vtk(path, mesh: TriMesh, velocity_vertices, *, point_tensors=None,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_outputs(setup: RunSetup, result: RunResult) -> None:
-    out = Path(setup.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_energy_csv(out / "energy.csv", result.rows)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(result.summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    def snapshot(path, st):
-        vel = result.scheme.v.vertex_values(st.u)
-        if result.scheme.q.degree == 0:       # stress nodes on the cells
-            write_vtk(path, result.scheme.mesh, vel, cell_tensors=st.sigma)
-        else:
-            write_vtk(path, result.scheme.mesh, vel, point_tensors=st.sigma,
-                      rho=st.rho)
-
-    for step, st in result.snapshots:
-        snapshot(out / f"state_{step:04d}.vtk", st)
-    snapshot(out / "final.vtk", result.state)
-
-
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -561,13 +570,12 @@ def _cmd_run(args) -> int:
         if key is not None:
             setup = replace(
                 setup, out_dir=str(Path(setup.out_dir) / f"{key}_{value}"))
-        result = run_simulation(setup)
-        _write_outputs(setup, result)
-        passed = result.summary["audit_all_pass"]
+        _, summary = run_simulation(setup)
+        passed = summary["audit_all_pass"]
         tag = f" [{key}={value}]" if key else ""
-        print(f"run{tag}: {len(result.rows) - 1} steps, "
-              f"F {result.rows[0]['F_total']:.6g} -> "
-              f"{result.rows[-1]['F_total']:.6g}, "
+        print(f"run{tag}: {summary['time']['steps']} steps, "
+              f"F {summary['energy']['initial']:.6g} -> "
+              f"{summary['energy']['final']:.6g}, "
               f"audit {'PASS' if passed else 'FAIL'} "
               f"({setup.out_dir})")
         if not passed:

@@ -83,12 +83,9 @@ def relaxation_integrand(params: ModelParams, eigs, eta) -> np.ndarray:
     rp = params.reg
     eigs = np.asarray(eigs, float)
     _, gp = tc.g_delta(eigs, rp)
-    if rp.oldroyd_b:
-        coef = 1.0
-    else:
-        _, coef = tc.g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
-        coef = coef[..., None]
-    return ((coef - gp) ** 2 * tc.beta_delta(eigs, rp)).sum(axis=-1)
+    _, coef = tc.g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
+    return ((coef[..., None] - gp) ** 2
+            * tc.beta_delta(eigs, rp)).sum(axis=-1)
 
 
 def relaxation_dissipation(params: ModelParams, weights, eigs, eta) -> float:

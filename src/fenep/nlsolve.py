@@ -184,7 +184,7 @@ class SaddleOperator:
         if cell_local is not None:
             local[:self.n_u] = cell_local
         self._s, self._b = np.nonzero(~local)[0], np.nonzero(local)[0]
-        k_c = self._condense() if len(self._b) else self._k
+        k_c = self._condense()
         n_kept_u = len(self._s) - (self.n_p - 1)
         singular = k_c.diagonal()[n_kept_u:] == 0.0
         reg = np.zeros(len(self._s))
@@ -215,8 +215,6 @@ class SaddleOperator:
     def _apply_factor(self, r):
         """``K^-1 r`` through the factor of the condensed matrix: one
         triangular solve, then the cell-local dofs cell by cell."""
-        if not len(self._b):            # nothing condensed: K_c is K
-            return self._lu.solve(r)
         r_s, r_b = r[self._s], r[self._b]
         y = np.empty_like(r)
         y[self._s] = y_s = self._lu.solve(

@@ -320,15 +320,11 @@ def relax_reg(phi, eta, rp: RegParams) -> np.ndarray:
     Total on symmetric tensors and real ``eta``; coincides with the
     unregularized ``(1 - tr/b)^(-1) I - phi^(-1)`` whenever the
     eigenvalues of ``phi`` and
-    ``1 - eta/b`` all sit above ``delta``.  In the Oldroyd-B limit the
-    scalar prefactor is 1.
+    ``1 - eta/b`` all sit above ``delta``.  In the Oldroyd-B limit
+    ``1 - eta/b`` is 1, so the scalar prefactor is exactly 1.
     """
-    eta = np.asarray(eta, float)
     _, gp = g_delta_mat(phi, rp)
-    if rp.oldroyd_b:
-        coef = np.ones_like(eta)
-    else:
-        _, coef = g_delta(1.0 - eta / rp.b, rp)
+    _, coef = g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
     return tensor(coef - gp[..., 0], -gp[..., 1], coef - gp[..., 2])
 
 
@@ -374,14 +370,11 @@ def relax_flux_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
 
         g'(1 - eta/b) * beta_delta(phi) - I,
 
-    with coefficient 1 in the Oldroyd-B limit.  This is the term the
-    momentum equation couples to the velocity gradient and the stress
+    with coefficient exactly 1 in the Oldroyd-B limit.  This is the term
+    the momentum equation couples to the velocity gradient and the stress
     relaxation drives to zero.
     """
-    if rp.oldroyd_b:
-        return beta - IDENTITY
-    eta = np.asarray(eta, float)
-    _, coef = g_delta(1.0 - eta / rp.b, rp)
+    _, coef = g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
     return coef[..., None] * beta - IDENTITY
 
 

@@ -13,7 +13,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from fenep import cli, energy
+from fenep import cli, energy, nlsolve
 from fenep.cli import (
     ENERGY_COLUMNS,
     ConfigError,
@@ -266,12 +266,13 @@ def test_run_evaluates_free_energy_once_per_step(tmp_path, monkeypatch,
         if (getattr(mod, "__name__", "").startswith("fenep")
                 and getattr(mod, "free_energy", None) is original):
             monkeypatch.setattr(mod, "free_energy", counted)
-    result = run_simulation(build_setup(parse_config(
+    state, _ = run_simulation(build_setup(parse_config(
         base_config(tmp_path, scheme=scheme))))
-    steps = len(result.rows) - 1
+    rows = read_energy_csv(tmp_path / "out" / "energy.csv")
+    steps = len(rows) - 1
     assert steps == 3
     assert len(calls) == 1 + steps
-    assert result.state.energy.total == result.rows[-1]["F_total"]
+    assert state.energy.total == rows[-1]["F_total"]
 
 
 def test_run_is_deterministic(tmp_path):
@@ -398,6 +399,63 @@ def test_run_rejects_bad_settings_before_compute(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and setting.split()[0] in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_an_output_dir_it_cannot_make(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad setting")
+
+    monkeypatch.setattr(cli, "structured_unit_square", no_mesh)
+    (tmp_path / "plain").write_text("a file, not a directory\n")
+    cfg = base_config(tmp_path, out="plain/out")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [output] dir")
+
+
+@pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
+def test_a_failed_run_keeps_the_steps_it_finished(tmp_path, capsys,
+                                                  monkeypatch):
+    """Seven Picard iterations are too few for the third step of this
+    cavity, which takes eight: the rows and snapshots of steps 0-2 stay
+    on disk, each row written before the next step starts."""
+    out = tmp_path / "out"
+    lines_before_step = []
+    step = nlsolve.ImplicitScheme.step
+
+    def watched(self, *args, **kwargs):
+        lines_before_step.append(
+            len((out / "energy.csv").read_text().splitlines()))
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(nlsolve.ImplicitScheme, "step", watched)
+    out.mkdir()
+    (out / "summary.json").write_text("{}\n")     # left by an earlier run
+    cfg = write_config(tmp_path, f"""\
+        [model]
+        scenario = forced-cavity
+        alpha = 0.1
+        [mesh]
+        n = 3
+        [time]
+        dt = 0.1
+        tmax = 0.4
+        [solver]
+        scheme = p1diff
+        max_iters = 7
+        [output]
+        dir = {out}
+        vtk_every = 1
+        """)
+    assert main(["run", cfg]) == 4
+    assert "solver error: step at t=0.2" in capsys.readouterr().err
+    rows = read_energy_csv(out / "energy.csv")
+    assert [r["step"] for r in rows] == [0, 1, 2]
+    assert lines_before_step == [2, 3, 4]       # the header and the rows
+    assert main(["audit", str(out / "energy.csv")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "energy.csv", "state_0001.vtk", "state_0002.vtk"]
 
 
 @pytest.mark.filterwarnings("ignore:some cells have all vertices")

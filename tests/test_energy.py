@@ -11,7 +11,8 @@ import fe_oracles as oracle
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
 from fenep import nlsolve
-from fenep.cli import build_setup, parse_config, run_simulation
+from fenep.cli import (
+    build_setup, parse_config, read_energy_csv, run_simulation)
 from fenep.energy import (
     StepAudit,
     audit_slack,
@@ -298,9 +299,9 @@ def test_each_audited_state_is_decomposed_once(tmp_path, monkeypatch,
         + ("alpha = 0.1\n" if scheme == "p1diff" else "")
         + f"[mesh]\nn = 3\n[time]\ndt = 0.1\ntmax = 0.3\n"
         f"[solver]\nscheme = {scheme}\n[output]\ndir = {tmp_path}\n")
-    result = run_simulation(build_setup(parse_config(cfg)))
-    stress = result.state.sigma.shape
-    assert len(result.rows) == 4
+    state, _ = run_simulation(build_setup(parse_config(cfg)))
+    stress = state.sigma.shape
+    assert len(read_energy_csv(tmp_path / "energy.csv")) == 4
     outside = [c for c in calls if c[0] != "picard"]
     assert outside.count(("setup", stress)) == 1
     assert outside.count(("step", stress)) == 3

@@ -273,7 +273,7 @@ def test_relax_flux_vanishes_at_equilibrium():
         flux = tc.relax_flux_of_beta(beta, 2.0 * c, rp)
         assert np.allclose(flux, 0.0, atol=1e-14)
     beta = tc.beta_delta_mat(tc.IDENTITY, RP_OB)
-    flux = tc.relax_flux_of_beta(beta, None, RP_OB)
+    flux = tc.relax_flux_of_beta(beta, 2.0, RP_OB)
     assert np.allclose(flux, 0.0, atol=1e-15)
 
 
@@ -319,8 +319,10 @@ def test_oldroyd_b_mode():
     rng = np.random.default_rng(21)
     phi = random_sym(rng, 50)
     beta = tc.beta_delta_mat(phi, RP_OB)
-    flux = tc.relax_flux_of_beta(beta, None, RP_OB)
-    assert np.allclose(flux, beta - tc.IDENTITY, atol=1e-14)
+    # with b = inf, g'(1 - eta/b) = g'(1) = 1 exactly, whatever eta
+    eta = rng.uniform(-50.0, 50.0, size=50)
+    flux = tc.relax_flux_of_beta(beta, eta, RP_OB)
+    assert np.array_equal(flux, beta - tc.IDENTITY)
 
 
 def test_regparams_validation():
