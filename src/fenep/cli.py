@@ -380,7 +380,9 @@ def run_simulation(setup: RunSetup):
             iters += report.iterations
             if worst is None or report.iterations > worst["iterations"]:
                 worst = {"step": step, "iterations": report.iterations,
-                         "history": report.history}
+                         "history": report.history,
+                         "linearized_at": report.linearized_at,
+                         "linearized_sweeps": report.linearized_sweeps}
 
     snapshot("final.vtk", state)
     summary = {

@@ -182,8 +182,8 @@ class SchemeP0(ImplicitScheme):
         lu = splu((sp.diags(self.mesh.cell_areas / dt) + transport).tocsc())
         reg, k = self.params.reg, np.ones(self.mesh.n_cells)
 
-        def local_terms(sig, eta, rho):
-            return tc.beta_delta_mat(sig, reg), k, 0.0
+        def local_terms(eigs, frame, eta, rho):
+            return tc._recompose(tc.beta_delta(eigs, reg), frame), k, 0.0
 
         return lu, local_terms
 

@@ -117,8 +117,8 @@ def lambda_matrix(phi_a, phi_c, rp: tc.RegParams):
     Coincident arguments (or a vanishing matching denominator) give
     ``beta(phi_a)``.
     """
-    return _lambda_pair(tc._tensor_nodes(phi_a, rp),
-                        tc._tensor_nodes(phi_c, rp))
+    return _lambda_pair(tc.tensor_nodes(*tc.eig_sym(phi_a), rp),
+                        tc.tensor_nodes(*tc.eig_sym(phi_c), rp))
 
 
 def corner_coefficients(mesh: TriMesh, nodes, rp: tc.RegParams):
@@ -245,8 +245,8 @@ class SchemeP1Diff(ImplicitScheme):
         amap = advection_map(self.mesh, cell_mean_velocity(
             self.mesh, self.v, state.u))
 
-        def local_terms(sig, eta, rho):
-            nodes = tc.transport_nodes(sig, reg)    # the one decomposition
+        def local_terms(eigs, frame, eta, rho):
+            nodes = tc.tensor_nodes(eigs, frame, reg)
             adv = amap @ corner_coefficients(self.mesh, nodes,
                                              reg).reshape(-1, 3)
             if rho is not None:

@@ -59,7 +59,9 @@ __all__ = [
     "h_delta",
     "g_delta_mat",
     "beta_delta_mat",
+    "beta_delta_jacobian",
     "TensorNodes",
+    "tensor_nodes",
     "transport_nodes",
     "neg_part",
     "relax_reg",
@@ -271,6 +273,43 @@ def beta_delta_mat(phi, rp: RegParams) -> np.ndarray:
     return _recompose(np.maximum(w, rp.delta), frame)
 
 
+#: the means and deviators (rows) of the three unit component directions
+_UNIT_MEAN = np.array([0.5, 0.0, 0.5])
+_UNIT_DEV = np.array([[0.5, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.5]])
+
+
+def beta_delta_jacobian(w, frame, rp: RegParams) -> np.ndarray:
+    """Derivative of :func:`beta_delta_mat` with respect to the components,
+    at the tensors of spectrum ``w, frame`` (:func:`eig_sym`).
+
+    Entry ``[..., i, j]`` is ``d beta_i / d phi_j`` (an increment of the
+    xy component moves both off-diagonal entries).  With ``beta = a I +
+    g D``, ``a`` and ``g`` the mean and half-gap of ``f = max(., delta)``
+    at the eigenvalues ``mu -+ r`` and ``D`` the unit deviator of
+    :func:`eig_sym`, a direction ``E`` moves ``mu`` by ``tr E / 2`` and
+    ``r`` by ``dr = (D : E) / 2``, so
+
+        d beta = da I + dg D + [f0, f1] (E_dev - dr D),
+
+    where ``[f0, f1]`` is the divided difference of ``f`` over the two
+    eigenvalues, ``f'`` where they coincide.  ``f'`` is 1 from ``delta``
+    on and 0 below, as ``g_delta`` splits its branches.
+    """
+    f = np.maximum(w, rp.delta)
+    fp = (w >= rp.delta).astype(float)
+    gap = w[..., 1] - w[..., 0]
+    split = gap > 0.0
+    slope = np.where(split, (f[..., 1] - f[..., 0])
+                     / np.where(split, gap, 1.0), fp[..., 0])
+    dr = 0.5 * frame * np.array([1.0, 2.0, 1.0])     # (D : E_j) / 2
+    dw0, dw1 = _UNIT_MEAN - dr, _UNIT_MEAN + dr
+    da = 0.5 * (fp[..., :1] * dw0 + fp[..., 1:] * dw1)
+    dg = 0.5 * (fp[..., 1:] * dw1 - fp[..., :1] * dw0)
+    return (IDENTITY[:, None] * da[..., None, :]
+            + frame[..., :, None] * (dg - slope[..., None] * dr)[..., None, :]
+            + slope[..., None, None] * _UNIT_DEV)
+
+
 class TensorNodes(NamedTuple):
     """Nodal values of a tensor field that fix its transport coefficients."""
 
@@ -282,8 +321,9 @@ class TensorNodes(NamedTuple):
         return TensorNodes(self.beta[idx], self.gprime[idx], self.tr_h[idx])
 
 
-def _tensor_nodes(phi, rp: RegParams) -> TensorNodes:
-    w, frame = eig_sym(phi)
+def tensor_nodes(w, frame, rp: RegParams) -> TensorNodes:
+    """The :class:`TensorNodes` of the tensors of spectrum ``w, frame``
+    (:func:`eig_sym`)."""
     _, gp_w = g_delta(w, rp)
     return TensorNodes(_recompose(beta_delta(w, rp), frame),
                        _recompose(gp_w, frame),
@@ -300,7 +340,7 @@ def transport_nodes(field, rp: RegParams):
     """
     field = np.asarray(field, float)
     if field.ndim == 2:
-        return _tensor_nodes(field, rp)
+        return tensor_nodes(*eig_sym(field), rp)
     return g_delta(field, rp)[1]
 
 

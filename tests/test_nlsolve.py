@@ -14,6 +14,7 @@ point values and the exact L2 norm of u as cross-checks.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from scipy.sparse.linalg import splu
 import fe_oracles as oracle
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
-from fenep import nlsolve, scheme_p0, scheme_p1diff
+from fenep import cli, nlsolve, scheme_p0, scheme_p1diff
 from fenep.meshing import structured_unit_square
 from fenep.nlsolve import (
     PicardConfig,
@@ -375,10 +376,10 @@ def test_picard_accepts_converged_start():
 SCHEMES = ["p0", "p1diff"]
 
 
-def stirred_state(kind):
+def stirred_state(kind, b=5.0):
     """A scheme on n = 3 and a moving, anisotropic initial state."""
     mesh = structured_unit_square(3)
-    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1,
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=b, delta=0.1,
                          alpha=None if kind == "p0" else 0.1)
 
     def u0(x, y):
@@ -639,3 +640,209 @@ def test_delta_continuation_reuses_one_saddle_factorization(monkeypatch):
                                        0.5, delta_min=1.0 / 16.0)
     assert len(rep.deltas) > 1
     assert len(made) == 1
+
+
+# ---------------------------------------------------------------------------
+# the linearized scalar block
+
+#: stresses that put every branch of the local terms at some node (delta
+#: = 0.1): eigenvalues on both sides of delta, both below, coincident
+#: above and below, generic, and traces on both sides of b (1 - delta)
+#: for b = 5, where the flux coefficient g'(1 - tr/b) stops moving
+NODE_STRESSES = np.array([
+    [0.05, 0.2, 0.7], [0.05, 0.01, 0.06], [0.5, 0.0, 0.5],
+    [0.04, 0.0, 0.04], [1.2, 0.3, 0.9], [2.0, 0.3, 2.25], [2.3, 0.1, 2.4]])
+#: carried traces on both sides of b (1 - delta), and two generic ones
+NODE_TRACES = np.array([4.25, 4.7, 2.0, -1.0, 0.8])
+
+
+def node_scalars(problem):
+    """Scalars (m, k) cycling through the stresses and traces above."""
+    m = problem.m
+    sig = NODE_STRESSES[np.arange(m) % len(NODE_STRESSES)]
+    if problem.k == 3:
+        return sig
+    rho = NODE_TRACES[np.arange(m) % len(NODE_TRACES)]
+    return np.column_stack([sig, rho])
+
+
+def local_terms_by_differences(problem, s, u, h=1e-6):
+    """Central differences of ``R(u, frozen(s))`` node by node, with the
+    coupling weight and the advection held at ``s``: each node's terms
+    read its own scalars only, so one shift of a component at every node
+    gives that column of every block."""
+    def parts(t):
+        return t[:, :3], (t[:, 3] if problem.k == 4 else None)
+
+    _, at_s = problem.stress_terms(*parts(s))
+
+    def rhs(t):
+        _, frozen = problem.stress_terms(*parts(t))
+        return problem.rhs_scalars(
+            u, (at_s[0], frozen[1], frozen[2], at_s[3], frozen[4]))
+
+    cols = [(rhs(s + h * e) - rhs(s - h * e)) / (2.0 * h)
+            for e in np.eye(problem.k)]
+    return at_s, np.stack(cols, axis=2)
+
+
+@pytest.mark.parametrize("kind, b, k", [("p0", 5.0, 3), ("p1diff", 5.0, 4),
+                                        ("p1diff", math.inf, 3)])
+def test_local_jacobian_matches_central_differences(kind, b, k):
+    scheme, state = stirred_state(kind, b)
+    problem = block_step(scheme, state)
+    assert problem.k == k
+    s = node_scalars(problem)
+    u = problem.sweep(problem.x0)[:problem.n_u]
+    frozen, want = local_terms_by_differences(problem, s, u)
+    got = problem.local_jacobian(s, u, frozen)
+    assert got.shape == (problem.m, k, k)
+    scale = np.abs(want).max()
+    assert scale > 0.1
+    assert np.allclose(got, want, rtol=0.0, atol=1e-8 * scale)
+
+
+def test_gmres_solves_to_its_tolerance():
+    rng = np.random.default_rng(8)
+    n = 40
+    mat = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / math.sqrt(n)
+    b = rng.standard_normal(n)
+    exact = nlsolve._gmres(lambda v: mat @ v, b, 1e-13, n)
+    assert np.allclose(exact, np.linalg.solve(mat, b), rtol=0.0, atol=1e-11)
+    for rtol in (1e-1, 1e-3):
+        x = nlsolve._gmres(lambda v: mat @ v, b, rtol, n)
+        assert np.linalg.norm(mat @ x - b) <= rtol * np.linalg.norm(b)
+    products = []
+    nlsolve._gmres(lambda v: products.append(v) or mat @ v, b, 1e-13, 3)
+    assert len(products) == 3
+    assert not nlsolve._gmres(lambda v: mat @ v, np.zeros(n), 1e-2, 5).any()
+    # an invariant Krylov space ends the iteration with the exact answer
+    assert np.allclose(nlsolve._gmres(lambda v: 2.0 * v, b, 1e-13, 5),
+                       0.5 * b, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_linearized_scalar_solve_meets_its_tolerance(kind):
+    """The linearized sweep's scalars ``s + d`` solve ``(kron(I_k, S) -
+    J) (s + d) = R - J s`` to the GMRES tolerance, measured as the
+    plain sweep's increment ``S^-1 R - s`` is."""
+    scheme, state = stirred_state(kind)
+    dt = 0.5
+    problem = block_step(scheme, state, dt)
+    x = 0.5 * (problem.x0 + problem.sweep(problem.x0))
+    s = problem._scalars(x)
+    frozen, u_new, _ = problem._block_pass(x)
+    got = problem._linear_scalar_solve(x, u_new, frozen)
+    m, k = problem.m, problem.k
+    s_mat = scalar_matrix(scheme, state, dt).toarray()
+    jac = problem.local_jacobian(s, u_new, frozen)
+    assert np.abs(jac).max() > 0.1
+    system = np.kron(np.eye(k), s_mat)
+    nodes = np.arange(m)
+    for row in range(k):
+        for col in range(k):
+            system[row * m + nodes, col * m + nodes] -= jac[:, row, col]
+    precond = np.kron(np.eye(k), np.linalg.inv(s_mat))
+    rhs = (problem.rhs_scalars(u_new, frozen)
+           - np.einsum("nij,nj->ni", jac, s)).T.ravel()
+    increment = np.linalg.solve(s_mat, problem.rhs_scalars(u_new, frozen)) - s
+    miss = precond @ (rhs - system @ got.T.ravel())
+    assert np.linalg.norm(increment) > 1e-3
+    assert (np.linalg.norm(miss)
+            <= nlsolve.LINEARIZED_RTOL * np.linalg.norm(increment))
+
+
+def forced_cavity_setup(tmp_path, scheme, dt, amplitude, name, n=4):
+    """A two-step forced-cavity run on n x n."""
+    alpha = "alpha = 0.1" if scheme == "p1diff" else ""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"""[model]
+scenario = forced-cavity
+amplitude = {amplitude}
+b = 5.0
+delta = 0.1
+{alpha}
+[mesh]
+n = {n}
+[time]
+dt = {dt}
+tmax = {2 * dt}
+[solver]
+scheme = {scheme}
+[output]
+dir = {tmp_path / name}
+""")
+    return cli.build_setup(cli.parse_config(cfg))
+
+
+def never_linearized(*args):
+    raise AssertionError("the scalar blocks were linearized")
+
+
+@pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_cavity_like_run_never_linearizes(kind, tmp_path, monkeypatch):
+    monkeypatch.setattr(nlsolve.BlockStep, "local_jacobian",
+                        never_linearized)
+    setup = forced_cavity_setup(tmp_path, kind, 0.05, 1.0, "cavity")
+    _, summary = cli.run_simulation(setup)
+    worst = summary["picard_worst"]
+    assert worst["linearized_at"] is None
+    assert worst["linearized_sweeps"] == 0
+
+
+def count_factorizations(monkeypatch):
+    """Record the shape of every splu the step's modules make from here
+    on."""
+    made = []
+    for mod in (nlsolve, scheme_p1diff):
+        def counted(mat, *args, _splu=mod.splu, **kwargs):
+            made.append(mat.shape)
+            return _splu(mat, *args, **kwargs)
+        monkeypatch.setattr(mod, "splu", counted)
+    return made
+
+
+@pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
+def test_stiff_run_linearizes_to_the_picard_answer(tmp_path, monkeypatch):
+    """Linearizing changes the path, not the fixed point: the rows match
+    pure Picard's within 100 tol, the bound of the benchmark's gate.  The
+    linearized solve works through the step's own factor of ``S``, so
+    the run factors no more matrices than pure Picard does."""
+    factored = count_factorizations(monkeypatch)
+    setup = forced_cavity_setup(tmp_path, "p1diff", 1.0, 20.0, "linear")
+    _, summary = cli.run_simulation(setup)
+    linear_factors, factored[:] = list(factored), []
+    monkeypatch.setattr(nlsolve, "LINEARIZE_ABOVE", math.inf)
+    picard_setup = forced_cavity_setup(tmp_path, "p1diff", 1.0, 20.0,
+                                       "picard")
+    _, picard = cli.run_simulation(picard_setup)
+    assert linear_factors == factored != []
+
+    worst = summary["picard_worst"]
+    assert worst["linearized_at"] >= 1
+    assert 0 < worst["linearized_sweeps"] <= worst["iterations"]
+    assert picard["picard_worst"]["linearized_at"] is None
+    assert picard["picard_worst"]["linearized_sweeps"] == 0
+    assert summary["picard_iters_total"] < picard["picard_iters_total"]
+
+    rows = cli.read_energy_csv(tmp_path / "linear" / "energy.csv")
+    ref = cli.read_energy_csv(tmp_path / "picard" / "energy.csv")
+    assert len(rows) == len(ref) == 3
+    bound = 100.0 * setup.picard.tol
+    state_columns = [c for c in cli.ENERGY_COLUMNS
+                     if c not in ("picard_iters", "residual", "audit_pass")]
+    for row, want in zip(rows, ref):
+        assert row["audit_pass"]
+        for col in state_columns:
+            assert (abs(row[col] - want[col])
+                    <= bound * (1.0 + abs(want[col]))), col
+
+
+def test_p0_still_fails_on_the_stiff_data(tmp_path):
+    setup = forced_cavity_setup(tmp_path, "p0", 1.0, 20.0, "negative")
+    with pytest.raises(SolverError, match="did not converge") as failed:
+        cli.run_simulation(setup)
+    report = failed.value.report
+    assert report.iterations == setup.picard.max_iters
+    assert report.linearized_sweeps > 0

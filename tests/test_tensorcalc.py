@@ -216,6 +216,38 @@ def test_matrix_maps_match_spectral_definition():
     assert np.allclose(beta, ref_b, atol=1e-12)
 
 
+def rotated(w0, w1, angle):
+    """The tensor with eigenvalues (w0, w1), its first axis at ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+    return tc.tensor(w0 * c * c + w1 * s * s, (w0 - w1) * c * s,
+                     w0 * s * s + w1 * c * c)
+
+
+def test_beta_jacobian_matches_central_differences():
+    rng = np.random.default_rng(21)
+    phi = np.concatenate([
+        random_sym(rng, 60, scale=1.0),
+        [rotated(0.03, 0.8, 0.4),        # one eigenvalue on each side
+         rotated(0.05, 0.07, 1.1),       # both below delta
+         rotated(0.3, 2.0, -0.7),        # both above
+         tc.tensor(0.5, 0.0, 0.5),       # coincident above delta
+         tc.tensor(0.04, 0.0, 0.04),     # coincident below delta
+         tc.tensor(-1.0, 0.0, -1.0)]])
+    # keep every eigenvalue clear of the kink at delta
+    w = tc.eig_sym(phi)[0]
+    phi = phi[np.all(np.abs(w - RP_TENTH.delta) > 1e-3, axis=1)]
+    jac = tc.beta_delta_jacobian(*tc.eig_sym(phi), RP_TENTH)
+    h = 1e-6
+    for j in range(3):
+        step = h * np.eye(3)[j]
+        fd = (tc.beta_delta_mat(phi + step, RP_TENTH)
+              - tc.beta_delta_mat(phi - step, RP_TENTH)) / (2.0 * h)
+        assert np.allclose(jac[..., j], fd, rtol=0.0, atol=1e-8)
+    # at a coincident spectrum the derivative is f'(w) times the identity
+    assert np.array_equal(jac[-3], np.eye(3))
+    assert np.array_equal(jac[-1], np.zeros((3, 3)))
+
+
 def test_beta_is_gprime_inverse():
     rng = np.random.default_rng(17)
     phi = random_sym(rng, 80)
