@@ -82,6 +82,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing
 
+#: the most steps a run may plan, checked before any mesh is built
+MAX_STEPS = 10 ** 6
+
 #: section -> key -> (type, default) of every config entry; a default of
 #: None marks an entry that is required, or whose absence means something
 _KEYS = {
@@ -93,8 +96,7 @@ _KEYS = {
     "time": {"dt": (float, None), "tmax": (float, None),
              "dt0": (float, None)},
     "solver": {"scheme": (str, None), "velocity": (str, None),
-               "tol": (float, 1e-10), "max_iters": (int, 200),
-               "min_damping": (float, 1.0 / 16.0)},
+               "tol": (float, 1e-10), "max_iters": (int, 200)},
     "output": {"dir": (str, "out"), "vtk_every": (int, 0)},
 }
 
@@ -247,9 +249,10 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
         raise ConfigError("[time] dt and tmax are required")
     if not (_positive(dt) and _positive(tmax)):
         raise ConfigError("[time] dt and tmax must be positive and finite")
-    if not math.isfinite(tmax / dt):
+    steps = tmax / dt
+    if not (math.isfinite(steps) and round(steps) <= MAX_STEPS):
         raise ConfigError(
-            f"[time] tmax / dt must be a finite number of steps, got "
+            f"[time] tmax / dt must give at most {MAX_STEPS} steps, got "
             f"{tmax!r} / {dt!r}")
     dt0 = 0.0
     if scheme == "p1diff":
@@ -259,8 +262,7 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
                 f"[time] dt0 must be positive and finite, got {dt0}")
 
     try:
-        picard = PicardConfig(tol=solver["tol"], max_iters=solver["max_iters"],
-                              min_damping=solver["min_damping"])
+        picard = PicardConfig(tol=solver["tol"], max_iters=solver["max_iters"])
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
 
@@ -271,7 +273,7 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
         scheme=scheme, velocity=velocity, params=params,
         scenario=model["scenario"], amplitude=model["amplitude"],
         mesh_n=mesh["n"], mesh_file=mesh["file"], shear=mesh["shear"],
-        dt=dt, tmax=tmax, steps=max(1, round(tmax / dt)), dt0=dt0,
+        dt=dt, tmax=tmax, steps=max(1, round(steps)), dt0=dt0,
         picard=picard, out_dir=output["dir"], vtk_every=output["vtk_every"])
 
 

@@ -53,17 +53,19 @@ The driver blends each sweep with a relaxation factor chosen two ways:
 a secant (Aitken) update estimates the dominant contraction factor from
 successive increments and jumps to the blend that cancels it, and a
 backtracking loop halves the factor whenever the preconditioned residual
-would grow, down to a floor.  At the floor the step is accepted anyway
-so slowly contracting problems still make progress, with a divergence
-guard aborting runs whose residual blows up.  The implicit relaxation
-term makes the bare fixed-point map stiff at large steps (its factor
-scales like dt/Wi over the squared distance to the trace bound), which
-is exactly the regime the adaptive blend is there for.
+would grow, down to the floor :data:`MIN_DAMPING`.  At the floor the
+step is accepted anyway so slowly contracting problems still make
+progress, with a divergence guard aborting runs whose residual blows
+up.  The implicit relaxation term makes the bare fixed-point map stiff
+at large steps (its factor scales like dt/Wi over the squared distance
+to the trace bound), which is exactly the regime the adaptive blend is
+there for.
 
 Where the blend alone contracts slowly, the step stops lagging the
-local stress terms.  Once an accepted iterate leaves more than
-:data:`LINEARIZE_ABOVE` of the residual before it, every later sweep of
-that step solves its scalar blocks with those terms linearized at the
+local stress terms.  The driver owns that rule as it owns the blend:
+once an accepted iterate leaves more than :data:`LINEARIZE_ABOVE` of the
+residual before it, it asks for the linearized sweep for the rest of the
+solve, which solves the scalar blocks with those terms linearized at the
 iterate: ``(kron(I_k, S) - J) s_new = R(u_new, frozen(x)) - J s(x)``,
 ``S`` the scalar matrix, ``R`` the scalar right-hand sides and ``J``
 the per-node derivative of the relaxation flux and the deformation term
@@ -114,6 +116,9 @@ __all__ = [
 
 #: the driver gives up once the residual exceeds this multiple of its start
 DIVERGENCE_FACTOR = 1e8
+#: the smallest relaxation factor the driver blends with; an iterate
+#: blended at it is accepted even if its residual grew
+MIN_DAMPING = 1.0 / 16.0
 #: g, the weight of the Schur-diagonal regularization of the saddle factor
 SADDLE_REGULARIZATION = 1e-9
 #: normwise backward error every saddle solve must reach
@@ -121,7 +126,8 @@ SADDLE_BACKWARD_ERROR = 1e-14
 #: most refinement steps a saddle solve may take to reach it
 SADDLE_MAX_REFINEMENTS = 3
 #: an accepted iterate whose residual exceeds this fraction of the last
-#: one's switches the rest of its step to the linearized scalar solve
+#: one's switches the driver to the linearized sweep for the rest of the
+#: solve
 LINEARIZE_ABOVE = 0.5
 #: a linearized scalar solve stops once its GMRES residual is this
 #: fraction of its right-hand side, or after this many products
@@ -284,16 +290,12 @@ class SaddleOperator:
 class PicardConfig:
     tol: float = 1e-10
     max_iters: int = 200
-    min_damping: float = 1.0 / 16.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not 0.0 < self.min_damping <= 1.0:
-            raise ValueError(
-                f"min_damping must lie in (0, 1], got {self.min_damping}")
 
 
 @dataclass
@@ -303,8 +305,8 @@ class SolveReport:
     residual: float
     damping: float
     history: list = field(default_factory=list)
-    #: the iteration whose sweep first linearized the scalar blocks
-    #: (:class:`BlockStep`), None if none did, and how many sweeps did
+    #: the iteration whose sweep first linearized, None if none did, and
+    #: how many sweeps did
     linearized_at: int | None = None
     linearized_sweeps: int = 0
 
@@ -312,10 +314,14 @@ class SolveReport:
 def picard_solve(problem, x0, config: PicardConfig | None = None):
     """Damped block Gauss-Seidel fixed-point iteration.
 
-    ``problem`` provides ``sweep(x) -> x_new`` (one pass through the
-    factorized blocks), ``residual(x) -> float`` (preconditioned
-    monolithic residual) and a ``scale`` attribute fixing the absolute
-    convergence threshold ``tol * scale``.
+    ``problem`` provides ``sweep(x, linearize) -> x_new`` (one pass
+    through the factorized blocks, the plain one or the linearized one;
+    a result of ``x`` and the flag alone), ``residual(x) -> float``
+    (preconditioned monolithic residual) and a ``scale`` attribute fixing
+    the absolute convergence threshold ``tol * scale``.  The driver asks
+    for the linearized sweep from the first iteration whose accepted
+    iterate left more than :data:`LINEARIZE_ABOVE` of the residual before
+    it, to the end of the solve.
 
     Returns ``(x, SolveReport)``; inspect ``report.converged``.
     """
@@ -328,32 +334,41 @@ def picard_solve(problem, x0, config: PicardConfig | None = None):
     omega = 1.0
     incr_prev = None
     omega_prev = None
+    linearized_at, linearized_sweeps = None, 0
+
+    def report(converged, iterations):
+        return SolveReport(converged, iterations, r, omega, history,
+                           linearized_at, linearized_sweeps)
 
     for it in range(1, cfg.max_iters + 1):
         if r <= threshold:
-            return x, SolveReport(True, it - 1, r, omega, history)
-        x_raw = problem.sweep(x)
-        incr = x_raw - x
+            return x, report(True, it - 1)
+        if (linearized_at is None and len(history) > 1
+                and r > LINEARIZE_ABOVE * history[-2]):
+            linearized_at = it
+        linearize = linearized_at is not None
+        linearized_sweeps += linearize
+        incr = problem.sweep(x, linearize) - x
         if incr_prev is not None:
             diff = incr - incr_prev
             denom = float(diff @ diff)
             if denom > 0.0:
                 est = -omega_prev * float(incr_prev @ diff) / denom
-                omega = min(max(est, cfg.min_damping), 1.0)
+                omega = min(max(est, MIN_DAMPING), 1.0)
         while True:
             x_try = x + omega * incr
             r_try = problem.residual(x_try)
-            if r_try <= r * (1.0 + 1e-12) or omega <= cfg.min_damping:
+            if r_try <= r * (1.0 + 1e-12) or omega <= MIN_DAMPING:
                 break
-            omega = max(0.5 * omega, cfg.min_damping)
+            omega = max(0.5 * omega, MIN_DAMPING)
         incr_prev = incr
         omega_prev = omega
         x, r = x_try, r_try
         history.append(r)
         if not np.isfinite(r) or r > guard:
-            return x, SolveReport(False, it, r, omega, history)
+            return x, report(False, it)
 
-    return x, SolveReport(r <= threshold, cfg.max_iters, r, omega, history)
+    return x, report(r <= threshold, cfg.max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +443,17 @@ class BlockStep:
     keep it.  The one-entry cache is keyed on a copy of the whole
     iterate, compared by value; an iterate holding NaN never equals it.
 
-    :func:`picard_solve` sweeps from each iterate it accepts, after
-    taking its residual.  From the first sweep whose iterate left more than
-    :data:`LINEARIZE_ABOVE` of the previous accepted residual to the end
-    of the step, a sweep solves ``(kron(I_k, S) - J) s_new = R(u_new,
-    frozen(x)) - J s(x)`` instead, with ``J`` the :meth:`local_jacobian`
-    at ``x``: as ``s_new = s(x) + d``, where ``(I - S^-1 J) d = S^-1 R -
-    s(x)``, the plain sweep's increment, which GMRES solves through
-    ``scalar_lu`` to :data:`LINEARIZED_RTOL` of that increment in at most
-    :data:`LINEARIZED_MAX_PRODUCTS` products.  A fixed point of either
-    sweep has ``d = 0`` and so a zero increment, ``S s = R``, and the
-    residual above measures both.  ``linearized_at`` is the number of
-    that first sweep, None while the plain sweep serves, and
-    ``linearized_sweeps`` counts the linearized ones; the step copies
-    both into its :class:`SolveReport`.
+    ``sweep(x, linearize=True)``, which :func:`picard_solve` asks for
+    once the plain sweep stalls, solves ``(kron(I_k, S) - J) s_new =
+    R(u_new, frozen(x)) - J s(x)`` instead, with ``J`` the
+    :meth:`local_jacobian` at ``x``: as ``s_new = s(x) + d``, where ``(I -
+    S^-1 J) d = S^-1 R - s(x)``, the plain sweep's increment, which GMRES
+    solves through ``scalar_lu`` to :data:`LINEARIZED_RTOL` of that
+    increment in at most :data:`LINEARIZED_MAX_PRODUCTS` products.  A
+    fixed point of either sweep has ``d = 0`` and so a zero increment,
+    ``S s = R``, and the residual above measures both.  Either sweep is a
+    function of ``x`` and the flag alone: the step keeps no state across
+    calls but the pass cache.
     """
 
     def __init__(self, scheme: ImplicitScheme, state: State, dt: float):
@@ -467,10 +479,8 @@ class BlockStep:
         self.scalars_prev = scalars
         self.x0 = self.pack(u_prev, state.p, scalars)
         self.scale = float(np.linalg.norm(self.x0)) + 1.0
-        self._pass_key = self._pass = self._pass_residual = None
+        self._pass_key = self._pass = None
         self.scalar_lu, self.local_terms = scheme.stress_block(state, dt)
-        self.sweeps = self.linearized_sweeps = 0
-        self.linearized_at = self._accepted_residual = None
 
     def pack(self, u, p, scalars):
         return np.concatenate([u, p, np.asarray(scalars).T.ravel()])
@@ -567,7 +577,6 @@ class BlockStep:
             u_new[self.free] = u_f
             self._pass = (frozen, u_new, p_new)
             self._pass_key = x.copy()
-            self._pass_residual = None
         return self._pass
 
     def _scalar_solve(self, u, frozen):
@@ -590,27 +599,17 @@ class BlockStep:
                    LINEARIZED_RTOL, LINEARIZED_MAX_PRODUCTS)
         return _finite(s + d.reshape(k, m).T)
 
-    def sweep(self, x):
+    def sweep(self, x, linearize=False):
         frozen, u_new, p_new = self._block_pass(x)
-        self.sweeps += 1
-        r = self._pass_residual         # None if residual(x) was not taken
-        if (self.linearized_at is None and r is not None
-                and self._accepted_residual is not None
-                and r > LINEARIZE_ABOVE * self._accepted_residual):
-            self.linearized_at = self.sweeps
-        self._accepted_residual = r
-        if self.linearized_at is None:
-            return self.pack(u_new, p_new, self._scalar_solve(u_new, frozen))
-        self.linearized_sweeps += 1
-        return self.pack(u_new, p_new,
-                         self._linear_scalar_solve(x, u_new, frozen))
+        scalars = (self._linear_scalar_solve(x, u_new, frozen) if linearize
+                   else self._scalar_solve(u_new, frozen))
+        return self.pack(u_new, p_new, scalars)
 
     def residual(self, x):
         frozen, u_new, p_new = self._block_pass(x)
         u = x[:self.n_u]
-        self._pass_residual = float(np.linalg.norm(
+        return float(np.linalg.norm(
             self.pack(u_new, p_new, self._scalar_solve(u, frozen)) - x))
-        return self._pass_residual
 
 
 def _gmres(apply, b, rtol: float, max_products: int):
@@ -861,8 +860,6 @@ class ImplicitScheme:
         self.check_step_size(dt)
         problem = BlockStep(self, state, dt)
         x, report = picard_solve(problem, problem.x0, cfg)
-        report.linearized_at = problem.linearized_at
-        report.linearized_sweeps = problem.linearized_sweeps
         if not report.converged:
             err = SolverError(
                 f"step at t={state.t:.6g} (dt={dt:.3g}) did not converge: "

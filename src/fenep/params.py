@@ -8,7 +8,7 @@ from functools import cached_property
 
 from .tensorcalc import RegParams
 
-__all__ = ["ParameterError", "ModelParams", "validate_time_steps"]
+__all__ = ["ParameterError", "ModelParams"]
 
 
 class ParameterError(ValueError):
@@ -56,19 +56,3 @@ class ModelParams:
     def oldroyd_b(self) -> bool:
         return math.isinf(self.b)
 
-
-def validate_time_steps(dts, growth_limit: float = 2.0) -> None:
-    """Check a variable step sequence: positive steps, bounded growth.
-
-    Each step may exceed its predecessor by at most the growth limit;
-    violating sequences are rejected up front rather than mid-run.
-    """
-    prev = None
-    for i, dt in enumerate(dts):
-        if not (dt > 0 and math.isfinite(dt)):
-            raise ParameterError(f"time step {i} must be positive, got {dt}")
-        if prev is not None and dt > growth_limit * prev * (1 + 1e-12):
-            raise ParameterError(
-                f"time step {i} grows by {dt / prev:.3g} > {growth_limit} "
-                "over its predecessor")
-        prev = dt

@@ -124,8 +124,10 @@ def lambda_matrix(phi_a, phi_c, rp: tc.RegParams):
 def corner_coefficients(mesh: TriMesh, nodes, rp: tc.RegParams):
     """Per-cell transport coefficients in the reference frame of each cell.
 
-    ``nodes`` is the :func:`fenep.tensorcalc.transport_nodes` of the
-    field: the vertex values are evaluated once, per vertex, and only
+    ``nodes`` holds what the coefficients of a vertex field depend on:
+    its :func:`fenep.tensorcalc.tensor_nodes` (a tensor field) or
+    ``g'`` of it (a scalar field, :func:`fenep.tensorcalc.g_delta`).
+    The vertex values are evaluated once, per vertex, and only
     gathered to the cells here, where each cell pairs its vertices 1
     and 2 with vertex 0 through :func:`lambda_matrix` (tensor) or
     :func:`lambda_scalar` (scalar) arithmetic.  Entry [k, j] belongs to
@@ -251,7 +253,7 @@ class SchemeP1Diff(ImplicitScheme):
                                              reg).reshape(-1, 3)
             if rho is not None:
                 lam_r = corner_coefficients(
-                    self.mesh, tc.transport_nodes(1.0 - rho / prm.b, reg), reg)
+                    self.mesh, tc.g_delta(1.0 - rho / prm.b, reg)[1], reg)
                 adv = np.column_stack(
                     [adv, -(prm.b * (amap @ lam_r.reshape(-1)))])
             return nodes.beta, tc.k_delta_of_beta(nodes.beta, eta, reg), adv

@@ -62,7 +62,6 @@ __all__ = [
     "beta_delta_jacobian",
     "TensorNodes",
     "tensor_nodes",
-    "transport_nodes",
     "neg_part",
     "relax_reg",
     "k_delta_of_beta",
@@ -328,20 +327,6 @@ def tensor_nodes(w, frame, rp: RegParams) -> TensorNodes:
     return TensorNodes(_recompose(beta_delta(w, rp), frame),
                        _recompose(gp_w, frame),
                        h_delta(gp_w, rp).sum(axis=-1))
-
-
-def transport_nodes(field, rp: RegParams):
-    """Per-node values the transport coefficients of a field depend on.
-
-    A tensor field (n, 3) gives its :class:`TensorNodes`, all from one
-    spectral decomposition per node; a scalar field (n,) gives
-    ``g'(field)``.  :func:`fenep.scheme_p1diff.corner_coefficients`
-    gathers them to the cells.
-    """
-    field = np.asarray(field, float)
-    if field.ndim == 2:
-        return tensor_nodes(*eig_sym(field), rp)
-    return g_delta(field, rp)[1]
 
 
 def neg_part(phi) -> np.ndarray:

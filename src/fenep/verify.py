@@ -67,9 +67,9 @@ def _check_transport_identity():
     mesh = structured_unit_square(3)
     rp = tc.RegParams(0.25, 5.0)
     field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
-    lam = lambda_transport(mesh, tc.transport_nodes(field, rp), rp)
+    w, frame = tc.eig_sym(field)
+    lam = lambda_transport(mesh, tc.tensor_nodes(w, frame, rp), rp)
     _, gp = tc.g_delta_mat(field, rp)
-    w, _ = tc.eig_sym(field)
     _, gpw = tc.g_delta(w, rp)
     trh = tc.h_delta(gpw, rp).sum(axis=-1)
     grads, cells = mesh.bary_grads, mesh.cells

@@ -148,9 +148,9 @@ def test_criterion_02_transport_identities():
         mesh = disjoint_copies(base, count)
         grads, cells = mesh.bary_grads, mesh.cells
         field = rng.uniform(-3.0, 3.0, size=(count * base.n_vertices, 3))
-        lam = lambda_transport(mesh, tc.transport_nodes(field, rp), rp)
+        w, frame = tc.eig_sym(field)
+        lam = lambda_transport(mesh, tc.tensor_nodes(w, frame, rp), rp)
         _, gp = tc.g_delta_mat(field, rp)
-        w, _ = tc.eig_sym(field)
         _, gpw = tc.g_delta(w, rp)
         trh = tc.h_delta(gpw, rp).sum(axis=-1)
         d_gp = np.einsum("kjp,kjc->kpc", grads, gp[cells])
@@ -162,8 +162,8 @@ def test_criterion_02_transport_identities():
         mesh = disjoint_copies(base, 500)
         grads, cells = mesh.bary_grads, mesh.cells
         q = rng.uniform(-3.0, 3.0, size=500 * base.n_vertices)
-        lam = lambda_transport(mesh, tc.transport_nodes(q, rp), rp)
         _, gp = tc.g_delta(q, rp)
+        lam = lambda_transport(mesh, gp, rp)
         h_of = tc.h_delta(gp, rp)
         d_gp = np.einsum("kjp,kj->kp", grads, gp[cells])
         d_h = np.einsum("kjm,kj->km", grads, h_of[cells])

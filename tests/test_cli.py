@@ -167,8 +167,10 @@ def test_build_setup_names_a_malformed_entry(tmp_path, section, key, raw,
 def test_build_setup_counts_the_steps(tmp_path):
     cfg = parse_config(base_config(tmp_path))
     assert build_setup(cfg).steps == 3
-    # a count too large to run is still counted, with no list of steps
-    assert build_setup(cfg, {"dt": 1e-12, "tmax": 1.0}).steps == 10 ** 12
+    assert build_setup(cfg, {"dt": 1e-6, "tmax": 1.0}).steps == cli.MAX_STEPS
+    # a count too large to run is refused before anything is built
+    with pytest.raises(ConfigError, match="at most 1000000 steps"):
+        build_setup(cfg, {"dt": 1e-12, "tmax": 1.0})
 
 
 def test_run_rejects_a_step_count_that_overflows(tmp_path, capsys,
@@ -370,6 +372,7 @@ def test_run_exit_codes(tmp_path, capsys):
     ("p0", "solver", "max_iters = 0"),
     ("p0", "model", "amplitude = nan"),
     ("p0", "model", "amplitude = inf"),
+    # the damping floor is a constant: setting it is an unknown key
     ("p0", "solver", "min_damping = 0"),
     ("p0", "solver", "min_damping = 2"),
     ("p0", "output", "vtk_every = -3"),

@@ -312,19 +312,24 @@ def test_symmetric_saddle_factor_cuts_the_fill(vel, pres):
 
 
 class AffineToy:
-    """Map x -> c + J x with contraction/expansion controlled by J."""
+    """Map x -> c + J x with contraction/expansion controlled by J.
+
+    ``flags`` records the ``linearize`` flag of each sweep, which the map
+    itself ignores."""
 
     def __init__(self, jac, target):
         self.jac = np.asarray(jac, float)
         self.target = np.asarray(target, float)
         self.c = self.target - self.jac @ self.target
         self.scale = float(np.linalg.norm(self.target)) + 1.0
+        self.flags = []
 
-    def sweep(self, x):
+    def sweep(self, x, linearize=False):
+        self.flags.append(linearize)
         return self.c + self.jac @ x
 
     def residual(self, x):
-        return float(np.linalg.norm(self.sweep(x) - x))
+        return float(np.linalg.norm(self.c + self.jac @ x - x))
 
 
 def test_picard_converges_on_mild_contraction():
@@ -368,6 +373,26 @@ def test_picard_accepts_converged_start():
     assert rep.converged
     assert rep.iterations == 0
     assert np.allclose(x, toy.target)
+
+
+def test_picard_keeps_the_plain_sweep_while_it_contracts():
+    toy = AffineToy(0.3 * np.eye(3), [1.0, -2.0, 0.5])
+    _, rep = picard_solve(toy, np.zeros(3), PicardConfig(tol=1e-12))
+    assert rep.converged and len(toy.flags) == rep.iterations > 2
+    assert not any(toy.flags)
+    assert rep.linearized_at is None and rep.linearized_sweeps == 0
+
+
+def test_picard_linearizes_once_the_plain_sweep_stalls():
+    """A contraction of 0.8 leaves more than LINEARIZE_ABOVE of each
+    residual: the driver asks for the linearized sweep from iteration 2
+    to the end of the solve."""
+    toy = AffineToy(0.8 * np.eye(2), [1.0, -1.0])
+    _, rep = picard_solve(toy, np.zeros(2), PicardConfig(tol=1e-10))
+    assert rep.converged and len(toy.flags) == rep.iterations > 2
+    assert toy.flags == [False] + [True] * (rep.iterations - 1)
+    assert rep.linearized_at == 2
+    assert rep.linearized_sweeps == rep.iterations - 1
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +775,25 @@ def test_linearized_scalar_solve_meets_its_tolerance(kind):
     assert np.linalg.norm(increment) > 1e-3
     assert (np.linalg.norm(miss)
             <= nlsolve.LINEARIZED_RTOL * np.linalg.norm(increment))
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_a_sweep_depends_on_the_iterate_and_the_flag_alone(kind):
+    """The residuals and sweeps a step took before do not change its
+    sweep: from an iterate whose residual was not taken, ``sweep(x)`` is
+    the plain sweep of a fresh step, and ``sweep(x, True)`` its
+    linearized one."""
+    scheme, state = stirred_state(kind)
+    problem = block_step(scheme, state)
+    problem.residual(problem.x0)
+    x1 = problem.sweep(problem.x0)
+    problem.residual(x1)
+    x2 = 0.5 * (x1 + problem.sweep(x1))
+    plain = problem.sweep(x2)
+    assert np.array_equal(plain, block_step(scheme, state).sweep(x2))
+    linear = problem.sweep(x2, True)
+    assert np.array_equal(linear, block_step(scheme, state).sweep(x2, True))
+    assert not np.array_equal(plain, linear)
 
 
 def forced_cavity_setup(tmp_path, scheme, dt, amplitude, name, n=4):

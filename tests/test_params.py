@@ -1,10 +1,10 @@
-"""Tests for model parameter validation and the step-schedule check."""
+"""Tests for model parameter validation."""
 
 import math
 
 import pytest
 
-from fenep.params import ModelParams, ParameterError, validate_time_steps
+from fenep.params import ModelParams, ParameterError
 
 
 def test_defaults_and_reg_view():
@@ -51,13 +51,3 @@ def test_params_frozen():
     with pytest.raises(Exception):
         p.re = 2.0
 
-
-def test_time_step_schedule():
-    validate_time_steps([0.1, 0.2, 0.4, 0.4, 0.2])
-    validate_time_steps([0.1])
-    with pytest.raises(ParameterError):
-        validate_time_steps([0.1, 0.21])
-    with pytest.raises(ParameterError):
-        validate_time_steps([0.1, 0.0])
-    # exact doubling is allowed within round-off slack
-    validate_time_steps([0.05, 0.1, 0.2])

@@ -95,7 +95,7 @@ def test_lambda_transport_constant_field_is_beta_times_identity():
     mesh = structured_unit_square(3)
     value = np.array([1.3, 0.1, 0.8])
     field = np.tile(value, (mesh.n_vertices, 1))
-    lam = lambda_transport(mesh, tc.transport_nodes(field, RP), RP)
+    lam = lambda_transport(mesh, tc.tensor_nodes(*tc.eig_sym(field), RP), RP)
     assert lam.shape == (mesh.n_cells, 2, 2, 3)
     beta = tc.beta_delta_mat(value, RP)
     assert np.allclose(lam[:, 0, 1], 0.0, atol=1e-13)
@@ -111,7 +111,8 @@ def test_transport_chain_rule_tensor(n, seed):
     worst = 0.0
     for _ in range(25):
         field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
-        lam = lambda_transport(mesh, tc.transport_nodes(field, RP), RP)
+        nodes = tc.tensor_nodes(*tc.eig_sym(field), RP)
+        lam = lambda_transport(mesh, nodes, RP)
         _, gp = tc.g_delta_mat(field, RP)
         for k in range(mesh.n_cells):
             grads = mesh.bary_grads[k]
@@ -133,8 +134,8 @@ def test_transport_chain_rule_scalar():
     worst = 0.0
     for _ in range(25):
         field = rng.uniform(-1.5, 1.5, size=mesh.n_vertices)
-        lam = lambda_transport(mesh, tc.transport_nodes(field, RP), RP)
         _, gp = tc.g_delta(field, RP)
+        lam = lambda_transport(mesh, gp, RP)
         h_of = tc.h_delta(gp, RP)
         for k in range(mesh.n_cells):
             grads = mesh.bary_grads[k]
@@ -167,14 +168,14 @@ def test_lambda_transport_is_pairwise_stacking():
     hat = np.stack([lambda_matrix(field[cells[:, j]], field[cells[:, 0]], RP)
                     for j in (1, 2)], axis=1)
     want = np.einsum("kjm,kpj,kjc->kmpc", mesh.affine_Binv, mesh.affine_B, hat)
-    got = lambda_transport(mesh, tc.transport_nodes(field, RP), RP)
+    got = lambda_transport(mesh, tc.tensor_nodes(*tc.eig_sym(field), RP), RP)
     assert np.array_equal(got, want)
 
     hat = np.stack([lambda_scalar(q[cells[:, j]], q[cells[:, 0]], RP)
                     for j in (1, 2)], axis=1)
     want = np.einsum("kjm,kpj,kj->kmp", mesh.affine_Binv, mesh.affine_B, hat)
     assert np.array_equal(
-        lambda_transport(mesh, tc.transport_nodes(q, RP), RP), want)
+        lambda_transport(mesh, tc.g_delta(q, RP)[1], RP), want)
 
 
 def einsum_advection(mesh, u_cell, lam):
@@ -204,8 +205,8 @@ def test_advection_map_matches_einsum_contraction():
     state, _ = initial(scheme, 0.1)
     sig = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
     rho = rng.uniform(0.0, 1.2 * RP.b, size=mesh.n_vertices)
-    nodes = tc.transport_nodes(sig, RP)
-    nodes_r = tc.transport_nodes(1.0 - rho / RP.b, RP)
+    nodes = tc.tensor_nodes(*tc.eig_sym(sig), RP)
+    nodes_r = tc.g_delta(1.0 - rho / RP.b, RP)[1]
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
