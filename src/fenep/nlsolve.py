@@ -28,12 +28,18 @@ cell (the mini element's bubbles), which is exact because their block
 of the matrix is diagonal, and factors what remains under a symmetric
 order without pivoting.  It regularizes only the pressure rows whose
 condensed diagonal is zero, with ``-g D`` (``D`` the Schur-complement
-diagonal, ``g`` = :data:`SADDLE_REGULARIZATION`): none for the mini
-element, every row for the P2 and reduced-P2 pairs.  Each solve is
-checked against the exact matrix and refined only while its normwise
-backward error exceeds :data:`SADDLE_BACKWARD_ERROR`; one that cannot
-reach it raises :class:`SolverError`.  So the velocity stays discretely
-divergence-free, as the energy identity needs.
+diagonal): none for the mini element, every row for the P2 and
+reduced-P2 pairs.  Each solve is checked against the exact matrix and
+refined only while its normwise backward error exceeds
+:data:`SADDLE_BACKWARD_ERROR`; one that cannot reach it raises
+:class:`SolverError`.  So the velocity stays discretely divergence-free,
+as the energy identity needs.  The weight ``g`` trades the factor's
+rounding, which grows like ``1/g``, against the contraction of each
+refinement, which a larger ``g`` weakens: the step operators take
+:data:`STEP_REGULARIZATION` = 1e-8, at which one refinement meets the
+bound, and the mass-only projection of initial data keeps the default
+:data:`SADDLE_REGULARIZATION` = 1e-9, at which a mass matrix alone needs
+fewer refinements than at 1e-8.
 
 The step is exposed to the driver as a fixed-point problem: one
 ``sweep`` performs a block Gauss-Seidel pass through the factorized
@@ -119,8 +125,19 @@ DIVERGENCE_FACTOR = 1e8
 #: the smallest relaxation factor the driver blends with; an iterate
 #: blended at it is accepted even if its residual grew
 MIN_DAMPING = 1.0 / 16.0
-#: g, the weight of the Schur-diagonal regularization of the saddle factor
+#: g, the weight of the Schur-diagonal regularization of the saddle factor:
+#: the default, which the mass-only projection of initial data keeps, and
+#: the weight of the step operators ``Re/dt M + (1-eps) K``.  The factor's
+#: rounding grows like 1/g (its largest entry is 6.4e10 at 1e-9 and 6.4e9
+#: at 1e-8, P2/P0 at n = 32), while each refinement contracts the error
+#: less as g grows.  With the stiffness in ``A`` the rounding decides: at
+#: 1e-8 one refinement meets the backward error bound for every step
+#: operator of the P2 pairs (at most 2.5e-15 for n = 8 to 128 and dt =
+#: 1e-7 to 100), where at 1e-9 P2/P0 needs two at n >= 32 and dt >= 0.05.
+#: The mass alone goes the other way: at 1e-8 its solves need two
+#: refinements from n = 16 or 32 on, at 1e-9 only from n = 64 or 128.
 SADDLE_REGULARIZATION = 1e-9
+STEP_REGULARIZATION = 1e-8
 #: normwise backward error every saddle solve must reach
 SADDLE_BACKWARD_ERROR = 1e-14
 #: most refinement steps a saddle solve may take to reach it
@@ -179,9 +196,14 @@ class SaddleOperator:
     A pressure row whose condensed diagonal is exactly zero, which is
     every row of a pair without cell-local velocity dofs, is regularized
     to ``-g D``, with ``D = diag(B0 diag(A)^-1 B0^T)`` the diagonal of the
-    Schur complement and ``g`` = :data:`SADDLE_REGULARIZATION`.  ``D``
+    Schur complement and ``g`` the ``regularization`` weight.  ``D``
     scales the regularization with ``A`` and the mesh, so it stays small
-    against ``K`` for a mass matrix alone and for any step size.
+    against ``K`` for a mass matrix alone and for any step size.  The
+    default weight :data:`SADDLE_REGULARIZATION` suits a mass matrix
+    alone; with the stiffness in ``A`` the factor's rounding, which
+    grows like ``1/g``, outweighs the contraction a smaller ``g`` gives
+    each refinement, so the step operators take the larger
+    :data:`STEP_REGULARIZATION`.
 
     Every solve is checked against the exact ``K``: its normwise
     backward error must reach ``|b - K x| <= SADDLE_BACKWARD_ERROR (|b| +
@@ -198,7 +220,8 @@ class SaddleOperator:
     each iterate scattered back once for its check against ``K``.
     """
 
-    def __init__(self, a_mat, b_mat, mean_vec, cell_local=None):
+    def __init__(self, a_mat, b_mat, mean_vec, cell_local=None, *,
+                 regularization=SADDLE_REGULARIZATION):
         a_mat = sp.csr_matrix(a_mat)
         b_mat = sp.csr_matrix(b_mat)
         self.n_u = a_mat.shape[0]
@@ -225,8 +248,7 @@ class SaddleOperator:
         n_kept_u = len(s) - (self.n_p - 1)
         singular = k_c.diagonal()[n_kept_u:] == 0.0
         reg = np.zeros(len(s))
-        reg[n_kept_u:] = np.where(singular,
-                                  SADDLE_REGULARIZATION * schur_diag, 0.0)
+        reg[n_kept_u:] = np.where(singular, regularization * schur_diag, 0.0)
         k_g = (k_c - sp.diags(reg)).tocsc()
         del k_c
         try:
@@ -744,7 +766,7 @@ class ImplicitScheme:
 
     def saddle_operator(self, dt: float) -> SaddleOperator:
         """The factorized saddle matrix of ``Re/dt M + (1-eps) K`` on the
-        free dofs with ``B``."""
+        free dofs with ``B``, regularized at :data:`STEP_REGULARIZATION`."""
         prm = self.params
 
         def build():
@@ -752,7 +774,8 @@ class ImplicitScheme:
             a_ff = a_mat[self.free][:, self.free].tocsr()
             del a_mat  # freed before the factorization, the memory peak
             return SaddleOperator(a_ff, self.b_free, self.weights,
-                                  self.v.cell_local[self.free])
+                                  self.v.cell_local[self.free],
+                                  regularization=STEP_REGULARIZATION)
 
         return self._cached("saddle", (dt, prm.re, prm.eps), build)
 

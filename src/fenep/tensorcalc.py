@@ -20,7 +20,7 @@ cut parameter ``delta``:
 * ``g_delta``: the logarithm continued below ``delta`` by its tangent,
   concave and C^1 on all of R, with derivative ``min(1/s, 1/delta)``;
 * ``beta_delta(s) = max(s, delta)``, the reciprocal of that derivative;
-* ``beta_delta_b`` additionally caps at the extensibility bound ``b``;
+* ``_beta_delta_b`` additionally caps at the extensibility bound ``b``;
 * ``h_delta``: the logarithm flattened to slope ``delta`` above
   ``1/delta``, so that ``h_delta'(g_delta'(s)) = beta_delta(s)``.
 
@@ -51,18 +51,15 @@ __all__ = [
     "frob_norm",
     "ddot",
     "to_full",
-    "from_full",
     "eig_sym",
     "g_delta",
     "beta_delta",
-    "beta_delta_b",
     "h_delta",
     "g_delta_mat",
     "beta_delta_mat",
     "beta_delta_jacobian",
     "TensorNodes",
     "tensor_nodes",
-    "neg_part",
     "relax_reg",
     "k_delta_of_beta",
     "entropy_density",
@@ -138,7 +135,7 @@ def to_full(phi) -> np.ndarray:
     return out
 
 
-def from_full(m, tol: float = 1e-12) -> np.ndarray:
+def _from_full(m, tol: float = 1e-12) -> np.ndarray:
     """Collapse full (..., 2, 2) matrices to components, checking symmetry."""
     m = np.asarray(m, float)
     skew = np.max(np.abs(m[..., 0, 1] - m[..., 1, 0]), initial=0.0)
@@ -207,7 +204,7 @@ def beta_delta(s, rp: RegParams) -> np.ndarray:
     return np.maximum(np.asarray(s, float), rp.delta)
 
 
-def beta_delta_b(s, rp: RegParams) -> np.ndarray:
+def _beta_delta_b(s, rp: RegParams) -> np.ndarray:
     """``min(max(s, delta), b)``; the cap is inactive in the Oldroyd-B limit."""
     return np.minimum(beta_delta(s, rp), rp.b)
 
@@ -329,7 +326,7 @@ def tensor_nodes(w, frame, rp: RegParams) -> TensorNodes:
                        h_delta(gp_w, rp).sum(axis=-1))
 
 
-def neg_part(phi) -> np.ndarray:
+def _neg_part(phi) -> np.ndarray:
     """Spectral negative part ``min(., 0)``."""
     w, frame = eig_sym(phi)
     return _recompose(np.minimum(w, 0.0), frame)
@@ -354,7 +351,7 @@ def relax_reg(phi, eta, rp: RegParams) -> np.ndarray:
 
 
 def k_delta_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
-    """Stress-scaling factor sqrt(beta_delta_b(eta) / tr(beta_delta(phi)))
+    """Stress-scaling factor sqrt(_beta_delta_b(eta) / tr(beta_delta(phi)))
     from ``beta = beta_delta_mat(phi)``.
 
     Bounds the momentum coupling in L2: ||k A beta||^2 <= b tr(A^2 beta)
@@ -363,7 +360,7 @@ def k_delta_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
     eta = np.asarray(eta, float)
     if rp.oldroyd_b:
         return np.ones(np.broadcast_shapes(np.shape(eta), np.shape(beta)[:-1]))
-    return np.sqrt(beta_delta_b(eta, rp) / trace(beta))
+    return np.sqrt(_beta_delta_b(eta, rp) / trace(beta))
 
 
 def entropy_density(eigs, eta, rp: RegParams) -> np.ndarray:
@@ -441,7 +438,7 @@ def lemma_margins_pair(phi, psi, eta, rp: RegParams) -> dict[str, np.ndarray]:
     ent = trace(phi) - trace(g_phi)
     out["entropy_nonneg"] = ent - 2.0
     out["entropy_half_norm"] = ent - 0.5 * frob_norm(phi)
-    out["entropy_neg_part"] = ent - frob_norm(neg_part(phi)) / (2.0 * d)
+    out["entropy_neg_part"] = ent - frob_norm(_neg_part(phi)) / (2.0 * d)
     out["identity_gap"] = ddot(phi, IDENTITY - gp_phi) - (0.5 * frob_norm(phi) - 2.0)
 
     diff = phi - psi
@@ -453,23 +450,24 @@ def lemma_margins_pair(phi, psi, eta, rp: RegParams) -> dict[str, np.ndarray]:
     out["lipschitz_gap"] = -ddot(diff, dgp) - d ** 2 * frob_norm(dgp) ** 2
 
     out["lipschitz_beta"] = frob_norm(diff) - frob_norm(b_phi - b_psi)
-    out["lipschitz_neg_part"] = frob_norm(diff) - frob_norm(neg_part(phi) - neg_part(psi))
+    out["lipschitz_neg_part"] = (frob_norm(diff)
+                                 - frob_norm(_neg_part(phi) - _neg_part(psi)))
     out["lipschitz_gprime"] = frob_norm(diff) / d ** 2 - frob_norm(dgp)
 
     # tr((eta I - g'(phi))^2 beta(phi)) >= 0 and the same with the full
     # relaxation tensor in place of the bracket.
     m = tensor(eta - gp_phi[..., 0], -gp_phi[..., 1], eta - gp_phi[..., 2])
-    m2 = from_full(to_full(m) @ to_full(m), tol=1e-9)
+    m2 = _from_full(to_full(m) @ to_full(m), tol=1e-9)
     out["positive_term"] = ddot(m2, b_phi)
 
     a = relax_reg(phi, eta, rp)
-    a2 = from_full(to_full(a) @ to_full(a), tol=1e-9)
+    a2 = _from_full(to_full(a) @ to_full(a), tol=1e-9)
     relax_quad = ddot(a2, b_phi)
     out["relax_quadratic"] = relax_quad
 
     if not rp.oldroyd_b:
         k = k_delta_of_beta(b_phi, eta, rp)
-        kab = k[..., None] * from_full(to_full(a) @ to_full(b_phi), tol=1e-9)
+        kab = k[..., None] * _from_full(to_full(a) @ to_full(b_phi), tol=1e-9)
         out["k_coupling_bound"] = rp.b * relax_quad - frob_norm(kab) ** 2
     return out
 

@@ -17,11 +17,12 @@ import scipy.optimize
 import fe_oracles as oracle
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
+from continuation import delta_continuation
 from fenep.energy import StepAudit, free_energy
 from fenep.meshing import TriMesh, structured_unit_square
 from fenep.nlsolve import PicardConfig
 from fenep.params import ModelParams
-from fenep.scheme_p0 import SchemeP0, delta_continuation
+from fenep.scheme_p0 import SchemeP0
 from fenep.scheme_p1diff import (
     SchemeP1Diff,
     TimeStepWarning,

@@ -5,7 +5,8 @@ factorization).  The saddle solves are checked for their backward
 error, their failure when refinement stalls and the fill of their
 symmetric factorization; with the mini element's bubbles condensed
 out, for one triangular solve each and for agreement with the
-uncondensed operator.
+uncondensed operator; the regularized step operators and the initial
+projection, for two each.
 
 The manufactured Stokes forcing below was generated symbolically from
 the stream function psi = x^2 (1-x)^2 y^2 (1-y)^2 (velocity u = curl
@@ -25,6 +26,7 @@ from scipy.sparse.linalg import splu
 import fe_oracles as oracle
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
+from continuation import delta_continuation
 from fenep import cli, nlsolve, scheme_p0, scheme_p1diff
 from fenep.meshing import structured_unit_square
 from fenep.nlsolve import (
@@ -242,6 +244,14 @@ STEP_PAIRS = [("velocity_p2", "pressure_p0"),
               ("velocity_mini", "pressure_p1")]
 
 
+def backward_error(k, rhs_u, x):
+    """Normwise backward error of ``x`` in ``k x = (rhs_u, 0)``, max norms."""
+    res = np.concatenate([rhs_u, np.zeros(k.shape[0] - len(rhs_u))]) - k @ x
+    k_norm = abs(k).sum(axis=1).max()
+    return np.abs(res).max() / (np.abs(rhs_u).max()
+                                + k_norm * np.abs(x).max())
+
+
 @pytest.mark.parametrize("dt", [None, 1e-3, 0.05, 1.0, 10.0])
 @pytest.mark.parametrize("vel,pres", STEP_PAIRS)
 def test_saddle_solve_meets_its_backward_error_bound(vel, pres, dt):
@@ -252,14 +262,53 @@ def test_saddle_solve_meets_its_backward_error_bound(vel, pres, dt):
     u, p = op.solve(rhs_u)
     # the unpinned system: the zero-mean shift of p leaves B^T p unchanged
     k = sp.bmat([[a, b.T], [b, None]], format="csr")
-    x = np.concatenate([u, p])
-    res = np.concatenate([rhs_u, np.zeros(b.shape[0])]) - k @ x
-    k_norm = abs(k).sum(axis=1).max()
-    assert (np.abs(res).max()
-            <= 1e-14 * (np.abs(rhs_u).max() + k_norm * np.abs(x).max()))
+    assert backward_error(k, rhs_u, np.concatenate([u, p])) <= 1e-14
     assert np.linalg.norm(b @ u) <= 1e-12 * np.linalg.norm(u)
     # the condensed factor is unregularized: it solves K at once
     assert factor.calls == 1 or not local.any()
+
+
+#: the schemes' pairs without cell-local velocity dofs, whose every
+#: pressure row is regularized
+REGULARIZED_SCHEMES = [("p0", "velocity_p2"), ("p0", "velocity_p2_reduced"),
+                       ("p1diff", "velocity_p2")]
+
+
+@pytest.mark.parametrize("kind,vel", REGULARIZED_SCHEMES)
+def test_step_saddle_solve_takes_two_factor_applications(kind, vel):
+    # at n = 32 the step weight is what keeps one refinement enough: at
+    # the projection's weight P2/P0 takes three applications at dt >= 0.05
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1,
+                         alpha=None if kind == "p0" else 0.1)
+    cls = scheme_p0.SchemeP0 if kind == "p0" else scheme_p1diff.SchemeP1Diff
+    scheme = cls(structured_unit_square(32), params, velocity=vel)
+    free = scheme.free
+    rhs_u = np.random.default_rng(1).standard_normal(len(free))
+    calls = {}
+    for dt in (1e-3, 0.05, 1.0, 10.0):
+        op = scheme.saddle_operator(dt)
+        op._lu = factor = CountedFactor(op._lu)
+        u, p = op.solve(rhs_u)
+        # the pinned system the operator solves, whose p[0] is 0
+        a = (scheme.mass / dt + 0.5 * scheme.stiff)[free][:, free]
+        k = pinned_matrix(a, scheme.b_free)
+        x = np.concatenate([u, p[1:] - p[0]])
+        assert backward_error(k, rhs_u, x) <= 1e-14, dt
+        calls[dt] = factor.calls
+    assert calls == dict.fromkeys(calls, 2)
+
+
+@pytest.mark.parametrize("vel", scheme_p0.SchemeP0.VELOCITIES)
+def test_initial_projection_takes_two_factor_applications(vel, monkeypatch):
+    made = count_saddles(monkeypatch)
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1)
+    u0, sigma0, _ = cli.scenario_fields("decay", 1.0, params)
+    scheme = scheme_p0.SchemeP0(structured_unit_square(8), params,
+                                velocity=vel)
+    scheme.initial_state(u0, sigma0)
+    # the mass-only operator keeps the default weight, at which one
+    # refinement meets the bound on smooth data
+    assert [op._lu.calls for op in made] == [2]
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3, 1.0])
@@ -587,13 +636,15 @@ def test_non_finite_scalar_solve_raises_solver_error(kind, monkeypatch):
 
 
 def count_saddles(monkeypatch):
-    """Record the SaddleOperator constructions of the step from here on."""
+    """Record the SaddleOperators made from here on, each with its factor
+    wrapped in a :class:`CountedFactor`."""
     made = []
 
     class Counted(nlsolve.SaddleOperator):
-        def __init__(self, *args):
-            made.append(1)
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._lu = CountedFactor(self._lu)
+            made.append(self)
 
     monkeypatch.setattr(nlsolve, "SaddleOperator", Counted)
     return made
@@ -661,8 +712,8 @@ def test_delta_continuation_reuses_one_saddle_factorization(monkeypatch):
     scheme, state = stirred_state("p0")
     assert len(made) == 1                     # the initial projection's own
     made.clear()
-    rep = scheme_p0.delta_continuation(scheme.mesh, scheme.params, state,
-                                       0.5, delta_min=1.0 / 16.0)
+    rep = delta_continuation(scheme.mesh, scheme.params, state, 0.5,
+                             delta_min=1.0 / 16.0)
     assert len(rep.deltas) > 1
     assert len(made) == 1
 

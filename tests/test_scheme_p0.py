@@ -14,14 +14,10 @@ import pytest
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
+from continuation import delta_continuation
 from fenep.meshing import structured_unit_square
 from fenep.nlsolve import PicardConfig, SolverError
-from fenep.scheme_p0 import (
-    SchemeP0,
-    delta_continuation,
-    upwind_fluxes,
-    upwind_matrix,
-)
+from fenep.scheme_p0 import SchemeP0, upwind_fluxes, upwind_matrix
 from fenep.params import ModelParams
 from fenep.scheme_p1diff import SchemeP1Diff
 

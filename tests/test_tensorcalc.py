@@ -26,7 +26,7 @@ def apply_spectral(g, phi):
 
 
 def pos_part(phi):
-    """Spectral positive part ``max(., 0)``, the partner of ``neg_part``."""
+    """Spectral positive part ``max(., 0)``, the partner of ``_neg_part``."""
     return apply_spectral(lambda w: np.maximum(w, 0.0), phi)
 
 
@@ -53,10 +53,10 @@ def test_full_roundtrip_and_symmetry_check():
     full = tc.to_full(phi)
     assert full.shape == (40, 2, 2)
     assert np.allclose(full, np.swapaxes(full, -1, -2))
-    back = tc.from_full(full)
+    back = tc._from_full(full)
     assert np.allclose(back, phi)
     with pytest.raises(ValueError):
-        tc.from_full(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        tc._from_full(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 def test_inverse():
@@ -141,7 +141,7 @@ def test_pos_neg_split():
     rng = np.random.default_rng(15)
     phi = random_sym(rng, 150)
     pos = pos_part(phi)
-    neg = tc.neg_part(phi)
+    neg = tc._neg_part(phi)
     assert np.allclose(pos + neg, phi, atol=1e-12)
     wp, _ = tc.eig_sym(pos)
     wn, _ = tc.eig_sym(neg)
@@ -181,7 +181,7 @@ def test_g_delta_branches_and_continuity():
 def test_beta_h_frozen_values():
     assert tc.beta_delta(0.03, RP_TENTH) == pytest.approx(0.1)
     assert tc.beta_delta(2.5, RP_TENTH) == pytest.approx(2.5)
-    assert tc.beta_delta_b(7.4, RP_TENTH) == pytest.approx(5.0)
+    assert tc._beta_delta_b(7.4, RP_TENTH) == pytest.approx(5.0)
     assert tc.h_delta(4.0, tc.RegParams(0.5)) == pytest.approx(
         1.693147180559945, abs=1e-14)
     assert tc.h_delta(1.5, tc.RegParams(0.5)) == pytest.approx(math.log(1.5))
