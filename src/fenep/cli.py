@@ -8,14 +8,16 @@ Subcommands
     due ``state_NNNN.vtk`` are written as the step finishes, and
     ``summary.json`` and ``final.vtk`` after the last step.  Exit code 0,
     or 5 when any step failed its energy audit; config (output directory
-    included), mesh and solver problems exit 2, 3 and 4.
+    included), mesh and solver problems exit 2, 3 and 4, the first two
+    before an earlier run's outputs are replaced.
 ``fenep audit CSV``
     Recheck the energy budget of an existing ``energy.csv`` row by row
     from the recorded columns alone; exit 5 on the first violation, 2
     when the table cannot be read.
 ``fenep mesh gen``
     Write a structured triangulation (optionally sheared, which makes
-    it obtuse) in the plain-text mesh format.
+    it obtuse) in the plain-text mesh format; exit 2 for ``--n`` below 1
+    or an ``--out`` that cannot be written.
 ``fenep verify``
     Run the built-in oracle checks and report PASS/FAIL lines.
 
@@ -35,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .energy import StepAudit
 from .meshing import MeshError, TriMesh, audit_mesh, load_mesh, save_mesh, structured_unit_square
 from .nlsolve import PicardConfig, SolverError
 from .params import ModelParams, ParameterError
@@ -48,7 +51,6 @@ __all__ = [
     "parse_config",
     "build_setup",
     "run_simulation",
-    "write_energy_csv",
     "read_energy_csv",
     "audit_csv",
     "write_vtk",
@@ -243,6 +245,8 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
             raise ConfigError(f"{where} must be finite, got {value}")
     if (mesh["n"] is None) == (mesh["file"] is None):
         raise ConfigError("[mesh] needs exactly one of 'n' or 'file'")
+    if mesh["n"] is not None and mesh["n"] < 1:
+        raise ConfigError("[mesh] n must be at least 1")
 
     dt, tmax = time["dt"], time["tmax"]
     if dt is None or tmax is None:
@@ -318,12 +322,8 @@ def _sheared(mesh: TriMesh, shear: float) -> TriMesh:
 
 
 def _build_mesh(setup: RunSetup) -> TriMesh:
-    if setup.mesh_file is not None:
-        mesh = load_mesh(setup.mesh_file)
-    else:
-        if setup.mesh_n < 1:
-            raise ConfigError("[mesh] n must be at least 1")
-        mesh = structured_unit_square(setup.mesh_n)
+    mesh = (structured_unit_square(setup.mesh_n) if setup.mesh_file is None
+            else load_mesh(setup.mesh_file))
     return _sheared(mesh, setup.shear)
 
 
@@ -334,14 +334,17 @@ def _build_mesh(setup: RunSetup) -> TriMesh:
 def run_simulation(setup: RunSetup):
     """Run the configured scenario, writing its outputs as it goes.
 
-    The output directory and ``energy.csv`` are set up before the mesh
-    is built, so a run stopped early keeps the rows and snapshots of the
-    steps it finished, without ``final.vtk`` or ``summary.json``.
-    Returns the final state and the summary.
+    The output directory is made, then the mesh read, and only then are
+    an earlier run's outputs replaced, so bad input leaves them as they
+    were.  ``energy.csv`` is opened before the first step, so a run
+    stopped early keeps the rows and snapshots of the steps it finished,
+    without ``final.vtk`` or ``summary.json``.  Returns the final state
+    and the summary.
     """
     out = Path(setup.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        mesh = _build_mesh(setup)       # raises MeshError, never OSError
         for stale in ("summary.json", "final.vtk"):
             (out / stale).unlink(missing_ok=True)
         # line buffered: each row reaches the file as it is written
@@ -351,7 +354,6 @@ def run_simulation(setup: RunSetup):
                           f"written: {exc}") from exc
 
     with table:
-        mesh = _build_mesh(setup)
         u0, sigma0, forcing = scenario_fields(
             setup.scenario, setup.amplitude, setup.params)
         scheme = SCHEMES[setup.scheme](mesh, setup.params,
@@ -451,57 +453,53 @@ def _csv_line(row) -> str:
     return ",".join(_fmt(row[c]) for c in ENERGY_COLUMNS) + "\n"
 
 
-def write_energy_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(_HEADER + "".join(map(_csv_line, rows)))
-
-
 def read_energy_csv(path) -> list:
+    """The rows of an ``energy.csv``; a table that cannot be read or
+    parsed raises :class:`ConfigError`."""
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read energy table {path}: {exc}") from exc
-    with fh:
-        header = fh.readline().strip()
-        if header.split(",") != list(ENERGY_COLUMNS):
-            raise ConfigError(
-                f"{path} is not an energy table (unexpected header)")
-        rows = []
-        for ln, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != len(ENERGY_COLUMNS):
-                raise ConfigError(f"{path}:{ln}: wrong number of columns")
-            try:
-                rows.append({key: _COLUMN_TYPES.get(key, float)(raw)
-                             for key, raw in zip(ENERGY_COLUMNS, parts)})
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{ln}: {exc}") from None
+    if not lines or lines[0].strip().split(",") != list(ENERGY_COLUMNS):
+        raise ConfigError(f"{path} is not an energy table (unexpected header)")
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.strip().split(",")
+        if len(parts) != len(ENERGY_COLUMNS):
+            raise ConfigError(f"{path}:{ln}: wrong number of columns")
+        try:
+            rows.append({key: _COLUMN_TYPES.get(key, float)(raw)
+                         for key, raw in zip(ENERGY_COLUMNS, parts)})
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{ln}: {exc}") from None
     return rows
+
+
+#: the columns of a row that are fields of its :class:`StepAudit`
+_AUDIT_COLUMNS = [f.name for f in fields(StepAudit)
+                  if f.name in ENERGY_COLUMNS]
 
 
 def audit_csv(path, tol: float = 1e-10):
     """Recheck every recorded step's energy budget.
 
-    Uses only the table itself: for each row, the previous row's total
-    plus forcing must cover the new total plus all recorded dissipation,
-    within ``tol`` scaled by the energy magnitudes.  A step whose budget
-    reads a value that is not finite fails.  Returns ``(ok, failures)``
-    with the offending step numbers.
+    Uses only the table itself: each pair of rows is replayed as the
+    :class:`fenep.energy.StepAudit` of a step from the previous row's
+    total to the new one, with the new row's dissipation and forcing and
+    the slack ``tol (1 + |F_prev| + |F_cur|)``, and must pass it.  A step
+    whose budget reads a value that is not finite fails.  Returns ``(ok,
+    failures)`` with the offending step numbers.
     """
     rows = read_energy_csv(path)
-    failures = []
-    for prev, cur in zip(rows, rows[1:]):
-        spent = (cur["F_total"] + cur["kinetic_jump"] + cur["viscous"]
-                 + cur["relaxation"] + cur["diffusion_sigma"]
-                 + cur["diffusion_rho"])
-        slack = tol * (1.0 + abs(prev["F_total"]) + abs(cur["F_total"]))
-        budget = prev["F_total"] + cur["forcing"] + slack
-        # a NaN or inf column leaves its sum non-finite
-        if not (math.isfinite(spent) and math.isfinite(budget)
-                and spent <= budget):
-            failures.append(cur["step"])
+    failures = [
+        cur["step"] for prev, cur in zip(rows, rows[1:])
+        if not StepAudit(
+            f_before=prev["F_total"], f_after=cur["F_total"],
+            slack=tol * (1.0 + abs(prev["F_total"]) + abs(cur["F_total"])),
+            **{key: cur[key] for key in _AUDIT_COLUMNS}).passed]
     return (not failures), failures
 
 
@@ -601,8 +599,13 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_mesh_gen(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     mesh = _sheared(structured_unit_square(args.n), args.shear)
-    save_mesh(mesh, args.out)
+    try:
+        save_mesh(mesh, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write mesh file {args.out}: {exc}") from exc
     audit = audit_mesh(mesh)
     print(f"wrote {args.out}: {mesh.n_cells} cells, "
           f"{mesh.n_vertices} vertices, "

@@ -156,5 +156,6 @@ class StepAudit:
 
     @property
     def passed(self) -> bool:
-        return bool(self.margin >= 0.0)
+        """The margin is finite and nonnegative."""
+        return bool(0.0 <= self.margin < np.inf)
 

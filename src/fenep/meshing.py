@@ -2,9 +2,9 @@
 
 A :class:`TriMesh` stores vertices and counterclockwise cells and derives
 everything else at construction time: per-cell affine maps onto the
-reference triangle, areas, diameters and inradii, a global edge
-enumeration with cell adjacency, oriented unit normals on every edge, and
-boundary flags.  Meshes are immutable once built.
+reference triangle, areas and diameters, a global edge enumeration with
+cell adjacency, oriented unit normals on every edge, and boundary flags.
+Meshes are immutable once built.
 
 Edge conventions used throughout the package:
 
@@ -52,7 +52,8 @@ class MeshError(Exception):
 
 
 class MeshFormatError(MeshError):
-    """Malformed mesh file; message carries the offending line number."""
+    """Malformed or unreadable mesh file; the message carries the
+    offending line number or the reason the file cannot be read."""
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,6 @@ class MeshAudit:
     """
 
     non_obtuse: bool
-    max_regularity_ratio: float
-    quasi_uniform_ratio: float
-    min_area: float
 
 
 class TriMesh:
@@ -124,7 +122,6 @@ class TriMesh:
             np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
         ], axis=1)
         self.cell_diameters = edge_len.max(axis=1)
-        self.cell_inradii = 2.0 * signed / edge_len.sum(axis=1)
 
         # affine maps: columns of B are P1 - P0, P2 - P0
         B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
@@ -253,20 +250,12 @@ def structured_unit_square(n: int) -> TriMesh:
 
 
 def audit_mesh(mesh: TriMesh) -> MeshAudit:
-    """Quality report: obtuseness, regularity, quasi-uniformity, min area."""
-    if np.any(mesh.cell_areas <= 0.0):
-        k = int(np.argmin(mesh.cell_areas))
-        raise MeshError(f"cell {k} is degenerate (area {mesh.cell_areas[k]:g})")
+    """Quality report: whether every cell is non-obtuse."""
     g = mesh.bary_grads
     worst = max(
         np.einsum("kj,kj->k", g[:, i], g[:, j]).max()
         for i in range(3) for j in range(3) if i < j)
-    return MeshAudit(
-        non_obtuse=bool(worst <= 1e-14),
-        max_regularity_ratio=float((mesh.cell_diameters / mesh.cell_inradii).max()),
-        quasi_uniform_ratio=float(mesh.cell_diameters.max() / mesh.cell_diameters.min()),
-        min_area=float(mesh.cell_areas.min()),
-    )
+    return MeshAudit(non_obtuse=bool(worst <= 1e-14))
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
@@ -286,14 +275,19 @@ def load_mesh(path) -> TriMesh:
     Line 1 is the signature ``tri-mesh 2d v1``, line 2 holds the vertex
     and cell counts, then one ``x y`` pair per vertex and one 0-based
     ``i j k`` triple per cell.  ``#`` starts a comment.  Clockwise cells
-    are reoriented; nonconforming topology raises :class:`MeshError`.
+    are reoriented; nonconforming topology raises :class:`MeshError`,
+    and a file that cannot be read as ASCII text
+    :class:`MeshFormatError`.
     """
     rows = []
-    with open(path, encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                rows.append((ln, text))
+    try:
+        with open(path, encoding="ascii") as fh:
+            for ln, raw in enumerate(fh, start=1):
+                text = raw.split("#", 1)[0].strip()
+                if text:
+                    rows.append((ln, text))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(f"cannot read mesh file {path}: {exc}") from exc
     if not rows:
         raise MeshFormatError("line 1: empty mesh file")
     ln, sig = rows[0]

@@ -24,10 +24,14 @@ from fenep.cli import (
     read_energy_csv,
     run_simulation,
     scenario_fields,
-    write_energy_csv,
 )
 from fenep.meshing import load_mesh
 from fenep.params import ModelParams
+
+
+def write_table(path, rows):
+    """An ``energy.csv`` of ``rows``, in the lines a run streams."""
+    path.write_text(cli._HEADER + "".join(map(cli._csv_line, rows)))
 
 
 def write_config(tmp_path, body, name="run.cfg"):
@@ -364,6 +368,40 @@ def test_run_exit_codes(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+#: mesh input that must leave an earlier run's outputs alone: the
+#: [mesh] entry, the exit code and the start of the message
+BAD_MESHES = {
+    "n_zero": ("n = 0", 2, "config error: [mesh] n must be at least 1"),
+    "malformed": ("file = {dir}/broken.txt", 3, "mesh error: line 1:"),
+    "missing": ("file = {dir}/missing.txt", 3,
+                "mesh error: cannot read mesh file"),
+    "directory": ("file = {dir}", 3, "mesh error: cannot read mesh file"),
+    "non_ascii": ("file = {dir}/latin.txt", 3,
+                  "mesh error: cannot read mesh file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MESHES))
+def test_bad_mesh_input_leaves_an_earlier_run_alone(tmp_path, capsys,
+                                                    case):
+    """The mesh is read before a run replaces the outputs an earlier run
+    left in its directory."""
+    assert main(["run", base_config(tmp_path)]) == 0
+    out = tmp_path / "out"
+    outputs = ("energy.csv", "final.vtk", "summary.json")
+    before = [(out / name).read_bytes() for name in outputs]
+    (tmp_path / "broken.txt").write_text("not a mesh\n")
+    (tmp_path / "latin.txt").write_bytes(
+        "tri-mesh 2d v1  # caf\xe9\n".encode("latin-1"))
+    setting, code, message = BAD_MESHES[case]
+    cfg = base_config(tmp_path, mesh=setting.format(dir=tmp_path))
+    capsys.readouterr()
+    assert main(["run", cfg]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert sorted(p.name for p in out.iterdir()) == list(outputs)
+    assert [(out / name).read_bytes() for name in outputs] == before
+
+
 @pytest.mark.parametrize("scheme, section, setting", [
     ("p1diff", "time", "dt0 = nan"),
     ("p1diff", "time", "dt0 = -1"),
@@ -477,6 +515,18 @@ def test_run_with_mesh_file(tmp_path, capsys):
     assert summary["mesh"]["file"] == str(mesh_path)
 
 
+@pytest.mark.parametrize("n, out, message", [
+    ("0", "m.txt", "config error: --n must be at least 1"),
+    ("2", "no/such/dir/m.txt", "config error: cannot write mesh file"),
+], ids=["n_zero", "unwritable"])
+def test_mesh_gen_rejects_bad_arguments(tmp_path, capsys, n, out,
+                                        message):
+    argv = ["mesh", "gen", "--n", n, "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore:some cells have all vertices")
 def test_mesh_gen_shear_is_obtuse(tmp_path, capsys):
     path = tmp_path / "sheared.txt"
@@ -529,7 +579,7 @@ def test_energy_csv_roundtrip(tmp_path):
     rows[0].update(step=0, picard_iters=0, audit_pass=True)
     rows[1].update(step=1, picard_iters=7, audit_pass=False)
     path = tmp_path / "energy.csv"
-    write_energy_csv(path, rows)
+    write_table(path, rows)
     back = read_energy_csv(path)
     assert back == [
         {**{c: 0.0 for c in ENERGY_COLUMNS},
@@ -560,7 +610,7 @@ def test_audit_command_pass_and_fail(tmp_path, capsys):
 
     rows = read_energy_csv(csv_path)
     rows[-1]["F_total"] += 1.0
-    write_energy_csv(csv_path, rows)
+    write_table(csv_path, rows)
     ok, failures = audit_csv(csv_path)
     assert not ok and failures == [rows[-1]["step"]]
     assert main(["audit", str(csv_path)]) == 5
@@ -573,6 +623,18 @@ def test_audit_rejects_a_missing_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot read energy table")
     assert str(missing) in err
+
+
+def test_audit_rejects_a_table_that_is_not_utf8(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    csv_path = tmp_path / "out" / "energy.csv"
+    csv_path.write_bytes(csv_path.read_bytes() + b"\xff\xfe\n")
+    assert main(["audit", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read energy table "
+                          f"{csv_path}")
 
 
 def test_audit_rejects_a_non_numeric_cell(tmp_path, capsys):
@@ -628,7 +690,7 @@ def test_audit_fails_a_step_with_non_finite_terms(tmp_path, capsys, bad):
     csv_path = tmp_path / "out" / "energy.csv"
     rows = read_energy_csv(csv_path)
     rows[-1].update(bad)
-    write_energy_csv(csv_path, rows)
+    write_table(csv_path, rows)
     ok, failures = audit_csv(csv_path)
     assert not ok and failures == [rows[-1]["step"]]
     assert main(["audit", str(csv_path)]) == 5

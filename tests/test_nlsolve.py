@@ -363,6 +363,7 @@ def test_symmetric_saddle_factor_cuts_the_fill(vel, pres):
 class AffineToy:
     """Map x -> c + J x with contraction/expansion controlled by J.
 
+    The pass a residual hands to the sweep is the iterate itself.
     ``flags`` records the ``linearize`` flag of each sweep, which the map
     itself ignores."""
 
@@ -378,7 +379,7 @@ class AffineToy:
         return self.c + self.jac @ x
 
     def residual(self, x):
-        return float(np.linalg.norm(self.c + self.jac @ x - x))
+        return float(np.linalg.norm(self.c + self.jac @ x - x)), x
 
 
 def test_picard_converges_on_mild_contraction():
@@ -475,6 +476,11 @@ def block_step(scheme, state, dt=0.5):
     return nlsolve.BlockStep(scheme, state, dt)
 
 
+def sweep_from(problem, x, linearize=False):
+    """The sweep from ``x``, through the pass of its residual."""
+    return problem.sweep(problem.residual(x)[1], linearize)
+
+
 def count_calls(monkeypatch):
     """Count eig_sym and corner_coefficients calls from here on."""
     counts = {"eig_sym": 0, "corner_coefficients": 0}
@@ -491,63 +497,16 @@ def count_calls(monkeypatch):
 def test_sweep_reuses_the_residual_stress_terms(kind, monkeypatch):
     scheme, state = stirred_state(kind)
     first = block_step(scheme, state)
-    x = first.sweep(first.x0)
+    x = sweep_from(first, first.x0)
     counts = count_calls(monkeypatch)
-    block_step(scheme, state).residual(x)
-    alone = dict(counts)
+    _, block_pass = block_step(scheme, state).residual(x)
     # one spectral decomposition per iterate; p1diff transports sigma, rho
-    assert alone == {"eig_sym": 1,
-                     "corner_coefficients": 2 if kind == "p1diff" else 0}
-    problem = block_step(scheme, state)
-    counts.update(eig_sym=0, corner_coefficients=0)
-    problem.residual(x)
-    problem.sweep(x)
+    assert counts == {"eig_sym": 1,
+                      "corner_coefficients": 2 if kind == "p1diff" else 0}
+    alone = dict(counts)
+    block_step(scheme, state).sweep(block_pass)
+    block_step(scheme, state).sweep(block_pass, True)
     assert counts == alone
-
-
-@pytest.mark.parametrize("kind", SCHEMES)
-def test_sweep_from_an_unevaluated_iterate_matches_a_fresh_step(kind):
-    scheme, state = stirred_state(kind)
-    problem = block_step(scheme, state)
-    x = problem.sweep(problem.x0)
-    # every scalar block moves; the velocity alone moves
-    for part in (slice(problem.n_up, None, problem.m),
-                 slice(0, problem.n_u)):
-        y = x.copy()
-        y[part] *= 1.01
-        fresh_y = block_step(scheme, state).sweep(y)
-        assert not np.array_equal(fresh_y,
-                                  block_step(scheme, state).sweep(x))
-        problem.residual(x)
-        assert np.array_equal(problem.sweep(y), fresh_y)
-        # the same array, changed in place after its residual
-        z = x.copy()
-        problem.residual(z)
-        z[part] *= 1.01
-        assert np.array_equal(problem.sweep(z), fresh_y)
-
-
-@pytest.mark.parametrize("kind", SCHEMES)
-def test_nan_iterate_is_never_served_from_the_cache(kind):
-    scheme, state = stirred_state(kind)
-    problem = block_step(scheme, state)
-    calls = []
-    stress_terms = problem.stress_terms
-
-    def counted(sig, rho):
-        calls.append(1)
-        return stress_terms(np.nan_to_num(sig, nan=1.0), rho)
-
-    problem.stress_terms = counted
-    x = problem.x0.copy()
-    x[problem.n_up] = np.nan
-    problem.residual(x)
-    problem.residual(x)
-    problem.sweep(x)
-    assert len(calls) == 3
-    problem.residual(problem.x0)
-    problem.sweep(problem.x0)
-    assert len(calls) == 4
 
 
 def count_saddle_solves(monkeypatch):
@@ -567,10 +526,11 @@ def count_saddle_solves(monkeypatch):
 def test_residual_and_sweep_share_one_saddle_solve(kind, monkeypatch):
     scheme, state = stirred_state(kind)
     problem = block_step(scheme, state)
-    x = problem.sweep(problem.x0)
+    x = sweep_from(problem, problem.x0)
     calls = count_saddle_solves(monkeypatch)
-    problem.residual(x)
-    problem.sweep(x)
+    _, block_pass = problem.residual(x)
+    problem.sweep(block_pass)
+    problem.sweep(block_pass, True)
     assert len(calls) == 1
 
 
@@ -591,7 +551,7 @@ def test_residual_matches_the_monolithic_block_solve(kind):
     scheme, state = stirred_state(kind)
     dt = 0.5
     problem = block_step(scheme, state, dt)
-    x = 0.5 * (problem.x0 + problem.sweep(problem.x0))   # not converged
+    x = 0.5 * (problem.x0 + sweep_from(problem, problem.x0))  # not converged
     prm, free = scheme.params, scheme.free
     u, p, sig, rho = problem.split(x)
     rhs_u, frozen = problem.stress_terms(sig, rho)
@@ -607,7 +567,7 @@ def test_residual_matches_the_monolithic_block_solve(kind):
         s_mat, problem.rhs_scalars(u, frozen) - s_mat @ scalars)
     want = np.sqrt(e_u @ e_u + e_p @ e_p + np.sum(e_s * e_s))
     assert want > 1e-3
-    assert problem.residual(x) == pytest.approx(want, rel=1e-10)
+    assert problem.residual(x)[0] == pytest.approx(want, rel=1e-10)
 
 
 class NaNFactor:
@@ -769,7 +729,7 @@ def test_local_jacobian_matches_central_differences(kind, b, k):
     problem = block_step(scheme, state)
     assert problem.k == k
     s = node_scalars(problem)
-    u = problem.sweep(problem.x0)[:problem.n_u]
+    u = sweep_from(problem, problem.x0)[:problem.n_u]
     frozen, want = local_terms_by_differences(problem, s, u)
     got = problem.local_jacobian(s, u, frozen)
     assert got.shape == (problem.m, k, k)
@@ -805,9 +765,9 @@ def test_linearized_scalar_solve_meets_its_tolerance(kind):
     scheme, state = stirred_state(kind)
     dt = 0.5
     problem = block_step(scheme, state, dt)
-    x = 0.5 * (problem.x0 + problem.sweep(problem.x0))
+    x = 0.5 * (problem.x0 + sweep_from(problem, problem.x0))
     s = problem._scalars(x)
-    frozen, u_new, _ = problem._block_pass(x)
+    _, frozen, u_new, _ = problem.residual(x)[1]
     got = problem._linear_scalar_solve(x, u_new, frozen)
     m, k = problem.m, problem.k
     s_mat = scalar_matrix(scheme, state, dt).toarray()
@@ -831,19 +791,20 @@ def test_linearized_scalar_solve_meets_its_tolerance(kind):
 @pytest.mark.parametrize("kind", SCHEMES)
 def test_a_sweep_depends_on_the_iterate_and_the_flag_alone(kind):
     """The residuals and sweeps a step took before do not change its
-    sweep: from an iterate whose residual was not taken, ``sweep(x)`` is
-    the plain sweep of a fresh step, and ``sweep(x, True)`` its
+    sweep: from the pass of ``x``, ``sweep(pass)`` is the plain sweep
+    of a fresh step from ``x``, and ``sweep(pass, True)`` its
     linearized one."""
     scheme, state = stirred_state(kind)
     problem = block_step(scheme, state)
-    problem.residual(problem.x0)
-    x1 = problem.sweep(problem.x0)
-    problem.residual(x1)
-    x2 = 0.5 * (x1 + problem.sweep(x1))
-    plain = problem.sweep(x2)
-    assert np.array_equal(plain, block_step(scheme, state).sweep(x2))
-    linear = problem.sweep(x2, True)
-    assert np.array_equal(linear, block_step(scheme, state).sweep(x2, True))
+    x1 = sweep_from(problem, problem.x0)
+    x2 = 0.5 * (x1 + sweep_from(problem, x1))
+    _, block_pass = problem.residual(x2)
+    sweep_from(problem, x1, True)       # another iterate in between
+    plain = problem.sweep(block_pass)
+    assert np.array_equal(plain, sweep_from(block_step(scheme, state), x2))
+    linear = problem.sweep(block_pass, True)
+    assert np.array_equal(
+        linear, sweep_from(block_step(scheme, state), x2, True))
     assert not np.array_equal(plain, linear)
 
 
