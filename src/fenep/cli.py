@@ -9,15 +9,17 @@ Subcommands
     ``summary.json`` and ``final.vtk`` after the last step.  Exit code 0,
     or 5 when any step failed its energy audit; config (output directory
     included), mesh and solver problems exit 2, 3 and 4, the first two
-    before an earlier run's outputs are replaced.
+    before an earlier run's outputs are replaced.  A ``--sweep`` checks
+    the config at every value before its first run starts.
 ``fenep audit CSV``
     Recheck the energy budget of an existing ``energy.csv`` row by row
     from the recorded columns alone; exit 5 on the first violation, 2
     when the table cannot be read.
 ``fenep mesh gen``
     Write a structured triangulation (optionally sheared, which makes
-    it obtuse) in the plain-text mesh format; exit 2 for ``--n`` below 1
-    or an ``--out`` that cannot be written.
+    it obtuse) in the plain-text mesh format; exit 2 for ``--n`` below 1,
+    a ``--shear`` that is not finite or an ``--out`` that cannot be
+    written.
 ``fenep verify``
     Run the built-in oracle checks and report PASS/FAIL lines.
 
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import StepAudit
-from .meshing import MeshError, TriMesh, audit_mesh, load_mesh, save_mesh, structured_unit_square
+from .meshing import MeshError, TriMesh, load_mesh, save_mesh, structured_unit_square
 from .nlsolve import PicardConfig, SolverError
 from .params import ModelParams, ParameterError
 from .scheme_p0 import SchemeP0
@@ -398,7 +400,7 @@ def run_simulation(setup: RunSetup):
             "n": setup.mesh_n, "file": setup.mesh_file,
             "shear": setup.shear, "cells": mesh.n_cells,
             "vertices": mesh.n_vertices,
-            "non_obtuse": bool(audit_mesh(mesh).non_obtuse),
+            "non_obtuse": mesh.non_obtuse,
         },
         "params": {key: _json_float(value)
                    for key, value in asdict(setup.params).items()},
@@ -413,10 +415,10 @@ def run_simulation(setup: RunSetup):
     }
     if init_report is not None:
         summary["initial_projection"] = {
-            "non_obtuse": init_report.non_obtuse,
+            "non_obtuse": mesh.non_obtuse,
             "bounds_hold": init_report.bounds_hold,
-            "vertex_min_eig": init_report.vertex_min_eig,
-            "vertex_max_trace": init_report.vertex_max_trace,
+            "vertex_min_eig": first["min_eig_sigma"],
+            "vertex_max_trace": first["max_trace_sigma"],
         }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
@@ -504,7 +506,7 @@ def audit_csv(path, tol: float = 1e-10):
 
 
 def write_vtk(path, mesh: TriMesh, velocity_vertices, *, point_tensors=None,
-              cell_tensors=None, rho=None, title="fenep state") -> None:
+              cell_tensors=None, rho=None) -> None:
     """Write a legacy-ASCII VTK snapshot of one state.
 
     Velocity is always vertexwise (z component zero); ``point_tensors``
@@ -512,7 +514,7 @@ def write_vtk(path, mesh: TriMesh, velocity_vertices, *, point_tensors=None,
     CELL_DATA.
     """
     v = np.asarray(velocity_vertices, float)
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "fenep state", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_vertices} double"]
     for x, y in mesh.vertices.tolist():
@@ -565,13 +567,17 @@ def _cmd_run(args) -> int:
             raise ConfigError("--sweep needs key=v1,v2,...")
         sweeps = [(key, v) for v in values]
 
-    worst = 0
+    runs = []       # every value is checked before the first run starts
     for key, value in sweeps:
         setup = build_setup(cfg, {**overrides, key: value} if key
                             else overrides)
         if key is not None:
             setup = replace(
                 setup, out_dir=str(Path(setup.out_dir) / f"{key}_{value}"))
+        runs.append((key, value, setup))
+
+    worst = 0
+    for key, value, setup in runs:
         _, summary = run_simulation(setup)
         passed = summary["audit_all_pass"]
         tag = f" [{key}={value}]" if key else ""
@@ -601,15 +607,16 @@ def _cmd_audit(args) -> int:
 def _cmd_mesh_gen(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
+    if not math.isfinite(args.shear):
+        raise ConfigError(f"--shear must be finite, got {args.shear}")
     mesh = _sheared(structured_unit_square(args.n), args.shear)
     try:
         save_mesh(mesh, args.out)
     except OSError as exc:
         raise ConfigError(f"cannot write mesh file {args.out}: {exc}") from exc
-    audit = audit_mesh(mesh)
     print(f"wrote {args.out}: {mesh.n_cells} cells, "
           f"{mesh.n_vertices} vertices, "
-          f"{'non-obtuse' if audit.non_obtuse else 'obtuse'}")
+          f"{'non-obtuse' if mesh.non_obtuse else 'obtuse'}")
     return 0
 
 

@@ -79,7 +79,6 @@ class QuadratureRule:
     """Barycentric points and weights; weights sum to 1 and are scaled by
     the cell area at use, so ``integral = area * sum(w * f(x))``."""
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -112,7 +111,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
         for deg in (1, 2, 4, 5):
             if deg >= degree:
                 pts, w = _TABULATED[deg]
-                return QuadratureRule(deg, np.array(pts), np.array(w))
+                return QuadratureRule(np.array(pts), np.array(w))
     # collapsed-square product rule: x = a, y = b (1 - a), jacobian (1 - a)
     n = (degree + 3) // 2
     a, wa = gauss01(n)
@@ -123,7 +122,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
     y = (B * (1.0 - A)).ravel()
     w = 2.0 * (WA * WB * (1.0 - A)).ravel()
     pts = np.column_stack([1.0 - x - y, x, y])
-    return QuadratureRule(degree, pts, w)
+    return QuadratureRule(pts, w)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A :class:`TriMesh` stores vertices and counterclockwise cells and derives
 everything else at construction time: per-cell affine maps onto the
 reference triangle, areas and diameters, a global edge enumeration with
 cell adjacency, oriented unit normals on every edge, and boundary flags.
-Meshes are immutable once built.
+Only the non-obtuse test waits for its first use.  Meshes are immutable
+once built.
 
 Edge conventions used throughout the package:
 
@@ -26,7 +27,7 @@ format handled by :func:`load_mesh` / :func:`save_mesh`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,10 +36,8 @@ from scipy.sparse.csgraph import connected_components
 __all__ = [
     "MeshError",
     "MeshFormatError",
-    "MeshAudit",
     "TriMesh",
     "structured_unit_square",
-    "audit_mesh",
     "save_mesh",
     "load_mesh",
 ]
@@ -54,18 +53,6 @@ class MeshError(Exception):
 class MeshFormatError(MeshError):
     """Malformed or unreadable mesh file; the message carries the
     offending line number or the reason the file cannot be read."""
-
-
-@dataclass(frozen=True)
-class MeshAudit:
-    """Mesh quality summary.
-
-    ``non_obtuse`` is the discrete gradient condition (all pairwise
-    barycentric gradient products nonpositive), which is what the lumped
-    scheme's certified entropy terms rely on.
-    """
-
-    non_obtuse: bool
 
 
 class TriMesh:
@@ -228,6 +215,16 @@ class TriMesh:
     def h_max(self) -> float:
         return float(self.cell_diameters.max())
 
+    @cached_property
+    def non_obtuse(self) -> bool:
+        """Whether no cell has an obtuse angle: every pairwise product of
+        a cell's barycentric gradients is nonpositive.  The diffusive
+        scheme's gradient terms are certified only on such meshes."""
+        g = self.bary_grads
+        worst = max(np.einsum("kj,kj->k", g[:, i], g[:, j]).max()
+                    for i, j in ((0, 1), (0, 2), (1, 2)))
+        return bool(worst <= 1e-14)
+
     def cells_with_interior_vertex(self) -> np.ndarray:
         """Per-cell flag: at least one vertex off the boundary."""
         return ~self.is_boundary_vertex[self.cells].all(axis=1)
@@ -247,15 +244,6 @@ def structured_unit_square(n: int) -> TriMesh:
     b, c, d = a + 1, a + n + 2, a + n + 1
     cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     return TriMesh(vertices, cells)
-
-
-def audit_mesh(mesh: TriMesh) -> MeshAudit:
-    """Quality report: whether every cell is non-obtuse."""
-    g = mesh.bary_grads
-    worst = max(
-        np.einsum("kj,kj->k", g[:, i], g[:, j]).max()
-        for i in range(3) for j in range(3) if i < j)
-    return MeshAudit(non_obtuse=bool(worst <= 1e-14))
 
 
 def save_mesh(mesh: TriMesh, path) -> None:

@@ -419,8 +419,10 @@ class State:
     its stress bounds; an initial state carries the check of a step of
     length zero (no dissipation, no work), which records its trace
     balance and stress bounds.  An initial state of the diffusive scheme
-    also carries ``initial_report``, the range check of its projected
-    stress (:class:`fenep.scheme_p1diff.InitialReport`).
+    also carries ``initial_report``
+    (:class:`fenep.scheme_p1diff.InitialReport`): the range of the
+    stress data, and whether the projected stress, whose bounds are in
+    ``audit``, stays inside it.
     """
 
     u: np.ndarray
@@ -746,7 +748,6 @@ class ImplicitScheme:
         self.free = np.nonzero(~self.v.dirichlet_mask)[0]
         self.b_free = self.div[:, self.free].tocsr()
         self.grad_t = self.grad.T
-        self.forcing = forcing
         self.fvec = (velocity_load(mesh, self.v, forcing)
                      if forcing is not None else np.zeros(self.v.n_dofs))
         self._cache = {}
@@ -841,7 +842,7 @@ class ImplicitScheme:
                           slack=0.0, **self._bounds(sig, rho, eigs))
         return State(u, np.zeros(self.q.n_dofs), sig, rho,
                      energy=f0, audit=audit,
-                     initial_report=self._initial_report(samples, sig, eigs))
+                     initial_report=self._initial_report(samples, eigs, audit))
 
     def _stress_samples(self, sigma0, lam):
         """The stress data at the barycentric points ``lam`` of every cell,
@@ -858,7 +859,7 @@ class ImplicitScheme:
         raise ValueError(f"sigma0 must be callable, (3,) or "
                          f"({self.q.n_dofs}, 3), got shape {arr.shape}")
 
-    def _initial_report(self, samples, sig, eigs):
+    def _initial_report(self, samples, eigs, audit):
         """A check of the projected stress against its data; none here."""
         return None
 

@@ -52,7 +52,7 @@ from scipy.sparse.linalg import splu
 from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
 from .fespaces import cell_mean_velocity, scalar_stiffness
-from .meshing import REF_GRADS, TriMesh, audit_mesh
+from .meshing import REF_GRADS, TriMesh
 from .nlsolve import ImplicitScheme, State
 from .params import ModelParams
 
@@ -206,7 +206,6 @@ class SchemeP1Diff(ImplicitScheme):
             raise ValueError("this scheme requires a diffusion alpha > 0")
         super().__init__(mesh, params, velocity=velocity, forcing=forcing)
         self.k_scalar = scalar_stiffness(mesh)
-        self.non_obtuse = audit_mesh(mesh).non_obtuse
 
     def check_step_size(self, dt: float) -> None:
         cap = (DT_CAP_CSTAR * self.params.alpha ** (1.0 + DT_CAP_ZETA)
@@ -222,17 +221,19 @@ class SchemeP1Diff(ImplicitScheme):
     def carries_trace(self) -> bool:
         return not self.params.oldroyd_b
 
-    def _initial_report(self, samples, sig, eigs) -> InitialReport:
-        """The vertex range check of ``sig`` (eigenvalues ``eigs``)."""
+    def _initial_report(self, samples, eigs, audit) -> InitialReport:
+        """The vertex range check of the projected stress, whose
+        eigenvalues are ``eigs`` and whose bounds ``audit`` holds."""
         w_data = tc.eig_sym(samples)[0]
+        low = float(w_data[..., 0].min())
+        high = float(w_data[..., 1].max())
+        trace = float(tc.trace(samples).max())
+        tol = 1e-9 * (1.0 + abs(high))
         return InitialReport(
-            non_obtuse=self.non_obtuse,
-            data_min_eig=float(w_data[..., 0].min()),
-            data_max_eig=float(w_data[..., 1].max()),
-            data_max_trace=float(tc.trace(samples).max()),
-            vertex_min_eig=float(eigs[:, 0].min()),
-            vertex_max_eig=float(eigs[:, 1].max()),
-            vertex_max_trace=float(tc.trace(sig).max()))
+            data_min_eig=low, data_max_eig=high, data_max_trace=trace,
+            bounds_hold=bool(audit.min_eig_sigma >= low - tol
+                             and float(eigs[:, 1].max()) <= high + tol
+                             and audit.max_trace_sigma <= trace + tol))
 
     # -- one implicit step ------------------------------------------------------
 
@@ -267,7 +268,7 @@ class SchemeP1Diff(ImplicitScheme):
         scale = dt * prm.alpha * prm.eps * prm.delta ** 2 / (2.0 * prm.wi)
         gp = tc._recompose(tc.g_delta(eigs, prm.reg)[1], frame)
         terms = {"diffusion_sigma": scale * tensor_gradient_energy(k, gp),
-                 "certified_gradient_terms": self.non_obtuse}
+                 "certified_gradient_terms": self.mesh.non_obtuse}
         if rho is not None:
             _, gp_tr = tc.g_delta(1.0 - rho / prm.b, prm.reg)
             terms["diffusion_rho"] = (scale * prm.b
@@ -279,22 +280,16 @@ class SchemeP1Diff(ImplicitScheme):
 class InitialReport:
     """Vertexwise range check of the projected initial stress.
 
-    On non-obtuse meshes the smoothed projection cannot widen the
-    eigenvalue range of the data nor raise its largest trace; elsewhere
-    the comparison is reported but carries no guarantee.
+    On non-obtuse meshes (``TriMesh.non_obtuse``) the smoothed projection
+    cannot widen the eigenvalue range of the data nor raise its largest
+    trace; elsewhere the comparison is reported but carries no guarantee.
+    The report holds the range of the data and ``bounds_hold``, whether
+    the vertex values stay inside it up to ``1e-9 (1 + |data_max_eig|)``.
+    The projected stress's own smallest eigenvalue and largest trace are
+    the initial state's ``audit.min_eig_sigma`` and ``max_trace_sigma``.
     """
 
-    non_obtuse: bool
     data_min_eig: float
     data_max_eig: float
     data_max_trace: float
-    vertex_min_eig: float
-    vertex_max_eig: float
-    vertex_max_trace: float
-
-    @property
-    def bounds_hold(self) -> bool:
-        tol = 1e-9 * (1.0 + abs(self.data_max_eig))
-        return bool(self.vertex_min_eig >= self.data_min_eig - tol
-                    and self.vertex_max_eig <= self.data_max_eig + tol
-                    and self.vertex_max_trace <= self.data_max_trace + tol)
+    bounds_hold: bool

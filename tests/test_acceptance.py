@@ -482,9 +482,8 @@ def test_criterion_10_negative_controls():
     prm = ModelParams(delta=0.1, alpha=0.1, **BASE)
     diff = SchemeP1Diff(sheared, prm)
     st = diff.initial_state(None, np.array([1.5, 0.0, 1.5]), 0.05)
-    init = st.initial_report
     st, rep2, aud2 = diff.step(st, 0.1, CFG)
-    uncertified = (not init.non_obtuse and rep2.converged
+    uncertified = (not diff.mesh.non_obtuse and rep2.converged
                    and not aud2.certified_gradient_terms)
 
     ok = corruption_detected and uncertified

@@ -303,6 +303,9 @@ def test_run_p1diff_roundtrip(tmp_path):
     assert proj["non_obtuse"] is True
     assert proj["bounds_hold"] is True
     rows = read_energy_csv(outdir / "energy.csv")
+    # the projected stress's bounds are the initial state's audit row
+    assert proj["vertex_min_eig"] == rows[0]["min_eig_sigma"]
+    assert proj["vertex_max_trace"] == rows[0]["max_trace_sigma"]
     assert all(abs(r["trace_balance"]) < 1e-9 for r in rows)
     vtk = (outdir / "final.vtk").read_text()
     assert "POINT_DATA" in vtk and "sig_xx" in vtk and "rho" in vtk
@@ -340,6 +343,16 @@ def test_run_sweep_makes_subdirectories(tmp_path, capsys):
         summary = json.loads(
             (tmp_path / "sw" / tag / "summary.json").read_text())
         assert summary["params"]["delta"] == want
+
+
+@pytest.mark.parametrize("sweep", ["dt=0.1,-1", "eps=0.5,1.5"])
+def test_run_sweep_checks_every_value_before_the_first_run(tmp_path, capsys,
+                                                           sweep):
+    cfg = base_config(tmp_path)
+    assert main(["run", cfg, "--sweep", sweep,
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "sw").exists()
 
 
 def test_run_sweep_rejects_unknown_key(tmp_path, capsys):
@@ -524,6 +537,17 @@ def test_mesh_gen_rejects_bad_arguments(tmp_path, capsys, n, out,
     argv = ["mesh", "gen", "--n", n, "--out", str(tmp_path / out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shear", ["nan", "inf", "-inf"])
+def test_mesh_gen_rejects_a_shear_that_is_not_finite(tmp_path, capsys,
+                                                     shear):
+    argv = ["mesh", "gen", "--n", "2", f"--shear={shear}",
+            "--out", str(tmp_path / "m.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: --shear must be finite")
     assert list(tmp_path.iterdir()) == []
 
 

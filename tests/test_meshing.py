@@ -11,7 +11,6 @@ from fenep.meshing import (
     MeshError,
     MeshFormatError,
     TriMesh,
-    audit_mesh,
     load_mesh,
     save_mesh,
     structured_unit_square,
@@ -100,13 +99,23 @@ def test_structured_geometry():
 
 
 def test_audit_right_isoceles():
-    assert audit_mesh(structured_unit_square(3)).non_obtuse is True
+    assert structured_unit_square(3).non_obtuse is True
 
 
 def test_audit_detects_obtuse_shear():
-    assert audit_mesh(shear_mesh(3, 1.2)).non_obtuse is False
+    assert shear_mesh(3, 1.2).non_obtuse is False
     # mild shear keeps every angle at or below a right angle
-    assert audit_mesh(shear_mesh(3, 0.0)).non_obtuse is True
+    assert shear_mesh(3, 0.0).non_obtuse is True
+
+
+@pytest.mark.parametrize("slope,expected", [(0.0, True), (1.2, False)])
+def test_non_obtuse_of_a_mesh_read_from_file(tmp_path, slope, expected):
+    path = tmp_path / "m.txt"
+    save_mesh(shear_mesh(4, slope), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        back = load_mesh(path)
+    assert back.non_obtuse is expected
 
 
 # ---------------------------------------------------------------------------

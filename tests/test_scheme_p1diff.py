@@ -277,7 +277,7 @@ def test_step_size_warning_names_the_caller_of_step():
 def test_project_initial_identity_data():
     scheme = make_scheme()
     state, report = initial(scheme, 0.01)
-    assert report.non_obtuse
+    assert scheme.mesh.non_obtuse
     assert report.bounds_hold
     assert np.allclose(state.sigma,
                        np.tile(tc.IDENTITY, (scheme.mesh.n_vertices, 1)),
@@ -294,7 +294,7 @@ def test_project_initial_smooths_and_reports_bounds():
         return (base, 0.1 * x * (1 - x), base)
 
     state, report = initial(scheme, 0.01, sigma0=sigma0)
-    assert report.non_obtuse
+    assert scheme.mesh.non_obtuse
     assert report.data_min_eig > 0
     assert report.data_max_trace < PARAMS.b
     assert report.bounds_hold
@@ -382,7 +382,7 @@ def test_obtuse_mesh_marks_gradient_terms_uncertified():
     scheme = SchemeP1Diff(mesh, PARAMS)
     state, report = initial(scheme, 0.05,
                             sigma0=np.array([1.5, 0.0, 1.5]))
-    assert not report.non_obtuse
+    assert not scheme.mesh.non_obtuse
     state, rep, audit = quiet_step(scheme, state, 0.1)
     assert rep.converged
     assert not audit.certified_gradient_terms
