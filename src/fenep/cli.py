@@ -415,7 +415,6 @@ def run_simulation(setup: RunSetup):
     }
     if init_report is not None:
         summary["initial_projection"] = {
-            "non_obtuse": mesh.non_obtuse,
             "bounds_hold": init_report.bounds_hold,
             "vertex_min_eig": first["min_eig_sigma"],
             "vertex_max_trace": first["max_trace_sigma"],
@@ -517,22 +516,19 @@ def write_vtk(path, mesh: TriMesh, velocity_vertices, *, point_tensors=None,
     lines = ["# vtk DataFile Version 3.0", "fenep state", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_vertices} double"]
-    for x, y in mesh.vertices.tolist():
-        lines.append(f"{x!r} {y!r} 0.0")
+    lines.extend(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist())
     lines.append(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}")
-    for a, b, c in mesh.cells:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in mesh.cells.tolist())
     lines.append(f"CELL_TYPES {mesh.n_cells}")
     lines.extend(["5"] * mesh.n_cells)
     lines.append(f"POINT_DATA {mesh.n_vertices}")
     lines.append("VECTORS velocity double")
-    for ux, uy in v.tolist():
-        lines.append(f"{ux!r} {uy!r} 0.0")
+    lines.extend(f"{ux!r} {uy!r} 0.0" for ux, uy in v.tolist())
 
     def scalar_block(name, vals):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(repr(float(s)) for s in vals)
+        lines.extend(map(repr, vals.tolist()))
 
     if point_tensors is not None:
         pt = np.asarray(point_tensors, float)

@@ -18,9 +18,13 @@ summed into dofs with ``np.bincount`` and matrices through one COO
 triple list.  A velocity matrix stores only entries whose two direction
 vectors are not orthogonal (``dirs_i . dirs_j != 0``), which halves the
 coordinate-direction elements, and no entry that sums to exactly zero.
-The convection, the one operator rebuilt on every time step, fills the
-data array of a :class:`FixedPattern` on the free dofs instead of
-assembling a new matrix.  The gradient operator
+The convection, the one velocity operator rebuilt on every time step,
+reads the tables of a :class:`FixedPattern` made once per run: the skew
+part of its reference tensor, the direction-gradient products and
+scales of the cells, and the slots of its upper local pairs.  A step
+then costs a gather of the transport coefficients, one small matrix
+product per block of cells and a scatter into the pattern's data
+array.  The gradient operator
 ``G = integral( psi grad(phi) )`` against a scalar test space is
 assembled once per scheme and serves three forms by matrix products:
 the tested velocity gradient ``G u``, the stress coupling ``G^T W`` and,
@@ -57,6 +61,7 @@ __all__ = [
     "velocity_mass",
     "velocity_stiffness",
     "FixedPattern",
+    "compressed_pattern",
     "velocity_pattern",
     "convection_matrix",
     "gradient_matrix",
@@ -83,19 +88,24 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _orbit(a: float) -> list[tuple[float, float, float]]:
-    b = 0.5 * (1.0 - a)
+def _orbit(a: float, b: float | None = None) -> list[tuple]:
+    """The point (a, b, b) and its rotations; b is (1 - a) / 2 if not given."""
+    b = 0.5 * (1.0 - a) if b is None else b
     return [(a, b, b), (b, a, b), (b, b, a)]
 
+
+_R15 = np.sqrt(15.0)
 
 _TABULATED: dict[int, tuple[list, list]] = {
     1: ([(1 / 3, 1 / 3, 1 / 3)], [1.0]),
     2: (_orbit(2 / 3), [1 / 3] * 3),
     4: (_orbit(0.108103018168070) + _orbit(0.816847572980459),
         [0.223381589678011] * 3 + [0.109951743655322] * 3),
+    # Radon's seven-point rule in closed form: orbits of b = (6 -+ sqrt 15)/21
     5: ([(1 / 3, 1 / 3, 1 / 3)]
-        + _orbit(0.059715871789770) + _orbit(0.797426985353087),
-        [0.225] + [0.132394152788506] * 3 + [0.125939180544827] * 3),
+        + _orbit((9 + 2 * _R15) / 21, (6 - _R15) / 21)
+        + _orbit((9 - 2 * _R15) / 21, (6 + _R15) / 21),
+        [9 / 40] + [(155 - _R15) / 1200] * 3 + [(155 + _R15) / 1200] * 3),
 }
 
 
@@ -354,17 +364,30 @@ def evaluate_velocity(mesh: TriMesh, v: FESpace, coeffs, lam) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FixedPattern:
-    """CSR pattern of a velocity operator restricted to a set of dofs.
+    """CSR pattern of the convection on a set of dofs, with the tables
+    its per-step fill reads; all are built once, by :func:`velocity_pattern`.
 
-    ``slots[k, i, j]`` is the position in the data array that the entry of
-    local dofs i, j of cell k adds to.  Entries outside the kept dofs, and
-    entries whose direction vectors are orthogonal (and so vanish in every
-    operator of the space), go to the dump slot ``nnz`` past the end.
+    A convection cell matrix is skew, so only its upper local pairs
+    ``(i, l)``, ``i < l``, whose direction vectors are not orthogonal on
+    some cell are computed: P of them.  ``slots[k, p]`` holds the
+    positions in the data array of entries ``(i, l)`` and ``(l, i)`` of
+    pair p on cell k.  Entries outside the kept dofs, and entries whose
+    direction vectors are orthogonal on that cell, go to the dump slot
+    ``nnz`` past the end.
+
+    ``tensor[(j, a), p] = integral( s_j (s_i d_a s_l - s_l d_a s_i) )``
+    is the skew part of the reference tensor of the scalar factors s,
+    ``d_a`` the derivative in the barycentric coordinate ``lambda_a``;
+    ``dir_grads[k, j, a] = dirs_kj . grad(lambda_a)`` and ``scale[k, p]
+    = |K| / 2 dirs_ki . dirs_kl`` are the geometry of the cells.
     """
 
-    slots: np.ndarray        # (n_cells, nloc, nloc) int32
+    slots: np.ndarray        # (n_cells, P, 2) int32
     indices: np.ndarray      # int32 column of each stored entry, row-sorted
     indptr: np.ndarray
+    tensor: np.ndarray       # (3 nloc, P)
+    dir_grads: np.ndarray    # (n_cells, nloc, 3)
+    scale: np.ndarray        # (n_cells, P)
 
 
 def _dir_products(dirs):
@@ -373,28 +396,53 @@ def _dir_products(dirs):
     return d_x * np.swapaxes(d_x, 1, 2) + d_y * np.swapaxes(d_y, 1, 2)
 
 
+def compressed_pattern(major, minor, n: int):
+    """The compressed pattern of an n x n matrix with entries at the index
+    pairs ``(major, minor)``: the row pairs of CSR, the column pairs of CSC.
+
+    Returns int32 arrays ``(slots, indices, indptr)``: ``slots[e]`` is
+    the position of pair e in the data array (repeated pairs share one),
+    ``indices`` the minor index of each stored entry, sorted within each
+    major line, and ``indptr`` where each line starts.
+    """
+    key, slots = np.unique(major * n + minor, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(key // n,
+                                                        minlength=n))])
+    return (slots.astype(np.int32), (key % n).astype(np.int32),
+            indptr.astype(np.int32))
+
+
 def velocity_pattern(v: FESpace, keep) -> FixedPattern:
-    """Fixed pattern of cell-assembled operators of ``v`` on dofs ``keep``.
+    """The convection's pattern and tables for ``v`` on the dofs ``keep``.
 
     ``keep`` is an increasing array of dof indices (the free dofs of a
     scheme, or every dof); row and column r of the matrix belong to dof
     ``keep[r]``.
     """
-    n = len(keep)
+    mesh, n = v.mesh, len(keep)
+    dd = _dir_products(v.cell_dirs)
+    first, second = np.nonzero(np.triu((dd != 0.0).any(axis=0), 1))
+    dd = dd[:, first, second]           # (M, P); the full products go
     pos = np.full(v.n_dofs, -1, np.int64)
     pos[keep] = np.arange(n)
     loc = pos[v.cell_dofs]                                # (M, nloc)
-    rows = np.broadcast_to(loc[:, :, None], (len(loc),) + (v.nloc,) * 2)
-    cols = np.swapaxes(rows, 1, 2)
-    stored = (rows >= 0) & (cols >= 0) & (_dir_products(v.cell_dirs) != 0.0)
-    key, inverse = np.unique(rows[stored] * n + cols[stored],
-                             return_inverse=True)
-    slots = np.full(rows.shape, len(key), np.int32)
+    rows = np.stack([loc[:, first], loc[:, second]], axis=-1)   # (M, P, 2)
+    cols = rows[..., ::-1]
+    stored = (rows >= 0) & (cols >= 0) & (dd != 0.0)[..., None]
+    inverse, indices, indptr = compressed_pattern(
+        rows[stored], cols[stored], n)
+    slots = np.full(rows.shape, len(indices), np.int32)
     slots[stored] = inverse
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(key // n,
-                                                        minlength=n))])
-    return FixedPattern(slots, (key % n).astype(np.int32),
-                        indptr.astype(np.int32))
+    rule = triangle_rule(3 * v.degree - 1)
+    sval = v.val(rule.points)                            # (nq, nloc)
+    # ref[j, a, i, l] = integral( s_j s_i d_a s_l )
+    ref = np.einsum("q,qj,qi,qla->jail", rule.weights, sval, sval,
+                    v.dbary(rule.points), optimize=True)
+    tensor = ref[..., first, second] - ref[..., second, first]
+    return FixedPattern(
+        slots, indices, indptr, tensor.reshape(3 * v.nloc, -1),
+        v.cell_dirs @ np.swapaxes(mesh.bary_grads, 1, 2),
+        dd * (0.5 * mesh.cell_areas[:, None]))
 
 
 #: cells per block of the convection fill (bounds its temporaries)
@@ -407,28 +455,26 @@ def convection_matrix(mesh: TriMesh, v: FESpace, w_coeffs,
 
         c(w; u, phi) = 1/2 * integral( ((w.grad)u).phi - ((w.grad)phi).u )
 
-    on the dofs of ``pattern`` (see :func:`velocity_pattern`).  The cell
-    matrices are summed into the pattern's data array block by block of
-    cells, so the only temporaries are one block's cell matrices and one
-    data array.  Entries (i, j) and (j, i) add exactly negated cell
-    values in the same order, so C + C^T = 0 holds exactly.
+    on the dofs of ``pattern`` (see :func:`velocity_pattern`).  With
+    ``w = sum_j c_j s_j dirs_j`` on a cell, the skew part of its matrix
+    is the reference tensor contracted with ``c_j dirs_j .
+    grad(lambda_a)`` (Kirby and Logg, *ACM TOMS* 32, 2006): a gather of
+    the coefficients, one product with the tables of the pattern and a
+    scatter, block by block of cells, so the only temporaries are one
+    block's pair values and one data array.  Each pair value enters its
+    entry (i, l) as +v and (l, i) as -v, side by side in the summed
+    order, so C + C^T = 0 holds exactly.
     """
-    rule = triangle_rule(3 * v.degree - 1)
-    sw = v.val(rule.points).T * rule.weights             # (nloc, nq)
-    dbar = v.dbary(rule.points)                          # (nq, nloc, 3)
-    wq = evaluate_velocity(mesh, v, w_coeffs, rule.points)   # (M, nq, 2)
+    w_cells = np.asarray(w_coeffs, float)[v.cell_dofs]   # (M, nloc)
     nnz, n = len(pattern.indices), len(pattern.indptr) - 1
     data = np.zeros(nnz + 1)
     for lo in range(0, mesh.n_cells, _CHUNK):
         k = slice(lo, lo + _CHUNK)
-        # w . grad(lambda_j), then w . grad(s_l), at the points
-        w_bary = wq[k] @ np.swapaxes(mesh.bary_grads[k], 1, 2)
-        adv = np.einsum("kqj,qlj->kql", w_bary, dbar, optimize=True)
-        t = sw @ adv                      # t[i, l] = integral s_i w.grad s_l
-        scale = (_dir_products(v.cell_dirs[k])
-                 * (0.5 * mesh.cell_areas[k])[:, None, None])
-        vals = (t - np.swapaxes(t, 1, 2)) * scale
-        data += np.bincount(pattern.slots[k].ravel(), vals.ravel(),
+        cell_data = w_cells[k, :, None] * pattern.dir_grads[k]
+        vals = (cell_data.reshape(len(cell_data), -1) @ pattern.tensor
+                ) * pattern.scale[k]
+        data += np.bincount(pattern.slots[k].ravel(),
+                            np.stack([vals, -vals], axis=-1).ravel(),
                             minlength=nnz + 1)
     return sp.csr_matrix((data[:nnz], pattern.indices, pattern.indptr),
                          shape=(n, n))

@@ -450,10 +450,15 @@ class BlockStep:
     The k scalar blocks share one factorized matrix, ``scalar_lu``, which
     the scheme's ``stress_block`` gives with its ``local_terms``, after
     the saddle matrix is factored (factoring the small matrix first
-    raised the peak memory of a run by a few MB).
+    raised the peak memory of a run by a few MB).  The cellwise scheme
+    builds that matrix per step on a pattern made once per run and
+    factors it without pivoting, since it is diagonally dominant by rows.
     Factorizations held across steps raise the floor under every later
-    peak, so the convection fills the data array of a fixed pattern
-    instead of assembling through COO temporaries.
+    peak, so the convection fills the data array of the scheme's fixed
+    pattern (:attr:`ImplicitScheme.free_pattern`), whose geometry tables
+    are made once per run, instead of assembling through COO
+    temporaries: a step gathers the coefficients of ``u_prev``, takes
+    one small matrix product per block of cells and scatters it.
 
     ``stress_terms(sig, rho) -> (rhs_u, frozen)`` computes all that
     depends on the stress iterate alone, from one spectral decomposition
@@ -780,7 +785,8 @@ class ImplicitScheme:
 
     @cached_property
     def free_pattern(self):
-        """Fixed free x free pattern of the per-step convection."""
+        """Fixed free x free pattern of the per-step convection, with the
+        tables its fill reads, built on the first step."""
         return velocity_pattern(self.v, self.free)
 
     def _bounds(self, sig, rho, eigs) -> dict:

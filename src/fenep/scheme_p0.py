@@ -22,22 +22,30 @@ its right-hand sides, its Picard driver and its audit are shared with
 the diffusive scheme (:mod:`fenep.nlsolve`); this module supplies only
 the stress block: the stress matrix (cell areas over dt plus the upwind
 transport of the previous velocity, factorized once per step for the
-three components) and the cut of each iterate, with k = 1.
+three components, without pivoting) and the cut of each iterate, with
+k = 1.  The transport reads an :class:`EdgeTransport` made once per
+run: the sparse map from the velocity to its normal component at three
+points of each interior edge, and the matrix's cell-adjacency pattern.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
-from .fespaces import gauss01
+from .fespaces import compressed_pattern, gauss01
 from .meshing import TriMesh
 from .nlsolve import ImplicitScheme, State
 
 __all__ = [
+    "EdgeTransport",
     "SchemeP0",
+    "edge_transport",
     "upwind_fluxes",
     "upwind_matrix",
 ]
@@ -50,55 +58,79 @@ FLUX_FLOOR = 1e-14
 # upwinded edge transport
 
 
-def _edge_flux_coeffs(mesh: TriMesh, vspace, u_coeffs):
-    """Quadratic coefficients of u . n along each interior edge.
+@dataclass(frozen=True)
+class EdgeTransport:
+    """Tables of the upwind transport of one velocity space, built once
+    per scheme by :func:`edge_transport`.
 
-    The normal velocity along an edge is a polynomial of degree <= 2 in
-    the edge parameter for every shipped element (interior bubbles vanish
-    on edges), so sampling it at t = 0, 1/2, 1 recovers it exactly.
-    Returns (edge_ids, c0, c1, c2).
+    ``flux_map`` (3 n_e, n_dofs) takes velocity coefficients to the
+    normal velocity ``u . n`` at the points t = 0, 1/2, 1 of each of the
+    n_e interior edges, one block of rows per point.  Along an edge the
+    normal velocity is a polynomial of degree <= 2 in t for every
+    shipped element (interior bubbles vanish on edges), so the three
+    values determine it exactly.  The transport matrix is stored in CSC
+    on the fixed pattern of the cell adjacency, each cell with itself and
+    its neighbours across interior edges: ``slots`` (4 n_e + n_cells)
+    are the positions of the entries (right, right), (right, left),
+    (left, left) and (left, right) of the interior edges, block after
+    block, and then of the diagonal entries.
     """
+
+    flux_map: sp.csr_matrix
+    slots: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def edge_transport(mesh: TriMesh, vspace) -> EdgeTransport:
+    """The :class:`EdgeTransport` of ``vspace`` on ``mesh``."""
     e_ids = mesh.interior_edges
-    if len(e_ids) == 0:
-        z = np.zeros(0)
-        return e_ids, z, z, z
-    left = mesh.edge_cells[e_ids, 0]
-    va, vb = mesh.edge_vertices[e_ids, 0], mesh.edge_vertices[e_ids, 1]
-    # local indices of the edge endpoints within the left cell
-    la = np.argmax(mesh.cells[left] == va[:, None], axis=1)
-    lb = np.argmax(mesh.cells[left] == vb[:, None], axis=1)
-    ne = len(e_ids)
+    ne, m = len(e_ids), mesh.n_cells
+    left, right = mesh.edge_cells[e_ids].T
+    # the local functions at t = 0, 1/2, 1 along the segment from local
+    # vertex a to local vertex b, tabulated in row 3 a + b for every (a, b)
     ts = np.array([0.0, 0.5, 1.0])
-    lam = np.zeros((ne, 3, 3))
-    rows = np.arange(ne)
-    for ti, t in enumerate(ts):
-        lam[rows, ti, la] = 1.0 - t
-        lam[rows, ti, lb] += t
-    svals = vspace.val(lam)                        # (ne, 3, nloc)
-    c_loc = np.asarray(u_coeffs, float)[vspace.cell_dofs[left]]
-    dirs = vspace.cell_dirs[left]
-    uq = np.einsum("el,etl,eld->etd", c_loc, svals, dirs)  # (ne, 3, 2)
-    q = np.einsum("etd,ed->et", uq, mesh.edge_normals[e_ids])
-    q0, qh, q1 = q[:, 0], q[:, 1], q[:, 2]
-    c2 = 2.0 * (q0 + q1 - 2.0 * qh)
-    c1 = q1 - q0 - c2
-    return e_ids, q0, c1, c2
+    row = np.arange(9)[:, None]
+    lam = np.zeros((9, 3, 3))
+    lam[row, np.arange(3), row // 3] = 1.0 - ts
+    lam[row, np.arange(3), row % 3] += ts
+    # the local vertices of each edge's two ends in its left cell
+    ends = [np.argmax(mesh.cells[left] == mesh.edge_vertices[e_ids, j, None],
+                      axis=1) for j in (0, 1)]
+    normal_dirs = np.einsum("eld,ed->el", vspace.cell_dirs[left],
+                            mesh.edge_normals[e_ids])
+    vals = (np.swapaxes(vspace.val(lam)[3 * ends[0] + ends[1]], 0, 1)
+            * normal_dirs)                               # (3, ne, nloc)
+    cols = np.broadcast_to(vspace.cell_dofs[left], vals.shape)
+    flux_map = sp.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, vspace.nloc)),
+        shape=(3 * ne, vspace.n_dofs))
+    flux_map.eliminate_zeros()
+    cells = np.arange(m)
+    rows = np.concatenate([right, right, left, left, cells])
+    cols = np.concatenate([right, left, left, right, cells])
+    return EdgeTransport(flux_map, *compressed_pattern(cols, rows, m))
 
 
-def upwind_fluxes(mesh: TriMesh, vspace, u_coeffs):
+def upwind_fluxes(mesh: TriMesh, vspace, u_coeffs,
+                  tables: EdgeTransport | None = None):
     """Signed flux integrals over interior edges.
 
     Returns ``(a_plus, a_minus)`` with ``a_plus = integral of [u.n]_+``
     and ``a_minus = integral of [-u.n]_+`` along each interior edge, the
     normal pointing from the lower-numbered (left) cell to the right one.
-    The edge is split at the exact roots of the quadratic normal velocity
-    so each piece has one sign and three-point Gauss integrates it
-    exactly.
+    The normal velocity at t = 0, 1/2, 1 is one product with the
+    ``flux_map`` of ``tables`` (built here when not given); the edge is
+    split at the exact roots of the quadratic through those values so
+    each piece has one sign and three-point Gauss integrates it exactly.
     """
-    e_ids, c0, c1, c2 = _edge_flux_coeffs(mesh, vspace, u_coeffs)
-    ne = len(e_ids)
-    if ne == 0:
-        return np.zeros(0), np.zeros(0)
+    if tables is None:
+        tables = edge_transport(mesh, vspace)
+    # u . n at t = 0 (the constant coefficient c0), 1/2 and 1
+    c0, qh, q1 = (tables.flux_map @ np.asarray(u_coeffs, float)).reshape(3, -1)
+    c2 = 2.0 * (c0 + q1 - 2.0 * qh)
+    c1 = q1 - c0 - c2
+    ne = len(c0)
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = c1 * c1 - 4.0 * c2 * c0
         sq = np.sqrt(np.maximum(disc, 0.0))
@@ -126,26 +158,37 @@ def upwind_fluxes(mesh: TriMesh, vspace, u_coeffs):
         qv[np.abs(qv) < FLUX_FLOOR] = 0.0
         a_plus += span * (np.maximum(qv, 0.0) @ w3)
         a_minus += span * (np.maximum(-qv, 0.0) @ w3)
-    lens = mesh.edge_lengths[e_ids]
+    lens = mesh.edge_lengths[mesh.interior_edges]
     return a_plus * lens, a_minus * lens
 
 
-def upwind_matrix(mesh: TriMesh, vspace, u_coeffs):
+def upwind_matrix(mesh: TriMesh, vspace, u_coeffs, diagonal=None,
+                  tables: EdgeTransport | None = None):
     """Cell-to-cell upwind transport operator, one scalar stress component.
 
     Row K collects the inflow terms a_in * (sigma_K - sigma_upwind) of
     cell K; the quadratic form is nonnegative whenever the transporting
-    velocity is discretely divergence-free against cell constants.
+    velocity is discretely divergence-free against cell constants.  The
+    fluxes fill the CSC pattern of ``tables`` (the scheme passes its
+    :attr:`SchemeP0.edge_tables`, made once per run; built here when not
+    given), with ``diagonal`` (n_cells,), if given, added to the
+    diagonal.  Entries that are zero, such as the inflow across an edge
+    the flow only leaves by, are not stored: they would add fill to the
+    factor, which for a fluid at rest is diagonal.
     """
-    a_plus, a_minus = upwind_fluxes(mesh, vspace, u_coeffs)
-    e_ids = mesh.interior_edges
-    left = mesh.edge_cells[e_ids, 0]
-    right = mesh.edge_cells[e_ids, 1]
+    if tables is None:
+        tables = edge_transport(mesh, vspace)
     m = mesh.n_cells
-    rows = np.concatenate([right, right, left, left])
-    cols = np.concatenate([right, left, left, right])
-    vals = np.concatenate([a_plus, -a_plus, a_minus, -a_minus])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+    a_plus, a_minus = upwind_fluxes(mesh, vspace, u_coeffs, tables)
+    data = np.bincount(tables.slots, np.concatenate([
+        a_plus, -a_plus, a_minus, -a_minus,
+        np.zeros(m) if diagonal is None else diagonal]),
+        minlength=len(tables.indices))
+    # a copy, so that dropping the zeros leaves the pattern of the tables
+    mat = sp.csc_matrix((data, tables.indices, tables.indptr), shape=(m, m),
+                        copy=True)
+    mat.eliminate_zeros()
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +207,29 @@ class SchemeP0(ImplicitScheme):
     VELOCITIES = ("velocity_p2", "velocity_p2_reduced")
     PRESSURE = "pressure_p0"
 
+    @cached_property
+    def edge_tables(self) -> EdgeTransport:
+        """The upwind transport's edge map and pattern, built once."""
+        return edge_transport(self.mesh, self.v)
+
     def stress_block(self, state: State, dt: float):
         """The per-step factorization of the cell areas over dt plus the
-        upwind transport of the previous velocity; the cut, and k = 1."""
-        transport = upwind_matrix(self.mesh, self.v, state.u)
-        lu = splu((sp.diags(self.mesh.cell_areas / dt) + transport).tocsc())
+        upwind transport of the previous velocity; the cut, and k = 1.
+
+        The matrix fills the pattern of :attr:`edge_tables`.  It is
+        strictly diagonally dominant by rows for any velocity, divergence
+        free or not: its off-diagonal entries in row K are minus the
+        inflows of K, its diagonal their sum plus ``|K|/dt``.  So LU
+        without pivoting is stable, with growth factor at most 2 (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 9.9),
+        and SuperLU factors it in its symmetric mode under the minimum
+        degree order of ``A^T + A``, as
+        :class:`fenep.nlsolve.SaddleOperator` does.
+        """
+        transport = upwind_matrix(self.mesh, self.v, state.u,
+                                  self.mesh.cell_areas / dt, self.edge_tables)
+        lu = splu(transport, permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         reg, k = self.params.reg, np.ones(self.mesh.n_cells)
 
         def local_terms(eigs, frame, eta, rho):

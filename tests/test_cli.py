@@ -300,7 +300,7 @@ def test_run_p1diff_roundtrip(tmp_path):
     assert summary["velocity"] == "velocity_mini"
     assert summary["params"]["alpha"] == 0.1
     proj = summary["initial_projection"]
-    assert proj["non_obtuse"] is True
+    assert summary["mesh"]["non_obtuse"] is True
     assert proj["bounds_hold"] is True
     rows = read_energy_csv(outdir / "energy.csv")
     # the projected stress's bounds are the initial state's audit row
@@ -575,7 +575,7 @@ def test_run_with_shear_matches_mesh_gen(tmp_path, capsys):
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["mesh"]["shear"] == 1.2
     assert summary["mesh"]["non_obtuse"] is False
-    assert summary["initial_projection"]["non_obtuse"] is False
+    assert "non_obtuse" not in summary["initial_projection"]
     lines = (outdir / "final.vtk").read_text().splitlines()
     start = lines.index("POINTS 9 double") + 1
     points = np.array([[float(c) for c in ln.split()[:2]]

@@ -54,6 +54,18 @@ def test_triangle_rule_monomial_exactness(degree):
                 f"x^{a} y^{b} at degree {degree}"
 
 
+def test_degree_five_rule_is_exact_to_rounding():
+    # Radon's seven-point rule in closed form: every monomial of degree
+    # <= 5 to 4e-16, which a rule tabulated to 15 digits misses (5e-16)
+    rule = fe.triangle_rule(5)
+    assert len(rule.weights) == 7
+    x, y = rule.points[:, 1], rule.points[:, 2]
+    for a in range(6):
+        for b in range(6 - a):
+            val = 0.5 * float(rule.weights @ (x ** a * y ** b))
+            assert abs(val - ref_monomial(a, b)) <= 4e-16, f"x^{a} y^{b}"
+
+
 def test_triangle_rule_degree_floor():
     # asking for an odd low degree returns a rule of at least that degree
     r3 = fe.triangle_rule(3)

@@ -571,9 +571,10 @@ def test_residual_matches_the_monolithic_block_solve(kind):
 
 
 class NaNFactor:
-    """A factorization whose every solve returns NaN."""
+    """A factorization whose every solve returns NaN; it takes the
+    keyword arguments of ``splu``."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, **options):
         self.shape = matrix.shape
 
     def solve(self, rhs):
@@ -645,6 +646,29 @@ def test_one_saddle_factorization_per_step_size(kind, monkeypatch):
     # back at the first step size, from the refactored cache
     assert_same_step(scheme, states[1], 0.5, step(scheme, states[1], 0.5))
     assert len(made) == 4                     # 0.5 again, and the fresh one
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_transport_tables_are_built_once_per_scheme(kind, monkeypatch):
+    """Three steps build the convection's pattern and tables, and the
+    p0 edge map, once; each step only fills them."""
+    built = []
+
+    def counted(build):
+        def wrapper(*args):
+            built.append(build.__name__)
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(nlsolve, "velocity_pattern",
+                        counted(nlsolve.velocity_pattern))
+    monkeypatch.setattr(scheme_p0, "edge_transport",
+                        counted(scheme_p0.edge_transport))
+    scheme, state = stirred_state(kind)
+    for _ in range(3):
+        state = step(scheme, state, 0.5)
+    assert sorted(built) == (["edge_transport", "velocity_pattern"]
+                             if kind == "p0" else ["velocity_pattern"])
 
 
 @pytest.mark.parametrize("kind", SCHEMES)

@@ -11,13 +11,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
 from continuation import delta_continuation
-from fenep.meshing import structured_unit_square
+from fenep.meshing import TriMesh, structured_unit_square
 from fenep.nlsolve import PicardConfig, SolverError
-from fenep.scheme_p0 import SchemeP0, upwind_fluxes, upwind_matrix
+from fenep.scheme_p0 import (SchemeP0, edge_transport, upwind_fluxes,
+                             upwind_matrix)
 from fenep.params import ModelParams
 from fenep.scheme_p1diff import SchemeP1Diff
 
@@ -146,6 +148,19 @@ def test_upwind_quadratic_form_nonnegative():
         assert q @ (u_mat @ q) >= -1e-12
 
 
+def test_upwind_matrix_stores_no_zero_and_keeps_the_tables():
+    mesh, scheme, state = project_decay_velocity()
+    tables = scheme.edge_tables
+    indices = tables.indices.copy()
+    rest = upwind_matrix(mesh, scheme.v, np.zeros(scheme.v.n_dofs),
+                         mesh.cell_areas, tables)
+    assert rest.nnz == mesh.n_cells
+    assert np.array_equal(rest.diagonal(), mesh.cell_areas)
+    moving = upwind_matrix(mesh, scheme.v, state.u, None, tables)
+    assert np.all(moving.data != 0.0)
+    assert np.array_equal(tables.indices, indices)
+
+
 def upwind_edge_term(mesh, vspace, u_coeffs, sigma, edge):
     """Transport contributions of one edge to its two cell residuals.
 
@@ -187,6 +202,94 @@ def test_upwind_zero_velocity_gives_zero_fluxes():
     a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u)
     assert np.all(a_plus == 0.0)
     assert np.all(a_minus == 0.0)
+
+
+def sheared_mesh(n, slope=0.7):
+    square = structured_unit_square(n)
+    verts = square.vertices.copy()
+    verts[:, 1] += slope * verts[:, 0]
+    return TriMesh(verts, square.cells)
+
+
+def sampled_normal_velocity(mesh, vspace, u_coeffs):
+    """u . n at t = 0, 1/2, 1 along each interior edge, (3, n_e): the
+    left cell's local functions evaluated at the points, one by one."""
+    e_ids = mesh.interior_edges
+    left = mesh.edge_cells[e_ids, 0]
+    va, vb = mesh.edge_vertices[e_ids, 0], mesh.edge_vertices[e_ids, 1]
+    la = np.argmax(mesh.cells[left] == va[:, None], axis=1)
+    lb = np.argmax(mesh.cells[left] == vb[:, None], axis=1)
+    ne = len(e_ids)
+    lam = np.zeros((ne, 3, 3))
+    rows = np.arange(ne)
+    for ti, t in enumerate((0.0, 0.5, 1.0)):
+        lam[rows, ti, la] = 1.0 - t
+        lam[rows, ti, lb] += t
+    svals = vspace.val(lam)                        # (ne, 3, nloc)
+    c_loc = np.asarray(u_coeffs, float)[vspace.cell_dofs[left]]
+    dirs = vspace.cell_dirs[left]
+    uq = np.einsum("el,etl,eld->etd", c_loc, svals, dirs)
+    return np.einsum("etd,ed->te", uq, mesh.edge_normals[e_ids])
+
+
+def exact_signed_fluxes(mesh, q):
+    """Integrals of the positive and negative parts of the quadratic
+    through the samples ``q``, split at its roots by ``np.roots`` and
+    integrated through the antiderivative, edge by edge."""
+    out = np.zeros((2, q.shape[1]))
+    for e, (q0, qh, q1) in enumerate(q.T):
+        c2 = 2.0 * (q0 + q1 - 2.0 * qh)
+        poly = np.array([c2, q1 - q0 - c2, q0])          # highest first
+        prim = np.polyint(poly)
+        roots = [r.real for r in np.roots(poly)
+                 if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0]
+        cuts = [0.0] + sorted(roots) + [1.0]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            piece = np.polyval(prim, hi) - np.polyval(prim, lo)
+            out[0 if piece > 0 else 1, e] += abs(piece)
+    return out * mesh.edge_lengths[mesh.interior_edges]
+
+
+@pytest.mark.parametrize("kind", ["velocity_p2", "velocity_p2_reduced"])
+def test_edge_map_matches_point_sampling(kind):
+    """The edge map gives the normal velocity the local functions give
+    at the edge points, and the fluxes are the exact integrals of its
+    positive and negative parts, for a velocity with sign changes."""
+    mesh = sheared_mesh(4)
+    scheme = SchemeP0(mesh, PARAMS, velocity=kind)
+    u = np.random.default_rng(52).standard_normal(scheme.v.n_dofs)
+    q = sampled_normal_velocity(mesh, scheme.v, u)
+    mapped = (edge_transport(mesh, scheme.v).flux_map @ u).reshape(3, -1)
+    assert np.abs(mapped - q).max() <= 1e-14 * np.abs(q).max()
+    want = exact_signed_fluxes(mesh, q)
+    got = np.array(upwind_fluxes(mesh, scheme.v, u))
+    assert np.all((want[0] > 0) | (want[1] > 0))
+    assert np.count_nonzero((want[0] > 0) & (want[1] > 0)) > 5
+    assert np.abs(got - want).max() <= 1e-14 * want.max()
+
+
+@pytest.mark.parametrize("dt", [1e-6, 1e-3, 1.0, 1e3])
+def test_stress_factor_without_pivoting_solves_its_matrix(dt):
+    """The scalar matrix is strictly diagonally dominant by rows for a
+    velocity that is not divergence-free too, and its factor, made with
+    no row interchange, solves it to rounding at every step size."""
+    mesh = sheared_mesh(6)
+    scheme = SchemeP0(mesh, PARAMS)
+    rng = np.random.default_rng(53)
+    state = dataclasses.replace(scheme.initial_state(),
+                                u=rng.standard_normal(scheme.v.n_dofs))
+    assert np.abs(scheme.div @ state.u).max() > 1e-2
+    lu, _ = scheme.stress_block(state, dt)
+    a = (sp.diags(mesh.cell_areas / dt)
+         + upwind_matrix(mesh, scheme.v, state.u)).tocsr()
+    diag = a.diagonal()
+    assert np.all(diag > abs(a - sp.diags(diag)).sum(axis=1).A1)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    b = rng.standard_normal((mesh.n_cells, 3))
+    x = lu.solve(b)
+    residual = np.abs(b - a @ x).max()
+    scale = abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    assert residual <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
