@@ -1,8 +1,8 @@
 """Conforming triangular meshes with the adjacency data the schemes need.
 
 A :class:`TriMesh` stores vertices and counterclockwise cells and derives
-everything else at construction time: per-cell affine maps onto the
-reference triangle, areas and diameters, a global edge enumeration with
+everything else at construction time: the gradients of each cell's
+barycentric coordinates, areas and diameters, a global edge enumeration with
 cell adjacency, oriented unit normals on every edge, and boundary flags.
 Only the non-obtuse test waits for its first use.  Meshes are immutable
 once built.
@@ -110,16 +110,14 @@ class TriMesh:
         ], axis=1)
         self.cell_diameters = edge_len.max(axis=1)
 
-        # affine maps: columns of B are P1 - P0, P2 - P0
+        # the affine map of each cell: columns of B are P1 - P0, P2 - P0
         B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-        self.affine_B = B
         det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
         inv = np.empty_like(B)
         inv[:, 0, 0] = B[:, 1, 1] / det
         inv[:, 0, 1] = -B[:, 0, 1] / det
         inv[:, 1, 0] = -B[:, 1, 0] / det
         inv[:, 1, 1] = B[:, 0, 0] / det
-        self.affine_Binv = inv
         # gradients of the three barycentric coordinates, constant per cell
         self.bary_grads = np.einsum("kji,lj->kli", inv, REF_GRADS)
 

@@ -112,20 +112,18 @@ def edge_transport(mesh: TriMesh, vspace) -> EdgeTransport:
     return EdgeTransport(flux_map, *compressed_pattern(cols, rows, m))
 
 
-def upwind_fluxes(mesh: TriMesh, vspace, u_coeffs,
-                  tables: EdgeTransport | None = None):
+def upwind_fluxes(mesh: TriMesh, tables: EdgeTransport, u_coeffs):
     """Signed flux integrals over interior edges.
 
     Returns ``(a_plus, a_minus)`` with ``a_plus = integral of [u.n]_+``
     and ``a_minus = integral of [-u.n]_+`` along each interior edge, the
     normal pointing from the lower-numbered (left) cell to the right one.
-    The normal velocity at t = 0, 1/2, 1 is one product with the
-    ``flux_map`` of ``tables`` (built here when not given); the edge is
-    split at the exact roots of the quadratic through those values so
-    each piece has one sign and three-point Gauss integrates it exactly.
+    The normal velocity at t = 0, 1/2, 1 is one product of the velocity
+    coefficients ``u_coeffs`` with the ``flux_map`` of ``tables``; the
+    edge is split at the exact roots of the quadratic through those
+    values so each piece has one sign and three-point Gauss integrates
+    it exactly.
     """
-    if tables is None:
-        tables = edge_transport(mesh, vspace)
     # u . n at t = 0 (the constant coefficient c0), 1/2 and 1
     c0, qh, q1 = (tables.flux_map @ np.asarray(u_coeffs, float)).reshape(3, -1)
     c2 = 2.0 * (c0 + q1 - 2.0 * qh)
@@ -162,24 +160,22 @@ def upwind_fluxes(mesh: TriMesh, vspace, u_coeffs,
     return a_plus * lens, a_minus * lens
 
 
-def upwind_matrix(mesh: TriMesh, vspace, u_coeffs, diagonal=None,
-                  tables: EdgeTransport | None = None):
+def upwind_matrix(mesh: TriMesh, tables: EdgeTransport, u_coeffs,
+                  diagonal=None):
     """Cell-to-cell upwind transport operator, one scalar stress component.
 
     Row K collects the inflow terms a_in * (sigma_K - sigma_upwind) of
     cell K; the quadratic form is nonnegative whenever the transporting
     velocity is discretely divergence-free against cell constants.  The
     fluxes fill the CSC pattern of ``tables`` (the scheme passes its
-    :attr:`SchemeP0.edge_tables`, made once per run; built here when not
-    given), with ``diagonal`` (n_cells,), if given, added to the
-    diagonal.  Entries that are zero, such as the inflow across an edge
-    the flow only leaves by, are not stored: they would add fill to the
-    factor, which for a fluid at rest is diagonal.
+    :attr:`SchemeP0.edge_tables`, made once per run), with ``diagonal``
+    (n_cells,), if given, added to the diagonal.  Entries that are zero,
+    such as the inflow across an edge the flow only leaves by, are not
+    stored: they would add fill to the factor, which for a fluid at rest
+    is diagonal.
     """
-    if tables is None:
-        tables = edge_transport(mesh, vspace)
     m = mesh.n_cells
-    a_plus, a_minus = upwind_fluxes(mesh, vspace, u_coeffs, tables)
+    a_plus, a_minus = upwind_fluxes(mesh, tables, u_coeffs)
     data = np.bincount(tables.slots, np.concatenate([
         a_plus, -a_plus, a_minus, -a_minus,
         np.zeros(m) if diagonal is None else diagonal]),
@@ -226,8 +222,8 @@ class SchemeP0(ImplicitScheme):
         degree order of ``A^T + A``, as
         :class:`fenep.nlsolve.SaddleOperator` does.
         """
-        transport = upwind_matrix(self.mesh, self.v, state.u,
-                                  self.mesh.cell_areas / dt, self.edge_tables)
+        transport = upwind_matrix(self.mesh, self.edge_tables, state.u,
+                                  self.mesh.cell_areas / dt)
         lu = splu(transport, permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         reg, k = self.params.reg, np.ones(self.mesh.n_cells)

@@ -5,18 +5,21 @@ continuous piecewise linear; nonlinear expressions enter only through
 the vertex-sampling interpolant and the lumped vertex quadrature.  A
 small diffusion ``alpha`` replaces the upwind transport of the cellwise
 scheme, and the advection is carried by per-cell transport coefficients
-Lambda (``lambda_transport``) built so that the chain rule the energy
-estimate needs holds exactly, cell by cell, at the discrete level:
+built so that the chain rule the energy estimate needs holds exactly,
+cell by cell, at the discrete level:
 
-    sum_p Lambda_{m,p}(q) d_p pi_h[g'(q)] = d_m pi_h[h(g'(q))].
+    u . Lambda(q) grad pi_h[g'(q)] = u . grad pi_h[tr h(g'(q))]
 
-Lambda is ``B^{-1}`` and ``B`` of the cell's affine map around two
-corner coefficients, one per reference edge (``corner_coefficients``).
-The oracles (``fenep verify`` and the acceptance checks) test the chain
-rule on Lambda itself.  The step never forms it: the transport velocity
-and the geometry are fixed for a step, so the advection is one sparse
-map of the corner coefficients (``advection_map``), built once per step
-and applied once per stress iterate and field.
+for every cell velocity u.  In the reference frame of a cell Lambda is
+diagonal: one coefficient C per reference edge, the corner coefficients
+(``corner_coefficients``), each satisfying the chain rule along its
+edge, ``C : (g'(q_a) - g'(q_c)) = tr h(g'(q_a)) - tr h(g'(q_c))`` for
+the edge's ends a and c.  The transport velocity and the geometry are
+fixed for a step, so the advection is one sparse map of the corner
+coefficients (``advection_map``), built once per step and applied once
+per stress iterate and field.  The oracles (``fenep verify`` and the
+acceptance checks) state the chain rule through that map, on the
+coefficients the step builds.
 
 Testing the stress and trace equations with the same hat function shows
 the integral of ``pi_h[tr(sigma) - rho]`` is conserved to solver
@@ -60,9 +63,6 @@ __all__ = [
     "InitialReport",
     "TimeStepWarning",
     "SchemeP1Diff",
-    "lambda_scalar",
-    "lambda_matrix",
-    "lambda_transport",
     "corner_coefficients",
     "advection_map",
 ]
@@ -94,49 +94,28 @@ def _lambda_pair(a: tc.TensorNodes, c: tc.TensorNodes) -> np.ndarray:
     return (1.0 - lam)[..., None] * a.beta + lam[..., None] * c.beta
 
 
-def lambda_scalar(a, c, rp: tc.RegParams):
-    """Scalar transport coefficient for the vertex pair values (a, c).
-
-    The divided difference of ``h`` between ``g'(a)`` and ``g'(c)``; it
-    satisfies ``lambda * (g'(a) - g'(c)) = h(g'(a)) - h(g'(c))`` exactly
-    and collapses to ``beta(a)`` at coincidence.  Always within the
-    closed interval between ``beta(a)`` and ``beta(c)``.
-    """
-    return tc._h_delta_dd(tc.g_delta(a, rp)[1], tc.g_delta(c, rp)[1], rp)
-
-
-def lambda_matrix(phi_a, phi_c, rp: tc.RegParams):
-    """Tensor transport coefficient for a vertex pair of tensors.
-
-    A convex combination ``(1 - lam) beta(phi_a) + lam beta(phi_c)``
-    whose weight is fixed by the trace chain-rule matching condition
-
-        Lambda : (g'(phi_a) - g'(phi_c)) = tr h(g'(phi_a)) - tr h(g'(phi_c));
-
-    the weight lies in [0, 1] in exact arithmetic and is clipped there.
-    Coincident arguments (or a vanishing matching denominator) give
-    ``beta(phi_a)``.
-    """
-    return _lambda_pair(tc.tensor_nodes(*tc.eig_sym(phi_a), rp),
-                        tc.tensor_nodes(*tc.eig_sym(phi_c), rp))
-
-
-def corner_coefficients(mesh: TriMesh, nodes, rp: tc.RegParams):
-    """Per-cell transport coefficients in the reference frame of each cell.
+def corner_coefficients(cells, nodes, rp: tc.RegParams):
+    """Per-cell transport coefficients, one per reference edge of a cell.
 
     ``nodes`` holds what the coefficients of a vertex field depend on:
     its :func:`fenep.tensorcalc.tensor_nodes` (a tensor field) or
     ``g'`` of it (a scalar field, :func:`fenep.tensorcalc.g_delta`).
-    The vertex values are evaluated once, per vertex, and only
-    gathered to the cells here, where each cell pairs its vertices 1
-    and 2 with vertex 0 through :func:`lambda_matrix` (tensor) or
-    :func:`lambda_scalar` (scalar) arithmetic.  Entry [k, j] belongs to
-    the pair (j + 1, 0), the edge along reference direction j; a tensor
-    field gives (n_cells, 2, 3), a scalar field (n_cells, 2).  The step
-    advects with them through :func:`advection_map`;
-    :func:`lambda_transport` expands them to physical coordinates.
+    The vertex values are evaluated once, per vertex, and only gathered
+    to the ``cells`` (n_cells, 3) here.  Entry [k, j] belongs to the
+    pair (a, c) of vertices j + 1 and 0 of cell k, the edge along
+    reference direction j; a tensor field gives (n_cells, 2, 3), a
+    scalar field (n_cells, 2).  The scalar coefficient is the divided
+    difference of ``h`` between ``g'(a)`` and ``g'(c)``, ``beta(a)`` at
+    coincidence and always between ``beta(a)`` and ``beta(c)``.  The
+    tensor coefficient is the convex combination ``(1 - lam) beta(a) +
+    lam beta(c)`` whose weight, clipped to [0, 1], is fixed by
+
+        C : (g'(a) - g'(c)) = tr h(g'(a)) - tr h(g'(c));
+
+    coincident ends, or a vanishing matching denominator, give
+    ``beta(a)``.  The step advects with them through
+    :func:`advection_map`.
     """
-    cells = mesh.cells
     if isinstance(nodes, tc.TensorNodes):
         corner0 = nodes.take(cells[:, 0])
         hat = [_lambda_pair(nodes.take(cells[:, j]), corner0) for j in (1, 2)]
@@ -146,25 +125,6 @@ def corner_coefficients(mesh: TriMesh, nodes, rp: tc.RegParams):
     return np.stack(hat, axis=1)
 
 
-def lambda_transport(mesh: TriMesh, nodes, rp: tc.RegParams):
-    """Per-cell transport coefficients of a vertex field, physical frame.
-
-    The :func:`corner_coefficients` mapped by ``B^{-1}`` and ``B``: for
-    a tensor field (n_vertices, 3) returns (n_cells, 2, 2, 3); for a
-    scalar field (n_vertices,) returns (n_cells, 2, 2).  Entry [k, m, p]
-    multiplies the m-th transport velocity component against the p-th
-    test derivative.  A constant field yields ``beta(value) * delta_mp``.
-    The discrete chain rule is stated on this form, so it is what
-    ``fenep verify`` and the acceptance checks test; the step never
-    builds it.
-    """
-    binv = mesh.affine_Binv          # rows j, columns m: (B^{-1})_{jm}
-    lam_hat = corner_coefficients(mesh, nodes, rp)
-    if lam_hat.ndim == 3:
-        return np.einsum("kjm,kpj,kjc->kmpc", binv, mesh.affine_B, lam_hat)
-    return np.einsum("kjm,kpj,kj->kmp", binv, mesh.affine_B, lam_hat)
-
-
 def advection_map(mesh: TriMesh, u_cell) -> sp.csr_matrix:
     """Sparse map from corner coefficients to vertex advection terms.
 
@@ -172,12 +132,13 @@ def advection_map(mesh: TriMesh, u_cell) -> sp.csr_matrix:
     corner_coefficients(...).reshape(2 * n_cells, -1)`` is the hat
     function test of the advection, ``sum_K u_K . Lambda_K grad(eta_l)``
     over the cells K at vertex l, for the cell velocity integrals
-    ``u_cell`` (n_cells, 2).  Since ``B^T grad(lambda_l)`` is the
-    reference gradient of the barycentric coordinate, the weight of
-    coefficient j in the row of local vertex l is ``(B^{-1} u_K)_j``
-    times that gradient's entry j; four of the six are nonzero.
+    ``u_cell`` (n_cells, 2).  The weight of coefficient j in the row of
+    local vertex l is ``grad(lambda_{j+1}) . u_K`` times entry j of the
+    reference gradient of ``lambda_l``; four of the six are nonzero.
+    So the transpose takes a vertex field f to ``(grad(lambda_{j+1}) .
+    u_K) (f_{j+1} - f_0)``, the change of ``pi_h f`` along edge j.
     """
-    vel = np.einsum("kjm,km->kj", mesh.affine_Binv, u_cell)  # reference frame
+    vel = np.einsum("kjm,km->kj", mesh.bary_grads[:, 1:], u_cell)
     loc, ref = np.nonzero(REF_GRADS)
     rows = mesh.cells[:, loc]
     cols = 2 * np.arange(mesh.n_cells)[:, None] + ref
@@ -247,14 +208,15 @@ class SchemeP1Diff(ImplicitScheme):
             (sp.diags(self.weights / dt) + prm.alpha * self.k_scalar).tocsc()))
         amap = advection_map(self.mesh, cell_mean_velocity(
             self.mesh, self.v, state.u))
+        cells = self.mesh.cells
 
         def local_terms(eigs, frame, eta, rho):
             nodes = tc.tensor_nodes(eigs, frame, reg)
-            adv = amap @ corner_coefficients(self.mesh, nodes,
+            adv = amap @ corner_coefficients(cells, nodes,
                                              reg).reshape(-1, 3)
             if rho is not None:
                 lam_r = corner_coefficients(
-                    self.mesh, tc.g_delta(1.0 - rho / prm.b, reg)[1], reg)
+                    cells, tc.g_delta(1.0 - rho / prm.b, reg)[1], reg)
                 adv = np.column_stack(
                     [adv, -(prm.b * (amap @ lam_r.reshape(-1)))])
             return nodes.beta, tc.k_delta_of_beta(nodes.beta, eta, reg), adv

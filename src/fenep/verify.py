@@ -2,8 +2,10 @@
 
 A trimmed, dependency-free rerun of the core correctness properties:
 closed-form values of the regularized functions, the pointwise
-inequality suite on random tensors, the transport chain-rule identity,
-quadrature exactness, upwind flux neutrality and the model equilibrium.
+inequality suite on random tensors, the chain rule of the diffusive
+scheme's corner coefficients through its advection map, quadrature
+exactness, the neutrality of the cellwise scheme's upwind fluxes on the
+edge tables it caches, and the model equilibrium.
 The full test suite covers the same ground with far larger sweeps; this
 exists so an installed package can vouch for itself in seconds.
 """
@@ -14,13 +16,13 @@ import math
 
 import numpy as np
 
+from . import scheme_p1diff
 from . import tensorcalc as tc
 from .cli import scenario_fields
 from .fespaces import triangle_rule
 from .meshing import structured_unit_square
 from .params import ModelParams
 from .scheme_p0 import SchemeP0, upwind_fluxes
-from .scheme_p1diff import lambda_transport
 
 __all__ = ["run_all"]
 
@@ -63,22 +65,37 @@ def _check_lemma_sweep():
 
 
 def _check_transport_identity():
+    """The discrete chain rule on what the diffusive scheme's step builds.
+
+    With ``C`` the corner coefficients of a vertex field and ``A`` the
+    advection map of a random cell velocity, every cell and reference
+    edge e has ``sum_c w_c C[e, c] (A^T g')[e, c] = (A^T tr h)[e]``,
+    w = (1, 2, 1) counting the off-diagonal component twice; a scalar
+    field, one rank down, has ``C[e] (A^T g')[e] = (A^T h)[e]``.
+    """
     rng = np.random.default_rng(7)
     mesh = structured_unit_square(3)
     rp = tc.RegParams(0.25, 5.0)
+    amap_t = scheme_p1diff.advection_map(
+        mesh, rng.standard_normal((mesh.n_cells, 2))).T
     field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
     w, frame = tc.eig_sym(field)
-    lam = lambda_transport(mesh, tc.tensor_nodes(w, frame, rp), rp)
+    coef = scheme_p1diff.corner_coefficients(
+        mesh.cells, tc.tensor_nodes(w, frame, rp), rp).reshape(-1, 3)
     _, gp = tc.g_delta_mat(field, rp)
-    _, gpw = tc.g_delta(w, rp)
-    trh = tc.h_delta(gpw, rp).sum(axis=-1)
-    grads, cells = mesh.bary_grads, mesh.cells
-    d_gp = np.einsum("kjp,kjc->kpc", grads, gp[cells])
-    d_trh = np.einsum("kjm,kj->km", grads, trh[cells])
-    # Lambda : d_gp with the off-diagonal component counted twice
-    lhs = np.einsum("kmpc,kpc,c->km", lam, d_gp, np.array([1.0, 2.0, 1.0]))
-    worst = float(np.abs(lhs - d_trh).max())
-    return worst <= 1e-12, f"worst chain-rule residual {worst:.2e}"
+    trh = tc.h_delta(tc.g_delta(w, rp)[1], rp).sum(axis=-1)
+    _, gp_q = tc.g_delta(rng.uniform(-2.0, 2.0, size=mesh.n_vertices), rp)
+    coef_q = scheme_p1diff.corner_coefficients(mesh.cells, gp_q, rp)
+    worst = max(
+        _relative_residual((coef * (amap_t @ gp)) @ np.array([1.0, 2.0, 1.0]),
+                           amap_t @ trh),
+        _relative_residual(coef_q.reshape(-1) * (amap_t @ gp_q),
+                           amap_t @ tc.h_delta(gp_q, rp)))
+    return worst <= 1e-13, f"worst relative chain-rule residual {worst:.2e}"
+
+
+def _relative_residual(lhs, rhs):
+    return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
 
 
 def _check_quadrature():
@@ -102,7 +119,7 @@ def _check_upwind_neutrality():
     scheme = SchemeP0(mesh, params)
     u0, _, _ = scenario_fields("decay", 1.0, params)
     state = scheme.initial_state(u0)
-    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u)
+    a_plus, a_minus = upwind_fluxes(mesh, scheme.edge_tables, state.u)
     net = np.zeros(mesh.n_cells)
     e = mesh.interior_edges
     np.add.at(net, mesh.edge_cells[e, 0], -(a_plus - a_minus))

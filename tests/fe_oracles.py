@@ -4,7 +4,10 @@ The einsum kernels are the cell-by-cell contractions that
 :mod:`fenep.fespaces` replaced by matrix products: they assemble every
 local entry, orthogonal direction pairs included, through COO.  The
 scalar mass matrix, the divergence matrix, the dense inf-sup estimate
-and the vertex-sampling interpolant are used by the tests alone.
+and the vertex-sampling interpolant are used by the tests alone.  The
+transport coefficients of the diffusive scheme are checked through the
+objects its step builds: the chain rule through the advection map, and
+the coefficients of given vertex pairs laid out as cells.
 """
 
 import math
@@ -15,6 +18,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import fenep.fespaces as fe
+import fenep.tensorcalc as tc
+from fenep.scheme_p1diff import corner_coefficients
 
 
 class SupportError(RuntimeError):
@@ -139,3 +144,48 @@ def pi_h(mesh, f):
     if out.shape[0] != mesh.n_vertices:
         raise ValueError("vertex value array has wrong length")
     return out.copy()
+
+
+def chain_rule_residual(cells, amap_t, field, rp):
+    """Worst residual of the discrete chain rule, relative to the values.
+
+    ``C`` are the corner coefficients of the vertex ``field`` on
+    ``cells`` and ``amap_t`` the transposed advection map, which takes
+    a vertex field to its change along each reference edge of each
+    cell, times the velocity there.  A tensor field (n_vertices, 3)
+    gives ``sum_c w_c C[e, c] (A^T g')[e, c] = (A^T tr h)[e]`` for every
+    cell and edge e, w = (1, 2, 1) counting the off-diagonal component
+    twice; a scalar field q (n_vertices,) gives ``C[e] (A^T g')[e] =
+    (A^T h)[e]`` with ``g' = g'(q)``.
+    """
+    if field.ndim == 2:
+        w, frame = tc.eig_sym(field)
+        coef = corner_coefficients(cells, tc.tensor_nodes(w, frame, rp), rp)
+        _, gp = tc.g_delta_mat(field, rp)
+        dup = np.array([1.0, 2.0, 1.0])
+        lhs = (coef.reshape(-1, 3) * (amap_t @ gp)) @ dup
+        rhs = amap_t @ tc.h_delta(tc.g_delta(w, rp)[1], rp).sum(axis=-1)
+    else:
+        _, gp = tc.g_delta(field, rp)
+        coef = corner_coefficients(cells, gp, rp)
+        lhs = coef.reshape(-1) * (amap_t @ gp)
+        rhs = amap_t @ tc.h_delta(gp, rp)
+    return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
+
+
+def pair_coefficients(a, c, rp):
+    """The transport coefficients of the vertex pairs (a[i], c[i]).
+
+    Each pair is laid out as one cell (c, a, a), whose corner
+    coefficient of reference edge 0 is that of the pair; tensors (n, 3)
+    enter through their tensor nodes, scalars q (n,) through ``g'(q)``.
+    """
+    a, c = np.asarray(a, float), np.asarray(c, float)
+    idx = np.arange(len(a))
+    cells = np.column_stack([len(a) + idx, idx, idx])
+    values = np.concatenate([a, c])
+    if values.ndim == 2:
+        nodes = tc.tensor_nodes(*tc.eig_sym(values), rp)
+    else:
+        nodes = tc.g_delta(values, rp)[1]
+    return corner_coefficients(cells, nodes, rp)[:, 0]

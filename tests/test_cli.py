@@ -13,7 +13,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from fenep import cli, energy, nlsolve
+from fenep import cli, energy, nlsolve, scheme_p1diff, verify
 from fenep.cli import (
     ENERGY_COLUMNS,
     ConfigError,
@@ -725,3 +725,18 @@ def test_verify_command(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 5 and "FAIL" not in out
+
+
+def test_verify_checks_the_advection_map_the_step_applies(monkeypatch):
+    """A map that swaps the two reference directions of every cell fails
+    the transport check and nothing else: the check reads the map the
+    diffusive scheme's step calls."""
+    original = scheme_p1diff.advection_map
+
+    def swapped(mesh, u_cell):
+        return original(mesh, u_cell)[:, np.arange(2 * mesh.n_cells) ^ 1]
+
+    monkeypatch.setattr(scheme_p1diff, "advection_map", swapped)
+    passed = {name: ok for name, ok, _ in verify.run_all()}
+    assert not passed.pop("transport-identity")
+    assert all(passed.values())

@@ -473,6 +473,23 @@ def test_divergence_matrix_is_gradient_trace(v_kind, s_kind):
     assert np.all(g.data != 0.0) and np.all(b.data != 0.0)
 
 
+@pytest.mark.parametrize("make_mesh", ORACLE_MESHES)
+@pytest.mark.parametrize("v_kind", fe.VELOCITY_KINDS)
+def test_gradient_matrix_stores_no_rounding_residue(v_kind, make_mesh):
+    """Against continuous linears many moments vanish exactly, but come
+    out of their cancelling sums as residue near 1e-19; none is stored,
+    and every entry the oracle gives above residue is."""
+    mesh = make_mesh()
+    v = fe.build_space(mesh, v_kind)
+    s = fe.build_space(mesh, "pressure_p1")
+    g = fe.gradient_matrix(mesh, v, s)
+    ref = oracle.gradient_matrix(mesh, v, s)
+    assert np.abs(g.data).min() > 1e-10 * np.abs(g.data).max()
+    assert_matches_oracle(g, ref)
+    assert g.nnz == np.count_nonzero(
+        np.abs(ref.data) > 1e-10 * np.abs(ref.data).max())
+
+
 def test_gradient_reductions():
     mesh = structured_unit_square(3)
     v = fe.build_space(mesh, "velocity_p2")

@@ -538,7 +538,7 @@ def scalar_matrix(scheme, state, dt):
     """The matrix the k scalar blocks of a step share."""
     if isinstance(scheme, scheme_p0.SchemeP0):
         return (sp.diags(scheme.mesh.cell_areas / dt)
-                + scheme_p0.upwind_matrix(scheme.mesh, scheme.v,
+                + scheme_p0.upwind_matrix(scheme.mesh, scheme.edge_tables,
                                           state.u))
     return (sp.diags(scheme.weights / dt)
             + scheme.params.alpha * scheme.k_scalar)

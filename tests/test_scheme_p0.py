@@ -18,8 +18,7 @@ import fenep.tensorcalc as tc
 from continuation import delta_continuation
 from fenep.meshing import TriMesh, structured_unit_square
 from fenep.nlsolve import PicardConfig, SolverError
-from fenep.scheme_p0 import (SchemeP0, edge_transport, upwind_fluxes,
-                             upwind_matrix)
+from fenep.scheme_p0 import SchemeP0, upwind_fluxes, upwind_matrix
 from fenep.params import ModelParams
 from fenep.scheme_p1diff import SchemeP1Diff
 
@@ -118,7 +117,7 @@ def project_decay_velocity(n=4):
 
 def test_upwind_fluxes_nonnegative_and_neutral():
     mesh, scheme, state = project_decay_velocity()
-    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u)
+    a_plus, a_minus = upwind_fluxes(mesh, scheme.edge_tables, state.u)
     assert a_plus.shape == (len(mesh.interior_edges),)
     assert np.all(a_plus >= 0.0)
     assert np.all(a_minus >= 0.0)
@@ -134,14 +133,14 @@ def test_upwind_fluxes_nonnegative_and_neutral():
 
 def test_upwind_matrix_annihilates_constants():
     mesh, scheme, state = project_decay_velocity()
-    u_mat = upwind_matrix(mesh, scheme.v, state.u)
+    u_mat = upwind_matrix(mesh, scheme.edge_tables, state.u)
     ones = np.ones(mesh.n_cells)
     assert np.abs(u_mat @ ones).max() < 1e-13
 
 
 def test_upwind_quadratic_form_nonnegative():
     mesh, scheme, state = project_decay_velocity()
-    u_mat = upwind_matrix(mesh, scheme.v, state.u)
+    u_mat = upwind_matrix(mesh, scheme.edge_tables, state.u)
     rng = np.random.default_rng(50)
     for _ in range(50):
         q = rng.standard_normal(mesh.n_cells)
@@ -152,16 +151,16 @@ def test_upwind_matrix_stores_no_zero_and_keeps_the_tables():
     mesh, scheme, state = project_decay_velocity()
     tables = scheme.edge_tables
     indices = tables.indices.copy()
-    rest = upwind_matrix(mesh, scheme.v, np.zeros(scheme.v.n_dofs),
-                         mesh.cell_areas, tables)
+    rest = upwind_matrix(mesh, tables, np.zeros(scheme.v.n_dofs),
+                         mesh.cell_areas)
     assert rest.nnz == mesh.n_cells
     assert np.array_equal(rest.diagonal(), mesh.cell_areas)
-    moving = upwind_matrix(mesh, scheme.v, state.u, None, tables)
+    moving = upwind_matrix(mesh, tables, state.u)
     assert np.all(moving.data != 0.0)
     assert np.array_equal(tables.indices, indices)
 
 
-def upwind_edge_term(mesh, vspace, u_coeffs, sigma, edge):
+def upwind_edge_term(mesh, tables, u_coeffs, sigma, edge):
     """Transport contributions of one edge to its two cell residuals.
 
     Returns ``(contrib_left, contrib_right)``, each a length-3 component
@@ -172,7 +171,7 @@ def upwind_edge_term(mesh, vspace, u_coeffs, sigma, edge):
     if mesh.is_boundary_edge[edge]:
         return zeros, zeros
     pos = int(np.searchsorted(mesh.interior_edges, edge))
-    a_plus, a_minus = upwind_fluxes(mesh, vspace, u_coeffs)
+    a_plus, a_minus = upwind_fluxes(mesh, tables, u_coeffs)
     kl, kr = mesh.edge_cells[edge]
     jump = sigma[kr] - sigma[kl]
     return -a_minus[pos] * jump, a_plus[pos] * jump
@@ -180,14 +179,14 @@ def upwind_edge_term(mesh, vspace, u_coeffs, sigma, edge):
 
 def test_upwind_edge_term_matches_matrix():
     mesh, scheme, state = project_decay_velocity(3)
-    u_mat = upwind_matrix(mesh, scheme.v, state.u).toarray()
+    u_mat = upwind_matrix(mesh, scheme.edge_tables, state.u).toarray()
     rng = np.random.default_rng(51)
     sigma = rng.standard_normal((mesh.n_cells, 3))
     ref = u_mat @ sigma
     acc = np.zeros((mesh.n_cells, 3))
     for e in range(mesh.n_edges):
-        c_left, c_right = upwind_edge_term(mesh, scheme.v, state.u,
-                                           sigma, e)
+        c_left, c_right = upwind_edge_term(mesh, scheme.edge_tables,
+                                           state.u, sigma, e)
         left, right = mesh.edge_cells[e]
         acc[left] += c_left
         if right >= 0:
@@ -199,7 +198,7 @@ def test_upwind_zero_velocity_gives_zero_fluxes():
     mesh = structured_unit_square(3)
     scheme = SchemeP0(mesh, PARAMS)
     state = scheme.initial_state()
-    a_plus, a_minus = upwind_fluxes(mesh, scheme.v, state.u)
+    a_plus, a_minus = upwind_fluxes(mesh, scheme.edge_tables, state.u)
     assert np.all(a_plus == 0.0)
     assert np.all(a_minus == 0.0)
 
@@ -259,10 +258,10 @@ def test_edge_map_matches_point_sampling(kind):
     scheme = SchemeP0(mesh, PARAMS, velocity=kind)
     u = np.random.default_rng(52).standard_normal(scheme.v.n_dofs)
     q = sampled_normal_velocity(mesh, scheme.v, u)
-    mapped = (edge_transport(mesh, scheme.v).flux_map @ u).reshape(3, -1)
+    mapped = (scheme.edge_tables.flux_map @ u).reshape(3, -1)
     assert np.abs(mapped - q).max() <= 1e-14 * np.abs(q).max()
     want = exact_signed_fluxes(mesh, q)
-    got = np.array(upwind_fluxes(mesh, scheme.v, u))
+    got = np.array(upwind_fluxes(mesh, scheme.edge_tables, u))
     assert np.all((want[0] > 0) | (want[1] > 0))
     assert np.count_nonzero((want[0] > 0) & (want[1] > 0)) > 5
     assert np.abs(got - want).max() <= 1e-14 * want.max()
@@ -281,7 +280,7 @@ def test_stress_factor_without_pivoting_solves_its_matrix(dt):
     assert np.abs(scheme.div @ state.u).max() > 1e-2
     lu, _ = scheme.stress_block(state, dt)
     a = (sp.diags(mesh.cell_areas / dt)
-         + upwind_matrix(mesh, scheme.v, state.u)).tocsr()
+         + upwind_matrix(mesh, scheme.edge_tables, state.u)).tocsr()
     diag = a.diagonal()
     assert np.all(diag > abs(a - sp.diags(diag)).sum(axis=1).A1)
     assert np.array_equal(lu.perm_r, lu.perm_c)

@@ -1,7 +1,8 @@
 """Tests for the vertexwise stress scheme with stress diffusion.
 
-The transport tensor checks verify the discrete chain rule that the
-scheme's advection is built to satisfy; the stepping tests exercise the
+The transport checks verify the discrete chain rule that the scheme's
+advection is built to satisfy, on the corner coefficients and through
+the advection map the step applies; the stepping tests exercise the
 homogeneous oracle, the conserved trace integral and the obtuse-mesh
 certification flag.
 """
@@ -15,6 +16,7 @@ import pytest
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
+from fe_oracles import chain_rule_residual, pair_coefficients
 from fenep.meshing import TriMesh, structured_unit_square
 from fenep.nlsolve import BlockStep, PicardConfig, SolverError
 from fenep.params import ModelParams
@@ -25,9 +27,6 @@ from fenep.scheme_p1diff import (
     TimeStepWarning,
     advection_map,
     corner_coefficients,
-    lambda_matrix,
-    lambda_scalar,
-    lambda_transport,
 )
 
 PARAMS = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1, alpha=0.1)
@@ -52,23 +51,25 @@ def initial(scheme, dt0, u0=None, sigma0=None):
 
 
 # ---------------------------------------------------------------------------
-# transport weights
+# transport coefficients
 
 
 def test_lambda_scalar_frozen_and_coincident():
-    assert lambda_scalar(2.0, 1.0, RP) == pytest.approx(
-        1.3862943611198906, abs=1e-14)
+    def lam(a, c):
+        return pair_coefficients([a], [c], RP)[0]
+
+    assert lam(2.0, 1.0) == pytest.approx(1.3862943611198906, abs=1e-14)
     # divided difference collapses to beta at coincidence
-    assert lambda_scalar(1.7, 1.7, RP) == pytest.approx(1.7)
-    assert lambda_scalar(0.03, 0.03, RP) == pytest.approx(RP.delta)
+    assert lam(1.7, 1.7) == pytest.approx(1.7)
+    assert lam(0.03, 0.03) == pytest.approx(RP.delta)
     # symmetric in its arguments
-    assert lambda_scalar(0.4, 2.9, RP) == pytest.approx(
-        lambda_scalar(2.9, 0.4, RP))
+    assert lam(0.4, 2.9) == pytest.approx(lam(2.9, 0.4))
 
 
 def test_lambda_scalar_nearly_coincident_is_stable():
     a = 1.234567
-    vals = [lambda_scalar(a, a * (1 + e), RP) for e in (0.0, 1e-13, 1e-9)]
+    vals = pair_coefficients(np.full(3, a), a * (1 + np.array(
+        [0.0, 1e-13, 1e-9])), RP)
     assert vals[0] == pytest.approx(a)
     assert abs(vals[1] - vals[0]) < 1e-10
     assert abs(vals[2] - vals[0]) < 1e-6
@@ -77,11 +78,11 @@ def test_lambda_scalar_nearly_coincident_is_stable():
 def test_lambda_matrix_endpoints_and_psd():
     a = tc.tensor(2.0, 0.3, 1.5)
     c = tc.tensor(1.0, -0.2, 2.5)
-    lam = lambda_matrix(a, c, RP)
+    lam = pair_coefficients(np.stack([a, a]), np.stack([c, a]), RP)
     # a convex combination of two positive matrices stays positive
-    w, _ = tc.eig_sym(lam)
+    w, _ = tc.eig_sym(lam[0])
     assert w.min() >= RP.delta - 1e-12
-    assert np.allclose(lambda_matrix(a, a, RP), tc.beta_delta_mat(a, RP))
+    assert np.allclose(lam[1], tc.beta_delta_mat(a, RP))
     ba = tc.beta_delta_mat(a, RP)
     bc = tc.beta_delta_mat(c, RP)
     # the combination stays inside the segment [beta(a), beta(c)]
@@ -91,41 +92,43 @@ def test_lambda_matrix_endpoints_and_psd():
         assert ws.min() >= RP.delta - 1e-12
 
 
-def test_lambda_transport_constant_field_is_beta_times_identity():
+def test_corner_coefficients_of_a_constant_field_are_beta():
     mesh = structured_unit_square(3)
     value = np.array([1.3, 0.1, 0.8])
     field = np.tile(value, (mesh.n_vertices, 1))
-    lam = lambda_transport(mesh, tc.tensor_nodes(*tc.eig_sym(field), RP), RP)
-    assert lam.shape == (mesh.n_cells, 2, 2, 3)
-    beta = tc.beta_delta_mat(value, RP)
+    coef = corner_coefficients(
+        mesh.cells, tc.tensor_nodes(*tc.eig_sym(field), RP), RP)
+    assert coef.shape == (mesh.n_cells, 2, 3)
+    assert np.allclose(coef, tc.beta_delta_mat(value, RP), atol=1e-13)
+    # in the physical frame, beta times the identity
+    lam = physical_frame(mesh, coef)
     assert np.allclose(lam[:, 0, 1], 0.0, atol=1e-13)
     assert np.allclose(lam[:, 1, 0], 0.0, atol=1e-13)
-    assert np.allclose(lam[:, 0, 0], beta, atol=1e-13)
-    assert np.allclose(lam[:, 1, 1], beta, atol=1e-13)
+    assert np.allclose(lam[:, 0, 0], tc.beta_delta_mat(value, RP), atol=1e-13)
+    assert np.allclose(lam[:, 1, 1], tc.beta_delta_mat(value, RP), atol=1e-13)
 
 
-@pytest.mark.parametrize("n,seed", [(2, 3), (4, 4)])
-def test_transport_chain_rule_tensor(n, seed):
-    mesh = structured_unit_square(n)
+def sheared(n, slope=0.4):
+    base = structured_unit_square(n)
+    pts = base.vertices.copy()
+    pts[:, 0] += slope * pts[:, 1]
+    return TriMesh(pts, base.cells)
+
+
+@pytest.mark.parametrize("make_mesh,seed", [
+    pytest.param(lambda: structured_unit_square(2), 3, id="2-3"),
+    pytest.param(lambda: structured_unit_square(4), 4, id="4-4"),
+    pytest.param(lambda: sheared(6), 6, id="sheared6-6")])
+def test_transport_chain_rule_tensor(make_mesh, seed):
+    mesh = make_mesh()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(25):
+        amap_t = advection_map(
+            mesh, rng.standard_normal((mesh.n_cells, 2))).T
         field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
-        nodes = tc.tensor_nodes(*tc.eig_sym(field), RP)
-        lam = lambda_transport(mesh, nodes, RP)
-        _, gp = tc.g_delta_mat(field, RP)
-        for k in range(mesh.n_cells):
-            grads = mesh.bary_grads[k]
-            verts = mesh.cells[k]
-            d_gp = np.einsum("jJ,jc->Jc", grads, gp[verts])
-            w, _ = tc.eig_sym(field[verts])
-            _, gpw = tc.g_delta(w, RP)
-            trh = tc.h_delta(gpw, RP).sum(axis=-1)
-            d_trh = grads.T @ trh
-            for m in range(2):
-                lhs = sum(tc.ddot(lam[k, m, p], d_gp[p]) for p in range(2))
-                worst = max(worst, abs(lhs - d_trh[m]))
-    assert worst <= 1e-12, f"chain-rule residual {worst:.3e}"
+        worst = max(worst, chain_rule_residual(mesh.cells, amap_t, field, RP))
+    assert worst <= 1e-13, f"relative chain-rule residual {worst:.3e}"
 
 
 def test_transport_chain_rule_scalar():
@@ -133,23 +136,15 @@ def test_transport_chain_rule_scalar():
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(25):
-        field = rng.uniform(-1.5, 1.5, size=mesh.n_vertices)
-        _, gp = tc.g_delta(field, RP)
-        lam = lambda_transport(mesh, gp, RP)
-        h_of = tc.h_delta(gp, RP)
-        for k in range(mesh.n_cells):
-            grads = mesh.bary_grads[k]
-            verts = mesh.cells[k]
-            d_gp = grads.T @ gp[verts]
-            d_h = grads.T @ h_of[verts]
-            for m in range(2):
-                lhs = sum(lam[k, m, p] * d_gp[p] for p in range(2))
-                worst = max(worst, abs(lhs - d_h[m]))
-    assert worst <= 1e-12, f"scalar chain-rule residual {worst:.3e}"
+        amap_t = advection_map(
+            mesh, rng.standard_normal((mesh.n_cells, 2))).T
+        q = rng.uniform(-1.5, 1.5, size=mesh.n_vertices)
+        worst = max(worst, chain_rule_residual(mesh.cells, amap_t, q, RP))
+    assert worst <= 1e-13, f"relative scalar chain-rule residual {worst:.3e}"
 
 
-def test_lambda_transport_is_pairwise_stacking():
-    """Vertex-first evaluation equals lambda_matrix/lambda_scalar per pair."""
+def test_corner_coefficients_are_pairwise_stacking():
+    """Vertex-first evaluation equals evaluation pair by pair."""
     mesh = structured_unit_square(4)
     cells = mesh.cells
     rng = np.random.default_rng(11)
@@ -165,17 +160,27 @@ def test_lambda_transport_is_pairwise_stacking():
     w, _ = tc.eig_sym(field)
     assert (w < RP.delta).any() and (w > RP.delta).any()
 
-    hat = np.stack([lambda_matrix(field[cells[:, j]], field[cells[:, 0]], RP)
-                    for j in (1, 2)], axis=1)
-    want = np.einsum("kjm,kpj,kjc->kmpc", mesh.affine_Binv, mesh.affine_B, hat)
-    got = lambda_transport(mesh, tc.tensor_nodes(*tc.eig_sym(field), RP), RP)
+    want = np.stack([pair_coefficients(field[cells[:, j]], field[cells[:, 0]],
+                                       RP) for j in (1, 2)], axis=1)
+    got = corner_coefficients(cells, tc.tensor_nodes(*tc.eig_sym(field), RP),
+                              RP)
     assert np.array_equal(got, want)
 
-    hat = np.stack([lambda_scalar(q[cells[:, j]], q[cells[:, 0]], RP)
-                    for j in (1, 2)], axis=1)
-    want = np.einsum("kjm,kpj,kj->kmp", mesh.affine_Binv, mesh.affine_B, hat)
+    want = np.stack([pair_coefficients(q[cells[:, j]], q[cells[:, 0]], RP)
+                     for j in (1, 2)], axis=1)
     assert np.array_equal(
-        lambda_transport(mesh, tc.g_delta(q, RP)[1], RP), want)
+        corner_coefficients(cells, tc.g_delta(q, RP)[1], RP), want)
+
+
+def physical_frame(mesh, coef):
+    """The corner coefficients (n_cells, 2[, 3]) of each cell as the
+    physical-frame Lambda, ``B^{-1}`` and ``B`` of the cell's affine map
+    around them: entry [k, m, p] multiplies the m-th velocity component
+    against the p-th test derivative."""
+    corners = mesh.vertices[mesh.cells]
+    b = np.stack([corners[:, 1] - corners[:, 0],
+                  corners[:, 2] - corners[:, 0]], axis=2)
+    return np.einsum("kjm,kpj,kj...->kmp...", np.linalg.inv(b), b, coef)
 
 
 def einsum_advection(mesh, u_cell, lam):
@@ -196,17 +201,16 @@ def einsum_advection(mesh, u_cell, lam):
 
 
 def test_advection_map_matches_einsum_contraction():
-    base = structured_unit_square(6)
-    pts = base.vertices.copy()
-    pts[:, 0] += 0.4 * pts[:, 1]
-    scheme = SchemeP1Diff(TriMesh(pts, base.cells), PARAMS)
+    scheme = SchemeP1Diff(sheared(6), PARAMS)
     mesh, v = scheme.mesh, scheme.v
     rng = np.random.default_rng(12)
     state, _ = initial(scheme, 0.1)
     sig = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
     rho = rng.uniform(0.0, 1.2 * RP.b, size=mesh.n_vertices)
-    nodes = tc.tensor_nodes(*tc.eig_sym(sig), RP)
-    nodes_r = tc.g_delta(1.0 - rho / RP.b, RP)[1]
+    coef = corner_coefficients(
+        mesh.cells, tc.tensor_nodes(*tc.eig_sym(sig), RP), RP)
+    coef_r = corner_coefficients(
+        mesh.cells, tc.g_delta(1.0 - rho / RP.b, RP)[1], RP)
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -217,16 +221,12 @@ def test_advection_map_matches_einsum_contraction():
         state = dataclasses.replace(state, u=u)
         problem = BlockStep(scheme, state, 0.1)
         u_cell = fe.cell_mean_velocity(mesh, v, u)
-        want = einsum_advection(mesh, u_cell,
-                                lambda_transport(mesh, nodes, RP))
-        want_r = einsum_advection(mesh, u_cell,
-                                  lambda_transport(mesh, nodes_r, RP))
+        want = einsum_advection(mesh, u_cell, physical_frame(mesh, coef))
+        want_r = einsum_advection(mesh, u_cell, physical_frame(mesh, coef_r))
         amap = advection_map(mesh, u_cell)
         assert amap.shape == (mesh.n_vertices, 2 * mesh.n_cells)
-        assert close(amap @ corner_coefficients(mesh, nodes, RP)
-                     .reshape(-1, 3), want)
-        assert close(amap @ corner_coefficients(mesh, nodes_r, RP)
-                     .reshape(-1), want_r)
+        assert close(amap @ coef.reshape(-1, 3), want)
+        assert close(amap @ coef_r.reshape(-1), want_r)
         adv = problem.stress_terms(sig, rho)[1][3]
         assert close(adv[:, :3], want)
         assert close(adv[:, 3], -RP.b * want_r)
