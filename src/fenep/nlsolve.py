@@ -25,8 +25,8 @@ fixed sparsity pattern (the Picard/Oseen splitting of Elman, Silvester
 and Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).  The
 :class:`SaddleOperator` condenses the velocity dofs that live on one
 cell (the mini element's bubbles), which is exact because their block
-of the matrix is diagonal, and factors what remains under a symmetric
-order without pivoting.  It regularizes only the pressure rows whose
+of the matrix is diagonal, and factors what remains under
+:data:`LU_OPTIONS`.  It regularizes only the pressure rows whose
 condensed diagonal is zero, with ``-g D`` (``D`` the Schur-complement
 diagonal): none for the mini element, every row for the P2 and
 reduced-P2 pairs.  Each solve is checked against the exact matrix with
@@ -34,12 +34,9 @@ one pressure row pinned, and refined only while its normwise backward
 error exceeds :data:`SADDLE_BACKWARD_ERROR`; one that cannot reach it
 raises :class:`SolverError`.  The pinned row goes unchecked, so the
 unpinned system the energy identity reads can miss that bound.  The
-weight ``g`` trades the factor's rounding, which grows like ``1/g``,
-against the contraction of each refinement, which a larger ``g``
-weakens: the step operators take :data:`STEP_REGULARIZATION` = 1e-8, at
-which one refinement meets the bound, and the mass-only projection of
-initial data keeps the default :data:`SADDLE_REGULARIZATION` = 1e-9, at
-which a mass matrix alone needs fewer refinements than at 1e-8.
+weight ``g`` is :data:`STEP_REGULARIZATION` for the step operators and
+:data:`SADDLE_REGULARIZATION` for the mass-only projection of initial
+data.
 
 The step is exposed to the driver as a fixed-point problem: one
 ``sweep`` performs a block Gauss-Seidel pass through the factorized
@@ -143,6 +140,17 @@ STEP_REGULARIZATION = 1e-8
 SADDLE_BACKWARD_ERROR = 1e-14
 #: most refinement steps a saddle solve may take to reach it
 SADDLE_MAX_REFINEMENTS = 3
+#: the SuperLU options of every sparse factorization in the package:
+#: symmetric mode, the minimum degree order of ``A^T + A`` and diagonal
+#: pivots only.  No factored matrix needs pivoting: the condensed saddle
+#: matrix is quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995), the
+#: cellwise stress matrix is diagonally dominant by rows (growth factor
+#: <= 2; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+#: Thm 9.9), and the diffusive scheme's scalar matrix and stress
+#: projection, a positive diagonal plus a stiffness, are symmetric
+#: positive definite (Higham, ch. 10).
+LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+              "options": {"SymmetricMode": True}}
 #: an accepted iterate whose residual exceeds this fraction of the last
 #: one's switches the driver to the linearized sweep for the rest of the
 #: solve
@@ -187,24 +195,18 @@ class SaddleOperator:
     (r_b - K_bs y_s)``.  Without cell-local dofs ``K_c`` is ``K``.  A
     mask whose block is not diagonal raises :class:`SolverError`.
 
-    ``K_c`` is factored in SuperLU's symmetric mode, without pivoting,
-    under the minimum degree order of ``K_c^T + K_c``: about a third of
-    the fill of a pivoted LU of ``K`` on the shipped pairs.  That is
-    stable for a quasi-definite matrix (Vanderbei, SIAM J. Optim. 5,
-    1995).  The condensed pressure block ``-B0_b K_bb^-1 B0_b^T`` is
-    negative definite for the mini element, so its ``K_c`` is
-    quasi-definite as it stands, and its factor solves ``K`` exactly.
+    ``K_c`` is factored under :data:`LU_OPTIONS`, with about a third of
+    the fill of a pivoted LU of ``K`` on the shipped pairs, which is
+    stable because ``K_c`` is quasi-definite.  The condensed pressure
+    block ``-B0_b K_bb^-1 B0_b^T`` is negative definite for the mini
+    element, so its ``K_c`` is quasi-definite as it stands, and its
+    factor solves ``K`` exactly.
     A pressure row whose condensed diagonal is exactly zero, which is
     every row of a pair without cell-local velocity dofs, is regularized
     to ``-g D``, with ``D = diag(B0 diag(A)^-1 B0^T)`` the diagonal of the
     Schur complement and ``g`` the ``regularization`` weight.  ``D``
     scales the regularization with ``A`` and the mesh, so it stays small
-    against ``K`` for a mass matrix alone and for any step size.  The
-    default weight :data:`SADDLE_REGULARIZATION` suits a mass matrix
-    alone; with the stiffness in ``A`` the factor's rounding, which
-    grows like ``1/g``, outweighs the contraction a smaller ``g`` gives
-    each refinement, so the step operators take the larger
-    :data:`STEP_REGULARIZATION`.
+    against ``K`` for a mass matrix alone and for any step size.
 
     Every solve is checked against the exact ``K``: its normwise
     backward error must reach ``|b - K x| <= SADDLE_BACKWARD_ERROR (|b| +
@@ -258,9 +260,7 @@ class SaddleOperator:
         k_g = (k_c - sp.diags(reg)).tocsc()
         del k_c
         try:
-            self._lu = splu(k_g, permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
+            self._lu = splu(k_g, **LU_OPTIONS)
         except RuntimeError as exc:
             raise SolverError(f"saddle matrix factorization failed: {exc}") from exc
         self._order, self._n_s = np.concatenate([s, b]), len(s)
@@ -450,15 +450,13 @@ class BlockStep:
     The k scalar blocks share one factorized matrix, ``scalar_lu``, which
     the scheme's ``stress_block`` gives with its ``local_terms``, after
     the saddle matrix is factored (factoring the small matrix first
-    raised the peak memory of a run by a few MB).  The cellwise scheme
-    builds that matrix per step on a pattern made once per run and
-    factors it without pivoting, since it is diagonally dominant by rows.
-    Factorizations held across steps raise the floor under every later
-    peak, so the convection fills the data array of the scheme's fixed
-    pattern (:attr:`ImplicitScheme.free_pattern`), whose geometry tables
-    are made once per run, instead of assembling through COO
-    temporaries: a step gathers the coefficients of ``u_prev``, takes
-    one small matrix product per block of cells and scatters it.
+    raised the peak memory of a run by a few MB).  Factorizations held
+    across steps raise the floor under every later peak, so the
+    convection fills the data array of the scheme's fixed pattern
+    (:attr:`ImplicitScheme.free_pattern`), whose geometry tables are
+    made once per run, instead of assembling through COO temporaries: a
+    step gathers the coefficients of ``u_prev``, takes one small matrix
+    product per block of cells and scatters it.
 
     ``stress_terms(sig, rho) -> (rhs_u, frozen)`` computes all that
     depends on the stress iterate alone, from one spectral decomposition
@@ -706,11 +704,6 @@ class ImplicitScheme:
     stiffness of its stress nodes, and one with a trace variable
     ``carries_trace``.
 
-    Each audited state is decomposed once: :func:`fenep.tensorcalc.eig_sym`
-    of its stress gives the eigenvalues that the free energy, the
-    relaxation dissipation and the positivity bound take, and the frame
-    in which ``_extra_audit_terms`` may recompose spectral functions.
-
     Operators that depend on the step size are factorized on the first
     step that needs them and kept in a one-entry cache per operator
     (:meth:`_cached`), keyed on everything the matrix reads: the saddle
@@ -768,34 +761,29 @@ class ImplicitScheme:
             self._cache[name] = (key, build())
         return self._cache[name][1]
 
+    def _free_saddle(self, a_mat, regularization: float) -> SaddleOperator:
+        """The :class:`SaddleOperator` of the velocity matrix ``a_mat`` on
+        the free dofs with ``B``, regularized at ``regularization``."""
+        a_ff = a_mat[self.free][:, self.free].tocsr()
+        del a_mat  # freed before the factorization, the memory peak
+        return SaddleOperator(a_ff, self.b_free, self.weights,
+                              self.v.cell_local[self.free],
+                              regularization=regularization)
+
     def saddle_operator(self, dt: float) -> SaddleOperator:
         """The factorized saddle matrix of ``Re/dt M + (1-eps) K`` on the
         free dofs with ``B``, regularized at :data:`STEP_REGULARIZATION`."""
         prm = self.params
-
-        def build():
-            a_mat = (prm.re / dt) * self.mass + (1.0 - prm.eps) * self.stiff
-            a_ff = a_mat[self.free][:, self.free].tocsr()
-            del a_mat  # freed before the factorization, the memory peak
-            return SaddleOperator(a_ff, self.b_free, self.weights,
-                                  self.v.cell_local[self.free],
-                                  regularization=STEP_REGULARIZATION)
-
-        return self._cached("saddle", (dt, prm.re, prm.eps), build)
+        return self._cached("saddle", (dt, prm.re, prm.eps), lambda: (
+            self._free_saddle((prm.re / dt) * self.mass
+                              + (1.0 - prm.eps) * self.stiff,
+                              STEP_REGULARIZATION)))
 
     @cached_property
     def free_pattern(self):
         """Fixed free x free pattern of the per-step convection, with the
         tables its fill reads, built on the first step."""
         return velocity_pattern(self.v, self.free)
-
-    def _bounds(self, sig, rho, eigs) -> dict:
-        """Trace balance, smallest eigenvalue and largest trace of a stress."""
-        tr = tc.trace(sig)
-        return {"trace_balance": (0.0 if rho is None
-                                  else float(self.weights @ (tr - rho))),
-                "min_eig_sigma": float(eigs[:, 0].min()),
-                "max_trace_sigma": float(tr.max())}
 
     def initial_state(self, u0=None, sigma0=None, dt0: float = 0.0) -> State:
         """The projection of initial data into the scheme's spaces.
@@ -820,11 +808,10 @@ class ImplicitScheme:
         """
         u = np.zeros(self.v.n_dofs)
         if u0 is not None:
-            a_ff = (self.mass + dt0 * self.stiff)[self.free][:, self.free]
             load = velocity_load(self.mesh, self.v, u0)[self.free]
-            u[self.free] = SaddleOperator(
-                a_ff, self.b_free, self.weights,
-                self.v.cell_local[self.free]).solve(load)[0]
+            u[self.free] = self._free_saddle(self.mass + dt0 * self.stiff,
+                                             SADDLE_REGULARIZATION
+                                             ).solve(load)[0]
 
         rule = triangle_rule(6)
         samples = self._stress_samples(sigma0, rule.points)
@@ -836,19 +823,13 @@ class ImplicitScheme:
         if self.k_scalar is None:
             sig = moments / self.weights[:, None]
         else:
-            sig = splu((sp.diags(self.weights)
-                        + dt0 * self.k_scalar).tocsc()).solve(moments)
+            sig = splu((sp.diags(self.weights) + dt0 * self.k_scalar).tocsc(),
+                       **LU_OPTIONS).solve(moments)
         rho = tc.trace(sig) if self.carries_trace else None
 
-        eigs = tc.eig_sym(sig)[0]          # the one decomposition of the state
-        f0 = free_energy(self.params, self.weights, self.mass, u, eigs,
-                         _eta(sig, rho))
-        audit = StepAudit(f_before=f0.total, f_after=f0.total,
-                          kinetic_jump=0.0, viscous=0.0, relaxation=0.0,
-                          slack=0.0, **self._bounds(sig, rho, eigs))
-        return State(u, np.zeros(self.q.n_dofs), sig, rho,
-                     energy=f0, audit=audit,
-                     initial_report=self._initial_report(samples, eigs, audit))
+        state, eigs = self._audited_state(u, np.zeros(self.q.n_dofs), sig, rho)
+        state.initial_report = self._initial_report(samples, eigs, state.audit)
+        return state
 
     def _stress_samples(self, sigma0, lam):
         """The stress data at the barycentric points ``lam`` of every cell,
@@ -895,29 +876,52 @@ class ImplicitScheme:
                 f"iterations (damping {report.damping:.3g})")
             err.report = report
             raise err
-        u, p, sig, rho = problem.split(x)
+        new_state = self._audited_state(*problem.split(x), state, dt,
+                                        cfg.tol)[0]
+        return new_state, report, new_state.audit
 
+    def _audited_state(self, u, p, sig, rho, before: State | None = None,
+                       dt: float = 0.0, tol: float | None = None):
+        """The state ``(u, p, sig, rho)`` that a step of length ``dt`` made
+        from ``before``, with its free energy and the audit of that step
+        at the slack of Picard tolerance ``tol``, and the eigenvalues of
+        its stress.  ``before`` None is the state itself: a step of length
+        zero, with no dissipation, no work and no slack.  The state is
+        decomposed once: :func:`fenep.tensorcalc.eig_sym` of ``sig`` gives
+        the eigenvalues that the free energy, the relaxation dissipation
+        and the stress bounds take, and the frame in which
+        ``_extra_audit_terms`` may recompose spectral functions.
+        """
         prm, w = self.params, self.weights
         eigs, frame = tc.eig_sym(sig)      # the one decomposition of the state
         eta = _eta(sig, rho)
         f_after = free_energy(prm, w, self.mass, u, eigs, eta)
-        f_before = state.energy
+        if before is None:
+            before = State(u, p, sig, rho, energy=f_after)
+        f_before = before.energy
         if f_before is None:
-            f_before = free_energy(prm, w, self.mass, state.u,
-                                   tc.eig_sym(state.sigma)[0],
-                                   _eta(state.sigma, state.rho))
-        du = u - state.u
+            f_before = free_energy(prm, w, self.mass, before.u,
+                                   tc.eig_sym(before.sigma)[0],
+                                   _eta(before.sigma, before.rho))
+        du = u - before.u
+        terms = {
+            "kinetic_jump": 0.5 * prm.re * float(du @ (self.mass @ du)),
+            "viscous": dt * (1.0 - prm.eps) * float(u @ (self.stiff @ u)),
+            "relaxation": dt * relaxation_dissipation(prm, w, eigs, eta),
+            "forcing": dt * float(self.fvec @ u),
+            **self._extra_audit_terms(eigs, frame, rho, dt)}
+        # + 0.0 turns the -0.0 of a negative rate times dt = 0 into 0.0
+        terms = {k: v + 0.0 if isinstance(v, float) else v
+                 for k, v in terms.items()}
+        tr = tc.trace(sig)
         audit = StepAudit(
             f_before=f_before.total, f_after=f_after.total,
-            kinetic_jump=0.5 * prm.re * float(du @ (self.mass @ du)),
-            viscous=dt * (1.0 - prm.eps) * float(u @ (self.stiff @ u)),
-            relaxation=dt * relaxation_dissipation(prm, w, eigs, eta),
-            forcing=dt * float(self.fvec @ u),
-            slack=audit_slack(cfg.tol, f_before.total, f_after.total),
-            **self._bounds(sig, rho, eigs),
-            **self._extra_audit_terms(eigs, frame, rho, dt))
-        new_state = State(u, p, sig, rho, state.t + dt, f_after, audit)
-        return new_state, report, audit
+            slack=(0.0 if tol is None
+                   else audit_slack(tol, f_before.total, f_after.total)),
+            trace_balance=0.0 if rho is None else float(w @ (tr - rho)),
+            min_eig_sigma=float(eigs[:, 0].min()),
+            max_trace_sigma=float(tr.max()), **terms)
+        return State(u, p, sig, rho, before.t + dt, f_after, audit), eigs
 
 
 def _eta(sig, rho):

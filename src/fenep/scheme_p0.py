@@ -15,17 +15,15 @@ Every step runs that budget as an audit against the assembled operators
 The nonlinear step couples the momentum equation (convection frozen at
 the previous velocity) to the per-cell stress update through the
 regularized relaxation product; a damped Picard iteration alternates the
-two factorized linear solves.  The velocity/pressure matrix without the
-convection is factorized once per step size and kept on the scheme; the
-convection is lagged to the right-hand side of each sweep.  That step,
-its right-hand sides, its Picard driver and its audit are shared with
-the diffusive scheme (:mod:`fenep.nlsolve`); this module supplies only
-the stress block: the stress matrix (cell areas over dt plus the upwind
-transport of the previous velocity, factorized once per step for the
-three components, without pivoting) and the cut of each iterate, with
-k = 1.  The transport reads an :class:`EdgeTransport` made once per
-run: the sparse map from the velocity to its normal component at three
-points of each interior edge, and the matrix's cell-adjacency pattern.
+two factorized linear solves.  That step, its right-hand sides, its
+Picard driver and its audit are shared with the diffusive scheme
+(:mod:`fenep.nlsolve`); this module supplies only the stress block: the
+stress matrix (cell areas over dt plus the upwind transport of the
+previous velocity, factorized once per step for the three components)
+and the cut of each iterate, with k = 1.  The transport reads an
+:class:`EdgeTransport` made once per run: the sparse map from the
+velocity to its normal component at three points of each interior
+edge, and the matrix's cell-adjacency pattern.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from scipy.sparse.linalg import splu
 from . import tensorcalc as tc
 from .fespaces import compressed_pattern, gauss01
 from .meshing import TriMesh
-from .nlsolve import ImplicitScheme, State
+from .nlsolve import LU_OPTIONS, ImplicitScheme, State
 
 __all__ = [
     "EdgeTransport",
@@ -215,17 +213,12 @@ class SchemeP0(ImplicitScheme):
         The matrix fills the pattern of :attr:`edge_tables`.  It is
         strictly diagonally dominant by rows for any velocity, divergence
         free or not: its off-diagonal entries in row K are minus the
-        inflows of K, its diagonal their sum plus ``|K|/dt``.  So LU
-        without pivoting is stable, with growth factor at most 2 (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 9.9),
-        and SuperLU factors it in its symmetric mode under the minimum
-        degree order of ``A^T + A``, as
-        :class:`fenep.nlsolve.SaddleOperator` does.
+        inflows of K, its diagonal their sum plus ``|K|/dt``.  So it needs
+        no pivoting (:data:`fenep.nlsolve.LU_OPTIONS`).
         """
         transport = upwind_matrix(self.mesh, self.edge_tables, state.u,
                                   self.mesh.cell_areas / dt)
-        lu = splu(transport, permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splu(transport, **LU_OPTIONS)
         reg, k = self.params.reg, np.ones(self.mesh.n_cells)
 
         def local_terms(eigs, frame, eta, rho):

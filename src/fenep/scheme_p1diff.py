@@ -17,9 +17,9 @@ edge, ``C : (g'(q_a) - g'(q_c)) = tr h(g'(q_a)) - tr h(g'(q_c))`` for
 the edge's ends a and c.  The transport velocity and the geometry are
 fixed for a step, so the advection is one sparse map of the corner
 coefficients (``advection_map``), built once per step and applied once
-per stress iterate and field.  The oracles (``fenep verify`` and the
-acceptance checks) state the chain rule through that map, on the
-coefficients the step builds.
+per stress iterate and field.  :func:`fenep.verify.chain_rule_residual`
+states the chain rule through that map, on the coefficients the step
+builds.
 
 Testing the stress and trace equations with the same hat function shows
 the integral of ``pi_h[tr(sigma) - rho]`` is conserved to solver
@@ -56,7 +56,7 @@ from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
 from .fespaces import cell_mean_velocity, scalar_stiffness
 from .meshing import REF_GRADS, TriMesh
-from .nlsolve import ImplicitScheme, State
+from .nlsolve import LU_OPTIONS, ImplicitScheme, State
 from .params import ModelParams
 
 __all__ = [
@@ -205,7 +205,8 @@ class SchemeP1Diff(ImplicitScheme):
         of the corner coefficients of the stress and of the trace."""
         prm, reg = self.params, self.params.reg
         lu = self._cached("scalar", (dt, prm.alpha), lambda: splu(
-            (sp.diags(self.weights / dt) + prm.alpha * self.k_scalar).tocsc()))
+            (sp.diags(self.weights / dt) + prm.alpha * self.k_scalar).tocsc(),
+            **LU_OPTIONS))
         amap = advection_map(self.mesh, cell_mean_velocity(
             self.mesh, self.v, state.u))
         cells = self.mesh.cells

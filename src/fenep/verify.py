@@ -24,12 +24,7 @@ from .meshing import structured_unit_square
 from .params import ModelParams
 from .scheme_p0 import SchemeP0, upwind_fluxes
 
-__all__ = ["run_all"]
-
-
-def _random_tensors(rng, n, scale=5.0):
-    t = rng.uniform(-scale, scale, size=(n, 3))
-    return t
+__all__ = ["chain_rule_residual", "run_all"]
 
 
 def _check_frozen_values():
@@ -53,8 +48,8 @@ def _check_lemma_sweep():
     worst = np.inf
     for delta, b in ((0.5, 5.0), (0.1, 5.0), (0.25, 50.0)):
         rp = tc.RegParams(delta, b)
-        phi = _random_tensors(rng, 2000)
-        psi = _random_tensors(rng, 2000)
+        phi = rng.uniform(-5.0, 5.0, size=(2000, 3))
+        psi = rng.uniform(-5.0, 5.0, size=(2000, 3))
         eta = rng.uniform(-5.0, 5.0, size=2000)
         margins = tc.lemma_margins_pair(phi, psi, eta, rp)
         worst = min(worst, min(float(np.min(v)) for v in margins.values()))
@@ -64,38 +59,44 @@ def _check_lemma_sweep():
     return worst >= -1e-10, f"worst inequality margin {worst:.2e}"
 
 
-def _check_transport_identity():
-    """The discrete chain rule on what the diffusive scheme's step builds.
+def chain_rule_residual(cells, amap_t, field, rp):
+    """Worst residual of the discrete chain rule, relative to the values.
 
-    With ``C`` the corner coefficients of a vertex field and ``A`` the
-    advection map of a random cell velocity, every cell and reference
-    edge e has ``sum_c w_c C[e, c] (A^T g')[e, c] = (A^T tr h)[e]``,
-    w = (1, 2, 1) counting the off-diagonal component twice; a scalar
-    field, one rank down, has ``C[e] (A^T g')[e] = (A^T h)[e]``.
+    ``C`` are the diffusive scheme's corner coefficients of the vertex
+    ``field`` on ``cells`` and ``amap_t`` the transposed advection map,
+    which takes a vertex field to its change along each reference edge
+    of each cell, times the velocity there.  A tensor field
+    (n_vertices, 3) gives ``sum_c w_c C[e, c] (A^T g')[e, c] = (A^T tr
+    h)[e]`` for every cell and edge e, w = (1, 2, 1) counting the
+    off-diagonal component twice; a scalar field q (n_vertices,) gives
+    ``C[e] (A^T g')[e] = (A^T h)[e]`` with ``g' = g'(q)``.
     """
+    if field.ndim == 2:
+        w, frame = tc.eig_sym(field)
+        coef = scheme_p1diff.corner_coefficients(
+            cells, tc.tensor_nodes(w, frame, rp), rp)
+        _, gp = tc.g_delta_mat(field, rp)
+        lhs = (coef.reshape(-1, 3) * (amap_t @ gp)) @ np.array([1.0, 2.0, 1.0])
+        rhs = amap_t @ tc.h_delta(tc.g_delta(w, rp)[1], rp).sum(axis=-1)
+    else:
+        _, gp = tc.g_delta(field, rp)
+        coef = scheme_p1diff.corner_coefficients(cells, gp, rp)
+        lhs = coef.reshape(-1) * (amap_t @ gp)
+        rhs = amap_t @ tc.h_delta(gp, rp)
+    return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
+
+
+def _check_transport_identity():
+    """The chain rule of random vertex fields through an advection map."""
     rng = np.random.default_rng(7)
     mesh = structured_unit_square(3)
     rp = tc.RegParams(0.25, 5.0)
     amap_t = scheme_p1diff.advection_map(
         mesh, rng.standard_normal((mesh.n_cells, 2))).T
-    field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
-    w, frame = tc.eig_sym(field)
-    coef = scheme_p1diff.corner_coefficients(
-        mesh.cells, tc.tensor_nodes(w, frame, rp), rp).reshape(-1, 3)
-    _, gp = tc.g_delta_mat(field, rp)
-    trh = tc.h_delta(tc.g_delta(w, rp)[1], rp).sum(axis=-1)
-    _, gp_q = tc.g_delta(rng.uniform(-2.0, 2.0, size=mesh.n_vertices), rp)
-    coef_q = scheme_p1diff.corner_coefficients(mesh.cells, gp_q, rp)
-    worst = max(
-        _relative_residual((coef * (amap_t @ gp)) @ np.array([1.0, 2.0, 1.0]),
-                           amap_t @ trh),
-        _relative_residual(coef_q.reshape(-1) * (amap_t @ gp_q),
-                           amap_t @ tc.h_delta(gp_q, rp)))
+    worst = max(chain_rule_residual(
+        mesh.cells, amap_t, rng.uniform(-2.0, 2.0, size=shape), rp)
+        for shape in ((mesh.n_vertices, 3), mesh.n_vertices))
     return worst <= 1e-13, f"worst relative chain-rule residual {worst:.2e}"
-
-
-def _relative_residual(lhs, rhs):
-    return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
 
 
 def _check_quadrature():

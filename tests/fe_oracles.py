@@ -5,9 +5,8 @@ The einsum kernels are the cell-by-cell contractions that
 local entry, orthogonal direction pairs included, through COO.  The
 scalar mass matrix, the divergence matrix, the dense inf-sup estimate
 and the vertex-sampling interpolant are used by the tests alone.  The
-transport coefficients of the diffusive scheme are checked through the
-objects its step builds: the chain rule through the advection map, and
-the coefficients of given vertex pairs laid out as cells.
+transport coefficients of given vertex pairs are laid out as cells, so
+they are the corner coefficients the diffusive scheme's step builds.
 """
 
 import math
@@ -144,33 +143,6 @@ def pi_h(mesh, f):
     if out.shape[0] != mesh.n_vertices:
         raise ValueError("vertex value array has wrong length")
     return out.copy()
-
-
-def chain_rule_residual(cells, amap_t, field, rp):
-    """Worst residual of the discrete chain rule, relative to the values.
-
-    ``C`` are the corner coefficients of the vertex ``field`` on
-    ``cells`` and ``amap_t`` the transposed advection map, which takes
-    a vertex field to its change along each reference edge of each
-    cell, times the velocity there.  A tensor field (n_vertices, 3)
-    gives ``sum_c w_c C[e, c] (A^T g')[e, c] = (A^T tr h)[e]`` for every
-    cell and edge e, w = (1, 2, 1) counting the off-diagonal component
-    twice; a scalar field q (n_vertices,) gives ``C[e] (A^T g')[e] =
-    (A^T h)[e]`` with ``g' = g'(q)``.
-    """
-    if field.ndim == 2:
-        w, frame = tc.eig_sym(field)
-        coef = corner_coefficients(cells, tc.tensor_nodes(w, frame, rp), rp)
-        _, gp = tc.g_delta_mat(field, rp)
-        dup = np.array([1.0, 2.0, 1.0])
-        lhs = (coef.reshape(-1, 3) * (amap_t @ gp)) @ dup
-        rhs = amap_t @ tc.h_delta(tc.g_delta(w, rp)[1], rp).sum(axis=-1)
-    else:
-        _, gp = tc.g_delta(field, rp)
-        coef = corner_coefficients(cells, gp, rp)
-        lhs = coef.reshape(-1) * (amap_t @ gp)
-        rhs = amap_t @ tc.h_delta(gp, rp)
-    return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
 
 
 def pair_coefficients(a, c, rp):

@@ -2,18 +2,22 @@
 
 Each case is a forced cavity on the structured n = 4 mesh, two steps of
 dt = 0.05, whose ``energy.csv`` must match the table recorded in
-``tests/golden/<case>.csv``.  Rows agree when every checked column is
-within ``ROW_TOL_FACTOR * tol * (1 + |recorded|)`` of the recorded value:
-a Picard solve stops anywhere in a ball of about ``tol`` around the
-fixed point, so a change of the solver path may move a column by that
-much, while any change of the discretization moves it by far more.
-``picard_iters`` and ``residual`` describe the path and are not checked.
+``tests/golden/<case>.csv``.  The gate is the benchmark's own
+(``bench/workloads.py``): rows agree when every one of its
+``CHECKED_COLUMNS`` is within ``ROW_TOL_FACTOR * PICARD_TOL * (1 +
+|recorded|)`` of the recorded value.  A Picard solve stops anywhere in a
+ball of about ``tol`` around the fixed point, so a change of the solver
+path may move a column by that much, while any change of the
+discretization moves it by far more.  ``picard_iters`` and ``residual``
+describe the path and are not checked.
 
 To rerecord the tables after a deliberate change of the discretization:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import importlib.util
+import sys
 import textwrap
 import warnings
 from pathlib import Path
@@ -25,16 +29,11 @@ from fenep.scheme_p1diff import TimeStepWarning
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: Picard tolerance of every case
-TOL = 1e-10
-#: rows agree to this multiple of TOL, relative to 1 + |recorded|
-ROW_TOL_FACTOR = 100.0
-
-#: energy.csv columns that describe the state, not the solver path
-CHECKED_COLUMNS = (
-    "t", "F_total", "kinetic", "entropy", "kinetic_jump", "viscous",
-    "relaxation", "diffusion_sigma", "diffusion_rho", "forcing",
-    "trace_balance", "min_eig_sigma", "max_trace_sigma")
+_spec = importlib.util.spec_from_file_location(
+    "workloads", GOLDEN_DIR.parents[1] / "bench" / "workloads.py")
+gate = importlib.util.module_from_spec(_spec)
+sys.modules.setdefault(_spec.name, gate)  # its dataclasses look it up
+_spec.loader.exec_module(gate)
 
 #: case name -> (scheme, velocity, b)
 CASES = {
@@ -64,7 +63,7 @@ def run_case(name, out_dir):
         [solver]
         scheme = {scheme}
         velocity = {velocity}
-        tol = {TOL!r}
+        tol = {gate.PICARD_TOL!r}
         [output]
         dir = {out_dir}
         """))
@@ -80,10 +79,10 @@ def test_energy_table_matches_the_golden_run(name, tmp_path):
     rows = read_energy_csv(run_case(name, tmp_path))
     golden = read_energy_csv(GOLDEN_DIR / f"{name}.csv")
     assert [r["step"] for r in rows] == [r["step"] for r in golden]
-    tol = ROW_TOL_FACTOR * TOL
+    tol = gate.ROW_TOL_FACTOR * gate.PICARD_TOL
     for row, ref in zip(rows, golden):
         assert row["audit_pass"]
-        for col in CHECKED_COLUMNS:
+        for col in gate.CHECKED_COLUMNS:
             assert abs(row[col] - ref[col]) <= tol * (1.0 + abs(ref[col])), (
                 f"step {ref['step']} {col}: {row[col]!r} != {ref[col]!r}")
 

@@ -648,6 +648,47 @@ def test_one_saddle_factorization_per_step_size(kind, monkeypatch):
     assert len(made) == 4                     # 0.5 again, and the fresh one
 
 
+#: symmetric mode, minimum degree on A^T + A, diagonal pivots only
+LU_POLICY = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+             "options": {"SymmetricMode": True}}
+
+
+def test_every_factorization_takes_the_one_option_set(monkeypatch):
+    """Every splu of a p0 projection and step, and of a p1diff projection
+    of velocity and stress and two steps, passes the one option set,
+    ``LU_OPTIONS``.  The options keep p1diff's scalar factor at n = 32
+    to 0.7 of the fill of SuperLU's default (COLAMD with partial
+    pivoting)."""
+    calls = []
+    for mod in (nlsolve, scheme_p0, scheme_p1diff):
+        def recorded(mat, *args, _splu=mod.splu, _site=mod.__name__,
+                     **options):
+            calls.append((_site, args, options))
+            return _splu(mat, *args, **options)
+        monkeypatch.setattr(mod, "splu", recorded)
+    for kind, step_sizes in (("p0", [0.5]), ("p1diff", [0.5, 0.25])):
+        scheme, state = stirred_state(kind)
+        for dt in step_sizes:
+            state = step(scheme, state, dt)
+    sites = [site for site, _, _ in calls]
+    # the saddles: p0's projection and step, p1diff's projection and
+    # steps; p1diff's stress projection; the stress blocks of the steps
+    assert sites.count("fenep.nlsolve") == 2 + 3 + 1
+    assert sites.count("fenep.scheme_p0") == 1
+    assert sites.count("fenep.scheme_p1diff") == 2
+    for site, args, options in calls:
+        assert args == () and options == LU_POLICY, site
+    assert nlsolve.LU_OPTIONS == LU_POLICY
+
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1,
+                         alpha=0.1)
+    scheme = scheme_p1diff.SchemeP1Diff(structured_unit_square(32), params)
+    state = scheme.initial_state()
+    lu = scheme.stress_block(state, 0.05)[0]
+    default = splu(scalar_matrix(scheme, state, 0.05).tocsc())
+    assert fill(lu) <= 0.7 * fill(default)
+
+
 @pytest.mark.parametrize("kind", SCHEMES)
 def test_transport_tables_are_built_once_per_scheme(kind, monkeypatch):
     """Three steps build the convection's pattern and tables, and the

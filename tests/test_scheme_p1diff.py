@@ -16,7 +16,7 @@ import pytest
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
-from fe_oracles import chain_rule_residual, pair_coefficients
+from fe_oracles import pair_coefficients
 from fenep.meshing import TriMesh, structured_unit_square
 from fenep.nlsolve import BlockStep, PicardConfig, SolverError
 from fenep.params import ModelParams
@@ -28,6 +28,7 @@ from fenep.scheme_p1diff import (
     advection_map,
     corner_coefficients,
 )
+from fenep.verify import chain_rule_residual
 
 PARAMS = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1, alpha=0.1)
 CFG = PicardConfig(tol=1e-12, max_iters=200)
