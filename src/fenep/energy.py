@@ -95,20 +95,22 @@ def relaxation_dissipation(params: ModelParams, weights, eigs, eta) -> float:
 
 
 def tensor_gradient_energy(stiffness, field) -> float:
-    """|grad field|^2 through a scalar stiffness matrix.
+    """|grad field|^2 through a symmetric scalar stiffness matrix K (CSR).
 
     ``field`` is (n,) for a scalar or (n, 3) for a symmetric tensor in
     (xx, xy, yy) components, where the Frobenius norm doubles the
-    off-diagonal contribution.
+    off-diagonal contribution.  The rows of K sum to zero, so ``f^T K f
+    = -1/2 sum_ab K_ab (f_a - f_b)^2`` over its stored entries, which is
+    how it is summed: a field constant up to rounding gives that rounding
+    squared, and on a non-obtuse mesh, where K is at most zero off the
+    diagonal, a value that is never negative.
     """
     field = np.asarray(field, float)
-    if field.ndim == 1:
-        return float(field @ (stiffness @ field))
-    total = 0.0
-    for c, factor in ((0, 1.0), (1, 2.0), (2, 1.0)):
-        col = field[:, c]
-        total += factor * float(col @ (stiffness @ col))
-    return total
+    jumps = (np.repeat(field, np.diff(stiffness.indptr), axis=0)
+             - np.take(field, stiffness.indices, axis=0)) ** 2
+    if field.ndim == 2:
+        jumps = jumps @ np.array([1.0, 2.0, 1.0])
+    return -0.5 * float(stiffness.data @ jumps)
 
 
 def audit_slack(tol: float, f_before: float, f_after: float) -> float:

@@ -14,21 +14,24 @@ Assembly works on whole arrays of cells, never cell by cell.  Each
 operator contracts a small reference tensor, tabulated once on the
 reference triangle, with the per-cell geometry (barycentric gradients
 and areas) in one matrix product or a few broadcast products; vectors are
-summed into dofs with ``np.bincount`` and matrices through one COO
-triple list.  A velocity matrix stores only entries whose two direction
-vectors are not orthogonal (``dirs_i . dirs_j != 0``), which halves the
-coordinate-direction elements, and no entry that sums to exactly zero.
-The convection, the one velocity operator rebuilt on every time step,
-reads the tables of a :class:`FixedPattern` made once per run: the skew
-part of its reference tensor, the direction-gradient products and
-scales of the cells, and the slots of its upper local pairs.  A step
+summed into dofs with ``np.bincount``.  The matrices of a space fill
+one CSR pattern, its :class:`SpacePattern`, built from the space's
+blocks on first use and kept on the space: the dof pairs that share a
+cell are sorted once per pair of families, the two axis blocks of a
+velocity space never couple, and only a ``normal`` block is tested edge
+by edge for directions that are orthogonal.  A matrix then takes one
+``np.bincount`` of its cell values into the pattern's data array: the
+velocity mass and stiffness, which store no entry that sums to exactly
+zero, the P1 stiffness and, on every time step, the convection.  The
+convection also reads :class:`ConvectionTables` made once per space:
+the skew part of its reference tensor, the direction-gradient products
+and scales of the cells, and the slots of its upper local pairs.  A step
 then costs a gather of the transport coefficients, one small matrix
-product per block of cells and a scatter into the pattern's data
-array.  The gradient operator
-``G = integral( psi grad(phi) )`` against a scalar test space is
-assembled once per scheme and serves three forms by matrix products:
-the tested velocity gradient ``G u``, the stress coupling ``G^T W`` and,
-in its trace rows, the divergence.
+product per block of cells and a scatter into the data array.  The
+gradient operator ``G = integral( psi grad(phi) )`` against a scalar
+test space is assembled once per scheme and serves three forms by
+matrix products: the tested velocity gradient ``G u``, the stress
+coupling ``G^T W`` and, in its trace rows, the divergence.
 
 Scalar fields (pressure, stress components, the auxiliary trace) use
 piecewise constants or continuous piecewise linears.  Tensor fields are
@@ -44,6 +47,7 @@ the test suite against closed-form monomial integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,11 +62,13 @@ __all__ = [
     "FESpace",
     "VELOCITY_KINDS",
     "lumped_weights",
+    "SpacePattern",
+    "space_pattern",
     "velocity_mass",
     "velocity_stiffness",
-    "FixedPattern",
+    "ConvectionTables",
+    "convection_tables",
     "compressed_pattern",
-    "velocity_pattern",
     "convection_matrix",
     "gradient_matrix",
     "gradient_trace",
@@ -82,10 +88,15 @@ __all__ = [
 @dataclass(frozen=True)
 class QuadratureRule:
     """Barycentric points and weights; weights sum to 1 and are scaled by
-    the cell area at use, so ``integral = area * sum(w * f(x))``."""
+    the cell area at use, so ``integral = area * sum(w * f(x))``.  A rule
+    is shared by every caller of :func:`triangle_rule`, so it is read-only."""
 
     points: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
 
 
 def _orbit(a: float, b: float | None = None) -> list[tuple]:
@@ -115,8 +126,10 @@ def gauss01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@cache
 def triangle_rule(degree: int) -> QuadratureRule:
-    """Smallest shipped rule exact for polynomials of the given degree."""
+    """Smallest shipped rule exact for polynomials of the given degree,
+    made once per degree (a product rule takes about 0.5 ms)."""
     if degree <= 5:
         for deg in (1, 2, 4, 5):
             if deg >= degree:
@@ -216,6 +229,7 @@ class FESpace:
 
     Attributes
     ----------
+    kind : the key of the space in :data:`_SPACES`
     cell_dofs : (n_cells, nloc) global dof indices
     cell_dirs : (n_cells, nloc, 2) direction of each local dof; None in a
         scalar space
@@ -223,6 +237,11 @@ class FESpace:
     cell_local : (n_dofs,) True on dofs attached to a cell (the mini
         bubbles, the P0 constants): each lives on that one cell alone
     degree : polynomial degree of the scalar factors
+    blocks : the (family, direction) blocks of the kind, each with the
+        slice of its local dofs, its first dof and its number of dofs
+    pattern : the :class:`SpacePattern` every matrix of the space fills,
+        and ``convection_tables`` the :class:`ConvectionTables` of a
+        velocity space; each is built on first use and kept
     """
 
     def __init__(self, mesh: TriMesh, kind: str):
@@ -233,9 +252,11 @@ class FESpace:
                              np.zeros(mesh.n_cells, bool))}
         functions, derivatives, dofs, boundary, in_cell, dirs = (
             [], [], [], [], [], [])
-        self.n_dofs = 0
+        self.kind, self.n_dofs, self.blocks = kind, 0, []
         for family, direction in _SPACES[kind]:
             entities, terms = _FAMILIES[family]
+            span = slice(len(functions), len(functions) + len(terms))
+            offset = self.n_dofs
             functions += terms
             derivatives += _DERIVATIVES[family]
             for entity in entities:
@@ -248,6 +269,8 @@ class FESpace:
                     dirs.append(np.broadcast_to(
                         mesh.edge_normals[local] if direction == "normal"
                         else _AXES[direction], local.shape + (2,)))
+            self.blocks.append((family, direction, span, offset,
+                                self.n_dofs - offset))
         self.cell_dofs = np.hstack(dofs)
         self.dirichlet_mask = np.concatenate(boundary)
         self.cell_local = np.concatenate(in_cell)
@@ -256,6 +279,14 @@ class FESpace:
         self.degree = max(sum(e) for f in functions for _, *e in f)
         self._val = _tabulate(functions)
         self._dbary = _tabulate(derivatives)
+
+    @cached_property
+    def pattern(self) -> SpacePattern:
+        return space_pattern(self)
+
+    @cached_property
+    def convection_tables(self) -> ConvectionTables:
+        return convection_tables(self)
 
     def val(self, lam) -> np.ndarray:
         """Scalar factors of the local dofs at barycentric points ``lam``
@@ -297,30 +328,114 @@ def lumped_weights(mesh: TriMesh) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# assembly kernels
+# the pattern of a space and its fills
 
 
-def _to_csr(cellvals, dofs, n, stored=...):
-    """Sum the cell matrices ``cellvals`` (M, nloc, nloc) on the dofs
-    ``dofs`` (M, nloc) into an n x n CSR matrix; only the entries flagged
-    in ``stored`` enter it."""
-    rows = np.broadcast_to(dofs[:, :, None], cellvals.shape)
-    cols = np.swapaxes(rows, 1, 2)
-    return sp.csr_matrix(
-        (cellvals[stored].ravel(), (rows[stored].ravel(), cols[stored].ravel())),
-        shape=(n, n))
+@dataclass(frozen=True)
+class SpacePattern:
+    """The CSR pattern that every matrix of a space fills, built once per
+    space by :func:`space_pattern` (:attr:`FESpace.pattern`).
 
-
-def _velocity_csr(v: FESpace, cellvals):
-    """Assembled cell matrices ``cellvals_ij dirs_i . dirs_j`` of ``v``.
-
-    Only nonzeros are stored: entries of orthogonal direction pairs are
-    never assembled, and sums that cancel exactly are dropped.
+    Its local pairs ``(first[p], second[p])`` are those of the blocks that
+    may couple: every pair of a scalar space; in a velocity space each
+    block with itself and with a ``normal`` block, never ``x`` with
+    ``y``.  ``mirror[p]`` is the pair ``(second[p], first[p])``, and
+    ``slots[k, p]`` the position of pair p of cell k in the data array,
+    or the dump slot ``nnz`` past its end where the two directions are
+    orthogonal.  A dof has one direction on all its cells, so the
+    direction product of an entry, ``weight`` (0 at the dump slot), is a
+    factor of the whole entry; it is None where every product is 1 (no
+    ``normal`` block).
     """
-    dd = _dir_products(v.cell_dirs)
-    mat = _to_csr(dd * cellvals, v.cell_dofs, v.n_dofs, dd != 0.0)
-    mat.eliminate_zeros()
-    return mat
+
+    first: np.ndarray        # (P,) local pairs
+    second: np.ndarray
+    mirror: np.ndarray
+    slots: np.ndarray        # (n_cells, P) int32
+    weight: np.ndarray | None    # (nnz + 1,)
+    indices: np.ndarray      # int32 column of each stored entry, row-sorted
+    indptr: np.ndarray
+
+    def fill(self, cellvals):
+        """The data array of the pairs' cell values (n_cells, P): summed
+        into their entries in cell order, times the weights."""
+        data = np.bincount(self.slots.ravel(), cellvals.ravel(),
+                           minlength=len(self.indices) + 1)
+        return data[:-1] if self.weight is None else (data * self.weight)[:-1]
+
+    def matrix(self, data, *, nonzero=False):
+        """The CSR matrix of ``data`` on the pattern's own index arrays,
+        or, with ``nonzero``, on copies without the exact zeros
+        (``eliminate_zeros`` on the shared arrays would rewrite the
+        pattern under every later fill)."""
+        n = len(self.indptr) - 1
+        if not nonzero:
+            return sp.csr_matrix((data, self.indices, self.indptr),
+                                 shape=(n, n))
+        stored = data != 0.0
+        indptr = np.concatenate([[0], np.cumsum(stored)])[self.indptr]
+        return sp.csr_matrix((data[stored], self.indices[stored], indptr),
+                             shape=(n, n))
+
+
+def space_pattern(v: FESpace) -> SpacePattern:
+    """The :class:`SpacePattern` of ``v``, from its blocks.
+
+    The dof pairs that share a cell are sorted once per pair of families;
+    a coupled block pair takes those of its families at its dof offsets
+    (P2's two axis blocks share one sort).  In a space with a ``normal``
+    block a dof pair is kept where its directions are not orthogonal.  A
+    row holds its block pairs' entries block after block, in column
+    order; only a block coupled with several (reduced P2's) is merged.
+    """
+    normal = any(block[1] == "normal" for block in v.blocks)
+    if normal:
+        dirs = np.empty((v.n_dofs, 2))
+        dirs[v.cell_dofs] = v.cell_dirs
+    sorted_pairs, pairs, rows, cols, weights, parts = {}, [], [], [], [], []
+    n_entries = 0
+    for fam_a, dir_a, span_a, off_a, _ in v.blocks:
+        for fam_b, dir_b, span_b, off_b, n_b in v.blocks:
+            if {dir_a, dir_b} == {"x", "y"}:
+                continue
+            if (fam_a, fam_b) not in sorted_pairs:
+                keys = ((v.cell_dofs[:, span_a, None] - off_a) * n_b
+                        + v.cell_dofs[:, None, span_b] - off_b)
+                key, inverse = np.unique(keys.reshape(v.mesh.n_cells, -1),
+                                         return_inverse=True)
+                sorted_pairs[fam_a, fam_b] = key, inverse.reshape(
+                    v.mesh.n_cells, -1)
+            key, inverse = sorted_pairs[fam_a, fam_b]
+            row, col = off_a + key // n_b, off_b + key % n_b
+            entry = n_entries + np.arange(len(key))
+            if normal:
+                weight = (dirs[row, 0] * dirs[col, 0]
+                          + dirs[row, 1] * dirs[col, 1])
+                kept = weight != 0.0                # the rest: -1, dumped
+                entry = np.where(kept, n_entries + np.cumsum(kept) - 1, -1)
+                row, col = row[kept], col[kept]
+                weights.append(weight[kept])
+            n_entries += len(row)
+            rows.append(row)
+            cols.append(col)
+            parts.append((entry, inverse))
+            pairs.append(np.mgrid[span_a, span_b].reshape(2, -1))
+    rows = np.concatenate(rows)
+    order = slice(None)
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+    position = np.empty(n_entries + 1, np.int32)
+    position[:-1][order] = np.arange(n_entries)
+    position[-1] = n_entries
+    first, second = np.hstack(pairs)
+    pair = np.zeros((v.nloc, v.nloc), int)
+    pair[first, second] = np.arange(len(first))
+    indptr = np.cumsum(np.bincount(rows + 1, minlength=v.n_dofs + 1))
+    return SpacePattern(
+        first, second, pair[second, first],
+        np.hstack([position[entry][inverse] for entry, inverse in parts]),
+        np.append(np.concatenate(weights)[order], 0.0) if normal else None,
+        np.concatenate(cols)[order].astype(np.int32), indptr.astype(np.int32))
 
 
 def _weighted_products(a, b, weights):
@@ -331,28 +446,33 @@ def _weighted_products(a, b, weights):
 
 
 def velocity_mass(mesh: TriMesh, v: FESpace, degree: int | None = None):
+    """integral( phi_i . phi_j ), on :attr:`FESpace.pattern` without its
+    exact zeros."""
     rule = triangle_rule(degree if degree is not None else 2 * v.degree)
     sval = v.val(rule.points)                            # (nq, nloc)
-    s2 = _weighted_products(sval, sval, rule.weights)
-    return _velocity_csr(v, s2 * mesh.cell_areas[:, None, None])
+    pat = v.pattern
+    s2 = _weighted_products(sval, sval, rule.weights)[pat.first, pat.second]
+    return pat.matrix(pat.fill(mesh.cell_areas[:, None] * s2), nonzero=True)
 
 
 def velocity_stiffness(mesh: TriMesh, v: FESpace):
     """integral( grad(phi_i) : grad(phi_j) ) through the reference tensor
     ``R[a, b] = integral( d_a s_i d_b s_j )`` of barycentric derivatives:
     a cell's matrix is ``sum_ab (grad(lambda_a) . grad(lambda_b)) R[a, b]``,
-    one matrix product over all cells."""
+    one matrix product over all cells and the pairs of the pattern,
+    which it fills without its exact zeros."""
     rule = triangle_rule(max(2 * v.degree - 2, 1))
     dbar = np.swapaxes(v.dbary(rule.points), 1, 2)       # (nq, 3, nloc)
+    pat = v.pattern
     ref = _weighted_products(dbar[:, :, None], dbar[:, None, :],
                              rule.weights)            # (3, 3, nloc, nloc)
     g = mesh.bary_grads
     gram = g @ np.swapaxes(g, 1, 2)                       # (M, 3, 3)
-    e = (gram.reshape(-1, 9) @ ref.reshape(9, -1)).reshape(-1, v.nloc, v.nloc)
-    # the product sums (i, j) and (j, i) in different orders: averaging
-    # the two makes the matrix exactly symmetric
-    e = (e + np.swapaxes(e, 1, 2)) * (0.5 * mesh.cell_areas[:, None, None])
-    return _velocity_csr(v, e)
+    e = gram.reshape(-1, 9) @ ref[..., pat.first, pat.second].reshape(9, -1)
+    # the product sums pairs (i, j) and (j, i) in different orders:
+    # averaging the two makes the matrix exactly symmetric
+    e = (e + e[:, pat.mirror]) * (0.5 * mesh.cell_areas[:, None])
+    return pat.matrix(pat.fill(e), nonzero=True)
 
 
 def evaluate_velocity(mesh: TriMesh, v: FESpace, coeffs, lam) -> np.ndarray:
@@ -363,37 +483,46 @@ def evaluate_velocity(mesh: TriMesh, v: FESpace, coeffs, lam) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FixedPattern:
-    """CSR pattern of the convection on a set of dofs, with the tables
-    its per-step fill reads; all are built once, by :func:`velocity_pattern`.
+class ConvectionTables:
+    """What the convection's fill reads besides the space's pattern, built
+    once per space by :func:`convection_tables`
+    (:attr:`FESpace.convection_tables`).
 
-    A convection cell matrix is skew, so only its upper local pairs
-    ``(i, l)``, ``i < l``, whose direction vectors are not orthogonal on
-    some cell are computed: P of them.  ``slots[k, p]`` holds the
-    positions in the data array of entries ``(i, l)`` and ``(l, i)`` of
-    pair p on cell k.  Entries outside the kept dofs, and entries whose
-    direction vectors are orthogonal on that cell, go to the dump slot
-    ``nnz`` past the end.
-
+    A convection cell matrix is skew, so only the P upper pairs ``(i,
+    l)``, ``i < l``, of the pattern are computed; ``slots[k, p]`` holds
+    the positions of entries ``(i, l)`` and ``(l, i)`` on cell k.
     ``tensor[(j, a), p] = integral( s_j (s_i d_a s_l - s_l d_a s_i) )``
     is the skew part of the reference tensor of the scalar factors s,
-    ``d_a`` the derivative in the barycentric coordinate ``lambda_a``;
-    ``dir_grads[k, j, a] = dirs_kj . grad(lambda_a)`` and ``scale[k, p]
-    = |K| / 2 dirs_ki . dirs_kl`` are the geometry of the cells.
+    ``d_a`` the derivative in ``lambda_a``; ``dir_grads[k, j, a] = dirs_kj
+    . grad(lambda_a)`` and ``scale[k, p] = |K| / 2 dirs_ki . dirs_kl`` are
+    the geometry of the cells.
     """
 
     slots: np.ndarray        # (n_cells, P, 2) int32
-    indices: np.ndarray      # int32 column of each stored entry, row-sorted
-    indptr: np.ndarray
     tensor: np.ndarray       # (3 nloc, P)
     dir_grads: np.ndarray    # (n_cells, nloc, 3)
-    scale: np.ndarray        # (n_cells, P)
+    scale: np.ndarray        # (n_cells, P), or (n_cells, 1) if all alike
 
 
-def _dir_products(dirs):
-    """``dirs_i . dirs_j`` of each cell, (M, nloc, nloc), exactly symmetric."""
-    d_x, d_y = dirs[:, :, None, 0], dirs[:, :, None, 1]
-    return d_x * np.swapaxes(d_x, 1, 2) + d_y * np.swapaxes(d_y, 1, 2)
+def convection_tables(v: FESpace) -> ConvectionTables:
+    """The :class:`ConvectionTables` of the velocity space ``v``."""
+    mesh, pat = v.mesh, v.pattern
+    upper = np.flatnonzero(pat.first < pat.second)
+    first, second = pat.first[upper], pat.second[upper]
+    # in cell order, as the fill reads them block by block of cells
+    slots = np.ascontiguousarray(
+        pat.slots[:, np.stack([upper, pat.mirror[upper]], axis=-1)])
+    rule = triangle_rule(3 * v.degree - 1)
+    sval = v.val(rule.points)                            # (nq, nloc)
+    # ref[j, a, i, l] = integral( s_j s_i d_a s_l )
+    ref = np.einsum("q,qj,qi,qla->jail", rule.weights, sval, sval,
+                    v.dbary(rule.points), optimize=True)
+    tensor = ref[..., first, second] - ref[..., second, first]
+    weight = 1.0 if pat.weight is None else pat.weight[slots[..., 0]]
+    return ConvectionTables(
+        slots, tensor.reshape(3 * v.nloc, -1),
+        v.cell_dirs @ np.swapaxes(mesh.bary_grads, 1, 2),
+        weight * (0.5 * mesh.cell_areas[:, None]))
 
 
 def compressed_pattern(major, minor, n: int):
@@ -412,72 +541,38 @@ def compressed_pattern(major, minor, n: int):
             indptr.astype(np.int32))
 
 
-def velocity_pattern(v: FESpace, keep) -> FixedPattern:
-    """The convection's pattern and tables for ``v`` on the dofs ``keep``.
-
-    ``keep`` is an increasing array of dof indices (the free dofs of a
-    scheme, or every dof); row and column r of the matrix belong to dof
-    ``keep[r]``.
-    """
-    mesh, n = v.mesh, len(keep)
-    dd = _dir_products(v.cell_dirs)
-    first, second = np.nonzero(np.triu((dd != 0.0).any(axis=0), 1))
-    dd = dd[:, first, second]           # (M, P); the full products go
-    pos = np.full(v.n_dofs, -1, np.int64)
-    pos[keep] = np.arange(n)
-    loc = pos[v.cell_dofs]                                # (M, nloc)
-    rows = np.stack([loc[:, first], loc[:, second]], axis=-1)   # (M, P, 2)
-    cols = rows[..., ::-1]
-    stored = (rows >= 0) & (cols >= 0) & (dd != 0.0)[..., None]
-    inverse, indices, indptr = compressed_pattern(
-        rows[stored], cols[stored], n)
-    slots = np.full(rows.shape, len(indices), np.int32)
-    slots[stored] = inverse
-    rule = triangle_rule(3 * v.degree - 1)
-    sval = v.val(rule.points)                            # (nq, nloc)
-    # ref[j, a, i, l] = integral( s_j s_i d_a s_l )
-    ref = np.einsum("q,qj,qi,qla->jail", rule.weights, sval, sval,
-                    v.dbary(rule.points), optimize=True)
-    tensor = ref[..., first, second] - ref[..., second, first]
-    return FixedPattern(
-        slots, indices, indptr, tensor.reshape(3 * v.nloc, -1),
-        v.cell_dirs @ np.swapaxes(mesh.bary_grads, 1, 2),
-        dd * (0.5 * mesh.cell_areas[:, None]))
-
-
 #: cells per block of the convection fill (bounds its temporaries)
 _CHUNK = 256
 
 
-def convection_matrix(mesh: TriMesh, v: FESpace, w_coeffs,
-                      pattern: FixedPattern):
+def convection_matrix(mesh: TriMesh, v: FESpace, w_coeffs):
     """Skew-symmetrized convection with a frozen transport velocity w:
 
         c(w; u, phi) = 1/2 * integral( ((w.grad)u).phi - ((w.grad)phi).u )
 
-    on the dofs of ``pattern`` (see :func:`velocity_pattern`).  With
-    ``w = sum_j c_j s_j dirs_j`` on a cell, the skew part of its matrix
-    is the reference tensor contracted with ``c_j dirs_j .
-    grad(lambda_a)`` (Kirby and Logg, *ACM TOMS* 32, 2006): a gather of
-    the coefficients, one product with the tables of the pattern and a
+    on every dof of ``v``, filled on :attr:`FESpace.pattern` and sharing
+    its index arrays; the diagonal is stored and zero.  With ``w =
+    sum_j c_j s_j dirs_j`` on a cell, the skew part of its matrix is the
+    reference tensor contracted with ``c_j dirs_j . grad(lambda_a)``
+    (Kirby and Logg, *ACM TOMS* 32, 2006): a gather of the coefficients,
+    one product with the :class:`ConvectionTables` of ``v`` and a
     scatter, block by block of cells, so the only temporaries are one
     block's pair values and one data array.  Each pair value enters its
     entry (i, l) as +v and (l, i) as -v, side by side in the summed
     order, so C + C^T = 0 holds exactly.
     """
+    tables = v.convection_tables
     w_cells = np.asarray(w_coeffs, float)[v.cell_dofs]   # (M, nloc)
-    nnz, n = len(pattern.indices), len(pattern.indptr) - 1
-    data = np.zeros(nnz + 1)
+    data = np.zeros(len(v.pattern.indices) + 1)
     for lo in range(0, mesh.n_cells, _CHUNK):
         k = slice(lo, lo + _CHUNK)
-        cell_data = w_cells[k, :, None] * pattern.dir_grads[k]
-        vals = (cell_data.reshape(len(cell_data), -1) @ pattern.tensor
-                ) * pattern.scale[k]
-        data += np.bincount(pattern.slots[k].ravel(),
+        cell_data = w_cells[k, :, None] * tables.dir_grads[k]
+        vals = (cell_data.reshape(len(cell_data), -1) @ tables.tensor
+                ) * tables.scale[k]
+        data += np.bincount(tables.slots[k].ravel(),
                             np.stack([vals, -vals], axis=-1).ravel(),
-                            minlength=nnz + 1)
-    return sp.csr_matrix((data[:nnz], pattern.indices, pattern.indptr),
-                         shape=(n, n))
+                            minlength=len(data))
+    return v.pattern.matrix(data[:-1])
 
 
 #: a gradient entry within this share of the magnitudes summed into its
@@ -565,10 +660,12 @@ def cell_mean_velocity(mesh: TriMesh, v: FESpace, coeffs) -> np.ndarray:
 
 
 def scalar_stiffness(mesh: TriMesh):
-    """P1 stiffness matrix integral( grad q . grad r )."""
+    """P1 stiffness matrix integral( grad q . grad r ), on the pattern of
+    the P1 space, every vertex pair of a cell stored."""
+    pat = build_space(mesh, "pressure_p1").pattern
     g = mesh.bary_grads                                   # (M, 3, 2)
-    cellvals = np.einsum("kid,kjd->kij", g, g) * mesh.cell_areas[:, None, None]
-    return _to_csr(cellvals, mesh.cells, mesh.n_vertices)
+    cellvals = (g[:, pat.first] * g[:, pat.second]).sum(axis=2)
+    return pat.matrix(pat.fill(cellvals * mesh.cell_areas[:, None]))
 
 
 def pressure_integral_vector(mesh: TriMesh, p: FESpace) -> np.ndarray:

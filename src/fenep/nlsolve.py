@@ -30,11 +30,12 @@ of the matrix is diagonal, and factors what remains under
 condensed diagonal is zero, with ``-g D`` (``D`` the Schur-complement
 diagonal): none for the mini element, every row for the P2 and
 reduced-P2 pairs.  Each solve is checked against the exact matrix with
-one pressure row pinned, and refined only while its normwise backward
-error exceeds :data:`SADDLE_BACKWARD_ERROR`; one that cannot reach it
-raises :class:`SolverError`.  The pinned row goes unchecked, so the
-unpinned system the energy identity reads can miss that bound.  The
-weight ``g`` is :data:`STEP_REGULARIZATION` for the step operators and
+one pressure row pinned, and the pinned row's residual with it, and
+refined only while its normwise backward error exceeds
+:data:`SADDLE_BACKWARD_ERROR`; one that cannot reach it raises
+:class:`SolverError`.  So the bound holds on the unpinned system that
+the energy identity reads.  The weight ``g`` is
+:data:`STEP_REGULARIZATION` for the step operators and
 :data:`SADDLE_REGULARIZATION` for the mass-only projection of initial
 data.
 
@@ -104,7 +105,7 @@ from .energy import (EnergyBreakdown, StepAudit, audit_slack, free_energy,
 from .fespaces import (build_space, convection_matrix, gradient_matrix,
                        gradient_trace, pressure_integral_vector, sample_cells,
                        triangle_rule, velocity_load, velocity_mass,
-                       velocity_pattern, velocity_stiffness)
+                       velocity_stiffness)
 
 __all__ = [
     "SolverError",
@@ -192,8 +193,9 @@ class SaddleOperator:
     ``s`` the other unknowns, the factored matrix is ``K_c = K_ss -
     K_sb K_bb^-1 K_bs``, a solve is ``y_s = K_c^-1 (r_s - K_sb K_bb^-1
     r_b)`` and the local dofs follow cell by cell as ``y_b = K_bb^-1
-    (r_b - K_bs y_s)``.  Without cell-local dofs ``K_c`` is ``K``.  A
-    mask whose block is not diagonal raises :class:`SolverError`.
+    (r_b - K_bs y_s)``.  Without cell-local dofs ``K_c`` is ``K``, and
+    nothing is gathered or eliminated.  A mask whose block is not
+    diagonal raises :class:`SolverError`.
 
     ``K_c`` is factored under :data:`LU_OPTIONS`, with about a third of
     the fill of a pivoted LU of ``K`` on the shipped pairs, which is
@@ -218,11 +220,14 @@ class SaddleOperator:
     ``B u`` would otherwise be of order ``g |p|``, not zero.  A solve that
     misses the bound raises :class:`SolverError`, as does an ``A`` whose
     diagonal is not positive, for which ``K_c`` is not quasi-definite.
-    The bound is certified on ``K`` only: the dropped row's residual,
-    the negated sum of the kept rows', goes unchecked.  On the unpinned
-    system the P2/P0 projection of the decay data reads 2.0e-14, 1.3e-13
-    and 1.1e-12 at n = 16, 32 and 64; the forced cavity's step solves at
-    n = 32 stay at or below 2.2e-15.
+    The residual of the dropped pressure row, minus the sum of the kept
+    rows', is checked too, so the bound holds on the unpinned system
+    ``[[A, B^T], [B, 0]]``.  Checked on ``K`` alone, the P2/P0 projection
+    of the decay data read 2.0e-14, 1.3e-13 and 1.1e-12 there at n = 16,
+    32 and 64; with the dropped row, 2.7e-16, 1.7e-16 and 1.5e-16.  The
+    forced cavity's step solves need no further application for it;
+    random right-hand sides of the P0 pairs' step operators at n = 32
+    take a third.
     The factor works in the order kept dofs first, then the local ones:
     each right-hand side it takes is gathered into that order once, and
     each iterate scattered back once for its check against ``K``.
@@ -252,7 +257,7 @@ class SaddleOperator:
         if cell_local is not None:
             local[:self.n_u] = cell_local
         s, b = np.nonzero(~local)[0], np.nonzero(local)[0]
-        k_c = self._condense(s, b)
+        k_c = self._condense(s, b) if len(b) else self._k
         n_kept_u = len(s) - (self.n_p - 1)
         singular = k_c.diagonal()[n_kept_u:] == 0.0
         reg = np.zeros(len(s))
@@ -282,6 +287,8 @@ class SaddleOperator:
         """``K^-1 r`` through the factor of the condensed matrix, in the
         solve order: one triangular solve, then the cell-local dofs cell
         by cell."""
+        if self._n_s == len(r):         # nothing condensed
+            return self._lu.solve(r)
         r_s, r_b = r[:self._n_s], r[self._n_s:]
         y = np.empty_like(r)
         y[:self._n_s] = y_s = self._lu.solve(
@@ -298,7 +305,8 @@ class SaddleOperator:
         for refinement in range(SADDLE_MAX_REFINEMENTS + 1):
             x[self._order] = sol
             res = rhs - self._k @ x
-            err = np.abs(res).max()
+            # with the dropped pressure row's, minus the kept rows' sum
+            err = max(np.abs(res).max(), abs(res[self.n_u:].sum()))
             bound = SADDLE_BACKWARD_ERROR * (
                 rhs_norm + self._k_norm * np.abs(sol).max())
             if err <= bound < math.inf:     # a non-finite sol fails here
@@ -445,18 +453,22 @@ class BlockStep:
     velocity/pressure block is the scheme's :class:`SaddleOperator` of
     ``Re/dt M + (1-eps) K`` with ``B``, factorized once per step size
     (:meth:`ImplicitScheme.saddle_operator`); the step adds only the
-    convection ``c_ff = Re C(u_prev)`` on the free dofs, which the block
-    pass moves to its right-hand side at the velocity of the iterate.
+    convection ``conv = Re C(u_prev)``, which the block pass moves to its
+    right-hand side at the velocity of the iterate.
     The k scalar blocks share one factorized matrix, ``scalar_lu``, which
     the scheme's ``stress_block`` gives with its ``local_terms``, after
     the saddle matrix is factored (factoring the small matrix first
     raised the peak memory of a run by a few MB).  Factorizations held
     across steps raise the floor under every later peak, so the
-    convection fills the data array of the scheme's fixed pattern
-    (:attr:`ImplicitScheme.free_pattern`), whose geometry tables are
-    made once per run, instead of assembling through COO temporaries: a
-    step gathers the coefficients of ``u_prev``, takes one small matrix
-    product per block of cells and scatters it.
+    convection fills a data array on the velocity space's one pattern
+    (:attr:`fenep.fespaces.FESpace.pattern`, which the mass and the
+    stiffness fill too), with geometry tables made once per run, instead
+    of assembling through COO temporaries: a step gathers the
+    coefficients of ``u_prev``, takes one small matrix product per block
+    of cells and scatters it.  ``conv`` holds every dof, and the pass
+    takes its free rows of ``conv @ u``: every iterate vanishes on the
+    Dirichlet dofs, so they equal the free block of ``conv`` times the
+    free part of ``u``.
 
     ``stress_terms(sig, rho) -> (rhs_u, frozen)`` computes all that
     depends on the stress iterate alone, from one spectral decomposition
@@ -469,7 +481,7 @@ class BlockStep:
     give the (m, k) scalar right-hand sides.
 
     One block pass per iterate serves both methods: the stress terms
-    and the saddle solve ``(u_new, p_new)`` of ``rhs_u - c_ff u``.
+    and the saddle solve ``(u_new, p_new)`` of ``rhs_u - conv u``.
     ``residual(x)`` computes the pass and returns it beside the norm of
     ``(u_new - u, p_new - p, S^-1 R(u) - s)``, with ``R`` the
     ``rhs_scalars``: the block solve of the monolithic residual whenever
@@ -498,10 +510,9 @@ class BlockStep:
         self.free = scheme.free
 
         self.saddle = scheme.saddle_operator(dt)
-        # Re C(u_prev) on the free dofs; filled in place on a fixed pattern
-        self.c_ff = convection_matrix(scheme.mesh, scheme.v, u_prev,
-                                      scheme.free_pattern)
-        self.c_ff.data *= prm.re
+        # Re C(u_prev) on every dof, filled on the velocity space's pattern
+        self.conv = convection_matrix(scheme.mesh, scheme.v, u_prev)
+        self.conv.data *= prm.re
         self.rhs_u_base = (prm.re / dt) * (scheme.mass @ u_prev) + scheme.fvec
 
         self.n_u = scheme.v.n_dofs
@@ -623,7 +634,7 @@ class BlockStep:
         u, _, sig, rho = self.split(x)
         rhs_u, frozen = self.stress_terms(sig, rho)
         u_f, p_new = self.saddle.solve(
-            rhs_u[self.free] - self.c_ff @ u[self.free])
+            (rhs_u - self.conv @ u)[self.free])
         u_new = np.zeros(self.n_u)
         u_new[self.free] = u_f
         r = float(np.linalg.norm(
@@ -778,12 +789,6 @@ class ImplicitScheme:
             self._free_saddle((prm.re / dt) * self.mass
                               + (1.0 - prm.eps) * self.stiff,
                               STEP_REGULARIZATION)))
-
-    @cached_property
-    def free_pattern(self):
-        """Fixed free x free pattern of the per-step convection, with the
-        tables its fill reads, built on the first step."""
-        return velocity_pattern(self.v, self.free)
 
     def initial_state(self, u0=None, sigma0=None, dt0: float = 0.0) -> State:
         """The projection of initial data into the scheme's spaces.

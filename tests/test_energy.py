@@ -117,6 +117,25 @@ def test_tensor_gradient_energy_counts_offdiagonal_twice():
     assert tensor_gradient_energy(k, lin) == pytest.approx(scalar_energy)
 
 
+def test_tensor_gradient_energy_is_nonnegative_at_rounding():
+    """A field constant up to rounding has a gradient energy of that
+    rounding squared, never below zero on a non-obtuse mesh (the plain
+    quadratic form gives round-off of either sign, near 1e-15)."""
+    mesh = structured_unit_square(16)
+    k = fe.scalar_stiffness(mesh)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        field = 1.0 + 1e-16 * rng.standard_normal((mesh.n_vertices, 3))
+        for f in (field, field[:, 0]):
+            energy = tensor_gradient_energy(k, f)
+            assert 0.0 <= energy <= 1e-28
+    # and the quadratic form of a field that is not constant
+    field = rng.standard_normal((mesh.n_vertices, 3))
+    want = sum(w * float(c @ (k @ c))
+               for w, c in zip((1.0, 2.0, 1.0), field.T))
+    assert tensor_gradient_energy(k, field) == pytest.approx(want, rel=1e-12)
+
+
 def test_audit_slack_floor_and_scaling():
     assert audit_slack(1e-10, 0.0, 0.0) == pytest.approx(1e-8)
     big = audit_slack(1e-6, 50.0, 30.0)

@@ -270,8 +270,7 @@ def test_convection_is_antisymmetric(kind):
     v = fe.build_space(mesh, kind)
     rng = np.random.default_rng(31)
     w = rng.standard_normal(v.n_dofs)
-    every_dof = fe.velocity_pattern(v, np.arange(v.n_dofs))
-    c = fe.convection_matrix(mesh, v, w, every_dof)
+    c = fe.convection_matrix(mesh, v, w)
     asym = abs(c + c.T)
     assert asym.max() < 1e-13
 
@@ -302,18 +301,22 @@ def test_fixed_pattern_convection_matches_coo_assembly(kind, chunk,
     monkeypatch.setattr(fe, "_CHUNK", chunk)   # 7: several uneven blocks
     mesh = sheared_mesh(6)
     v = fe.build_space(mesh, kind)
-    free = np.nonzero(~v.dirichlet_mask)[0]
-    pattern = fe.velocity_pattern(v, free)
     rng = np.random.default_rng(8)
     re = 3.7
     for _ in range(2):                   # the same pattern serves each w
         w = rng.standard_normal(v.n_dofs)
-        c_ff = fe.convection_matrix(mesh, v, w, pattern)
-        c_ff.data *= re
-        ref = (re * coo_convection(mesh, v, w))[free][:, free]
-        assert abs(c_ff - ref).max() <= 1e-14 * abs(ref).max()
-        assert (c_ff + c_ff.T).count_nonzero() == 0
-        assert np.shares_memory(c_ff.indices, pattern.indices)
+        c = fe.convection_matrix(mesh, v, w)
+        c.data *= re
+        ref = re * coo_convection(mesh, v, w)
+        assert abs(c - ref).max() <= 1e-14 * abs(ref).max()
+        assert (c + c.T).count_nonzero() == 0
+        assert np.shares_memory(c.indices, v.pattern.indices)
+        # the step's product: the free rows of C u with u zero on the
+        # Dirichlet dofs are the free block of C times the free part of u
+        free = np.nonzero(~v.dirichlet_mask)[0]
+        u = np.where(v.dirichlet_mask, 0.0, rng.standard_normal(v.n_dofs))
+        assert np.array_equal((c @ u)[free],
+                              c[free][:, free] @ u[free])
 
 
 def assert_matches_oracle(mat, ref, rtol=1e-13):
@@ -348,12 +351,35 @@ def test_velocity_kernels_match_einsum_oracles(kind, make_mesh):
     def f(x, y):
         return (np.sin(3.0 * x) + y, x * y - 1.0)
 
+    w = np.cos(np.arange(v.n_dofs))
+    ref = coo_convection(mesh, v, w)
+    assert (abs(fe.convection_matrix(mesh, v, w) - ref).max()
+            <= 1e-14 * abs(ref).max())
+
     load, ref = fe.velocity_load(mesh, v, f), oracle.velocity_load(mesh, v, f)
     assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
     for s_kind in ("pressure_p0", "pressure_p1"):
         s = fe.build_space(mesh, s_kind)
         assert_matches_oracle(fe.gradient_matrix(mesh, v, s),
                               oracle.gradient_matrix(mesh, v, s))
+
+
+def test_dropping_zeros_leaves_the_pattern_as_it_was():
+    """mini's stiffness on the structured mesh has entries that sum to
+    exactly zero; dropping them must not touch the pattern that the mass,
+    filled after it, and the convection read."""
+    mesh = structured_unit_square(4)
+    v = fe.build_space(mesh, "velocity_mini")
+    pattern = v.pattern
+    indices, indptr = pattern.indices.copy(), pattern.indptr.copy()
+    k = fe.velocity_stiffness(mesh, v)
+    assert k.nnz < len(indices)
+    assert_matches_oracle(k, oracle.velocity_stiffness(mesh, v))
+    assert_matches_oracle(fe.velocity_mass(mesh, v),
+                          oracle.velocity_mass(mesh, v))
+    assert np.array_equal(pattern.indices, indices)
+    assert np.array_equal(pattern.indptr, indptr)
+    assert not np.shares_memory(k.indices, pattern.indices)
 
 
 @pytest.mark.parametrize("make_mesh", ORACLE_MESHES)

@@ -148,8 +148,8 @@ def convective_saddle(vel, pres, seed=0):
     v = fe.build_space(mesh, vel)
     p = fe.build_space(mesh, pres)
     free = ~v.dirichlet_mask
-    conv = fe.convection_matrix(mesh, v, rng.standard_normal(v.n_dofs),
-                                fe.velocity_pattern(v, np.nonzero(free)[0]))
+    conv = fe.convection_matrix(mesh, v, rng.standard_normal(v.n_dofs)
+                                )[free][:, free]
     a = (20.0 * fe.velocity_mass(mesh, v)
          + fe.velocity_stiffness(mesh, v)).tocsr()[free][:, free] + conv
     b = oracle.divergence_matrix(mesh, v, p).tocsr()[:, free]
@@ -276,26 +276,30 @@ REGULARIZED_SCHEMES = [("p0", "velocity_p2"), ("p0", "velocity_p2_reduced"),
 
 @pytest.mark.parametrize("kind,vel", REGULARIZED_SCHEMES)
 def test_step_saddle_solve_takes_two_factor_applications(kind, vel):
-    # at n = 32 the step weight is what keeps one refinement enough: at
-    # the projection's weight P2/P0 takes three applications at dt >= 0.05
+    # at n = 32 the step weight is what keeps one refinement enough for
+    # the kept rows: at the projection's weight P2/P0 takes three
+    # applications at dt >= 0.05.  The check also covers the dropped
+    # pressure row, minus the sum of the kept rows' residuals.  On random
+    # data that sum over the P0 pairs' 2,048 rows misses the bound by a
+    # factor of 2.3 to 5.4 after one refinement and takes a third
+    # application; over P2/P1's 1,089 rows it stays at 0.35 of the bound.
     params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1,
                          alpha=None if kind == "p0" else 0.1)
     cls = scheme_p0.SchemeP0 if kind == "p0" else scheme_p1diff.SchemeP1Diff
     scheme = cls(structured_unit_square(32), params, velocity=vel)
-    free = scheme.free
+    free, b = scheme.free, scheme.b_free
     rhs_u = np.random.default_rng(1).standard_normal(len(free))
     calls = {}
     for dt in (1e-3, 0.05, 1.0, 10.0):
         op = scheme.saddle_operator(dt)
         op._lu = factor = CountedFactor(op._lu)
         u, p = op.solve(rhs_u)
-        # the pinned system the operator solves, whose p[0] is 0
+        # the unpinned system: the zero-mean shift of p leaves B^T p
         a = (scheme.mass / dt + 0.5 * scheme.stiff)[free][:, free]
-        k = pinned_matrix(a, scheme.b_free)
-        x = np.concatenate([u, p[1:] - p[0]])
-        assert backward_error(k, rhs_u, x) <= 1e-14, dt
+        k = sp.bmat([[a, b.T], [b, None]], format="csr")
+        assert backward_error(k, rhs_u, np.concatenate([u, p])) <= 1e-14, dt
         calls[dt] = factor.calls
-    assert calls == dict.fromkeys(calls, 2)
+    assert calls == dict.fromkeys(calls, 3 if kind == "p0" else 2)
 
 
 @pytest.mark.parametrize("vel", scheme_p0.SchemeP0.VELOCITIES)
@@ -309,6 +313,21 @@ def test_initial_projection_takes_two_factor_applications(vel, monkeypatch):
     # the mass-only operator keeps the default weight, at which one
     # refinement meets the bound on smooth data
     assert [op._lu.calls for op in made] == [2]
+
+
+def test_projection_meets_the_bound_on_the_unpinned_system():
+    """The check covers the dropped pressure row, whose residual is minus
+    the sum of the kept rows': P2/P0's projection of the decay data read
+    2.0e-14 on the unpinned system when only the pinned one was checked."""
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1)
+    u0 = cli.scenario_fields("decay", 1.0, params)[0]
+    scheme = scheme_p0.SchemeP0(structured_unit_square(16), params)
+    free, b = scheme.free, scheme.b_free
+    load = fe.velocity_load(scheme.mesh, scheme.v, u0)[free]
+    u, p = scheme._free_saddle(scheme.mass,
+                               nlsolve.SADDLE_REGULARIZATION).solve(load)
+    k = sp.bmat([[scheme.mass[free][:, free], b.T], [b, None]], format="csr")
+    assert backward_error(k, load, np.concatenate([u, p])) <= 1e-14
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3, 1.0])
@@ -559,7 +578,8 @@ def test_residual_matches_the_monolithic_block_solve(kind):
             + (1.0 - prm.eps) * scheme.stiff).tocsr()[free][:, free]
     b_f = scheme.div.tocsr()[:, free]
     u_f = u[free]
-    r_u = rhs_u[free] - (a_ff + problem.c_ff) @ u_f - b_f.T @ p
+    c_ff = problem.conv[free][:, free]
+    r_u = rhs_u[free] - (a_ff + c_ff) @ u_f - b_f.T @ p
     e_u, e_p = bordered_solve(a_ff, b_f, scheme.weights, r_u, -(b_f @ u_f))
     s_mat = scalar_matrix(scheme, state, dt).toarray()
     scalars = x[problem.n_up:].reshape(problem.k, problem.m).T
@@ -691,25 +711,43 @@ def test_every_factorization_takes_the_one_option_set(monkeypatch):
 
 @pytest.mark.parametrize("kind", SCHEMES)
 def test_transport_tables_are_built_once_per_scheme(kind, monkeypatch):
-    """Three steps build the convection's pattern and tables, and the
-    p0 edge map, once; each step only fills them."""
+    """Building the scheme and three steps sort the velocity space's
+    pattern once, and build the convection's tables and the p0 edge map
+    once; each step only fills them.  The mass, the stiffness and the
+    convection all come from that one pattern."""
     built = []
 
     def counted(build):
-        def wrapper(*args):
-            built.append(build.__name__)
-            return build(*args)
+        def wrapper(space_or_mesh, *args):
+            built.append((build.__name__,
+                          getattr(space_or_mesh, "kind", None)))
+            return build(space_or_mesh, *args)
         return wrapper
 
-    monkeypatch.setattr(nlsolve, "velocity_pattern",
-                        counted(nlsolve.velocity_pattern))
-    monkeypatch.setattr(scheme_p0, "edge_transport",
-                        counted(scheme_p0.edge_transport))
+    for module, name in ((fe, "space_pattern"), (fe, "convection_tables"),
+                         (scheme_p0, "edge_transport")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     scheme, state = stirred_state(kind)
     for _ in range(3):
         state = step(scheme, state, 0.5)
-    assert sorted(built) == (["edge_transport", "velocity_pattern"]
-                             if kind == "p0" else ["velocity_pattern"])
+    velocity = scheme.v.kind
+    want = [("convection_tables", velocity), ("space_pattern", velocity)]
+    if kind == "p0":
+        want.append(("edge_transport", None))
+    else:                                   # the scalar stiffness
+        want.append(("space_pattern", "pressure_p1"))
+    assert sorted(built) == sorted(want)
+
+    pattern = scheme.v.pattern
+    stored = sp.csr_matrix((np.ones(len(pattern.indices)), pattern.indices,
+                            pattern.indptr))
+    for mat in (scheme.mass, scheme.stiff):
+        ones = mat.copy()
+        ones.data[:] = 1.0
+        assert (ones - stored).max() <= 0.0     # a subset of the pattern
+    conv = fe.convection_matrix(scheme.mesh, scheme.v, state.u)
+    assert np.shares_memory(conv.indices, pattern.indices)
+    assert scheme.mass.nnz == len(pattern.indices)   # no entry vanishes
 
 
 @pytest.mark.parametrize("kind", SCHEMES)
