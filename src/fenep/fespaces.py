@@ -14,16 +14,15 @@ Assembly works on whole arrays of cells, never cell by cell.  Each
 operator contracts a small reference tensor, tabulated once on the
 reference triangle, with the per-cell geometry (barycentric gradients
 and areas) in one matrix product or a few broadcast products; vectors are
-summed into dofs with ``np.bincount``.  The matrices of a space fill
-one CSR pattern, its :class:`SpacePattern`, built from the space's
-blocks on first use and kept on the space: the dof pairs that share a
-cell are sorted once per pair of families, the two axis blocks of a
-velocity space never couple, and only a ``normal`` block is tested edge
-by edge for directions that are orthogonal.  A matrix then takes one
-``np.bincount`` of its cell values into the pattern's data array: the
-velocity mass and stiffness, which store no entry that sums to exactly
-zero, the P1 stiffness and, on every time step, the convection.  The
-convection also reads :class:`ConvectionTables` made once per space:
+summed into dofs with ``np.bincount``.  The matrices of a velocity
+space fill one CSR pattern, its :class:`SpacePattern`, built from the
+space's blocks on first use and kept on the space: the two axis blocks
+never couple, so the second repeats the first block's sorted entries,
+and only a ``normal`` block is tested edge by edge for directions that
+are orthogonal.  A matrix then takes one ``np.bincount`` of its cell
+values into the pattern's data array: the mass and the stiffness,
+which store no entry that sums to exactly zero, and, on every time
+step, the convection.  The convection also reads :class:`ConvectionTables` made once per space:
 the skew part of its reference tensor, the direction-gradient products
 and scales of the cells, and the slots of its upper local pairs.  A step
 then costs a gather of the transport coefficients, one small matrix
@@ -229,7 +228,6 @@ class FESpace:
 
     Attributes
     ----------
-    kind : the key of the space in :data:`_SPACES`
     cell_dofs : (n_cells, nloc) global dof indices
     cell_dirs : (n_cells, nloc, 2) direction of each local dof; None in a
         scalar space
@@ -237,11 +235,12 @@ class FESpace:
     cell_local : (n_dofs,) True on dofs attached to a cell (the mini
         bubbles, the P0 constants): each lives on that one cell alone
     degree : polynomial degree of the scalar factors
-    blocks : the (family, direction) blocks of the kind, each with the
-        slice of its local dofs, its first dof and its number of dofs
-    pattern : the :class:`SpacePattern` every matrix of the space fills,
-        and ``convection_tables`` the :class:`ConvectionTables` of a
-        velocity space; each is built on first use and kept
+    blocks : the direction of each (family, direction) block of the kind
+        and the slice of its local dofs
+    pattern : the :class:`SpacePattern` that the mass, the stiffness
+        and the convection of a velocity space fill, and
+        ``convection_tables`` the :class:`ConvectionTables` the
+        convection reads; each is built on first use and kept
     """
 
     def __init__(self, mesh: TriMesh, kind: str):
@@ -252,11 +251,11 @@ class FESpace:
                              np.zeros(mesh.n_cells, bool))}
         functions, derivatives, dofs, boundary, in_cell, dirs = (
             [], [], [], [], [], [])
-        self.kind, self.n_dofs, self.blocks = kind, 0, []
+        self.n_dofs, self.blocks = 0, []
         for family, direction in _SPACES[kind]:
             entities, terms = _FAMILIES[family]
-            span = slice(len(functions), len(functions) + len(terms))
-            offset = self.n_dofs
+            self.blocks.append((direction, slice(len(functions),
+                                                 len(functions) + len(terms))))
             functions += terms
             derivatives += _DERIVATIVES[family]
             for entity in entities:
@@ -269,8 +268,6 @@ class FESpace:
                     dirs.append(np.broadcast_to(
                         mesh.edge_normals[local] if direction == "normal"
                         else _AXES[direction], local.shape + (2,)))
-            self.blocks.append((family, direction, span, offset,
-                                self.n_dofs - offset))
         self.cell_dofs = np.hstack(dofs)
         self.dirichlet_mask = np.concatenate(boundary)
         self.cell_local = np.concatenate(in_cell)
@@ -333,7 +330,7 @@ def lumped_weights(mesh: TriMesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpacePattern:
-    """The CSR pattern that every matrix of a space fills, built once per
+    """The CSR pattern that the matrices of a space fill, built once per
     space by :func:`space_pattern` (:attr:`FESpace.pattern`).
 
     Its local pairs ``(first[p], second[p])`` are those of the blocks that
@@ -381,61 +378,45 @@ class SpacePattern:
 def space_pattern(v: FESpace) -> SpacePattern:
     """The :class:`SpacePattern` of ``v``, from its blocks.
 
-    The dof pairs that share a cell are sorted once per pair of families;
-    a coupled block pair takes those of its families at its dof offsets
-    (P2's two axis blocks share one sort).  In a space with a ``normal``
-    block a dof pair is kept where its directions are not orthogonal.  A
-    row holds its block pairs' entries block after block, in column
-    order; only a block coupled with several (reduced P2's) is merged.
+    In a space with a ``normal`` block (reduced P2) every pair of local
+    dofs but the ``x``-``y`` ones is sorted by :func:`compressed_pattern`
+    where its two directions are not orthogonal.  Every other space is
+    one block, or two axis blocks of one family whose dofs are those of
+    the first shifted by its dof count: only the first block's pairs are
+    sorted, and each further block repeats their entries, shifted.
     """
-    normal = any(block[1] == "normal" for block in v.blocks)
+    directions = [d for d, span in v.blocks
+                  for _ in range(span.start, span.stop)]
+    normal = "normal" in directions
+    m = v.blocks[0][1].stop              # local dofs of the first block
     if normal:
-        dirs = np.empty((v.n_dofs, 2))
-        dirs[v.cell_dofs] = v.cell_dirs
-    sorted_pairs, pairs, rows, cols, weights, parts = {}, [], [], [], [], []
-    n_entries = 0
-    for fam_a, dir_a, span_a, off_a, _ in v.blocks:
-        for fam_b, dir_b, span_b, off_b, n_b in v.blocks:
-            if {dir_a, dir_b} == {"x", "y"}:
-                continue
-            if (fam_a, fam_b) not in sorted_pairs:
-                keys = ((v.cell_dofs[:, span_a, None] - off_a) * n_b
-                        + v.cell_dofs[:, None, span_b] - off_b)
-                key, inverse = np.unique(keys.reshape(v.mesh.n_cells, -1),
-                                         return_inverse=True)
-                sorted_pairs[fam_a, fam_b] = key, inverse.reshape(
-                    v.mesh.n_cells, -1)
-            key, inverse = sorted_pairs[fam_a, fam_b]
-            row, col = off_a + key // n_b, off_b + key % n_b
-            entry = n_entries + np.arange(len(key))
-            if normal:
-                weight = (dirs[row, 0] * dirs[col, 0]
-                          + dirs[row, 1] * dirs[col, 1])
-                kept = weight != 0.0                # the rest: -1, dumped
-                entry = np.where(kept, n_entries + np.cumsum(kept) - 1, -1)
-                row, col = row[kept], col[kept]
-                weights.append(weight[kept])
-            n_entries += len(row)
-            rows.append(row)
-            cols.append(col)
-            parts.append((entry, inverse))
-            pairs.append(np.mgrid[span_a, span_b].reshape(2, -1))
-    rows = np.concatenate(rows)
-    order = slice(None)
-    if np.any(rows[1:] < rows[:-1]):
-        order = np.argsort(rows, kind="stable")
-    position = np.empty(n_entries + 1, np.int32)
-    position[:-1][order] = np.arange(n_entries)
-    position[-1] = n_entries
-    first, second = np.hstack(pairs)
+        first, second = np.nonzero([[{a, b} != {"x", "y"} for b in directions]
+                                    for a in directions])
+    else:
+        first, second = np.divmod(np.arange(m * m), m)
+    copies = 1 if normal else len(v.blocks)
+    n = v.n_dofs // copies
+    rows, cols = v.cell_dofs[:, first], v.cell_dofs[:, second]
+    kept, weight = np.ones(rows.shape, bool), None
+    if normal:
+        product = np.einsum("kpd,kpd->kp", v.cell_dirs[:, first],
+                            v.cell_dirs[:, second])
+        kept = product != 0.0
+    slots, indices, indptr = compressed_pattern(rows[kept], cols[kept], n)
+    table = np.full(rows.shape, len(indices), np.int32)   # the dump slot
+    table[kept] = slots
+    if normal:
+        weight = np.zeros(len(indices) + 1)
+        weight[slots] = product[kept]
+    nnz, shift = len(indices), np.arange(copies, dtype=np.int32)[:, None]
+    first, second = ((first + m * shift).ravel(), (second + m * shift).ravel())
     pair = np.zeros((v.nloc, v.nloc), int)
     pair[first, second] = np.arange(len(first))
-    indptr = np.cumsum(np.bincount(rows + 1, minlength=v.n_dofs + 1))
     return SpacePattern(
         first, second, pair[second, first],
-        np.hstack([position[entry][inverse] for entry, inverse in parts]),
-        np.append(np.concatenate(weights)[order], 0.0) if normal else None,
-        np.concatenate(cols)[order].astype(np.int32), indptr.astype(np.int32))
+        np.hstack([table + nnz * c for c in range(copies)]), weight,
+        (indices + n * shift).ravel(),
+        np.append((indptr[:-1] + nnz * shift).ravel(), copies * nnz))
 
 
 def _weighted_products(a, b, weights):
@@ -660,12 +641,14 @@ def cell_mean_velocity(mesh: TriMesh, v: FESpace, coeffs) -> np.ndarray:
 
 
 def scalar_stiffness(mesh: TriMesh):
-    """P1 stiffness matrix integral( grad q . grad r ), on the pattern of
-    the P1 space, every vertex pair of a cell stored."""
-    pat = build_space(mesh, "pressure_p1").pattern
+    """P1 stiffness matrix integral( grad q . grad r ), every vertex pair
+    of a cell stored."""
     g = mesh.bary_grads                                   # (M, 3, 2)
-    cellvals = (g[:, pat.first] * g[:, pat.second]).sum(axis=2)
-    return pat.matrix(pat.fill(cellvals * mesh.cell_areas[:, None]))
+    cellvals = np.einsum("kid,kjd->kij", g, g) * mesh.cell_areas[:, None, None]
+    return sp.csr_matrix((cellvals.ravel(),
+                          (np.repeat(mesh.cells, 3, axis=1).ravel(),
+                           np.tile(mesh.cells, 3).ravel())),
+                         shape=(mesh.n_vertices,) * 2)
 
 
 def pressure_integral_vector(mesh: TriMesh, p: FESpace) -> np.ndarray:

@@ -29,12 +29,12 @@ of the matrix is diagonal, and factors what remains under
 :data:`LU_OPTIONS`.  It regularizes only the pressure rows whose
 condensed diagonal is zero, with ``-g D`` (``D`` the Schur-complement
 diagonal): none for the mini element, every row for the P2 and
-reduced-P2 pairs.  Each solve is checked against the exact matrix with
-one pressure row pinned, and the pinned row's residual with it, and
-refined only while its normwise backward error exceeds
-:data:`SADDLE_BACKWARD_ERROR`; one that cannot reach it raises
-:class:`SolverError`.  So the bound holds on the unpinned system that
-the energy identity reads.  The weight ``g`` is
+reduced-P2 pairs, whose regularized matrix it factors whole; the mini
+element's has one pressure dof pinned.  Each solve is checked against
+the exact system ``[[A, B^T], [B, 0]]`` that the energy identity reads,
+every pressure row included, and refined only while its normwise
+backward error exceeds :data:`SADDLE_BACKWARD_ERROR`; one that cannot
+reach it raises :class:`SolverError`.  The weight ``g`` is
 :data:`STEP_REGULARIZATION` for the step operators and
 :data:`SADDLE_REGULARIZATION` for the mass-only projection of initial
 data.
@@ -131,10 +131,11 @@ MIN_DAMPING = 1.0 / 16.0
 #: at 1e-8, P2/P0 at n = 32), while each refinement contracts the error
 #: less as g grows.  With the stiffness in ``A`` the rounding decides: at
 #: 1e-8 one refinement meets the backward error bound for every step
-#: operator of the P2 pairs (at most 2.5e-15 for n = 8 to 128 and dt =
-#: 1e-7 to 100), where at 1e-9 P2/P0 needs two at n >= 32 and dt >= 0.05.
+#: operator of the P2 pairs (random right-hand sides, n = 8 to 64 and dt
+#: = 1e-7 to 100; the forced cavity's Picard solves at n = 64 need two in
+#: 18 of 24), where at 1e-9 P2/P0 needs two at n >= 32 and dt >= 0.05.
 #: The mass alone goes the other way: at 1e-8 its solves need two
-#: refinements from n = 16 or 32 on, at 1e-9 only from n = 64 or 128.
+#: refinements from n = 32 on, at 1e-9 one up to n = 64.
 SADDLE_REGULARIZATION = 1e-9
 STEP_REGULARIZATION = 1e-8
 #: normwise backward error every saddle solve must reach
@@ -169,20 +170,15 @@ class SolverError(RuntimeError):
 class SaddleOperator:
     """Factorized Stokes-type saddle system with a zero-mean pressure.
 
-    The system is ``[[A, B^T], [B, 0]]`` with the pressure determined up
-    to a constant.  The solved matrix is ``K = [[A, B0^T], [B0, 0]]``,
-    where ``B0`` is ``B`` without the row of pressure dof 0: that dof is
-    pinned to zero, and after each solve the pressure is shifted by the
-    constant that gives ``mean_vec . p = 0``.  ``A`` acts on the free
-    (non-Dirichlet) velocity dofs only; constrained dofs stay zero.
-
-    Dropping the row is exact: the constraint is ``B u = 0``, and with
-    the boundary velocity dofs removed, constant pressures lie in the
-    kernel of ``B^T`` (``1^T B = 0``), so the rows of ``B`` sum to zero
-    and the dropped row is implied by the kept ones.
-    Bordering the system with a multiplier for the mean instead would
-    add a dense row and column that defeat the fill-reducing ordering
-    of the LU.
+    The system is ``K = [[A, B^T], [B, 0]]``, with the pressure
+    determined up to a constant: with the boundary velocity dofs
+    removed, constant pressures lie in the kernel of ``B^T`` (``1^T B =
+    0``), so the rows of ``B`` sum to zero.  After each solve the
+    pressure is shifted by the constant that gives ``mean_vec . p = 0``.
+    ``A`` acts on the free (non-Dirichlet) velocity dofs only;
+    constrained dofs stay zero.  Bordering the system with a multiplier
+    for the mean would add a dense row and column that defeat the
+    fill-reducing ordering of the LU.
 
     ``cell_local`` marks the velocity dofs that live on one cell (the
     bubbles of the mini element; :attr:`fenep.fespaces.FESpace.cell_local`
@@ -199,35 +195,41 @@ class SaddleOperator:
 
     ``K_c`` is factored under :data:`LU_OPTIONS`, with about a third of
     the fill of a pivoted LU of ``K`` on the shipped pairs, which is
-    stable because ``K_c`` is quasi-definite.  The condensed pressure
-    block ``-B0_b K_bb^-1 B0_b^T`` is negative definite for the mini
-    element, so its ``K_c`` is quasi-definite as it stands, and its
-    factor solves ``K`` exactly.
-    A pressure row whose condensed diagonal is exactly zero, which is
-    every row of a pair without cell-local velocity dofs, is regularized
-    to ``-g D``, with ``D = diag(B0 diag(A)^-1 B0^T)`` the diagonal of the
-    Schur complement and ``g`` the ``regularization`` weight.  ``D``
-    scales the regularization with ``A`` and the mesh, so it stays small
-    against ``K`` for a mass matrix alone and for any step size.
+    stable because ``K_c`` is quasi-definite.  A pressure row whose
+    condensed diagonal is exactly zero, one without cell-local entries
+    in ``B``, is regularized to ``-g D``, with ``D = diag(B diag(A)^-1
+    B^T)`` the diagonal of the Schur complement and ``g`` the
+    ``regularization`` weight.  ``D`` scales the regularization with
+    ``A`` and the mesh, so it stays small against ``K`` for a mass
+    matrix alone and for any step size.
 
-    Every solve is checked against the exact ``K``: its normwise
-    backward error must reach ``|b - K x| <= SADDLE_BACKWARD_ERROR (|b| +
-    |K| |x|)`` (max norms).  While it does not, the solve is refined
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    ch. 12), ``x += K_c^-1 (b - K x)`` through the same elimination, at
-    most :data:`SADDLE_MAX_REFINEMENTS` times.  An unregularized factor
-    meets the bound at once; a regularized one needs refinement, since
-    ``B u`` would otherwise be of order ``g |p|``, not zero.  A solve that
-    misses the bound raises :class:`SolverError`, as does an ``A`` whose
-    diagonal is not positive, for which ``K_c`` is not quasi-definite.
-    The residual of the dropped pressure row, minus the sum of the kept
-    rows', is checked too, so the bound holds on the unpinned system
-    ``[[A, B^T], [B, 0]]``.  Checked on ``K`` alone, the P2/P0 projection
-    of the decay data read 2.0e-14, 1.3e-13 and 1.1e-12 there at n = 16,
-    32 and 64; with the dropped row, 2.7e-16, 1.7e-16 and 1.5e-16.  The
-    forced cavity's step solves need no further application for it;
-    random right-hand sides of the P0 pairs' step operators at n = 32
-    take a third.
+    Every row is regularized for a pair without cell-local velocity
+    dofs, and its regularized ``K_c`` is factored whole.  Its solution
+    has ``B u = g D p``, whose rows sum to ``g 1^T D p = 0``, so the
+    regularization puts no constant into the divergence.  With pressure
+    dof 0 pinned instead, ``B u = g D (p - p_0)`` sums coherently over
+    the rows, and the left-out row's residual, minus that sum, grows
+    with their number: pinned, the P2/P0 projection of the decay data
+    read 2.0e-14, 1.3e-13 and 1.1e-12 on ``K`` at n = 16, 32 and 64;
+    factored whole, 1.7e-16, 3.0e-16 and 3.5e-16, both after one
+    refinement.  The condensed pressure block ``-B_b K_bb^-1 B_b^T`` of
+    the mini element is negative definite but for the constants, so
+    there dof 0 is pinned to zero, its row and column left out of the
+    factor.  That is exact, since the left-out row is implied by the
+    others, and the unregularized factor solves ``K``.
+
+    Every solve is checked against ``K``, every pressure row included:
+    its normwise backward error must reach ``|b - K x| <=
+    SADDLE_BACKWARD_ERROR (|b| + |K| |x|)`` (max norms).  While it does
+    not, the solve is refined (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 12), ``x += K_c^-1 (b - K x)``
+    through the same elimination, at most :data:`SADDLE_MAX_REFINEMENTS`
+    times; a constant pressure, which ``K`` does not see, it leaves as
+    it is.  An unregularized factor meets the bound at once; a
+    regularized one needs refinement, since ``B u`` would otherwise be
+    of order ``g |p|``, not zero.  A solve that misses the bound raises
+    :class:`SolverError`, as does an ``A`` whose diagonal is not
+    positive, for which ``K_c`` is not quasi-definite.
     The factor works in the order kept dofs first, then the local ones:
     each right-hand side it takes is gathered into that order once, and
     each iterate scattered back once for its check against ``K``.
@@ -247,22 +249,23 @@ class SaddleOperator:
                               "diagonal is not positive")
         mean = np.asarray(mean_vec, float).reshape(self.n_p)
         self._mean_weights = mean / mean.sum()
-        b_kept = b_mat[1:]
-        schur_diag = b_kept.multiply(b_kept) @ (1.0 / a_diag)
-        self._k = sp.bmat([[a_mat, b_kept.T], [b_kept, None]], format="csr")
+        schur_diag = b_mat.multiply(b_mat) @ (1.0 / a_diag)
+        self._k = sp.bmat([[a_mat, b_mat.T], [b_mat, None]], format="csr")
         self._k.eliminate_zeros()       # stored zeros of B would add fill
         self._k_norm = float(abs(self._k).sum(axis=1).max())
 
         local = np.zeros(self._k.shape[0], bool)
         if cell_local is not None:
             local[:self.n_u] = cell_local
-        s, b = np.nonzero(~local)[0], np.nonzero(local)[0]
+        singular = np.diff(self._k[self.n_u:][:, local].indptr) == 0
+        kept = ~local
+        kept[self.n_u] = singular.all()     # else pressure dof 0 is pinned
+        s, b = np.nonzero(kept)[0], np.nonzero(local)[0]
+        # without cell-local dofs every row is singular, and s is all
         k_c = self._condense(s, b) if len(b) else self._k
-        n_kept_u = len(s) - (self.n_p - 1)
-        singular = k_c.diagonal()[n_kept_u:] == 0.0
-        reg = np.zeros(len(s))
-        reg[n_kept_u:] = np.where(singular, regularization * schur_diag, 0.0)
-        k_g = (k_c - sp.diags(reg)).tocsc()
+        reg = np.zeros(len(local))
+        reg[self.n_u:] = np.where(singular, regularization * schur_diag, 0.0)
+        k_g = (k_c - sp.diags(reg[s])).tocsc()
         del k_c
         try:
             self._lu = splu(k_g, **LU_OPTIONS)
@@ -297,16 +300,15 @@ class SaddleOperator:
         return y
 
     def solve(self, rhs_u):
-        rhs = np.zeros(self.n_u + self.n_p - 1)
+        rhs = np.zeros(self.n_u + self.n_p)
         rhs[:self.n_u] = rhs_u
         rhs_norm = np.abs(rhs).max()
         sol = self._apply_factor(rhs[self._order])      # in the solve order
-        x = np.empty_like(sol)
+        x = np.zeros_like(rhs)          # a pinned pressure dof stays zero
         for refinement in range(SADDLE_MAX_REFINEMENTS + 1):
             x[self._order] = sol
             res = rhs - self._k @ x
-            # with the dropped pressure row's, minus the kept rows' sum
-            err = max(np.abs(res).max(), abs(res[self.n_u:].sum()))
+            err = np.abs(res).max()
             bound = SADDLE_BACKWARD_ERROR * (
                 rhs_norm + self._k_norm * np.abs(sol).max())
             if err <= bound < math.inf:     # a non-finite sol fails here
@@ -317,9 +319,8 @@ class SaddleOperator:
                     f"{SADDLE_MAX_REFINEMENTS} refinements: residual "
                     f"{err:.3e} > {bound:.3e}")
             sol += self._apply_factor(res[self._order])
-        p = np.concatenate([[0.0], x[self.n_u:]])
-        p -= self._mean_weights @ p
-        return x[:self.n_u], p
+        p = x[self.n_u:]
+        return x[:self.n_u], p - self._mean_weights @ p
 
 
 @dataclass(frozen=True)

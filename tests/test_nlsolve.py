@@ -213,16 +213,6 @@ def pinned_matrix(a, b):
     return sp.bmat([[a, b0.T], [b0, None]], format="csc")
 
 
-def condensed_matrix(a, b, local):
-    """``K_c = K_ss - K_sb K_bb^-1 K_bs`` of the pinned matrix ``K``, with
-    ``b`` the cell-local velocity dofs and ``s`` all other unknowns."""
-    k = pinned_matrix(a, b).tocsr()
-    bub = np.concatenate([local, np.zeros(b.shape[0] - 1, bool)])
-    k_s, k_b = k[~bub], k[bub]
-    return (k_s[:, ~bub] - k_s[:, bub] @ sp.diags(1.0 / k_b[:, bub].diagonal())
-            @ k_b[:, ~bub]).tocsc()
-
-
 class CountedFactor:
     """A factor that counts its triangular solves."""
 
@@ -233,6 +223,13 @@ class CountedFactor:
     def solve(self, rhs):
         self.calls += 1
         return self.lu.solve(rhs)
+
+
+class HalvedFactor(CountedFactor):
+    """The factor of twice the matrix of ``lu``."""
+
+    def solve(self, rhs):
+        return 0.5 * super().solve(rhs)
 
 
 def fill(lu):
@@ -276,13 +273,8 @@ REGULARIZED_SCHEMES = [("p0", "velocity_p2"), ("p0", "velocity_p2_reduced"),
 
 @pytest.mark.parametrize("kind,vel", REGULARIZED_SCHEMES)
 def test_step_saddle_solve_takes_two_factor_applications(kind, vel):
-    # at n = 32 the step weight is what keeps one refinement enough for
-    # the kept rows: at the projection's weight P2/P0 takes three
-    # applications at dt >= 0.05.  The check also covers the dropped
-    # pressure row, minus the sum of the kept rows' residuals.  On random
-    # data that sum over the P0 pairs' 2,048 rows misses the bound by a
-    # factor of 2.3 to 5.4 after one refinement and takes a third
-    # application; over P2/P1's 1,089 rows it stays at 0.35 of the bound.
+    # at n = 32 the step weight is what keeps one refinement enough: at
+    # the projection's weight P2/P0 takes three applications at dt >= 0.05
     params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1,
                          alpha=None if kind == "p0" else 0.1)
     cls = scheme_p0.SchemeP0 if kind == "p0" else scheme_p1diff.SchemeP1Diff
@@ -294,12 +286,12 @@ def test_step_saddle_solve_takes_two_factor_applications(kind, vel):
         op = scheme.saddle_operator(dt)
         op._lu = factor = CountedFactor(op._lu)
         u, p = op.solve(rhs_u)
-        # the unpinned system: the zero-mean shift of p leaves B^T p
+        # the zero-mean shift of p leaves B^T p unchanged
         a = (scheme.mass / dt + 0.5 * scheme.stiff)[free][:, free]
         k = sp.bmat([[a, b.T], [b, None]], format="csr")
         assert backward_error(k, rhs_u, np.concatenate([u, p])) <= 1e-14, dt
         calls[dt] = factor.calls
-    assert calls == dict.fromkeys(calls, 3 if kind == "p0" else 2)
+    assert calls == dict.fromkeys(calls, 2)
 
 
 @pytest.mark.parametrize("vel", scheme_p0.SchemeP0.VELOCITIES)
@@ -315,19 +307,22 @@ def test_initial_projection_takes_two_factor_applications(vel, monkeypatch):
     assert [op._lu.calls for op in made] == [2]
 
 
-def test_projection_meets_the_bound_on_the_unpinned_system():
-    """The check covers the dropped pressure row, whose residual is minus
-    the sum of the kept rows': P2/P0's projection of the decay data read
-    2.0e-14 on the unpinned system when only the pinned one was checked."""
+def test_projection_meets_the_bound_on_every_pressure_row():
+    """Every pressure row is checked and regularized, none pinned: with
+    pressure dof 0 pinned and its row left unchecked, P2/P0's projection
+    of the decay data read 2.0e-14 on the whole system, in two
+    applications as now."""
     params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1)
     u0 = cli.scenario_fields("decay", 1.0, params)[0]
     scheme = scheme_p0.SchemeP0(structured_unit_square(16), params)
     free, b = scheme.free, scheme.b_free
     load = fe.velocity_load(scheme.mesh, scheme.v, u0)[free]
-    u, p = scheme._free_saddle(scheme.mass,
-                               nlsolve.SADDLE_REGULARIZATION).solve(load)
+    op = scheme._free_saddle(scheme.mass, nlsolve.SADDLE_REGULARIZATION)
+    op._lu = factor = CountedFactor(op._lu)
+    u, p = op.solve(load)
     k = sp.bmat([[scheme.mass[free][:, free], b.T], [b, None]], format="csr")
     assert backward_error(k, load, np.concatenate([u, p])) <= 1e-14
+    assert factor.calls == 2
 
 
 @pytest.mark.parametrize("dt", [None, 1e-3, 1.0])
@@ -357,9 +352,9 @@ def test_condensing_coupled_dofs_raises_solver_error():
 def test_saddle_solve_raises_when_refinement_stalls(vel, pres):
     a, b, mean_vec, local = step_saddle(vel, pres, 4, 0.05)
     op = SaddleOperator(a, b, mean_vec, local)
-    # the factor of 2 K_c (of 2 K when nothing is condensed): each
-    # refinement only halves the error
-    op._lu = splu(2.0 * condensed_matrix(a, b, local))
+    # the factor of twice the factored matrix: each refinement only
+    # halves the error
+    op._lu = HalvedFactor(op._lu)
     with pytest.raises(SolverError, match="backward error"):
         op.solve(np.ones(a.shape[0]))
 
@@ -718,10 +713,9 @@ def test_transport_tables_are_built_once_per_scheme(kind, monkeypatch):
     built = []
 
     def counted(build):
-        def wrapper(space_or_mesh, *args):
-            built.append((build.__name__,
-                          getattr(space_or_mesh, "kind", None)))
-            return build(space_or_mesh, *args)
+        def wrapper(first, *args):
+            built.append((build.__name__, first))
+            return build(first, *args)
         return wrapper
 
     for module, name in ((fe, "space_pattern"), (fe, "convection_tables"),
@@ -730,13 +724,11 @@ def test_transport_tables_are_built_once_per_scheme(kind, monkeypatch):
     scheme, state = stirred_state(kind)
     for _ in range(3):
         state = step(scheme, state, 0.5)
-    velocity = scheme.v.kind
-    want = [("convection_tables", velocity), ("space_pattern", velocity)]
+    want = [("convection_tables", True), ("space_pattern", True)]
     if kind == "p0":
-        want.append(("edge_transport", None))
-    else:                                   # the scalar stiffness
-        want.append(("space_pattern", "pressure_p1"))
-    assert sorted(built) == sorted(want)
+        want.append(("edge_transport", False))
+    assert (sorted((name, first is scheme.v) for name, first in built)
+            == sorted(want))
 
     pattern = scheme.v.pattern
     stored = sp.csr_matrix((np.ones(len(pattern.indices)), pattern.indices,
