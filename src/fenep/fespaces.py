@@ -119,10 +119,15 @@ _TABULATED: dict[int, tuple[list, list]] = {
 }
 
 
+@cache
 def gauss01(n: int):
-    """Gauss-Legendre nodes/weights on [0, 1] (weights sum to 1)."""
+    """Gauss-Legendre nodes/weights on [0, 1] (weights sum to 1), made
+    once per n and shared by every caller, so read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 @cache

@@ -34,7 +34,11 @@ element's has one pressure dof pinned.  Each solve is checked against
 the exact system ``[[A, B^T], [B, 0]]`` that the energy identity reads,
 every pressure row included, and refined only while its normwise
 backward error exceeds :data:`SADDLE_BACKWARD_ERROR`; one that cannot
-reach it raises :class:`SolverError`.  The weight ``g`` is
+reach it raises :class:`SolverError`.  A regularized factor refines from
+a given start, the step's from the Picard iterate's own velocity and
+pressure, so each application leaves an error of order ``g`` times the
+correction, not the solution; the mini element's exact factor ignores
+the start.  The weight ``g`` is
 :data:`STEP_REGULARIZATION` for the step operators and
 :data:`SADDLE_REGULARIZATION` for the mass-only projection of initial
 data.
@@ -131,16 +135,20 @@ MIN_DAMPING = 1.0 / 16.0
 #: at 1e-8, P2/P0 at n = 32), while each refinement contracts the error
 #: less as g grows.  With the stiffness in ``A`` the rounding decides: at
 #: 1e-8 one refinement meets the backward error bound for every step
-#: operator of the P2 pairs (random right-hand sides, n = 8 to 64 and dt
-#: = 1e-7 to 100; the forced cavity's Picard solves at n = 64 need two in
-#: 18 of 24), where at 1e-9 P2/P0 needs two at n >= 32 and dt >= 0.05.
+#: operator of the P2 pairs (random right-hand sides from zero, n = 8 to
+#: 64 and dt = 1e-7 to 100), where at 1e-9 P2/P0 needs two at n >= 32 and
+#: dt >= 0.05.  Started from the Picard iterate, the 24 solves of the
+#: forced cavity P2/P0 (3 steps, dt = 0.05) take 45, 40, 36, 36 and 33
+#: applications at n = 32 for g = 1e-9, 3e-9, 1e-8, 3e-8 and 1e-7, and
+#: 45, 41, 37, 36 and 34 at n = 64.
 #: The mass alone goes the other way: at 1e-8 its solves need two
 #: refinements from n = 32 on, at 1e-9 one up to n = 64.
 SADDLE_REGULARIZATION = 1e-9
 STEP_REGULARIZATION = 1e-8
 #: normwise backward error every saddle solve must reach
 SADDLE_BACKWARD_ERROR = 1e-14
-#: most refinement steps a saddle solve may take to reach it
+#: most refinement steps a saddle solve from zero may take to reach it:
+#: any solve makes at most one factor application more
 SADDLE_MAX_REFINEMENTS = 3
 #: the SuperLU options of every sparse factorization in the package:
 #: symmetric mode, the minimum degree order of ``A^T + A`` and diagonal
@@ -223,11 +231,18 @@ class SaddleOperator:
     SADDLE_BACKWARD_ERROR (|b| + |K| |x|)`` (max norms).  While it does
     not, the solve is refined (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2002, ch. 12), ``x += K_c^-1 (b - K x)``
-    through the same elimination, at most :data:`SADDLE_MAX_REFINEMENTS`
-    times; a constant pressure, which ``K`` does not see, it leaves as
-    it is.  An unregularized factor meets the bound at once; a
-    regularized one needs refinement, since ``B u`` would otherwise be
-    of order ``g |p|``, not zero.  A solve that misses the bound raises
+    through the same elimination, in at most ``SADDLE_MAX_REFINEMENTS
+    + 1`` factor applications; a constant pressure, which ``K`` does not
+    see, it leaves as it is.  An unregularized factor meets the bound at
+    once; a regularized one needs refinement, since ``B u`` would
+    otherwise be of order ``g |p|``, not zero.  So a regularized factor
+    refines from ``start = (u, p)`` when given one: an application then
+    leaves an error of order ``g`` times the correction, not the
+    solution, and a start that meets the bound costs none.  The block
+    step starts each solve at its Picard iterate, whose late solves take
+    one application (:data:`STEP_REGULARIZATION` gives the counts).  The
+    unregularized factor ignores the start, which would only add a
+    product with ``K``.  A solve that misses the bound raises
     :class:`SolverError`, as does an ``A`` whose diagonal is not
     positive, for which ``K_c`` is not quasi-definite.
     The factor works in the order kept dofs first, then the local ones:
@@ -272,6 +287,7 @@ class SaddleOperator:
         except RuntimeError as exc:
             raise SolverError(f"saddle matrix factorization failed: {exc}") from exc
         self._order, self._n_s = np.concatenate([s, b]), len(s)
+        self._regularized = bool(singular.any())
 
     def _condense(self, s, b):
         """``K_c = K_ss - K_sb K_bb^-1 K_bs``, keeping ``K_sb``, ``K_bs``
@@ -299,13 +315,19 @@ class SaddleOperator:
         y[self._n_s:] = (r_b - self._k_bs @ y_s) / self._d_b
         return y
 
-    def solve(self, rhs_u):
+    def solve(self, rhs_u, start=None):
+        """``(u, p)`` of ``K (u, p) = (rhs_u, 0)``, ``p`` of zero mean,
+        refined from ``start = (u, p)`` when the factor is regularized."""
         rhs = np.zeros(self.n_u + self.n_p)
         rhs[:self.n_u] = rhs_u
         rhs_norm = np.abs(rhs).max()
-        sol = self._apply_factor(rhs[self._order])      # in the solve order
         x = np.zeros_like(rhs)          # a pinned pressure dof stays zero
-        for refinement in range(SADDLE_MAX_REFINEMENTS + 1):
+        if start is not None and self._regularized:
+            x[:self.n_u], x[self.n_u:] = start
+            sol, applications = x[self._order], 0      # in the solve order
+        else:           # zero misses the bound unless rhs_u is zero
+            sol, applications = self._apply_factor(rhs[self._order]), 1
+        while True:
             x[self._order] = sol
             res = rhs - self._k @ x
             err = np.abs(res).max()
@@ -313,12 +335,13 @@ class SaddleOperator:
                 rhs_norm + self._k_norm * np.abs(sol).max())
             if err <= bound < math.inf:     # a non-finite sol fails here
                 break
-            if refinement == SADDLE_MAX_REFINEMENTS:
+            if applications > SADDLE_MAX_REFINEMENTS:
                 raise SolverError(
                     f"saddle solve missed its backward error bound after "
-                    f"{SADDLE_MAX_REFINEMENTS} refinements: residual "
+                    f"{applications} factor applications: residual "
                     f"{err:.3e} > {bound:.3e}")
             sol += self._apply_factor(res[self._order])
+            applications += 1
         p = x[self.n_u:]
         return x[:self.n_u], p - self._mean_weights @ p
 
@@ -482,7 +505,8 @@ class BlockStep:
     give the (m, k) scalar right-hand sides.
 
     One block pass per iterate serves both methods: the stress terms
-    and the saddle solve ``(u_new, p_new)`` of ``rhs_u - conv u``.
+    and the saddle solve ``(u_new, p_new)`` of ``rhs_u - conv u``,
+    started at the iterate's own ``(u, p)``.
     ``residual(x)`` computes the pass and returns it beside the norm of
     ``(u_new - u, p_new - p, S^-1 R(u) - s)``, with ``R`` the
     ``rhs_scalars``: the block solve of the monolithic residual whenever
@@ -632,10 +656,10 @@ class BlockStep:
 
     def residual(self, x):
         """``(norm, pass)``, the pass ``(x, frozen, u_new, p_new)``."""
-        u, _, sig, rho = self.split(x)
+        u, p, sig, rho = self.split(x)
         rhs_u, frozen = self.stress_terms(sig, rho)
         u_f, p_new = self.saddle.solve(
-            (rhs_u - self.conv @ u)[self.free])
+            (rhs_u - self.conv @ u)[self.free], start=(u[self.free], p))
         u_new = np.zeros(self.n_u)
         u_new[self.free] = u_f
         r = float(np.linalg.norm(

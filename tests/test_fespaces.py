@@ -79,6 +79,10 @@ def test_gauss01_interval():
     assert wts.sum() == pytest.approx(1.0)
     for k in range(8):
         assert float(wts @ pts ** k) == pytest.approx(1.0 / (k + 1))
+    # made once and shared, so no caller can write into it
+    assert fe.gauss01(4)[0] is pts
+    with pytest.raises(ValueError):
+        wts[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
