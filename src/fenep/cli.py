@@ -122,7 +122,6 @@ SCHEMES = {"p0": SchemeP0, "p1diff": SchemeP1Diff}
 _VELOCITY_TOKENS = {
     "p2": "velocity_p2",
     "p2r": "velocity_p2_reduced",
-    "p2_reduced": "velocity_p2_reduced",
     "mini": "velocity_mini",
 }
 

@@ -109,8 +109,6 @@ _R15 = np.sqrt(15.0)
 _TABULATED: dict[int, tuple[list, list]] = {
     1: ([(1 / 3, 1 / 3, 1 / 3)], [1.0]),
     2: (_orbit(2 / 3), [1 / 3] * 3),
-    4: (_orbit(0.108103018168070) + _orbit(0.816847572980459),
-        [0.223381589678011] * 3 + [0.109951743655322] * 3),
     # Radon's seven-point rule in closed form: orbits of b = (6 -+ sqrt 15)/21
     5: ([(1 / 3, 1 / 3, 1 / 3)]
         + _orbit((9 + 2 * _R15) / 21, (6 - _R15) / 21)
@@ -134,11 +132,9 @@ def gauss01(n: int):
 def triangle_rule(degree: int) -> QuadratureRule:
     """Smallest shipped rule exact for polynomials of the given degree,
     made once per degree (a product rule takes about 0.5 ms)."""
-    if degree <= 5:
-        for deg in (1, 2, 4, 5):
-            if deg >= degree:
-                pts, w = _TABULATED[deg]
-                return QuadratureRule(np.array(pts), np.array(w))
+    if degree <= max(_TABULATED):
+        pts, w = _TABULATED[min(d for d in _TABULATED if d >= degree)]
+        return QuadratureRule(np.array(pts), np.array(w))
     # collapsed-square product rule: x = a, y = b (1 - a), jacobian (1 - a)
     n = (degree + 3) // 2
     a, wa = gauss01(n)

@@ -63,8 +63,9 @@ class TriMesh:
     vertices : array_like, shape (n_vertices, 2)
     cells : array_like, shape (n_cells, 3)
         Vertex index triples.  Clockwise cells are reoriented; degenerate
-        or overlapping cells, an edge shared by more than two cells and a
-        mesh that is not edge-connected raise :class:`MeshError`.
+        or overlapping cells, an edge shared by more than two cells, a
+        mesh that is not edge-connected, one without cells and a vertex
+        that no cell uses raise :class:`MeshError`.
     """
 
     def __init__(self, vertices, cells):
@@ -123,6 +124,11 @@ class TriMesh:
 
         self._build_edges()
         self._check_edge_connected()
+        if not len(cells):
+            raise MeshError("mesh has no cells")
+        unused = np.bincount(cells.ravel(), minlength=len(vertices)) == 0
+        if unused.any():
+            raise MeshError(f"vertex {int(np.argmax(unused))} is in no cell")
 
     # -- construction helpers ------------------------------------------------
 

@@ -22,26 +22,11 @@ their saddle matrix with ``B`` is factorized once per step size and kept
 on the scheme; only the convection ``C(u_prev)``, the one velocity
 operator that changes from step to step, is assembled per step, on a
 fixed sparsity pattern (the Picard/Oseen splitting of Elman, Silvester
-and Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).  The
-:class:`SaddleOperator` condenses the velocity dofs that live on one
-cell (the mini element's bubbles), which is exact because their block
-of the matrix is diagonal, and factors what remains under
-:data:`LU_OPTIONS`.  It regularizes only the pressure rows whose
-condensed diagonal is zero, with ``-g D`` (``D`` the Schur-complement
-diagonal): none for the mini element, every row for the P2 and
-reduced-P2 pairs, whose regularized matrix it factors whole; the mini
-element's has one pressure dof pinned.  Each solve is checked against
-the exact system ``[[A, B^T], [B, 0]]`` that the energy identity reads,
-every pressure row included, and refined only while its normwise
-backward error exceeds :data:`SADDLE_BACKWARD_ERROR`; one that cannot
-reach it raises :class:`SolverError`.  A regularized factor refines from
-a given start, the step's from the Picard iterate's own velocity and
-pressure, so each application leaves an error of order ``g`` times the
-correction, not the solution; the mini element's exact factor ignores
-the start.  The weight ``g`` is
-:data:`STEP_REGULARIZATION` for the step operators and
-:data:`SADDLE_REGULARIZATION` for the mass-only projection of initial
-data.
+and Wathen, *Finite Elements and Fast Iterative Solvers*, 2014).  How a
+saddle matrix is condensed, pinned or regularized, factored, checked and
+refined, and from which start, is stated on :class:`SaddleOperator`;
+the one regularization weight and its measured cost on
+:data:`SADDLE_REGULARIZATION`.
 
 The step is exposed to the driver as a fixed-point problem: one
 ``sweep`` performs a block Gauss-Seidel pass through the factorized
@@ -128,23 +113,26 @@ DIVERGENCE_FACTOR = 1e8
 #: the smallest relaxation factor the driver blends with; an iterate
 #: blended at it is accepted even if its residual grew
 MIN_DAMPING = 1.0 / 16.0
-#: g, the weight of the Schur-diagonal regularization of the saddle factor:
-#: the default, which the mass-only projection of initial data keeps, and
-#: the weight of the step operators ``Re/dt M + (1-eps) K``.  The factor's
-#: rounding grows like 1/g (its largest entry is 6.4e10 at 1e-9 and 6.4e9
-#: at 1e-8, P2/P0 at n = 32), while each refinement contracts the error
-#: less as g grows.  With the stiffness in ``A`` the rounding decides: at
-#: 1e-8 one refinement meets the backward error bound for every step
-#: operator of the P2 pairs (random right-hand sides from zero, n = 8 to
-#: 64 and dt = 1e-7 to 100), where at 1e-9 P2/P0 needs two at n >= 32 and
-#: dt >= 0.05.  Started from the Picard iterate, the 24 solves of the
-#: forced cavity P2/P0 (3 steps, dt = 0.05) take 45, 40, 36, 36 and 33
-#: applications at n = 32 for g = 1e-9, 3e-9, 1e-8, 3e-8 and 1e-7, and
-#: 45, 41, 37, 36 and 34 at n = 64.
-#: The mass alone goes the other way: at 1e-8 its solves need two
-#: refinements from n = 32 on, at 1e-9 one up to n = 64.
-SADDLE_REGULARIZATION = 1e-9
-STEP_REGULARIZATION = 1e-8
+#: g, the weight of the Schur-diagonal regularization of every saddle
+#: factor (:class:`SaddleOperator`).  The factor's rounding grows like 1/g
+#: (its largest entry is 6.4e10 at 1e-9 and 6.4e9 at 1e-8, P2/P0 at
+#: n = 32), while each refinement contracts the error less as g grows.
+#: With the stiffness in the step operators ``Re/dt M + (1-eps) K`` the
+#: rounding decides: at 1e-8 one refinement meets the backward error
+#: bound for every step operator of the P2 pairs (random right-hand sides
+#: from zero, n = 8 to 64 and dt = 1e-7 to 100), where at 1e-9 P2/P0 needs
+#: two at n >= 32 and dt >= 0.05.  Started from the Picard iterate, the 24
+#: solves of the forced cavity P2/P0 (3 steps, dt = 0.05) take 45, 40, 36,
+#: 36 and 33 applications at n = 32 for g = 1e-9, 3e-9, 1e-8, 3e-8 and
+#: 1e-7, and 45, 41, 37, 36 and 34 at n = 64.  The mass-only projection
+#: of initial data (P2/P0, reduced P2/P0, and P2/P1 at dt0 = 0.1) takes
+#: two applications of the decay data from n = 8 to 64, as at 1e-9.  On
+#: random right-hand sides (seeds 0 to 6) P2/P1 takes two up to n = 64;
+#: the P0 pairs take three at n = 64 on 13 of the 14 (two at 1e-9), as
+#: P2/P0 does at n = 32 on two seeds; at n = 128 (one seed) the P0 pairs
+#: take three and P2/P1 two.  That is one application more once a run,
+#: well under the cap.
+SADDLE_REGULARIZATION = 1e-8
 #: normwise backward error every saddle solve must reach
 SADDLE_BACKWARD_ERROR = 1e-14
 #: most refinement steps a saddle solve from zero may take to reach it:
@@ -206,8 +194,8 @@ class SaddleOperator:
     stable because ``K_c`` is quasi-definite.  A pressure row whose
     condensed diagonal is exactly zero, one without cell-local entries
     in ``B``, is regularized to ``-g D``, with ``D = diag(B diag(A)^-1
-    B^T)`` the diagonal of the Schur complement and ``g`` the
-    ``regularization`` weight.  ``D`` scales the regularization with
+    B^T)`` the diagonal of the Schur complement and ``g`` the one weight
+    :data:`SADDLE_REGULARIZATION`.  ``D`` scales the regularization with
     ``A`` and the mesh, so it stays small against ``K`` for a mass
     matrix alone and for any step size.
 
@@ -240,7 +228,7 @@ class SaddleOperator:
     leaves an error of order ``g`` times the correction, not the
     solution, and a start that meets the bound costs none.  The block
     step starts each solve at its Picard iterate, whose late solves take
-    one application (:data:`STEP_REGULARIZATION` gives the counts).  The
+    one application (:data:`SADDLE_REGULARIZATION` gives the counts).  The
     unregularized factor ignores the start, which would only add a
     product with ``K``.  A solve that misses the bound raises
     :class:`SolverError`, as does an ``A`` whose diagonal is not
@@ -250,8 +238,7 @@ class SaddleOperator:
     each iterate scattered back once for its check against ``K``.
     """
 
-    def __init__(self, a_mat, b_mat, mean_vec, cell_local=None, *,
-                 regularization=SADDLE_REGULARIZATION):
+    def __init__(self, a_mat, b_mat, mean_vec, cell_local=None):
         a_mat = sp.csr_matrix(a_mat)
         b_mat = sp.csr_matrix(b_mat)
         self.n_u = a_mat.shape[0]
@@ -279,8 +266,8 @@ class SaddleOperator:
         # without cell-local dofs every row is singular, and s is all
         k_c = self._condense(s, b) if len(b) else self._k
         reg = np.zeros(len(local))
-        reg[self.n_u:] = np.where(singular, regularization * schur_diag, 0.0)
-        k_g = (k_c - sp.diags(reg[s])).tocsc()
+        reg[self.n_u:] = np.where(singular, schur_diag, 0.0)
+        k_g = (k_c - SADDLE_REGULARIZATION * sp.diags(reg[s])).tocsc()
         del k_c
         try:
             self._lu = splu(k_g, **LU_OPTIONS)
@@ -797,23 +784,21 @@ class ImplicitScheme:
             self._cache[name] = (key, build())
         return self._cache[name][1]
 
-    def _free_saddle(self, a_mat, regularization: float) -> SaddleOperator:
+    def _free_saddle(self, a_mat) -> SaddleOperator:
         """The :class:`SaddleOperator` of the velocity matrix ``a_mat`` on
-        the free dofs with ``B``, regularized at ``regularization``."""
+        the free dofs with ``B``."""
         a_ff = a_mat[self.free][:, self.free].tocsr()
         del a_mat  # freed before the factorization, the memory peak
         return SaddleOperator(a_ff, self.b_free, self.weights,
-                              self.v.cell_local[self.free],
-                              regularization=regularization)
+                              self.v.cell_local[self.free])
 
     def saddle_operator(self, dt: float) -> SaddleOperator:
         """The factorized saddle matrix of ``Re/dt M + (1-eps) K`` on the
-        free dofs with ``B``, regularized at :data:`STEP_REGULARIZATION`."""
+        free dofs with ``B``."""
         prm = self.params
         return self._cached("saddle", (dt, prm.re, prm.eps), lambda: (
             self._free_saddle((prm.re / dt) * self.mass
-                              + (1.0 - prm.eps) * self.stiff,
-                              STEP_REGULARIZATION)))
+                              + (1.0 - prm.eps) * self.stiff)))
 
     def initial_state(self, u0=None, sigma0=None, dt0: float = 0.0) -> State:
         """The projection of initial data into the scheme's spaces.
@@ -839,9 +824,8 @@ class ImplicitScheme:
         u = np.zeros(self.v.n_dofs)
         if u0 is not None:
             load = velocity_load(self.mesh, self.v, u0)[self.free]
-            u[self.free] = self._free_saddle(self.mass + dt0 * self.stiff,
-                                             SADDLE_REGULARIZATION
-                                             ).solve(load)[0]
+            u[self.free] = self._free_saddle(
+                self.mass + dt0 * self.stiff).solve(load)[0]
 
         rule = triangle_rule(6)
         samples = self._stress_samples(sigma0, rule.points)

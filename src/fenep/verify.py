@@ -111,7 +111,7 @@ def _check_quadrature():
                 want = (math.factorial(a) * math.factorial(b)
                         / math.factorial(a + b + 2))
                 worst = max(worst, abs(got - want))
-    return worst <= 1e-15, f"worst monomial error {worst:.2e}"
+    return worst <= 4e-16, f"worst monomial error {worst:.2e}"
 
 
 def _check_upwind_neutrality():

@@ -7,6 +7,7 @@ them.
 
 import json
 import math
+import re
 import sys
 import textwrap
 
@@ -142,6 +143,10 @@ def test_build_setup_defaults_and_overrides(tmp_path):
     assert over.velocity == "velocity_p2_reduced"
     with pytest.raises(ConfigError, match="velocity"):
         build_setup(cfg, {"velocity": "p3"})
+    # one spelling per velocity kind
+    with pytest.raises(ConfigError, match=re.escape(
+            "must be one of ['p2', 'p2r'], got 'p2_reduced'")):
+        build_setup(cfg, {"velocity": "p2_reduced"})
 
 
 def test_flags_name_config_keys():
@@ -391,6 +396,10 @@ BAD_MESHES = {
     "directory": ("file = {dir}", 3, "mesh error: cannot read mesh file"),
     "non_ascii": ("file = {dir}/latin.txt", 3,
                   "mesh error: cannot read mesh file"),
+    "no_cells": ("file = {dir}/no_cells.txt", 3,
+                 "mesh error: {dir}/no_cells.txt: mesh has no cells"),
+    "unused_vertex": ("file = {dir}/unused.txt", 3,
+                      "mesh error: {dir}/unused.txt: vertex 3 is in no cell"),
 }
 
 
@@ -406,11 +415,15 @@ def test_bad_mesh_input_leaves_an_earlier_run_alone(tmp_path, capsys,
     (tmp_path / "broken.txt").write_text("not a mesh\n")
     (tmp_path / "latin.txt").write_bytes(
         "tri-mesh 2d v1  # caf\xe9\n".encode("latin-1"))
+    (tmp_path / "no_cells.txt").write_text(
+        "tri-mesh 2d v1\n3 0\n0 0\n1 0\n0 1\n")
+    (tmp_path / "unused.txt").write_text(
+        "tri-mesh 2d v1\n4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n")
     setting, code, message = BAD_MESHES[case]
     cfg = base_config(tmp_path, mesh=setting.format(dir=tmp_path))
     capsys.readouterr()
     assert main(["run", cfg]) == code
-    assert capsys.readouterr().err.startswith(message)
+    assert capsys.readouterr().err.startswith(message.format(dir=tmp_path))
     assert sorted(p.name for p in out.iterdir()) == list(outputs)
     assert [(out / name).read_bytes() for name in outputs] == before
 
@@ -431,6 +444,7 @@ def test_bad_mesh_input_leaves_an_earlier_run_alone(tmp_path, capsys,
     ("p0", "mesh", "shear = inf"),
     ("p0", "time", "dt0 = 0.1"),
     ("p0", "solver", "velocity = mini"),
+    ("p0", "solver", "velocity = p2_reduced"),
 ])
 def test_run_rejects_bad_settings_before_compute(tmp_path, capsys,
                                                  monkeypatch, scheme,

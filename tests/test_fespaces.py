@@ -40,17 +40,20 @@ def sheared_mesh(n, slope=0.7):
 # quadrature
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 5, 6, 8])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_triangle_rule_monomial_exactness(degree):
-    rule = triangle = fe.triangle_rule(degree)
-    assert triangle.weights.sum() == pytest.approx(1.0, abs=1e-14)
+    # every rule to 4e-16, which a rule tabulated to 15 digits misses
+    # (5e-16): degrees 3 to 5 take Radon's seven-point rule in closed form
+    rule = fe.triangle_rule(degree)
+    assert len(rule.weights) == 7 or not 3 <= degree <= 5
+    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(rule.points >= -1e-12)
     x = rule.points[:, 1]
     y = rule.points[:, 2]
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             val = 0.5 * float(rule.weights @ (x ** a * y ** b))
-            assert val == pytest.approx(ref_monomial(a, b), abs=1e-15), \
+            assert abs(val - ref_monomial(a, b)) <= 4e-16, \
                 f"x^{a} y^{b} at degree {degree}"
 
 

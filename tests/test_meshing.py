@@ -251,6 +251,11 @@ def test_ccw_fix_and_validation_errors():
                    [0.0, -1.0]])
     with pytest.raises(MeshError, match="not edge-connected"):
         TriMesh(V3, np.array([[0, 1, 2], [0, 3, 4]]))
+    # no cells, or a vertex in none, whose dofs no equation would see
+    with pytest.raises(MeshError, match="mesh has no cells"):
+        TriMesh(V, np.zeros((0, 3), int))
+    with pytest.raises(MeshError, match="vertex 3 is in no cell"):
+        TriMesh(V2, np.array([[0, 1, 2]]))
 
 
 def test_repeated_vertex_names_the_first_bad_cell():

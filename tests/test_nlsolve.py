@@ -274,8 +274,8 @@ REGULARIZED_SCHEMES = [("p0", "velocity_p2"), ("p0", "velocity_p2_reduced"),
 
 @pytest.mark.parametrize("kind,vel", REGULARIZED_SCHEMES)
 def test_step_saddle_solve_takes_two_factor_applications(kind, vel):
-    # at n = 32 the step weight is what keeps one refinement enough: at
-    # the projection's weight P2/P0 takes three applications at dt >= 0.05
+    # at n = 32 the weight 1e-8 is what keeps one refinement enough: at
+    # 1e-9 P2/P0 takes three applications at dt >= 0.05
     params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1,
                          alpha=None if kind == "p0" else 0.1)
     cls = scheme_p0.SchemeP0 if kind == "p0" else scheme_p1diff.SchemeP1Diff
@@ -306,8 +306,7 @@ def test_started_saddle_solve_matches_the_cold_one(vel, pres, dt):
     n_u = a.shape[0]
     rng = np.random.default_rng(1)
     rhs_u = rng.standard_normal(n_u)
-    op = SaddleOperator(a, b, mean_vec, local,
-                        regularization=nlsolve.STEP_REGULARIZATION)
+    op = SaddleOperator(a, b, mean_vec, local)
     cold = np.concatenate(op.solve(rhs_u))
     k = sp.bmat([[a, b.T], [b, None]], format="csr")
     op._lu = factor = CountedFactor(op._lu)
@@ -326,17 +325,22 @@ def test_started_saddle_solve_matches_the_cold_one(vel, pres, dt):
         assert calls[1] <= 1
 
 
-@pytest.mark.parametrize("vel", scheme_p0.SchemeP0.VELOCITIES)
-def test_initial_projection_takes_two_factor_applications(vel, monkeypatch):
+@pytest.mark.parametrize("kind,vel", [
+    *(pytest.param("p0", v, id=v) for v in scheme_p0.SchemeP0.VELOCITIES),
+    pytest.param("p1diff", "velocity_p2", id="p1diff-velocity_p2")])
+def test_initial_projection_takes_two_factor_applications(kind, vel,
+                                                          monkeypatch):
+    """The mass-only projection of p0 and P2/P1's smoothed one at dt0 =
+    0.1 take one refinement of the decay data, at the one weight."""
     made = count_saddles(monkeypatch)
-    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1)
+    params = ModelParams(re=1.0, wi=1.0, eps=0.5, b=5.0, delta=0.1,
+                         alpha=None if kind == "p0" else 0.1)
+    cls = scheme_p0.SchemeP0 if kind == "p0" else scheme_p1diff.SchemeP1Diff
     u0, sigma0, _ = cli.scenario_fields("decay", 1.0, params)
-    scheme = scheme_p0.SchemeP0(structured_unit_square(8), params,
-                                velocity=vel)
-    scheme.initial_state(u0, sigma0)
-    # the mass-only operator keeps the default weight, at which one
-    # refinement meets the bound on smooth data
-    assert [op._lu.calls for op in made] == [2]
+    for n in (8, 32):
+        scheme = cls(structured_unit_square(n), params, velocity=vel)
+        scheme.initial_state(u0, sigma0, dt0=0.0 if kind == "p0" else 0.1)
+    assert [op._lu.calls for op in made] == [2, 2]
 
 
 def test_projection_meets_the_bound_on_every_pressure_row():
@@ -349,7 +353,7 @@ def test_projection_meets_the_bound_on_every_pressure_row():
     scheme = scheme_p0.SchemeP0(structured_unit_square(16), params)
     free, b = scheme.free, scheme.b_free
     load = fe.velocity_load(scheme.mesh, scheme.v, u0)[free]
-    op = scheme._free_saddle(scheme.mass, nlsolve.SADDLE_REGULARIZATION)
+    op = scheme._free_saddle(scheme.mass)
     op._lu = factor = CountedFactor(op._lu)
     u, p = op.solve(load)
     k = sp.bmat([[scheme.mass[free][:, free], b.T], [b, None]], format="csr")
