@@ -31,6 +31,7 @@ errors.  Floats are written with ``repr`` so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -546,8 +547,28 @@ def write_vtk(path, mesh: TriMesh, velocity_vertices, *, point_tensors=None,
 # ---------------------------------------------------------------------------
 # entry points
 
+#: the block size from which ``fenep run`` has glibc map a block on its own
+MMAP_THRESHOLD = 1 << 20
+
+
+def _pin_mmap_threshold() -> None:
+    """Pin glibc's mmap threshold (``mallopt`` parameter -3) at
+    MMAP_THRESHOLD; do nothing where the C library has no ``mallopt``.
+
+    glibc raises the threshold to the largest mapped block freed so far.
+    Past the sparse LU's large, partly touched work arrays, those come
+    from the heap and fragment it, and in some processes that run many
+    solves the peak resident memory creeps by 10-15 MB.  Pinned, each
+    factor's arrays are mapped and returned whole when it is freed.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(-3, MMAP_THRESHOLD)
+    except (AttributeError, OSError, TypeError):
+        pass
+
 
 def _cmd_run(args) -> int:
+    _pin_mmap_threshold()
     overrides = {flag: getattr(args, flag) for flag in _FLAGS}
     cfg = parse_config(args.config)
 

@@ -14,23 +14,23 @@ Assembly works on whole arrays of cells, never cell by cell.  Each
 operator contracts a small reference tensor, tabulated once on the
 reference triangle, with the per-cell geometry (barycentric gradients
 and areas) in one matrix product or a few broadcast products; vectors are
-summed into dofs with ``np.bincount``.  The matrices of a velocity
-space fill one CSR pattern, its :class:`SpacePattern`, built from the
-space's blocks on first use and kept on the space: the two axis blocks
-never couple, so the second repeats the first block's sorted entries,
-and only a ``normal`` block is tested edge by edge for directions that
-are orthogonal.  A matrix then takes one ``np.bincount`` of its cell
-values into the pattern's data array: the mass and the stiffness,
-which store no entry that sums to exactly zero, and, on every time
-step, the convection.  The convection also reads :class:`ConvectionTables` made once per space:
-the skew part of its reference tensor, the direction-gradient products
-and scales of the cells, and the slots of its upper local pairs.  A step
-then costs a gather of the transport coefficients, one small matrix
-product per block of cells and a scatter into the data array.  The
-gradient operator ``G = integral( psi grad(phi) )`` against a scalar
-test space is assembled once per scheme and serves three forms by
-matrix products: the tested velocity gradient ``G u``, the stress
-coupling ``G^T W`` and, in its trace rows, the divergence.
+summed into dofs with ``np.bincount``.  A matrix of fixed pattern is one
+:meth:`Pattern.fill`, a bincount of its cell values into the data array
+of a compressed :class:`Pattern`.  Every space, velocity or scalar, has
+one CSR pattern, its :class:`SpacePattern`, built from the space's
+blocks on first use and kept on the space: the two axis blocks never
+couple, so the second repeats the first block's sorted entries, and only
+a ``normal`` block is tested edge by edge for directions that are
+orthogonal.  It serves the mass and the stiffness, which store no entry
+that sums to exactly zero, and, on every time step, the convection.  The
+convection also reads :class:`ConvectionTables` made once per space: the
+skew part of its reference tensor for the upper local pairs and the
+direction-gradient products of the cells.  A step then costs a gather
+of the transport coefficients, one matrix product over all cells and
+one fill.  The gradient operator ``G = integral( psi grad(phi) )``
+against a scalar test space is assembled once per scheme and serves
+three forms by matrix products: the tested velocity gradient ``G u``,
+the stress coupling ``G^T W`` and, in its trace rows, the divergence.
 
 Scalar fields (pressure, stress components, the auxiliary trace) use
 piecewise constants or continuous piecewise linears.  Tensor fields are
@@ -61,6 +61,7 @@ __all__ = [
     "FESpace",
     "VELOCITY_KINDS",
     "lumped_weights",
+    "Pattern",
     "SpacePattern",
     "space_pattern",
     "velocity_mass",
@@ -75,7 +76,6 @@ __all__ = [
     "sample_cells",
     "cell_mean_velocity",
     "evaluate_velocity",
-    "scalar_stiffness",
     "pressure_integral_vector",
 ]
 
@@ -238,8 +238,8 @@ class FESpace:
     degree : polynomial degree of the scalar factors
     blocks : the direction of each (family, direction) block of the kind
         and the slice of its local dofs
-    pattern : the :class:`SpacePattern` that the mass, the stiffness
-        and the convection of a velocity space fill, and
+    pattern : the :class:`SpacePattern` that the mass and the stiffness
+        of the space and the convection of a velocity space fill, and
         ``convection_tables`` the :class:`ConvectionTables` the
         convection reads; each is built on first use and kept
     """
@@ -330,34 +330,27 @@ def lumped_weights(mesh: TriMesh) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpacePattern:
-    """The CSR pattern that the matrices of a space fill, built once per
-    space by :func:`space_pattern` (:attr:`FESpace.pattern`).
+class Pattern:
+    """A fixed compressed pattern of an n x n matrix and the one fill of
+    values into it, made by :func:`compressed_pattern`.
 
-    Its local pairs ``(first[p], second[p])`` are those of the blocks that
-    may couple: every pair of a scalar space; in a velocity space each
-    block with itself and with a ``normal`` block, never ``x`` with
-    ``y``.  ``mirror[p]`` is the pair ``(second[p], first[p])``, and
-    ``slots[k, p]`` the position of pair p of cell k in the data array,
-    or the dump slot ``nnz`` past its end where the two directions are
-    orthogonal.  A dof has one direction on all its cells, so the
-    direction product of an entry, ``weight`` (0 at the dump slot), is a
-    factor of the whole entry; it is None where every product is 1 (no
-    ``normal`` block).
+    ``slots`` gives the position in the data array of each value the
+    fill sums, or the dump slot ``nnz`` past its end for a value that is
+    dropped; ``indices`` the minor index of each stored entry, sorted
+    within each major line, and ``indptr`` where each line starts.
+    ``weight`` (nnz + 1,), 0 at the dump slot, is a factor of every
+    entry, or None where every factor is 1.
     """
 
-    first: np.ndarray        # (P,) local pairs
-    second: np.ndarray
-    mirror: np.ndarray
-    slots: np.ndarray        # (n_cells, P) int32
-    weight: np.ndarray | None    # (nnz + 1,)
-    indices: np.ndarray      # int32 column of each stored entry, row-sorted
+    slots: np.ndarray        # intp, which bincount reads without a cast
+    indices: np.ndarray      # int32
     indptr: np.ndarray
+    weight: np.ndarray | None = None
 
-    def fill(self, cellvals):
-        """The data array of the pairs' cell values (n_cells, P): summed
-        into their entries in cell order, times the weights."""
-        data = np.bincount(self.slots.ravel(), cellvals.ravel(),
+    def fill(self, values):
+        """The data array of ``values``, shaped like ``slots``: summed
+        into their entries in order, times the weights."""
+        data = np.bincount(self.slots.ravel(), values.ravel(),
                            minlength=len(self.indices) + 1)
         return data[:-1] if self.weight is None else (data * self.weight)[:-1]
 
@@ -365,7 +358,8 @@ class SpacePattern:
         """The CSR matrix of ``data`` on the pattern's own index arrays,
         or, with ``nonzero``, on copies without the exact zeros
         (``eliminate_zeros`` on the shared arrays would rewrite the
-        pattern under every later fill)."""
+        pattern under every later fill).  A pattern of column pairs gives
+        the transpose."""
         n = len(self.indptr) - 1
         if not nonzero:
             return sp.csr_matrix((data, self.indices, self.indptr),
@@ -374,6 +368,27 @@ class SpacePattern:
         indptr = np.concatenate([[0], np.cumsum(stored)])[self.indptr]
         return sp.csr_matrix((data[stored], self.indices[stored], indptr),
                              shape=(n, n))
+
+
+@dataclass(frozen=True, kw_only=True)
+class SpacePattern(Pattern):
+    """The CSR :class:`Pattern` that the matrices of a space fill, built
+    once per space by :func:`space_pattern` (:attr:`FESpace.pattern`).
+
+    Its local pairs ``(first[p], second[p])`` are those of the blocks that
+    may couple: every pair of a scalar space; in a velocity space each
+    block with itself and with a ``normal`` block, never ``x`` with
+    ``y``.  ``mirror[p]`` is the pair ``(second[p], first[p])``, and
+    ``slots[k, p]`` the position of pair p of cell k, or the dump slot
+    where the two directions are orthogonal.  A dof has one direction on
+    all its cells, so the direction product of an entry, ``weight``, is
+    a factor of the whole entry; it is None where every product is 1 (no
+    ``normal`` block).
+    """
+
+    first: np.ndarray        # (P,) local pairs
+    second: np.ndarray
+    mirror: np.ndarray
 
 
 def space_pattern(v: FESpace) -> SpacePattern:
@@ -403,21 +418,21 @@ def space_pattern(v: FESpace) -> SpacePattern:
         product = np.einsum("kpd,kpd->kp", v.cell_dirs[:, first],
                             v.cell_dirs[:, second])
         kept = product != 0.0
-    slots, indices, indptr = compressed_pattern(rows[kept], cols[kept], n)
-    table = np.full(rows.shape, len(indices), np.int32)   # the dump slot
-    table[kept] = slots
+    block = compressed_pattern(rows[kept], cols[kept], n)
+    nnz, shift = len(block.indices), np.arange(copies, dtype=np.int32)[:, None]
+    table = np.full(rows.shape, nnz, np.intp)             # the dump slot
+    table[kept] = block.slots
     if normal:
-        weight = np.zeros(len(indices) + 1)
-        weight[slots] = product[kept]
-    nnz, shift = len(indices), np.arange(copies, dtype=np.int32)[:, None]
+        weight = np.zeros(nnz + 1)
+        weight[block.slots] = product[kept]
     first, second = ((first + m * shift).ravel(), (second + m * shift).ravel())
     pair = np.zeros((v.nloc, v.nloc), int)
     pair[first, second] = np.arange(len(first))
     return SpacePattern(
-        first, second, pair[second, first],
-        np.hstack([table + nnz * c for c in range(copies)]), weight,
-        (indices + n * shift).ravel(),
-        np.append((indptr[:-1] + nnz * shift).ravel(), copies * nnz))
+        np.hstack([table + nnz * c for c in range(copies)]),
+        (block.indices + n * shift).ravel(),
+        np.append((block.indptr[:-1] + nnz * shift).ravel(), copies * nnz),
+        weight, first=first, second=second, mirror=pair[second, first])
 
 
 def _weighted_products(a, b, weights):
@@ -429,7 +444,7 @@ def _weighted_products(a, b, weights):
 
 def velocity_mass(mesh: TriMesh, v: FESpace, degree: int | None = None):
     """integral( phi_i . phi_j ), on :attr:`FESpace.pattern` without its
-    exact zeros."""
+    exact zeros; on a scalar space, the scalar mass."""
     rule = triangle_rule(degree if degree is not None else 2 * v.degree)
     sval = v.val(rule.points)                            # (nq, nloc)
     pat = v.pattern
@@ -442,7 +457,8 @@ def velocity_stiffness(mesh: TriMesh, v: FESpace):
     ``R[a, b] = integral( d_a s_i d_b s_j )`` of barycentric derivatives:
     a cell's matrix is ``sum_ab (grad(lambda_a) . grad(lambda_b)) R[a, b]``,
     one matrix product over all cells and the pairs of the pattern,
-    which it fills without its exact zeros."""
+    which it fills without its exact zeros.  On a scalar space it is the
+    scalar stiffness ``integral( grad q . grad r )``."""
     rule = triangle_rule(max(2 * v.degree - 2, 1))
     dbar = np.swapaxes(v.dbary(rule.points), 1, 2)       # (nq, 3, nloc)
     pat = v.pattern
@@ -466,65 +482,48 @@ def evaluate_velocity(mesh: TriMesh, v: FESpace, coeffs, lam) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvectionTables:
-    """What the convection's fill reads besides the space's pattern, built
-    once per space by :func:`convection_tables`
+    """What the convection reads besides the space's pattern, built once
+    per space by :func:`convection_tables`
     (:attr:`FESpace.convection_tables`).
 
-    A convection cell matrix is skew, so only the P upper pairs ``(i,
-    l)``, ``i < l``, of the pattern are computed; ``slots[k, p]`` holds
-    the positions of entries ``(i, l)`` and ``(l, i)`` on cell k.
-    ``tensor[(j, a), p] = integral( s_j (s_i d_a s_l - s_l d_a s_i) )``
-    is the skew part of the reference tensor of the scalar factors s,
-    ``d_a`` the derivative in ``lambda_a``; ``dir_grads[k, j, a] = dirs_kj
-    . grad(lambda_a)`` and ``scale[k, p] = |K| / 2 dirs_ki . dirs_kl`` are
+    A convection cell matrix is skew, so only the P ``upper`` pairs ``(i,
+    l)``, ``i < l``, of the pattern are computed.  ``tensor[(j, a), p] =
+    integral( s_j (s_i d_a s_l - s_l d_a s_i) )`` is the skew part of the
+    reference tensor of the scalar factors s, ``d_a`` the derivative in
+    ``lambda_a``, and ``dir_grads[k, j, a] = dirs_kj . grad(lambda_a)``
     the geometry of the cells.
     """
 
-    slots: np.ndarray        # (n_cells, P, 2) int32
+    upper: np.ndarray        # (P,) positions among the pattern's pairs
     tensor: np.ndarray       # (3 nloc, P)
     dir_grads: np.ndarray    # (n_cells, nloc, 3)
-    scale: np.ndarray        # (n_cells, P), or (n_cells, 1) if all alike
 
 
 def convection_tables(v: FESpace) -> ConvectionTables:
     """The :class:`ConvectionTables` of the velocity space ``v``."""
-    mesh, pat = v.mesh, v.pattern
+    pat = v.pattern
     upper = np.flatnonzero(pat.first < pat.second)
     first, second = pat.first[upper], pat.second[upper]
-    # in cell order, as the fill reads them block by block of cells
-    slots = np.ascontiguousarray(
-        pat.slots[:, np.stack([upper, pat.mirror[upper]], axis=-1)])
     rule = triangle_rule(3 * v.degree - 1)
     sval = v.val(rule.points)                            # (nq, nloc)
     # ref[j, a, i, l] = integral( s_j s_i d_a s_l )
     ref = np.einsum("q,qj,qi,qla->jail", rule.weights, sval, sval,
                     v.dbary(rule.points), optimize=True)
     tensor = ref[..., first, second] - ref[..., second, first]
-    weight = 1.0 if pat.weight is None else pat.weight[slots[..., 0]]
     return ConvectionTables(
-        slots, tensor.reshape(3 * v.nloc, -1),
-        v.cell_dirs @ np.swapaxes(mesh.bary_grads, 1, 2),
-        weight * (0.5 * mesh.cell_areas[:, None]))
+        upper, tensor.reshape(3 * v.nloc, -1),
+        v.cell_dirs @ np.swapaxes(v.mesh.bary_grads, 1, 2))
 
 
-def compressed_pattern(major, minor, n: int):
-    """The compressed pattern of an n x n matrix with entries at the index
-    pairs ``(major, minor)``: the row pairs of CSR, the column pairs of CSC.
-
-    Returns int32 arrays ``(slots, indices, indptr)``: ``slots[e]`` is
-    the position of pair e in the data array (repeated pairs share one),
-    ``indices`` the minor index of each stored entry, sorted within each
-    major line, and ``indptr`` where each line starts.
-    """
+def compressed_pattern(major, minor, n: int) -> Pattern:
+    """The :class:`Pattern` of an n x n matrix with entries at the index
+    pairs ``(major, minor)``: the row pairs of CSR, the column pairs of
+    CSC.  ``slots[e]`` is the position of pair e (repeated pairs share
+    one)."""
     key, slots = np.unique(major * n + minor, return_inverse=True)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(key // n,
                                                         minlength=n))])
-    return (slots.astype(np.int32), (key % n).astype(np.int32),
-            indptr.astype(np.int32))
-
-
-#: cells per block of the convection fill (bounds its temporaries)
-_CHUNK = 256
+    return Pattern(slots, (key % n).astype(np.int32), indptr.astype(np.int32))
 
 
 def convection_matrix(mesh: TriMesh, v: FESpace, w_coeffs):
@@ -537,24 +536,20 @@ def convection_matrix(mesh: TriMesh, v: FESpace, w_coeffs):
     sum_j c_j s_j dirs_j`` on a cell, the skew part of its matrix is the
     reference tensor contracted with ``c_j dirs_j . grad(lambda_a)``
     (Kirby and Logg, *ACM TOMS* 32, 2006): a gather of the coefficients,
-    one product with the :class:`ConvectionTables` of ``v`` and a
-    scatter, block by block of cells, so the only temporaries are one
-    block's pair values and one data array.  Each pair value enters its
-    entry (i, l) as +v and (l, i) as -v, side by side in the summed
-    order, so C + C^T = 0 holds exactly.
+    one product with the :class:`ConvectionTables` of ``v`` and one fill
+    of the pattern.  Each pair value enters its entry (i, l) as +v and
+    (l, i) as -v, each summed in cell order, so C + C^T = 0 holds
+    exactly.
     """
-    tables = v.convection_tables
+    tables, pat = v.convection_tables, v.pattern
     w_cells = np.asarray(w_coeffs, float)[v.cell_dofs]   # (M, nloc)
-    data = np.zeros(len(v.pattern.indices) + 1)
-    for lo in range(0, mesh.n_cells, _CHUNK):
-        k = slice(lo, lo + _CHUNK)
-        cell_data = w_cells[k, :, None] * tables.dir_grads[k]
-        vals = (cell_data.reshape(len(cell_data), -1) @ tables.tensor
-                ) * tables.scale[k]
-        data += np.bincount(tables.slots[k].ravel(),
-                            np.stack([vals, -vals], axis=-1).ravel(),
-                            minlength=len(data))
-    return v.pattern.matrix(data[:-1])
+    cell_data = (w_cells[:, :, None] * tables.dir_grads).reshape(
+        mesh.n_cells, -1)
+    vals = (cell_data @ tables.tensor) * (0.5 * mesh.cell_areas[:, None])
+    cellvals = np.zeros(pat.slots.shape)
+    cellvals[:, tables.upper] = vals
+    cellvals[:, pat.mirror[tables.upper]] = -vals
+    return pat.matrix(pat.fill(cellvals))
 
 
 #: a gradient entry within this share of the magnitudes summed into its
@@ -639,17 +634,6 @@ def cell_mean_velocity(mesh: TriMesh, v: FESpace, coeffs) -> np.ndarray:
     rule = triangle_rule(v.degree)
     u = evaluate_velocity(mesh, v, coeffs, rule.points)
     return np.einsum("kqd,q->kd", u, rule.weights) * mesh.cell_areas[:, None]
-
-
-def scalar_stiffness(mesh: TriMesh):
-    """P1 stiffness matrix integral( grad q . grad r ), every vertex pair
-    of a cell stored."""
-    g = mesh.bary_grads                                   # (M, 3, 2)
-    cellvals = np.einsum("kid,kjd->kij", g, g) * mesh.cell_areas[:, None, None]
-    return sp.csr_matrix((cellvals.ravel(),
-                          (np.repeat(mesh.cells, 3, axis=1).ravel(),
-                           np.tile(mesh.cells, 3).ravel())),
-                         shape=(mesh.n_vertices,) * 2)
 
 
 def pressure_integral_vector(mesh: TriMesh, p: FESpace) -> np.ndarray:

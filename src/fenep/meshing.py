@@ -212,10 +212,6 @@ class TriMesh:
         return len(self.cells)
 
     @property
-    def n_edges(self) -> int:
-        return len(self.edge_vertices)
-
-    @property
     def h_max(self) -> float:
         return float(self.cell_diameters.max())
 
@@ -295,6 +291,8 @@ def load_mesh(path) -> TriMesh:
         n_v, n_c = int(parts[0]), int(parts[1])
     except ValueError:
         raise MeshFormatError(f"line {ln}: counts must be integers") from None
+    if n_v < 0 or n_c < 0:
+        raise MeshFormatError(f"line {ln}: counts must not be negative")
     if len(rows) != 2 + n_v + n_c:
         raise MeshFormatError(
             f"line {rows[-1][0]}: expected {n_v} vertex and {n_c} cell lines, "

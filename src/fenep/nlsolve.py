@@ -475,8 +475,8 @@ class BlockStep:
     (:attr:`fenep.fespaces.FESpace.pattern`, which the mass and the
     stiffness fill too), with geometry tables made once per run, instead
     of assembling through COO temporaries: a step gathers the
-    coefficients of ``u_prev``, takes one small matrix product per block
-    of cells and scatters it.  ``conv`` holds every dof, and the pass
+    coefficients of ``u_prev``, takes one matrix product over all cells
+    and fills the pattern once.  ``conv`` holds every dof, and the pass
     takes its free rows of ``conv @ u``: every iterate vanishes on the
     Dirichlet dofs, so they equal the free block of ``conv`` times the
     free part of ``u``.

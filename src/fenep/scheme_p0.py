@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
-from .fespaces import compressed_pattern, gauss01
+from .fespaces import Pattern, compressed_pattern, gauss01
 from .meshing import TriMesh
 from .nlsolve import LU_OPTIONS, ImplicitScheme, State
 
@@ -66,18 +66,17 @@ class EdgeTransport:
     n_e interior edges, one block of rows per point.  Along an edge the
     normal velocity is a polynomial of degree <= 2 in t for every
     shipped element (interior bubbles vanish on edges), so the three
-    values determine it exactly.  The transport matrix is stored in CSC
-    on the fixed pattern of the cell adjacency, each cell with itself and
-    its neighbours across interior edges: ``slots`` (4 n_e + n_cells)
-    are the positions of the entries (right, right), (right, left),
-    (left, left) and (left, right) of the interior edges, block after
-    block, and then of the diagonal entries.
+    values determine it exactly.  ``pattern`` is the CSR :class:`Pattern
+    <fenep.fespaces.Pattern>` of the transport matrix's transpose, so the
+    CSC pattern of the matrix: the cell adjacency, each cell with itself
+    and its neighbours across interior edges.  Its ``slots`` (4 n_e +
+    n_cells) are the positions of the entries (right, right), (right,
+    left), (left, left) and (left, right) of the interior edges, block
+    after block, and then of the diagonal entries.
     """
 
     flux_map: sp.csr_matrix
-    slots: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    pattern: Pattern
 
 
 def edge_transport(mesh: TriMesh, vspace) -> EdgeTransport:
@@ -107,7 +106,7 @@ def edge_transport(mesh: TriMesh, vspace) -> EdgeTransport:
     cells = np.arange(m)
     rows = np.concatenate([right, right, left, left, cells])
     cols = np.concatenate([right, left, left, right, cells])
-    return EdgeTransport(flux_map, *compressed_pattern(cols, rows, m))
+    return EdgeTransport(flux_map, compressed_pattern(cols, rows, m))
 
 
 def upwind_fluxes(mesh: TriMesh, tables: EdgeTransport, u_coeffs):
@@ -172,17 +171,12 @@ def upwind_matrix(mesh: TriMesh, tables: EdgeTransport, u_coeffs,
     stored: they would add fill to the factor, which for a fluid at rest
     is diagonal.
     """
-    m = mesh.n_cells
     a_plus, a_minus = upwind_fluxes(mesh, tables, u_coeffs)
-    data = np.bincount(tables.slots, np.concatenate([
+    pat = tables.pattern
+    data = pat.fill(np.concatenate([
         a_plus, -a_plus, a_minus, -a_minus,
-        np.zeros(m) if diagonal is None else diagonal]),
-        minlength=len(tables.indices))
-    # a copy, so that dropping the zeros leaves the pattern of the tables
-    mat = sp.csc_matrix((data, tables.indices, tables.indptr), shape=(m, m),
-                        copy=True)
-    mat.eliminate_zeros()
-    return mat
+        np.zeros(mesh.n_cells) if diagonal is None else diagonal]))
+    return pat.matrix(data, nonzero=True).T
 
 
 # ---------------------------------------------------------------------------

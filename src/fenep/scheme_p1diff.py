@@ -54,7 +54,7 @@ from scipy.sparse.linalg import splu
 
 from . import tensorcalc as tc
 from .energy import tensor_gradient_energy
-from .fespaces import cell_mean_velocity, scalar_stiffness
+from .fespaces import cell_mean_velocity, velocity_stiffness
 from .meshing import REF_GRADS, TriMesh
 from .nlsolve import LU_OPTIONS, ImplicitScheme, State
 from .params import ModelParams
@@ -166,7 +166,7 @@ class SchemeP1Diff(ImplicitScheme):
         if params.alpha is None:
             raise ValueError("this scheme requires a diffusion alpha > 0")
         super().__init__(mesh, params, velocity=velocity, forcing=forcing)
-        self.k_scalar = scalar_stiffness(mesh)
+        self.k_scalar = velocity_stiffness(mesh, self.q)
 
     def check_step_size(self, dt: float) -> None:
         cap = (DT_CAP_CSTAR * self.params.alpha ** (1.0 + DT_CAP_ZETA)

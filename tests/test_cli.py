@@ -400,6 +400,10 @@ BAD_MESHES = {
                  "mesh error: {dir}/no_cells.txt: mesh has no cells"),
     "unused_vertex": ("file = {dir}/unused.txt", 3,
                       "mesh error: {dir}/unused.txt: vertex 3 is in no cell"),
+    "negative_vertices": ("file = {dir}/no_vertices.txt", 3,
+                          "mesh error: line 2: counts must not be negative"),
+    "negative_cells": ("file = {dir}/minus_cells.txt", 3,
+                       "mesh error: line 2: counts must not be negative"),
 }
 
 
@@ -419,6 +423,10 @@ def test_bad_mesh_input_leaves_an_earlier_run_alone(tmp_path, capsys,
         "tri-mesh 2d v1\n3 0\n0 0\n1 0\n0 1\n")
     (tmp_path / "unused.txt").write_text(
         "tri-mesh 2d v1\n4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n")
+    # counts that agree with the number of lines that follow them
+    (tmp_path / "no_vertices.txt").write_text("tri-mesh 2d v1\n-1 1\n")
+    (tmp_path / "minus_cells.txt").write_text(
+        "tri-mesh 2d v1\n3 -1\n0 0\n1 0\n")
     setting, code, message = BAD_MESHES[case]
     cfg = base_config(tmp_path, mesh=setting.format(dir=tmp_path))
     capsys.readouterr()

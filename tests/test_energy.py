@@ -101,7 +101,7 @@ def test_relaxation_dissipation_zero_at_equilibrium():
 
 def test_tensor_gradient_energy_counts_offdiagonal_twice():
     mesh = structured_unit_square(3)
-    k = fe.scalar_stiffness(mesh)
+    k = fe.velocity_stiffness(mesh, fe.build_space(mesh, "pressure_p1"))
     lin = oracle.pi_h(mesh, lambda x, y: x - 2.0 * y)
     scalar_energy = float(lin @ (k @ lin))
     assert scalar_energy == pytest.approx(5.0, abs=1e-12)
@@ -122,7 +122,7 @@ def test_tensor_gradient_energy_is_nonnegative_at_rounding():
     rounding squared, never below zero on a non-obtuse mesh (the plain
     quadratic form gives round-off of either sign, near 1e-15)."""
     mesh = structured_unit_square(16)
-    k = fe.scalar_stiffness(mesh)
+    k = fe.velocity_stiffness(mesh, fe.build_space(mesh, "pressure_p1"))
     rng = np.random.default_rng(5)
     for _ in range(20):
         field = 1.0 + 1e-16 * rng.standard_normal((mesh.n_vertices, 3))

@@ -16,6 +16,8 @@ import scipy.sparse.linalg as spl
 import fe_oracles as oracle
 import fenep.fespaces as fe
 from fenep.meshing import TriMesh, structured_unit_square
+from fenep.params import ModelParams
+from fenep.scheme_p1diff import SchemeP1Diff
 
 
 def ref_monomial(a, b):
@@ -33,6 +35,17 @@ def sheared_mesh(n, slope=0.7):
     square = structured_unit_square(n)
     verts = square.vertices.copy()
     verts[:, 1] += slope * verts[:, 0]
+    return TriMesh(verts, square.cells)
+
+
+def jittered_mesh(n, seed=3):
+    """The structured mesh with each interior vertex moved by up to a
+    fifth of the mesh size, so no two cells are congruent."""
+    square = structured_unit_square(n)
+    verts = square.vertices.copy()
+    inner = ~square.is_boundary_vertex
+    shift = np.random.default_rng(seed).uniform(-0.2, 0.2, (inner.sum(), 2))
+    verts[inner] += shift / n
     return TriMesh(verts, square.cells)
 
 
@@ -300,13 +313,11 @@ def coo_convection(mesh, v, w):
                          shape=(v.n_dofs, v.n_dofs)).tocsr()
 
 
-@pytest.mark.parametrize("chunk", [7, fe._CHUNK])
+@pytest.mark.parametrize("n", [6, 12])      # 12: 288 cells
 @pytest.mark.parametrize("kind", ["velocity_p2", "velocity_p2_reduced",
                                   "velocity_mini"])
-def test_fixed_pattern_convection_matches_coo_assembly(kind, chunk,
-                                                       monkeypatch):
-    monkeypatch.setattr(fe, "_CHUNK", chunk)   # 7: several uneven blocks
-    mesh = sheared_mesh(6)
+def test_fixed_pattern_convection_matches_coo_assembly(kind, n):
+    mesh = sheared_mesh(n)
     v = fe.build_space(mesh, kind)
     rng = np.random.default_rng(8)
     re = 3.7
@@ -369,6 +380,23 @@ def test_velocity_kernels_match_einsum_oracles(kind, make_mesh):
         s = fe.build_space(mesh, s_kind)
         assert_matches_oracle(fe.gradient_matrix(mesh, v, s),
                               oracle.gradient_matrix(mesh, v, s))
+
+
+@pytest.mark.parametrize("make_mesh",
+                         ORACLE_MESHES + [lambda: jittered_mesh(5)])
+def test_p1diff_scalar_stiffness_matches_the_p1_cell_matrices(make_mesh):
+    """The diffusive scheme's P1 stiffness is the stiffness of its
+    pressure space: the COO sum of the P1 cell matrices, exactly
+    symmetric, with no entry that sums to zero stored (the structured
+    mesh's right angles give such entries)."""
+    mesh = make_mesh()
+    scheme = SchemeP1Diff(mesh, ModelParams(re=1.0, wi=0.5, eps=0.5,
+                                            alpha=0.1))
+    g = mesh.bary_grads
+    cellvals = np.einsum("kid,kjd->kij", g, g) * mesh.cell_areas[:, None, None]
+    ref = oracle.coo_assemble(cellvals, mesh.cells, mesh.n_vertices)
+    assert_matches_oracle(scheme.k_scalar, ref)
+    assert abs(scheme.k_scalar - scheme.k_scalar.T).max() == 0.0
 
 
 def test_dropping_zeros_leaves_the_pattern_as_it_was():
@@ -561,7 +589,7 @@ def test_scalar_operators():
     m = oracle.scalar_mass(mesh, s)
     ones = np.ones(mesh.n_vertices)
     assert ones @ (m @ ones) == pytest.approx(1.0)
-    k = fe.scalar_stiffness(mesh)
+    k = fe.velocity_stiffness(mesh, s)
     assert np.allclose(k @ ones, 0.0, atol=1e-14)
     lin = oracle.pi_h(mesh, lambda x, y: 3.0 * x - y)
     assert lin @ (k @ lin) == pytest.approx(10.0, abs=1e-12)

@@ -133,7 +133,7 @@ def test_edge_structures():
     assert np.all(mesh.edge_cells[mesh.is_boundary_edge, 1] == -1)
     assert np.all(mesh.edge_cells[:, 0] >= 0)
     # Euler characteristic of a disk: V - E + F = 1
-    assert mesh.n_vertices - mesh.n_edges + mesh.n_cells == 1
+    assert mesh.n_vertices - len(mesh.edge_vertices) + mesh.n_cells == 1
     assert np.all(np.linalg.norm(mesh.edge_normals, axis=1)
                   == pytest.approx(1.0))
 
@@ -316,6 +316,16 @@ def test_load_rejects_truncated_file(tmp_path):
     p = tmp_path / "short.txt"
     p.write_text("tri-mesh 2d v1\n4 2\n0 0\n1 0\n0 1\n")
     with pytest.raises(MeshFormatError):
+        load_mesh(p)
+
+
+@pytest.mark.parametrize("text", ["-1 1\n", "3 -1\n0 0\n1 0\n"])
+def test_load_rejects_a_negative_count(tmp_path, text):
+    # each count line agrees with the number of lines that follow it
+    p = tmp_path / "negative.txt"
+    p.write_text("tri-mesh 2d v1\n" + text)
+    with pytest.raises(MeshFormatError,
+                       match="line 2: counts must not be negative"):
         load_mesh(p)
 
 

@@ -776,7 +776,8 @@ def test_transport_tables_are_built_once_per_scheme(kind, monkeypatch):
     """Building the scheme and three steps sort the velocity space's
     pattern once, and build the convection's tables and the p0 edge map
     once; each step only fills them.  The mass, the stiffness and the
-    convection all come from that one pattern."""
+    convection all come from that one pattern; p1diff's scalar
+    stiffness comes from the pattern of its pressure space, sorted once."""
     built = []
 
     def counted(build):
@@ -791,10 +792,12 @@ def test_transport_tables_are_built_once_per_scheme(kind, monkeypatch):
     scheme, state = stirred_state(kind)
     for _ in range(3):
         state = step(scheme, state, 0.5)
-    want = [("convection_tables", True), ("space_pattern", True)]
-    if kind == "p0":
-        want.append(("edge_transport", False))
-    assert (sorted((name, first is scheme.v) for name, first in built)
+    spaces = {id(scheme.v): "velocity", id(scheme.q): "pressure",
+              id(scheme.mesh): "mesh"}
+    want = [("convection_tables", "velocity"), ("space_pattern", "velocity")]
+    want.append(("edge_transport", "mesh") if kind == "p0"
+                else ("space_pattern", "pressure"))
+    assert (sorted((name, spaces[id(first)]) for name, first in built)
             == sorted(want))
 
     pattern = scheme.v.pattern

@@ -150,14 +150,15 @@ def test_upwind_quadratic_form_nonnegative():
 def test_upwind_matrix_stores_no_zero_and_keeps_the_tables():
     mesh, scheme, state = project_decay_velocity()
     tables = scheme.edge_tables
-    indices = tables.indices.copy()
+    indices = tables.pattern.indices.copy()
     rest = upwind_matrix(mesh, tables, np.zeros(scheme.v.n_dofs),
                          mesh.cell_areas)
     assert rest.nnz == mesh.n_cells
     assert np.array_equal(rest.diagonal(), mesh.cell_areas)
     moving = upwind_matrix(mesh, tables, state.u)
     assert np.all(moving.data != 0.0)
-    assert np.array_equal(tables.indices, indices)
+    assert rest.format == moving.format == "csc"    # what splu takes
+    assert np.array_equal(tables.pattern.indices, indices)
 
 
 def upwind_edge_term(mesh, tables, u_coeffs, sigma, edge):
@@ -184,7 +185,7 @@ def test_upwind_edge_term_matches_matrix():
     sigma = rng.standard_normal((mesh.n_cells, 3))
     ref = u_mat @ sigma
     acc = np.zeros((mesh.n_cells, 3))
-    for e in range(mesh.n_edges):
+    for e in range(len(mesh.edge_vertices)):
         c_left, c_right = upwind_edge_term(mesh, scheme.edge_tables,
                                            state.u, sigma, e)
         left, right = mesh.edge_cells[e]
