@@ -260,6 +260,11 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
         raise ConfigError(
             f"[time] tmax / dt must give at most {MAX_STEPS} steps, got "
             f"{tmax!r} / {dt!r}")
+    # a run ends at tmax: tmax / dt is a whole number up to rounding
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(
+            f"[time] tmax / dt must be a whole number of steps, got "
+            f"{tmax!r} / {dt!r} = {steps!r}")
     dt0 = 0.0
     if scheme == "p1diff":
         dt0 = dt if time["dt0"] is None else time["dt0"]
@@ -279,7 +284,7 @@ def build_setup(cfg: dict, overrides: dict | None = None) -> RunSetup:
         scheme=scheme, velocity=velocity, params=params,
         scenario=model["scenario"], amplitude=model["amplitude"],
         mesh_n=mesh["n"], mesh_file=mesh["file"], shear=mesh["shear"],
-        dt=dt, tmax=tmax, steps=max(1, round(steps)), dt0=dt0,
+        dt=dt, tmax=tmax, steps=round(steps), dt0=dt0,
         picard=picard, out_dir=output["dir"], vtk_every=output["vtk_every"])
 
 

@@ -59,15 +59,12 @@ __all__ = [
     "gauss01",
     "build_space",
     "FESpace",
-    "VELOCITY_KINDS",
     "lumped_weights",
     "Pattern",
     "SpacePattern",
-    "space_pattern",
     "velocity_mass",
     "velocity_stiffness",
     "ConvectionTables",
-    "convection_tables",
     "compressed_pattern",
     "convection_matrix",
     "gradient_matrix",
@@ -182,8 +179,6 @@ _SPACES = {
     "pressure_p1": (("p1", None),),
 }
 
-VELOCITY_KINDS = tuple(k for k, blocks in _SPACES.items() if blocks[0][1])
-
 _AXES = {"x": (1.0, 0.0), "y": (0.0, 1.0)}
 
 
@@ -239,9 +234,10 @@ class FESpace:
     blocks : the direction of each (family, direction) block of the kind
         and the slice of its local dofs
     pattern : the :class:`SpacePattern` that the mass and the stiffness
-        of the space and the convection of a velocity space fill, and
-        ``convection_tables`` the :class:`ConvectionTables` the
-        convection reads; each is built on first use and kept
+        of the space and the convection of a velocity space fill
+    convection_tables : the :class:`ConvectionTables` the convection of
+        a velocity space reads; it and ``pattern`` are cached properties,
+        built from the space on first use and kept
     """
 
     def __init__(self, mesh: TriMesh, kind: str):
@@ -280,11 +276,68 @@ class FESpace:
 
     @cached_property
     def pattern(self) -> SpacePattern:
-        return space_pattern(self)
+        """The :class:`SpacePattern` of the space, from its blocks.
+
+        In a space with a ``normal`` block (reduced P2) every pair of
+        local dofs but the ``x``-``y`` ones is sorted by
+        :func:`compressed_pattern` where its two directions are not
+        orthogonal.  Every other space is one block, or two axis blocks
+        of one family whose dofs are those of the first shifted by its
+        dof count: only the first block's pairs are sorted, and each
+        further block repeats their entries, shifted.
+        """
+        directions = [d for d, span in self.blocks
+                      for _ in range(span.start, span.stop)]
+        normal = "normal" in directions
+        m = self.blocks[0][1].stop          # local dofs of the first block
+        if normal:
+            first, second = np.nonzero([[{a, b} != {"x", "y"}
+                                         for b in directions]
+                                        for a in directions])
+        else:
+            first, second = np.divmod(np.arange(m * m), m)
+        copies = 1 if normal else len(self.blocks)
+        n = self.n_dofs // copies
+        rows, cols = self.cell_dofs[:, first], self.cell_dofs[:, second]
+        kept, weight = np.ones(rows.shape, bool), None
+        if normal:
+            product = np.einsum("kpd,kpd->kp", self.cell_dirs[:, first],
+                                self.cell_dirs[:, second])
+            kept = product != 0.0
+        block = compressed_pattern(rows[kept], cols[kept], n)
+        nnz = len(block.indices)
+        shift = np.arange(copies, dtype=np.int32)[:, None]
+        table = np.full(rows.shape, nnz, np.intp)         # the dump slot
+        table[kept] = block.slots
+        if normal:
+            weight = np.zeros(nnz + 1)
+            weight[block.slots] = product[kept]
+        first = (first + m * shift).ravel()
+        second = (second + m * shift).ravel()
+        pair = np.zeros((self.nloc, self.nloc), int)
+        pair[first, second] = np.arange(len(first))
+        return SpacePattern(
+            np.hstack([table + nnz * c for c in range(copies)]),
+            (block.indices + n * shift).ravel(),
+            np.append((block.indptr[:-1] + nnz * shift).ravel(),
+                      copies * nnz),
+            weight, first=first, second=second, mirror=pair[second, first])
 
     @cached_property
     def convection_tables(self) -> ConvectionTables:
-        return convection_tables(self)
+        """The :class:`ConvectionTables` of a velocity space."""
+        pat = self.pattern
+        upper = np.flatnonzero(pat.first < pat.second)
+        first, second = pat.first[upper], pat.second[upper]
+        rule = triangle_rule(3 * self.degree - 1)
+        sval = self.val(rule.points)                     # (nq, nloc)
+        # ref[j, a, i, l] = integral( s_j s_i d_a s_l )
+        ref = np.einsum("q,qj,qi,qla->jail", rule.weights, sval, sval,
+                        self.dbary(rule.points), optimize=True)
+        tensor = ref[..., first, second] - ref[..., second, first]
+        return ConvectionTables(
+            upper, tensor.reshape(3 * self.nloc, -1),
+            self.cell_dirs @ np.swapaxes(self.mesh.bary_grads, 1, 2))
 
     def val(self, lam) -> np.ndarray:
         """Scalar factors of the local dofs at barycentric points ``lam``
@@ -373,7 +426,7 @@ class Pattern:
 @dataclass(frozen=True, kw_only=True)
 class SpacePattern(Pattern):
     """The CSR :class:`Pattern` that the matrices of a space fill, built
-    once per space by :func:`space_pattern` (:attr:`FESpace.pattern`).
+    once per space as :attr:`FESpace.pattern`.
 
     Its local pairs ``(first[p], second[p])`` are those of the blocks that
     may couple: every pair of a scalar space; in a velocity space each
@@ -389,50 +442,6 @@ class SpacePattern(Pattern):
     first: np.ndarray        # (P,) local pairs
     second: np.ndarray
     mirror: np.ndarray
-
-
-def space_pattern(v: FESpace) -> SpacePattern:
-    """The :class:`SpacePattern` of ``v``, from its blocks.
-
-    In a space with a ``normal`` block (reduced P2) every pair of local
-    dofs but the ``x``-``y`` ones is sorted by :func:`compressed_pattern`
-    where its two directions are not orthogonal.  Every other space is
-    one block, or two axis blocks of one family whose dofs are those of
-    the first shifted by its dof count: only the first block's pairs are
-    sorted, and each further block repeats their entries, shifted.
-    """
-    directions = [d for d, span in v.blocks
-                  for _ in range(span.start, span.stop)]
-    normal = "normal" in directions
-    m = v.blocks[0][1].stop              # local dofs of the first block
-    if normal:
-        first, second = np.nonzero([[{a, b} != {"x", "y"} for b in directions]
-                                    for a in directions])
-    else:
-        first, second = np.divmod(np.arange(m * m), m)
-    copies = 1 if normal else len(v.blocks)
-    n = v.n_dofs // copies
-    rows, cols = v.cell_dofs[:, first], v.cell_dofs[:, second]
-    kept, weight = np.ones(rows.shape, bool), None
-    if normal:
-        product = np.einsum("kpd,kpd->kp", v.cell_dirs[:, first],
-                            v.cell_dirs[:, second])
-        kept = product != 0.0
-    block = compressed_pattern(rows[kept], cols[kept], n)
-    nnz, shift = len(block.indices), np.arange(copies, dtype=np.int32)[:, None]
-    table = np.full(rows.shape, nnz, np.intp)             # the dump slot
-    table[kept] = block.slots
-    if normal:
-        weight = np.zeros(nnz + 1)
-        weight[block.slots] = product[kept]
-    first, second = ((first + m * shift).ravel(), (second + m * shift).ravel())
-    pair = np.zeros((v.nloc, v.nloc), int)
-    pair[first, second] = np.arange(len(first))
-    return SpacePattern(
-        np.hstack([table + nnz * c for c in range(copies)]),
-        (block.indices + n * shift).ravel(),
-        np.append((block.indptr[:-1] + nnz * shift).ravel(), copies * nnz),
-        weight, first=first, second=second, mirror=pair[second, first])
 
 
 def _weighted_products(a, b, weights):
@@ -483,8 +492,7 @@ def evaluate_velocity(mesh: TriMesh, v: FESpace, coeffs, lam) -> np.ndarray:
 @dataclass(frozen=True)
 class ConvectionTables:
     """What the convection reads besides the space's pattern, built once
-    per space by :func:`convection_tables`
-    (:attr:`FESpace.convection_tables`).
+    per space as :attr:`FESpace.convection_tables`.
 
     A convection cell matrix is skew, so only the P ``upper`` pairs ``(i,
     l)``, ``i < l``, of the pattern are computed.  ``tensor[(j, a), p] =
@@ -497,22 +505,6 @@ class ConvectionTables:
     upper: np.ndarray        # (P,) positions among the pattern's pairs
     tensor: np.ndarray       # (3 nloc, P)
     dir_grads: np.ndarray    # (n_cells, nloc, 3)
-
-
-def convection_tables(v: FESpace) -> ConvectionTables:
-    """The :class:`ConvectionTables` of the velocity space ``v``."""
-    pat = v.pattern
-    upper = np.flatnonzero(pat.first < pat.second)
-    first, second = pat.first[upper], pat.second[upper]
-    rule = triangle_rule(3 * v.degree - 1)
-    sval = v.val(rule.points)                            # (nq, nloc)
-    # ref[j, a, i, l] = integral( s_j s_i d_a s_l )
-    ref = np.einsum("q,qj,qi,qla->jail", rule.weights, sval, sval,
-                    v.dbary(rule.points), optimize=True)
-    tensor = ref[..., first, second] - ref[..., second, first]
-    return ConvectionTables(
-        upper, tensor.reshape(3 * v.nloc, -1),
-        v.cell_dirs @ np.swapaxes(v.mesh.bary_grads, 1, 2))
 
 
 def compressed_pattern(major, minor, n: int) -> Pattern:

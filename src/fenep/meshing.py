@@ -2,8 +2,9 @@
 
 A :class:`TriMesh` stores vertices and counterclockwise cells and derives
 everything else at construction time: the gradients of each cell's
-barycentric coordinates, areas and diameters, a global edge enumeration with
-cell adjacency, oriented unit normals on every edge, and boundary flags.
+barycentric coordinates, areas, a global edge enumeration with cell
+adjacency, the length and oriented unit normal of every edge, and boundary
+flags.
 Only the non-obtuse test waits for its first use.  Meshes are immutable
 once built.
 
@@ -104,12 +105,6 @@ class TriMesh:
         self.vertices = vertices
         self.cells = cells
         self.cell_areas = signed
-        edge_len = np.stack([
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        ], axis=1)
-        self.cell_diameters = edge_len.max(axis=1)
 
         # the affine map of each cell: columns of B are P1 - P0, P2 - P0
         B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
@@ -172,18 +167,13 @@ class TriMesh:
                 f"cells {tuple(edge_cells[e].tolist())} overlap: both lie on "
                 f"one side of their shared edge {tuple(edges[e].tolist())}")
 
-        # oriented unit normals (left -> right, or outward on the boundary)
-        pa = self.vertices[edges[:, 0]]
-        pb = self.vertices[edges[:, 1]]
-        tang = pb - pa
+        # oriented unit normals (left -> right, or outward on the boundary):
+        # (t_y, -t_x) points out of the left cell where its counterclockwise
+        # half-edge runs along the tangent t
+        tang = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         self.edge_lengths = np.linalg.norm(tang, axis=1)
         normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / self.edge_lengths[:, None]
-
-        centroids = self.vertices[self.cells].mean(axis=1)
-        ref = np.where(interior[:, None],
-                       centroids[edge_cells[:, 1]] - centroids[edge_cells[:, 0]],
-                       0.5 * (pa + pb) - centroids[edge_cells[:, 0]])
-        sign = np.where((normal * ref).sum(axis=1) < 0.0, -1.0, 1.0)
+        sign = np.where(forward[half_left], 1.0, -1.0)
         self.edge_normals = normal * sign[:, None]
 
         bmask = np.zeros(len(self.vertices), bool)
@@ -213,7 +203,8 @@ class TriMesh:
 
     @property
     def h_max(self) -> float:
-        return float(self.cell_diameters.max())
+        """The largest cell diameter, which is the longest edge."""
+        return float(self.edge_lengths.max())
 
     @cached_property
     def non_obtuse(self) -> bool:
@@ -224,10 +215,6 @@ class TriMesh:
         worst = max(np.einsum("kj,kj->k", g[:, i], g[:, j]).max()
                     for i, j in ((0, 1), (0, 2), (1, 2)))
         return bool(worst <= 1e-14)
-
-    def cells_with_interior_vertex(self) -> np.ndarray:
-        """Per-cell flag: at least one vertex off the boundary."""
-        return ~self.is_boundary_vertex[self.cells].all(axis=1)
 
 
 def structured_unit_square(n: int) -> TriMesh:
@@ -319,7 +306,7 @@ def load_mesh(path) -> TriMesh:
         mesh = TriMesh(vertices, cells)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from None
-    if not mesh.cells_with_interior_vertex().all():
+    if mesh.is_boundary_vertex[mesh.cells].all(axis=1).any():
         warnings.warn(
             "some cells have all vertices on the boundary; the Taylor-Hood "
             "pressure pairing may lose stability on this mesh",

@@ -43,7 +43,6 @@ from .nlsolve import LU_OPTIONS, ImplicitScheme, State
 __all__ = [
     "EdgeTransport",
     "SchemeP0",
-    "edge_transport",
     "upwind_fluxes",
     "upwind_matrix",
 ]
@@ -59,7 +58,7 @@ FLUX_FLOOR = 1e-14
 @dataclass(frozen=True)
 class EdgeTransport:
     """Tables of the upwind transport of one velocity space, built once
-    per scheme by :func:`edge_transport`.
+    per scheme as :attr:`SchemeP0.edge_tables`.
 
     ``flux_map`` (3 n_e, n_dofs) takes velocity coefficients to the
     normal velocity ``u . n`` at the points t = 0, 1/2, 1 of each of the
@@ -77,36 +76,6 @@ class EdgeTransport:
 
     flux_map: sp.csr_matrix
     pattern: Pattern
-
-
-def edge_transport(mesh: TriMesh, vspace) -> EdgeTransport:
-    """The :class:`EdgeTransport` of ``vspace`` on ``mesh``."""
-    e_ids = mesh.interior_edges
-    ne, m = len(e_ids), mesh.n_cells
-    left, right = mesh.edge_cells[e_ids].T
-    # the local functions at t = 0, 1/2, 1 along the segment from local
-    # vertex a to local vertex b, tabulated in row 3 a + b for every (a, b)
-    ts = np.array([0.0, 0.5, 1.0])
-    row = np.arange(9)[:, None]
-    lam = np.zeros((9, 3, 3))
-    lam[row, np.arange(3), row // 3] = 1.0 - ts
-    lam[row, np.arange(3), row % 3] += ts
-    # the local vertices of each edge's two ends in its left cell
-    ends = [np.argmax(mesh.cells[left] == mesh.edge_vertices[e_ids, j, None],
-                      axis=1) for j in (0, 1)]
-    normal_dirs = np.einsum("eld,ed->el", vspace.cell_dirs[left],
-                            mesh.edge_normals[e_ids])
-    vals = (np.swapaxes(vspace.val(lam)[3 * ends[0] + ends[1]], 0, 1)
-            * normal_dirs)                               # (3, ne, nloc)
-    cols = np.broadcast_to(vspace.cell_dofs[left], vals.shape)
-    flux_map = sp.csr_matrix(
-        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, vspace.nloc)),
-        shape=(3 * ne, vspace.n_dofs))
-    flux_map.eliminate_zeros()
-    cells = np.arange(m)
-    rows = np.concatenate([right, right, left, left, cells])
-    cols = np.concatenate([right, left, left, right, cells])
-    return EdgeTransport(flux_map, compressed_pattern(cols, rows, m))
 
 
 def upwind_fluxes(mesh: TriMesh, tables: EdgeTransport, u_coeffs):
@@ -197,8 +166,36 @@ class SchemeP0(ImplicitScheme):
 
     @cached_property
     def edge_tables(self) -> EdgeTransport:
-        """The upwind transport's edge map and pattern, built once."""
-        return edge_transport(self.mesh, self.v)
+        """The :class:`EdgeTransport` of the velocity space, built once."""
+        mesh, v = self.mesh, self.v
+        e_ids = mesh.interior_edges
+        ne, m = len(e_ids), mesh.n_cells
+        left, right = mesh.edge_cells[e_ids].T
+        # the local functions at t = 0, 1/2, 1 along the segment from
+        # local vertex a to local vertex b, in row 3 a + b for every (a, b)
+        ts = np.array([0.0, 0.5, 1.0])
+        row = np.arange(9)[:, None]
+        lam = np.zeros((9, 3, 3))
+        lam[row, np.arange(3), row // 3] = 1.0 - ts
+        lam[row, np.arange(3), row % 3] += ts
+        # the local vertices of each edge's two ends in its left cell
+        ends = [np.argmax(mesh.cells[left]
+                          == mesh.edge_vertices[e_ids, j, None], axis=1)
+                for j in (0, 1)]
+        normal_dirs = np.einsum("eld,ed->el", v.cell_dirs[left],
+                                mesh.edge_normals[e_ids])
+        vals = (np.swapaxes(v.val(lam)[3 * ends[0] + ends[1]], 0, 1)
+                * normal_dirs)                           # (3, ne, nloc)
+        cols = np.broadcast_to(v.cell_dofs[left], vals.shape)
+        flux_map = sp.csr_matrix(
+            (vals.ravel(), cols.ravel(),
+             np.arange(0, vals.size + 1, v.nloc)),
+            shape=(3 * ne, v.n_dofs))
+        flux_map.eliminate_zeros()
+        cells = np.arange(m)
+        rows = np.concatenate([right, right, left, left, cells])
+        cols = np.concatenate([right, left, left, right, cells])
+        return EdgeTransport(flux_map, compressed_pattern(cols, rows, m))
 
     def stress_block(self, state: State, dt: float):
         """The per-step factorization of the cell areas over dt plus the

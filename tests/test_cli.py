@@ -176,6 +176,8 @@ def test_build_setup_names_a_malformed_entry(tmp_path, section, key, raw,
 def test_build_setup_counts_the_steps(tmp_path):
     cfg = parse_config(base_config(tmp_path))
     assert build_setup(cfg).steps == 3
+    # 0.15 / 0.05 is 2.9999999999999996 in floating point
+    assert build_setup(cfg, {"dt": 0.05, "tmax": 0.15}).steps == 3
     assert build_setup(cfg, {"dt": 1e-6, "tmax": 1.0}).steps == cli.MAX_STEPS
     # a count too large to run is refused before anything is built
     with pytest.raises(ConfigError, match="at most 1000000 steps"):
@@ -202,6 +204,21 @@ def test_run_rejects_a_step_count_that_overflows(tmp_path, capsys,
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: [time] tmax / dt")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt,tmax", [(0.1, 0.25), (0.1, 0.04), (0.3, 1.0)])
+def test_run_rejects_a_tmax_that_is_not_a_whole_number_of_steps(
+        tmp_path, capsys, monkeypatch, dt, tmax):
+    """The run would stop short of tmax, or step past it."""
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad setting")
+
+    monkeypatch.setattr(cli, "structured_unit_square", no_mesh)
+    cfg = base_config(tmp_path)
+    assert main(["run", cfg, "--dt", str(dt), "--tmax", str(tmax)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [time] tmax / dt must be a whole")
     assert not (tmp_path / "out").exists()
 
 
@@ -357,6 +374,16 @@ def test_run_sweep_checks_every_value_before_the_first_run(tmp_path, capsys,
     assert main(["run", cfg, "--sweep", sweep,
                  "--out", str(tmp_path / "sw")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "sw").exists()
+
+
+def test_run_sweep_checks_the_step_count_at_every_dt(tmp_path, capsys):
+    """At tmax = 1, dt = 0.3 would stop at t = 0.9: the sweep exits 2
+    before its dt = 0.1 run."""
+    cfg = base_config(tmp_path)
+    assert main(["run", cfg, "--tmax", "1", "--sweep", "dt=0.1,0.3",
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
 
 

@@ -77,6 +77,17 @@ def shear_mesh(n, slope):
     return TriMesh(pts, base.cells)
 
 
+def jittered_mesh(n, seed=3):
+    """The structured mesh with each interior vertex moved by up to a
+    fifth of the mesh size, so no two cells are congruent."""
+    base = structured_unit_square(n)
+    pts = base.vertices.copy()
+    inner = ~base.is_boundary_vertex
+    pts[inner] += np.random.default_rng(seed).uniform(
+        -0.2, 0.2, (inner.sum(), 2)) / n
+    return TriMesh(pts, base.cells)
+
+
 # ---------------------------------------------------------------------------
 # structured generator
 
@@ -147,9 +158,15 @@ def relabelled(mesh, seed):
     return TriMesh(mesh.vertices[perm], cells)
 
 
+def clockwise(mesh):
+    """The same triangulation with every cell listed clockwise."""
+    return TriMesh(mesh.vertices, mesh.cells[:, ::-1])
+
+
 ORACLE_MESHES = ([structured_unit_square(n) for n in range(1, 7)]
                  + [shear_mesh(4, 0.6), relabelled(shear_mesh(5, 0.3), 1),
-                    relabelled(structured_unit_square(4), 2)])
+                    relabelled(structured_unit_square(4), 2),
+                    clockwise(shear_mesh(4, 0.3)), jittered_mesh(5)])
 
 
 @pytest.mark.parametrize("mesh", ORACLE_MESHES)
@@ -163,6 +180,15 @@ def test_edge_data_matches_loop_oracle(mesh):
     assert np.array_equal(mesh.interior_edges,
                           np.nonzero(edge_cells[:, 1] >= 0)[0])
     assert dfs_edge_connected(cell_edges, edge_cells)
+
+
+@pytest.mark.parametrize("mesh", [shear_mesh(4, 0.6),
+                                  relabelled(shear_mesh(5, 0.3), 1),
+                                  jittered_mesh(5)])
+def test_h_max_is_the_longest_side_of_any_cell(mesh):
+    p = mesh.vertices[mesh.cells]
+    sides = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2)
+    assert mesh.h_max == sides.max()
 
 
 def test_disconnected_meshes_match_dfs_oracle():

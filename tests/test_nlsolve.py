@@ -774,31 +774,33 @@ def test_every_factorization_takes_the_one_option_set(monkeypatch):
 @pytest.mark.parametrize("kind", SCHEMES)
 def test_transport_tables_are_built_once_per_scheme(kind, monkeypatch):
     """Building the scheme and three steps sort the velocity space's
-    pattern once, and build the convection's tables and the p0 edge map
-    once; each step only fills them.  The mass, the stiffness and the
-    convection all come from that one pattern; p1diff's scalar
-    stiffness comes from the pattern of its pressure space, sorted once."""
+    pattern once (the pairs of one axis block) and the p0 edge pattern
+    once, and build the convection's tables once; each step only fills
+    them.  The mass, the stiffness and the convection all come from that
+    one pattern; p1diff's scalar stiffness comes from the pattern of its
+    pressure space, sorted once."""
     built = []
 
-    def counted(build):
-        def wrapper(first, *args):
-            built.append((build.__name__, first))
-            return build(first, *args)
+    def counted(module):
+        build = module.compressed_pattern
+
+        def wrapper(major, minor, n):
+            built.append((module.__name__, n))
+            return build(major, minor, n)
         return wrapper
 
-    for module, name in ((fe, "space_pattern"), (fe, "convection_tables"),
-                         (scheme_p0, "edge_transport")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for module in (fe, scheme_p0):
+        monkeypatch.setattr(module, "compressed_pattern", counted(module))
     scheme, state = stirred_state(kind)
-    for _ in range(3):
+    state = step(scheme, state, 0.5)
+    tables = scheme.v.convection_tables
+    for _ in range(2):
         state = step(scheme, state, 0.5)
-    spaces = {id(scheme.v): "velocity", id(scheme.q): "pressure",
-              id(scheme.mesh): "mesh"}
-    want = [("convection_tables", "velocity"), ("space_pattern", "velocity")]
-    want.append(("edge_transport", "mesh") if kind == "p0"
-                else ("space_pattern", "pressure"))
-    assert (sorted((name, spaces[id(first)]) for name, first in built)
-            == sorted(want))
+    assert scheme.v.convection_tables is tables
+    want = [("fenep.fespaces", scheme.v.n_dofs // 2)]
+    want.append(("fenep.scheme_p0", scheme.mesh.n_cells) if kind == "p0"
+                else ("fenep.fespaces", scheme.q.n_dofs))
+    assert sorted(built) == sorted(want)
 
     pattern = scheme.v.pattern
     stored = sp.csr_matrix((np.ones(len(pattern.indices)), pattern.indices,
