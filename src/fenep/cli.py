@@ -393,7 +393,9 @@ def run_simulation(setup: RunSetup):
                 worst = {"step": step, "iterations": report.iterations,
                          "history": report.history,
                          "linearized_at": report.linearized_at,
-                         "linearized_sweeps": report.linearized_sweeps}
+                         "linearized_sweeps": report.linearized_sweeps,
+                         "accelerated_at": report.accelerated_at,
+                         "accelerated": report.accelerated}
 
     snapshot("final.vtk", state)
     summary = {
