@@ -67,8 +67,9 @@ in the node's scalars (:meth:`BlockStep.local_jacobian`).  GMRES
 solves it through the factor of ``S`` the plain sweep uses, started at
 ``s(x)`` and stopped at :data:`LINEARIZED_RTOL` of the plain sweep's
 increment, so the step factors nothing more and a linearized sweep
-costs about ten more solves with that factor (11 on the stiff forced
-cavity at n = 8 to 64).  At a fixed point of the plain sweep
+costs about ten more solves with that factor (1,000 GMRES products over
+97 linearized sweeps on the stiff forced cavity at n = 8, three steps
+at dt = 1).  At a fixed point of the plain sweep
 that increment is zero and so is the linearized one; a fixed point of
 the linearized sweep leaves a GMRES residual of zero, so its increment
 is zero too.  The residual and its stopping test are the same either
@@ -490,27 +491,41 @@ def _anderson_candidate(window):
     """``x + f - (dX + dF) gamma`` for the last ``(x, f)`` of ``window``,
     with ``dX`` and ``dF`` the differences of its successive iterates and
     increments and ``gamma`` minimizing ``|f - dF gamma|``: a QR of the
-    few columns of ``dF`` by classical Gram-Schmidt run twice, as in
-    :func:`_gmres`.  None if a column depends on those before it or the
-    candidate is not finite."""
-    xs, fs = (np.array(a) for a in zip(*window))
-    dxs, dfs = np.diff(xs, axis=0), np.diff(fs, axis=0)
-    x, f, n = xs[-1], fs[-1], len(dfs)
-    q, tri = np.zeros_like(dfs), np.zeros((n, n))
-    for j, w in enumerate(dfs.copy()):
-        for _ in range(2):
-            h = q[:j] @ w
-            w -= h @ q[:j]
-            tri[:j, j] += h
-        tri[j, j] = float(np.linalg.norm(w))
-        if not tri[j, j] > 0.0:
+    few columns of ``dF`` by :func:`_orthogonalize`, its triangle and the
+    back substitution kept in Python floats.  None if a column depends on
+    those before it or the candidate is not finite."""
+    (x, f), n = window[-1], len(window) - 1
+    q, steps = np.empty((n, len(x))), np.empty((n, len(x)))
+    tri = []                        # the triangle's columns
+    for j, ((x0, f0), (x1, f1)) in enumerate(zip(window, window[1:])):
+        w = f1 - f0
+        steps[j] = (x1 - x0) + w
+        col, norm = _orthogonalize(q[:j], w)
+        if not norm > 0.0:
             return None
-        q[j] = w / tri[j, j]
-    rhs, gamma = q @ f, np.zeros(n)
+        q[j] = w / norm
+        tri.append(col + [norm])
+    rhs, gamma = (q @ f).tolist(), [0.0] * n
     for i in reversed(range(n)):    # back substitution in the triangle
-        gamma[i] = (rhs[i] - tri[i, i + 1:] @ gamma[i + 1:]) / tri[i, i]
-    x_new = x + f - gamma @ (dxs + dfs)
+        gamma[i] = (rhs[i] - sum(tri[k][i] * gamma[k]
+                                 for k in range(i + 1, n))) / tri[i][i]
+    x_new = x + f - np.array(gamma) @ steps
     return x_new if np.all(np.isfinite(x_new)) else None
+
+
+def _orthogonalize(basis, w):
+    """Classical Gram-Schmidt run twice: ``w`` is made orthogonal to the
+    orthonormal rows of ``basis`` in place, and the coefficients of both
+    passes (summed, as a list of floats) and the norm of what remains
+    are returned.  The second pass restores orthogonality to working
+    precision (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50,
+    2005) with two matrix products a pass, where modified Gram-Schmidt
+    needs one Python-level loop step per row."""
+    h = basis @ w
+    w -= h @ basis
+    h2 = basis @ w
+    w -= h2 @ basis
+    return (h + h2).tolist(), math.sqrt(w @ w)     # as np.linalg.norm sums
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +597,9 @@ class BlockStep:
     previous-step and advection terms of the scalar blocks, and ``2 k``,
     the weight of the deformation term ``2 k sym(grad(u) beta)`` (and
     its trace) that the coupling cancels; ``frozen`` keeps the
-    decomposition too.  ``rhs_scalars(u, frozen)`` adds that term to
-    give the (m, k) scalar right-hand sides.
+    decomposition too.  ``rhs_scalars(grad_u, frozen)`` adds that term,
+    at the :meth:`velocity_gradient` ``grad_u`` of ``u``, to give the
+    (m, k) scalar right-hand sides.
 
     One block pass per iterate serves both methods: the stress terms
     and the saddle solve ``(u_new, p_new)`` of ``rhs_u - conv u``,
@@ -670,9 +686,12 @@ class BlockStep:
         return rhs_u, (2.0 * kv[:, None], tc.to_full(beta), fixed, adv,
                        spectrum)
 
-    def rhs_scalars(self, u, frozen):
+    def velocity_gradient(self, u):
+        """The tested velocity gradient ``grad @ u``, (m, 2, 2)."""
+        return (self.scheme.grad @ u).reshape(self.m, 2, 2)
+
+    def rhs_scalars(self, grad_u, frozen):
         weight, beta, fixed, adv, _ = frozen
-        grad_u = (self.scheme.grad @ u).reshape(self.m, 2, 2)
         return fixed + weight * self._deformation(grad_u, beta) + adv
 
     @cached_property
@@ -686,25 +705,25 @@ class BlockStep:
         return (np.swapaxes(sym, 1, 2).reshape(4, -1),
                 self._rows(np.eye(3)).T)
 
-    def local_jacobian(self, s, u, frozen):
+    def local_jacobian(self, s, grad_u, frozen):
         """``J``: per stress node, the k x k derivative of the local terms
         of ``R(u, frozen(s))`` (relaxation flux and deformation term) in
-        the node's scalars ``s`` (m, k), with the coupling weight frozen;
-        entry ``[node, row, column]``.  ``frozen`` is that of ``s``, whose
+        the node's scalars ``s`` (m, k), with the coupling weight frozen
+        and ``grad_u`` the :meth:`velocity_gradient` of ``u``; entry
+        ``[node, row, column]``.  ``frozen`` is that of ``s``, whose
         spectrum it holds."""
         prm, reg = self.scheme.params, self.scheme.params.reg
         weight, beta, _, _, spectrum = frozen
         eta = s[:, 3] if self.k == 4 else tc.trace(s)
         arg = 1.0 - eta / prm.b
-        coef = tc.g_delta(arg, reg)[1]
+        coef = 1.0 / tc.beta_delta(arg, reg)    # g'(arg)
         # d coef / d eta = -g''(arg) / b, with g'' = -1/arg^2 = -coef^2
         dcoef = np.where(arg >= reg.delta, coef * coef / prm.b, 0.0)
         relax = self.scheme.weights / prm.wi
         sym_map, rows_map = self._increment_rows
-        grad_u = (self.scheme.grad @ u).reshape(self.m, 4)
         # the local terms' derivative in beta, then beta's in sigma
-        d_terms = (weight[:, :, None]
-                   * (grad_u @ sym_map).reshape(self.m, self.k, 3)
+        d_def = grad_u.reshape(self.m, 4) @ sym_map
+        d_terms = (weight[:, :, None] * d_def.reshape(self.m, self.k, 3)
                    - (relax * coef)[:, None, None] * rows_map)
         jac = np.zeros((self.m, self.k, self.k))
         jac[:, :, :3] = d_terms @ tc.beta_delta_jacobian(*spectrum, reg)
@@ -715,23 +734,24 @@ class BlockStep:
         jac -= ((relax * dcoef)[:, None] * beta_rows)[:, :, None] * d_eta
         return jac
 
-    def _scalar_solve(self, u, frozen):
-        return _finite(self.scalar_lu.solve(self.rhs_scalars(u, frozen)))
+    def _scalar_solve(self, grad_u, frozen):
+        return _finite(self.scalar_lu.solve(self.rhs_scalars(grad_u, frozen)))
 
-    def _linear_scalar_solve(self, x, u, frozen):
+    def _linear_scalar_solve(self, x, grad_u, frozen):
         """``s + d`` at ``s`` of ``x``, where ``(I - S^-1 J) d = S^-1 R(u,
         frozen) - s`` (the plain sweep's increment) is solved by GMRES
         through the step's factor of ``S``: that is ``(kron(I_k, S) - J)
-        (s + d) = R(u, frozen) - J s``."""
+        (s + d) = R(u, frozen) - J s``, with ``R`` and ``J`` at the
+        :meth:`velocity_gradient` ``grad_u`` of ``u``."""
         s = self._scalars(x)
-        jac = self.local_jacobian(s, u, frozen)
+        jac = self.local_jacobian(s, grad_u, frozen)
         k, m, lu = self.k, self.m, self.scalar_lu
 
         def apply(v):       # v and the product packed like the iterate
             jv = np.einsum("nij,jn->in", jac, v.reshape(k, m))
             return v - lu.solve(jv.T).T.ravel()
 
-        d = _gmres(apply, (self._scalar_solve(u, frozen) - s).T.ravel(),
+        d = _gmres(apply, (self._scalar_solve(grad_u, frozen) - s).T.ravel(),
                    LINEARIZED_RTOL, LINEARIZED_MAX_PRODUCTS)
         return _finite(s + d.reshape(k, m).T)
 
@@ -743,14 +763,15 @@ class BlockStep:
             (rhs_u - self.conv @ u)[self.free], start=(u[self.free], p))
         u_new = np.zeros(self.n_u)
         u_new[self.free] = u_f
-        r = float(np.linalg.norm(
-            self.pack(u_new, p_new, self._scalar_solve(u, frozen)) - x))
+        scalars = self._scalar_solve(self.velocity_gradient(u), frozen)
+        r = float(np.linalg.norm(self.pack(u_new, p_new, scalars) - x))
         return r, (x, frozen, u_new, p_new)
 
     def sweep(self, block_pass, linearize=False):
         x, frozen, u_new, p_new = block_pass
-        scalars = (self._linear_scalar_solve(x, u_new, frozen) if linearize
-                   else self._scalar_solve(u_new, frozen))
+        grad_u = self.velocity_gradient(u_new)
+        scalars = (self._linear_scalar_solve(x, grad_u, frozen) if linearize
+                   else self._scalar_solve(grad_u, frozen))
         return self.pack(u_new, p_new, scalars)
 
 
@@ -758,42 +779,42 @@ def _gmres(apply, b, rtol: float, max_products: int):
     """GMRES (Saad and Schultz, 1986) for ``apply(x) = b`` from ``x = 0``,
     without restarts: it stops once the residual is at most ``rtol |b|``
     or after ``max_products`` products, and returns the iterate.  The
-    Arnoldi basis is orthogonalized by classical Gram-Schmidt run twice,
-    and Givens rotations carry the residual norm.  ``b = 0`` gives 0."""
+    Arnoldi basis is orthogonalized by :func:`_orthogonalize`, and Givens
+    rotations carry the residual norm.  The Hessenberg columns, the
+    rotations, the rotated residual and the back substitution are Python
+    floats: with a few dozen of them, numpy's per-call cost would
+    outweigh their arithmetic.  The back substitution's sums round every
+    product, where a BLAS ``dot`` may fuse it with the add, so its last
+    bits may differ from a numpy row product's.  ``b = 0`` gives 0."""
     beta = float(np.linalg.norm(b))
-    basis = np.zeros((max_products + 1, len(b)))
-    hess = np.zeros((max_products + 1, max_products))
-    rotations = []
-    res = np.zeros(max_products + 1)     # the rotated residual
-    res[0] = beta
+    basis = np.empty((max_products + 1, len(b)))     # rows set before use
+    cols, rotations = [], []        # the triangle's columns
+    res = [beta]                    # the rotated residual
     if beta > 0.0:
         basis[0] = b / beta
     n = 0
     while n < max_products and abs(res[n]) > rtol * beta:
         w = apply(basis[n])
-        col = hess[:, n]
-        for _ in range(2):
-            h = basis[:n + 1] @ w
-            w -= h @ basis[:n + 1]
-            col[:n + 1] += h
-        sub = float(np.linalg.norm(w))
+        col, sub = _orthogonalize(basis[:n + 1], w)
         for i, (c, sn) in enumerate(rotations):
-            col[i:i + 2] = (c * col[i] + sn * col[i + 1],
-                            c * col[i + 1] - sn * col[i])
+            col[i], col[i + 1] = (c * col[i] + sn * col[i + 1],
+                                  c * col[i + 1] - sn * col[i])
         r = math.hypot(col[n], sub)
         if r == 0.0:        # singular on the Krylov space: keep the iterate
             break
         c, sn = col[n] / r, sub / r
         rotations.append((c, sn))
         col[n] = r
-        res[n:n + 2] = c * res[n], -sn * res[n]
+        cols.append(col)
+        res[n:] = c * res[n], -sn * res[n]
         n += 1
         if sub > 0.0:       # else the space is invariant and res[n] is 0
             basis[n] = w / sub
-    y = np.zeros(n)
+    y = [0.0] * n
     for i in reversed(range(n)):    # back substitution in the triangle
-        y[i] = (res[i] - hess[i, i + 1:n] @ y[i + 1:]) / hess[i, i]
-    return y @ basis[:n]
+        y[i] = (res[i] - sum(cols[k][i] * y[k]
+                             for k in range(i + 1, n))) / cols[i][i]
+    return np.array(y) @ basis[:n]
 
 
 def _finite(scalars):

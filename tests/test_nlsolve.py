@@ -724,7 +724,8 @@ def test_residual_matches_the_monolithic_block_solve(kind):
     s_mat = scalar_matrix(scheme, state, dt).toarray()
     scalars = x[problem.n_up:].reshape(problem.k, problem.m).T
     e_s = np.linalg.solve(
-        s_mat, problem.rhs_scalars(u, frozen) - s_mat @ scalars)
+        s_mat, problem.rhs_scalars(problem.velocity_gradient(u), frozen)
+        - s_mat @ scalars)
     want = np.sqrt(e_u @ e_u + e_p @ e_p + np.sum(e_s * e_s))
     assert want > 1e-3
     assert problem.residual(x)[0] == pytest.approx(want, rel=1e-10)
@@ -947,11 +948,12 @@ def node_scalars(problem):
     return np.column_stack([sig, rho])
 
 
-def local_terms_by_differences(problem, s, u, h=1e-6):
-    """Central differences of ``R(u, frozen(s))`` node by node, with the
-    coupling weight and the advection held at ``s``: each node's terms
-    read its own scalars only, so one shift of a component at every node
-    gives that column of every block."""
+def local_terms_by_differences(problem, s, grad_u, h=1e-6):
+    """Central differences of ``R(u, frozen(s))`` node by node, at the
+    velocity gradient ``grad_u`` of ``u``, with the coupling weight and
+    the advection held at ``s``: each node's terms read its own scalars
+    only, so one shift of a component at every node gives that column of
+    every block."""
     def parts(t):
         return t[:, :3], (t[:, 3] if problem.k == 4 else None)
 
@@ -960,7 +962,7 @@ def local_terms_by_differences(problem, s, u, h=1e-6):
     def rhs(t):
         _, frozen = problem.stress_terms(*parts(t))
         return problem.rhs_scalars(
-            u, (at_s[0], frozen[1], frozen[2], at_s[3], frozen[4]))
+            grad_u, (at_s[0], frozen[1], frozen[2], at_s[3], frozen[4]))
 
     cols = [(rhs(s + h * e) - rhs(s - h * e)) / (2.0 * h)
             for e in np.eye(problem.k)]
@@ -975,8 +977,9 @@ def test_local_jacobian_matches_central_differences(kind, b, k):
     assert problem.k == k
     s = node_scalars(problem)
     u = sweep_from(problem, problem.x0)[:problem.n_u]
-    frozen, want = local_terms_by_differences(problem, s, u)
-    got = problem.local_jacobian(s, u, frozen)
+    grad_u = problem.velocity_gradient(u)
+    frozen, want = local_terms_by_differences(problem, s, grad_u)
+    got = problem.local_jacobian(s, grad_u, frozen)
     assert got.shape == (problem.m, k, k)
     scale = np.abs(want).max()
     assert scale > 0.1
@@ -1002,6 +1005,179 @@ def test_gmres_solves_to_its_tolerance():
                        0.5 * b, rtol=0.0, atol=1e-15)
 
 
+# ---------------------------------------------------------------------------
+# the linearized phase's small dense solvers against numpy oracles: the
+# same algorithms with the Hessenberg matrix, the rotated residual and the
+# QR triangle held in numpy arrays, as the package once computed them.
+# Only their back substitutions round differently: numpy's dot may fuse
+# a multiply and an add where a Python sum rounds both, hence 1e-13
+
+
+def gmres_oracle(apply, b, rtol, max_products):
+    """:func:`fenep.nlsolve._gmres` with its bookkeeping in numpy."""
+    beta = float(np.linalg.norm(b))
+    basis = np.zeros((max_products + 1, len(b)))
+    hess = np.zeros((max_products + 1, max_products))
+    rotations = []
+    res = np.zeros(max_products + 1)
+    res[0] = beta
+    if beta > 0.0:
+        basis[0] = b / beta
+    n = 0
+    while n < max_products and abs(res[n]) > rtol * beta:
+        w = apply(basis[n])
+        col = hess[:, n]
+        for _ in range(2):
+            h = basis[:n + 1] @ w
+            w -= h @ basis[:n + 1]
+            col[:n + 1] += h
+        sub = float(np.linalg.norm(w))
+        for i, (c, sn) in enumerate(rotations):
+            col[i:i + 2] = (c * col[i] + sn * col[i + 1],
+                            c * col[i + 1] - sn * col[i])
+        r = math.hypot(col[n], sub)
+        if r == 0.0:
+            break
+        c, sn = col[n] / r, sub / r
+        rotations.append((c, sn))
+        col[n] = r
+        res[n:n + 2] = c * res[n], -sn * res[n]
+        n += 1
+        if sub > 0.0:
+            basis[n] = w / sub
+    y = np.zeros(n)
+    for i in reversed(range(n)):
+        y[i] = (res[i] - hess[i, i + 1:n] @ y[i + 1:]) / hess[i, i]
+    return y @ basis[:n]
+
+
+def anderson_oracle(window):
+    """:func:`fenep.nlsolve._anderson_candidate` with its window stacked
+    and its triangle in numpy."""
+    xs, fs = (np.array(a) for a in zip(*window))
+    dxs, dfs = np.diff(xs, axis=0), np.diff(fs, axis=0)
+    x, f, n = xs[-1], fs[-1], len(dfs)
+    q, tri = np.zeros_like(dfs), np.zeros((n, n))
+    for j, w in enumerate(dfs.copy()):
+        for _ in range(2):
+            h = q[:j] @ w
+            w -= h @ q[:j]
+            tri[:j, j] += h
+        tri[j, j] = float(np.linalg.norm(w))
+        if not tri[j, j] > 0.0:
+            return None
+        q[j] = w / tri[j, j]
+    rhs, gamma = q @ f, np.zeros(n)
+    for i in reversed(range(n)):
+        gamma[i] = (rhs[i] - tri[i, i + 1:] @ gamma[i + 1:]) / tri[i, i]
+    x_new = x + f - gamma @ (dxs + dfs)
+    return x_new if np.all(np.isfinite(x_new)) else None
+
+
+def counted(apply):
+    """``apply`` and the list of the vectors it was called with."""
+    calls = []
+    return (lambda v: calls.append(v) or apply(v)), calls
+
+
+def assert_close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+def random_system(n, seed):
+    rng = np.random.default_rng(seed)
+    mat = np.eye(n) + 0.6 * rng.standard_normal((n, n)) / math.sqrt(n)
+    return mat, rng.standard_normal(n)
+
+
+#: a nilpotent shift: from e_0 each product moves one place down, so the
+#: Krylov space is all of R^4 and the fourth product breaks down (r = 0)
+SHIFT = np.eye(4, k=-1)
+
+
+@pytest.mark.parametrize("n, seed", [(40, 1), (324, 2)])
+@pytest.mark.parametrize("rtol", [1e-1, 1e-2, 1e-13])
+@pytest.mark.parametrize("max_products", [3, 30])
+def test_gmres_matches_its_oracle(n, seed, rtol, max_products):
+    """Random nonsymmetric systems, one of the stiff block's 324
+    unknowns: the same products, and iterates that agree to 1e-13."""
+    mat, b = random_system(n, seed)
+    apply, calls = counted(lambda v: mat @ v)
+    got = nlsolve._gmres(apply, b, rtol, max_products)
+    apply_ref, calls_ref = counted(lambda v: mat @ v)
+    want = gmres_oracle(apply_ref, b, rtol, max_products)
+    assert 0 < len(calls) == len(calls_ref) <= max_products
+    assert_close(got, want)
+
+
+@pytest.mark.parametrize("op, b, products", [
+    (lambda v: 2.0 * v, np.zeros(6), 0),                  # b = 0
+    (lambda v: 2.0 * v, np.arange(1.0, 7.0), 1),          # invariant 2 I
+    (lambda v: SHIFT @ v, np.eye(4)[0], 4),               # r == 0
+], ids=["zero-rhs", "invariant", "breakdown"])
+def test_gmres_matches_its_oracle_on_the_edge_cases(op, b, products):
+    apply, calls = counted(op)
+    got = nlsolve._gmres(apply, b, 1e-13, 10)
+    apply_ref, calls_ref = counted(op)
+    want = gmres_oracle(apply_ref, b, 1e-13, 10)
+    assert len(calls) == len(calls_ref) == products
+    assert np.array_equal(got, want)
+
+
+def test_orthogonalize_runs_gram_schmidt_twice():
+    """A vector within 1e-10 of the span of the basis: one classical pass
+    would leave what remains about 1e-6 off orthogonal, the second takes
+    it to rounding.  The coefficients and the remainder rebuild the
+    vector."""
+    rng = np.random.default_rng(5)
+    basis = np.linalg.qr(rng.standard_normal((50, 6)))[0].T
+    coef = rng.standard_normal(6)
+    w0 = coef @ basis + 1e-10 * rng.standard_normal(50)
+    w = w0.copy()
+    got, norm = nlsolve._orthogonalize(basis, w)
+    assert norm == pytest.approx(np.linalg.norm(w), rel=1e-15)
+    assert 1e-11 < norm < 1e-9
+    assert np.abs(basis @ w).max() <= 1e-14 * norm
+    assert np.allclose(np.array(got) @ basis + w, w0, rtol=0.0, atol=1e-15)
+    assert np.allclose(got, coef, rtol=0.0, atol=1e-9)
+
+
+def random_window(entries, size, seed):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal(size), rng.standard_normal(size))
+            for _ in range(entries)]
+
+
+@pytest.mark.parametrize("entries", [3, 4, 5, 6])
+@pytest.mark.parametrize("size", [7, 823])
+def test_anderson_candidate_matches_its_oracle(entries, size):
+    window = random_window(entries, size, entries * size)
+    want = anderson_oracle(window)
+    assert want is not None
+    assert_close(nlsolve._anderson_candidate(window), want)
+
+
+@pytest.mark.parametrize("spoil", ["repeated", "nan-increment",
+                                   "inf-iterate"])
+def test_anderson_candidate_refuses_what_its_oracle_refuses(spoil):
+    """A repeated increment gives a zero, so dependent, ``dF`` column;
+    a non-finite entry gives a candidate that is not finite.  Both give
+    None, wherever in the window they sit."""
+    for at in range(1, 5):
+        window = random_window(5, 9, at)
+        x, f = window[at]
+        if spoil == "repeated":
+            window[at] = (x, window[at - 1][1])
+        elif spoil == "nan-increment":
+            window[at] = (x, np.where(np.arange(9) == 3, np.nan, f))
+        else:
+            window[at] = (np.where(np.arange(9) == 3, np.inf, x), f)
+        with np.errstate(invalid="ignore"):     # inf - inf in the steps
+            assert anderson_oracle(window) is None
+            assert nlsolve._anderson_candidate(window) is None
+
+
 @pytest.mark.parametrize("kind", SCHEMES)
 def test_linearized_scalar_solve_meets_its_tolerance(kind):
     """The linearized sweep's scalars ``s + d`` solve ``(kron(I_k, S) -
@@ -1013,10 +1189,11 @@ def test_linearized_scalar_solve_meets_its_tolerance(kind):
     x = 0.5 * (problem.x0 + sweep_from(problem, problem.x0))
     s = problem._scalars(x)
     _, frozen, u_new, _ = problem.residual(x)[1]
-    got = problem._linear_scalar_solve(x, u_new, frozen)
+    grad_u = problem.velocity_gradient(u_new)
+    got = problem._linear_scalar_solve(x, grad_u, frozen)
     m, k = problem.m, problem.k
     s_mat = scalar_matrix(scheme, state, dt).toarray()
-    jac = problem.local_jacobian(s, u_new, frozen)
+    jac = problem.local_jacobian(s, grad_u, frozen)
     assert np.abs(jac).max() > 0.1
     system = np.kron(np.eye(k), s_mat)
     nodes = np.arange(m)
@@ -1024,9 +1201,9 @@ def test_linearized_scalar_solve_meets_its_tolerance(kind):
         for col in range(k):
             system[row * m + nodes, col * m + nodes] -= jac[:, row, col]
     precond = np.kron(np.eye(k), np.linalg.inv(s_mat))
-    rhs = (problem.rhs_scalars(u_new, frozen)
+    rhs = (problem.rhs_scalars(grad_u, frozen)
            - np.einsum("nij,nj->ni", jac, s)).T.ravel()
-    increment = np.linalg.solve(s_mat, problem.rhs_scalars(u_new, frozen)) - s
+    increment = np.linalg.solve(s_mat, problem.rhs_scalars(grad_u, frozen)) - s
     miss = precond @ (rhs - system @ got.T.ravel())
     assert np.linalg.norm(increment) > 1e-3
     assert (np.linalg.norm(miss)
@@ -1176,6 +1353,53 @@ def test_stiff_run_accelerates_to_the_unaccelerated_answer(tmp_path,
         "picard_iters_total"]
     assert_rows_agree(tmp_path / "fast", tmp_path / "plain", 4,
                       100.0 * setup.picard.tol)
+
+
+def stiff_run_path(tmp_path, name, gmres, anderson):
+    """The stiff forced cavity at n = 8 (dt = 1, amplitude 20, mini/P1,
+    three steps) run with the given GMRES and Anderson kernels: per step,
+    the Picard iterations, linearized sweeps, accepted Anderson
+    candidates and GMRES products, and the run's output directory."""
+    steps, solve = [], nlsolve.picard_solve
+
+    def logged_solve(*args, **kwargs):
+        steps.append({"products": 0})
+        x, rep = solve(*args, **kwargs)
+        steps[-1].update(iterations=rep.iterations,
+                         linearized_sweeps=rep.linearized_sweeps,
+                         accelerated=rep.accelerated)
+        return x, rep
+
+    def counted_gmres(apply, *args):
+        def product(v):
+            steps[-1]["products"] += 1
+            return apply(v)
+        return gmres(product, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nlsolve, "picard_solve", logged_solve)
+        patch.setattr(nlsolve, "_gmres", counted_gmres)
+        patch.setattr(nlsolve, "_anderson_candidate", anderson)
+        cli.run_simulation(forced_cavity_setup(
+            tmp_path, "p1diff", 1.0, 20.0, name, n=8, steps=3))
+    return steps, tmp_path / name
+
+
+@pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
+def test_stiff_run_takes_the_oracles_path(tmp_path):
+    """The Python-float bookkeeping of the small dense solvers keeps the
+    numpy oracles' path on the stiff-p1diff data: per step the same
+    iterations, linearized sweeps, Anderson candidates and GMRES
+    products, and rows that agree within 1e-12."""
+    path, out = stiff_run_path(tmp_path, "floats", nlsolve._gmres,
+                               nlsolve._anderson_candidate)
+    ref_path, ref_out = stiff_run_path(tmp_path, "oracles", gmres_oracle,
+                                       anderson_oracle)
+    assert path == ref_path
+    assert len(path) == 3
+    assert all(step["products"] > 0 and step["accelerated"] > 0
+               for step in path)
+    assert_rows_agree(out, ref_out, 4, 1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
