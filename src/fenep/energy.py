@@ -82,10 +82,9 @@ def relaxation_integrand(params: ModelParams, eigs, eta) -> np.ndarray:
     """
     rp = params.reg
     eigs = np.asarray(eigs, float)
-    _, gp = tc.g_delta(eigs, rp)
-    _, coef = tc.g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
-    return ((coef[..., None] - gp) ** 2
-            * tc.beta_delta(eigs, rp)).sum(axis=-1)
+    beta = tc.beta_delta(eigs, rp)
+    coef = 1.0 / tc.beta_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
+    return ((coef[..., None] - 1.0 / beta) ** 2 * beta).sum(axis=-1)
 
 
 def relaxation_dissipation(params: ModelParams, weights, eigs, eta) -> float:
@@ -109,7 +108,7 @@ def tensor_gradient_energy(stiffness, field) -> float:
     jumps = (np.repeat(field, np.diff(stiffness.indptr), axis=0)
              - np.take(field, stiffness.indices, axis=0)) ** 2
     if field.ndim == 2:
-        jumps = jumps @ np.array([1.0, 2.0, 1.0])
+        jumps = jumps @ tc._DDOT_WEIGHTS
     return -0.5 * float(stiffness.data @ jumps)
 
 

@@ -4,9 +4,9 @@ The stress (and, for finite extensibility, an auxiliary trace field) is
 continuous piecewise linear; nonlinear expressions enter only through
 the vertex-sampling interpolant and the lumped vertex quadrature.  A
 small diffusion ``alpha`` replaces the upwind transport of the cellwise
-scheme, and the advection is carried by per-cell transport coefficients
-built so that the chain rule the energy estimate needs holds exactly,
-cell by cell, at the discrete level:
+scheme, and the advection is carried by transport coefficients built
+so that the chain rule the energy estimate needs holds exactly, cell by
+cell, at the discrete level:
 
     u . Lambda(q) grad pi_h[g'(q)] = u . grad pi_h[tr h(g'(q))]
 
@@ -14,8 +14,9 @@ for every cell velocity u.  In the reference frame of a cell Lambda is
 diagonal: one coefficient C per reference edge, the corner coefficients
 (``corner_coefficients``), each satisfying the chain rule along its
 edge, ``C : (g'(q_a) - g'(q_c)) = tr h(g'(q_a)) - tr h(g'(q_c))`` for
-the edge's ends a and c.  The transport velocity and the geometry are
-fixed for a step, so the advection is one sparse map of the corner
+the edge's ends a and c, so C is evaluated once per mesh edge and shared
+by the cells on either side.  The transport velocity and the geometry are
+fixed for a step, so the advection is one sparse map of the edge
 coefficients (``advection_map``), built once per step and applied once
 per stress iterate and field.  :func:`fenep.verify.chain_rule_residual`
 states the chain rule through that map, on the coefficients the step
@@ -83,68 +84,72 @@ class TimeStepWarning(UserWarning):
 
 def _lambda_pair(a: tc.TensorNodes, c: tc.TensorNodes) -> np.ndarray:
     """The matching-weight combination of beta(a) and beta(c)."""
-    d_tr = a.tr_h - c.tr_h
+    d_beta = c.beta - a.beta
     d_gp = a.gprime - c.gprime
-    num = d_tr - tc.ddot(a.beta, d_gp)
-    den = tc.ddot(c.beta - a.beta, d_gp)
-    scale = tc.frob_norm(c.beta - a.beta) * tc.frob_norm(d_gp)
+    num = (a.tr_h - c.tr_h) - (a.beta * d_gp) @ tc._DDOT_WEIGHTS
+    den = (d_beta * d_gp) @ tc._DDOT_WEIGHTS
+    scale = np.sqrt(((d_beta * d_beta) @ tc._DDOT_WEIGHTS)
+                    * ((d_gp * d_gp) @ tc._DDOT_WEIGHTS))
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(np.abs(den) > 1e-13 * scale + 1e-300, num / den, 0.0)
-    lam = np.clip(np.nan_to_num(lam, nan=0.0), 0.0, 1.0)
-    return (1.0 - lam)[..., None] * a.beta + lam[..., None] * c.beta
+    # NaN and weights below 0 give 0, weights above 1 (and +inf) give 1
+    lam = np.where(lam > 0.0, np.minimum(lam, 1.0), 0.0)
+    return (1.0 - lam)[:, None] * a.beta + lam[:, None] * c.beta
 
 
-def corner_coefficients(cells, nodes, rp: tc.RegParams):
-    """Per-cell transport coefficients, one per reference edge of a cell.
+def corner_coefficients(ends, nodes, rp: tc.RegParams):
+    """Transport coefficients, one per edge of ``ends`` (n_edges, 2).
 
     ``nodes`` holds what the coefficients of a vertex field depend on:
     its :func:`fenep.tensorcalc.tensor_nodes` (a tensor field) or
-    ``g'`` of it (a scalar field, :func:`fenep.tensorcalc.g_delta`).
-    The vertex values are evaluated once, per vertex, and only gathered
-    to the ``cells`` (n_cells, 3) here.  Entry [k, j] belongs to the
-    pair (a, c) of vertices j + 1 and 0 of cell k, the edge along
-    reference direction j; a tensor field gives (n_cells, 2, 3), a
-    scalar field (n_cells, 2).  The scalar coefficient is the divided
-    difference of ``h`` between ``g'(a)`` and ``g'(c)``, ``beta(a)`` at
-    coincidence and always between ``beta(a)`` and ``beta(c)``.  The
-    tensor coefficient is the convex combination ``(1 - lam) beta(a) +
-    lam beta(c)`` whose weight, clipped to [0, 1], is fixed by
+    ``g'`` of it (a scalar field, ``1 / beta_delta``).  The vertex values
+    are evaluated once, per vertex, and only gathered to the edges here;
+    a tensor field gives (n_edges, 3), a scalar field (n_edges,).  Row e
+    belongs to the pair (a, c) = (ends[e, 1], ends[e, 0]): on the step's
+    ``mesh.edge_vertices`` a is the higher numbered end.  The scalar
+    coefficient is the divided difference of ``h`` between ``g'(a)``
+    and ``g'(c)``, ``beta(a)`` at coincidence and always between
+    ``beta(a)`` and ``beta(c)``.  The tensor coefficient is the convex
+    combination ``(1 - lam) beta(a) + lam beta(c)`` whose weight,
+    clipped to [0, 1], is fixed by
 
         C : (g'(a) - g'(c)) = tr h(g'(a)) - tr h(g'(c));
 
     coincident ends, or a vanishing matching denominator, give
-    ``beta(a)``.  The step advects with them through
+    ``beta(a)``.  Both are symmetric in the ends up to round-off
+    (swapping them maps ``lam`` to ``1 - lam``), so the cells at an edge
+    share its coefficient.  The step advects with them through
     :func:`advection_map`.
     """
+    a, c = ends[:, 1], ends[:, 0]
     if isinstance(nodes, tc.TensorNodes):
-        corner0 = nodes.take(cells[:, 0])
-        hat = [_lambda_pair(nodes.take(cells[:, j]), corner0) for j in (1, 2)]
-    else:
-        hat = [tc._h_delta_dd(nodes[cells[:, j]], nodes[cells[:, 0]], rp)
-               for j in (1, 2)]
-    return np.stack(hat, axis=1)
+        return _lambda_pair(nodes.take(a), nodes.take(c))
+    return tc._h_delta_dd(nodes[a], nodes[c], rp)
 
 
 def advection_map(mesh: TriMesh, u_cell) -> sp.csr_matrix:
-    """Sparse map from corner coefficients to vertex advection terms.
+    """Sparse map from edge coefficients to vertex advection terms.
 
-    Shape (n_vertices, 2 n_cells): ``advection_map(mesh, u_cell) @
-    corner_coefficients(...).reshape(2 * n_cells, -1)`` is the hat
-    function test of the advection, ``sum_K u_K . Lambda_K grad(eta_l)``
-    over the cells K at vertex l, for the cell velocity integrals
-    ``u_cell`` (n_cells, 2).  The weight of coefficient j in the row of
-    local vertex l is ``grad(lambda_{j+1}) . u_K`` times entry j of the
-    reference gradient of ``lambda_l``; four of the six are nonzero.
-    So the transpose takes a vertex field f to ``(grad(lambda_{j+1}) .
-    u_K) (f_{j+1} - f_0)``, the change of ``pi_h f`` along edge j.
+    Shape (n_vertices, n_edges): ``advection_map(mesh, u_cell) @
+    corner_coefficients(mesh.edge_vertices, ...)`` is the hat function
+    test of the advection, ``sum_K u_K . Lambda_K grad(eta_l)`` over the
+    cells K at vertex l, for the cell velocity integrals ``u_cell``
+    (n_cells, 2).  Reference direction j of K runs along its edge from
+    local vertex 0 to j + 1 (``mesh.cell_edges[:, [2, 1]]``).  The
+    weight of direction j in the row of local vertex l is
+    ``grad(lambda_{j+1}) . u_K`` times entry j of the reference gradient
+    of ``lambda_l``; four of the six are nonzero, and the cells at an
+    edge add into its column.  So the transpose takes a vertex field f
+    to the sum over the cells at an edge of ``(grad(lambda_{j+1}) .
+    u_K) (f_{j+1} - f_0)``, the change of ``pi_h f`` along the edge.
     """
     vel = np.einsum("kjm,km->kj", mesh.bary_grads[:, 1:], u_cell)
     loc, ref = np.nonzero(REF_GRADS)
     rows = mesh.cells[:, loc]
-    cols = 2 * np.arange(mesh.n_cells)[:, None] + ref
+    cols = mesh.cell_edges[:, [2, 1]][:, ref]
     vals = vel[:, ref] * REF_GRADS[loc, ref]
     return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(mesh.n_vertices, 2 * mesh.n_cells))
+                         shape=(mesh.n_vertices, len(mesh.edge_vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +214,15 @@ class SchemeP1Diff(ImplicitScheme):
             **LU_OPTIONS))
         amap = advection_map(self.mesh, cell_mean_velocity(
             self.mesh, self.v, state.u))
-        cells = self.mesh.cells
+        ends = self.mesh.edge_vertices
 
         def local_terms(eigs, frame, eta, rho):
             nodes = tc.tensor_nodes(eigs, frame, reg)
-            adv = amap @ corner_coefficients(cells, nodes,
-                                             reg).reshape(-1, 3)
+            adv = amap @ corner_coefficients(ends, nodes, reg)
             if rho is not None:
                 lam_r = corner_coefficients(
-                    cells, tc.g_delta(1.0 - rho / prm.b, reg)[1], reg)
-                adv = np.column_stack(
-                    [adv, -(prm.b * (amap @ lam_r.reshape(-1)))])
+                    ends, 1.0 / tc.beta_delta(1.0 - rho / prm.b, reg), reg)
+                adv = np.column_stack([adv, -(prm.b * (amap @ lam_r))])
             return nodes.beta, tc.k_delta_of_beta(nodes.beta, eta, reg), adv
 
         return lu, local_terms
@@ -229,11 +232,11 @@ class SchemeP1Diff(ImplicitScheme):
         in the ``frame`` of the audited stress."""
         prm, k = self.params, self.k_scalar
         scale = dt * prm.alpha * prm.eps * prm.delta ** 2 / (2.0 * prm.wi)
-        gp = tc._recompose(tc.g_delta(eigs, prm.reg)[1], frame)
+        gp = tc._recompose(1.0 / tc.beta_delta(eigs, prm.reg), frame)
         terms = {"diffusion_sigma": scale * tensor_gradient_energy(k, gp),
                  "certified_gradient_terms": self.mesh.non_obtuse}
         if rho is not None:
-            _, gp_tr = tc.g_delta(1.0 - rho / prm.b, prm.reg)
+            gp_tr = 1.0 / tc.beta_delta(1.0 - rho / prm.b, prm.reg)
             terms["diffusion_rho"] = (scale * prm.b
                                       * tensor_gradient_energy(k, gp_tr))
         return terms

@@ -71,6 +71,9 @@ __all__ = [
 #: The identity tensor in (xx, xy, yy) component form.
 IDENTITY = np.array([1.0, 0.0, 1.0])
 
+#: The component weights of a double contraction, phi : psi = (phi * psi) @ w.
+_DDOT_WEIGHTS = np.array([1.0, 2.0, 1.0])
+
 
 @dataclass(frozen=True)
 class RegParams:
@@ -297,7 +300,7 @@ def beta_delta_jacobian(w, frame, rp: RegParams) -> np.ndarray:
     split = gap > 0.0
     slope = np.where(split, (f[..., 1] - f[..., 0])
                      / np.where(split, gap, 1.0), fp[..., 0])
-    dr = 0.5 * frame * np.array([1.0, 2.0, 1.0])     # (D : E_j) / 2
+    dr = 0.5 * frame * _DDOT_WEIGHTS                  # (D : E_j) / 2
     dw0, dw1 = _UNIT_MEAN - dr, _UNIT_MEAN + dr
     da = 0.5 * (fp[..., :1] * dw0 + fp[..., 1:] * dw1)
     dg = 0.5 * (fp[..., 1:] * dw1 - fp[..., :1] * dw0)
@@ -320,8 +323,9 @@ class TensorNodes(NamedTuple):
 def tensor_nodes(w, frame, rp: RegParams) -> TensorNodes:
     """The :class:`TensorNodes` of the tensors of spectrum ``w, frame``
     (:func:`eig_sym`)."""
-    _, gp_w = g_delta(w, rp)
-    return TensorNodes(_recompose(beta_delta(w, rp), frame),
+    beta_w = beta_delta(w, rp)
+    gp_w = 1.0 / beta_w
+    return TensorNodes(_recompose(beta_w, frame),
                        _recompose(gp_w, frame),
                        h_delta(gp_w, rp).sum(axis=-1))
 
@@ -345,8 +349,9 @@ def relax_reg(phi, eta, rp: RegParams) -> np.ndarray:
     ``1 - eta/b`` all sit above ``delta``.  In the Oldroyd-B limit
     ``1 - eta/b`` is 1, so the scalar prefactor is exactly 1.
     """
-    _, gp = g_delta_mat(phi, rp)
-    _, coef = g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
+    w, frame = eig_sym(phi)
+    gp = _recompose(1.0 / beta_delta(w, rp), frame)
+    coef = 1.0 / beta_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
     return tensor(coef - gp[..., 0], -gp[..., 1], coef - gp[..., 2])
 
 
@@ -396,7 +401,7 @@ def relax_flux_of_beta(beta, eta, rp: RegParams) -> np.ndarray:
     the momentum equation couples to the velocity gradient and the stress
     relaxation drives to zero.
     """
-    _, coef = g_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
+    coef = 1.0 / beta_delta(1.0 - np.asarray(eta, float) / rp.b, rp)
     return coef[..., None] * beta - IDENTITY
 
 

@@ -59,29 +59,29 @@ def _check_lemma_sweep():
     return worst >= -1e-10, f"worst inequality margin {worst:.2e}"
 
 
-def chain_rule_residual(cells, amap_t, field, rp):
+def chain_rule_residual(ends, amap_t, field, rp):
     """Worst residual of the discrete chain rule, relative to the values.
 
     ``C`` are the diffusive scheme's corner coefficients of the vertex
-    ``field`` on ``cells`` and ``amap_t`` the transposed advection map,
-    which takes a vertex field to its change along each reference edge
-    of each cell, times the velocity there.  A tensor field
-    (n_vertices, 3) gives ``sum_c w_c C[e, c] (A^T g')[e, c] = (A^T tr
-    h)[e]`` for every cell and edge e, w = (1, 2, 1) counting the
+    ``field`` on the edges of ``ends`` (n_edges, 2) and ``amap_t`` the
+    transposed advection map, which takes a vertex field to its change
+    along each edge, times the velocity of the cells at the edge.  A
+    tensor field (n_vertices, 3) gives ``sum_c w_c C[e, c] (A^T g')[e, c]
+    = (A^T tr h)[e]`` for every edge e, w = (1, 2, 1) counting the
     off-diagonal component twice; a scalar field q (n_vertices,) gives
     ``C[e] (A^T g')[e] = (A^T h)[e]`` with ``g' = g'(q)``.
     """
     if field.ndim == 2:
         w, frame = tc.eig_sym(field)
         coef = scheme_p1diff.corner_coefficients(
-            cells, tc.tensor_nodes(w, frame, rp), rp)
+            ends, tc.tensor_nodes(w, frame, rp), rp)
         _, gp = tc.g_delta_mat(field, rp)
-        lhs = (coef.reshape(-1, 3) * (amap_t @ gp)) @ np.array([1.0, 2.0, 1.0])
+        lhs = (coef * (amap_t @ gp)) @ tc._DDOT_WEIGHTS
         rhs = amap_t @ tc.h_delta(tc.g_delta(w, rp)[1], rp).sum(axis=-1)
     else:
         _, gp = tc.g_delta(field, rp)
-        coef = scheme_p1diff.corner_coefficients(cells, gp, rp)
-        lhs = coef.reshape(-1) * (amap_t @ gp)
+        coef = scheme_p1diff.corner_coefficients(ends, gp, rp)
+        lhs = coef * (amap_t @ gp)
         rhs = amap_t @ tc.h_delta(gp, rp)
     return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
 
@@ -94,7 +94,7 @@ def _check_transport_identity():
     amap_t = scheme_p1diff.advection_map(
         mesh, rng.standard_normal((mesh.n_cells, 2))).T
     worst = max(chain_rule_residual(
-        mesh.cells, amap_t, rng.uniform(-2.0, 2.0, size=shape), rp)
+        mesh.edge_vertices, amap_t, rng.uniform(-2.0, 2.0, size=shape), rp)
         for shape in ((mesh.n_vertices, 3), mesh.n_vertices))
     return worst <= 1e-13, f"worst relative chain-rule residual {worst:.2e}"
 

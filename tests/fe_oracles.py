@@ -5,8 +5,10 @@ The einsum kernels are the cell-by-cell contractions that
 local entry, orthogonal direction pairs included, through COO.  The
 scalar mass matrix, the divergence matrix, the dense inf-sup estimate
 and the vertex-sampling interpolant are used by the tests alone.  The
-transport coefficients of given vertex pairs are laid out as cells, so
-they are the corner coefficients the diffusive scheme's step builds.
+transport coefficients of given vertex pairs are laid out as edges, so
+they are the corner coefficients the diffusive scheme's step builds;
+the per-cell evaluation the step made before it evaluated per edge is
+kept as their oracle.
 """
 
 import math
@@ -148,16 +150,48 @@ def pi_h(mesh, f):
 def pair_coefficients(a, c, rp):
     """The transport coefficients of the vertex pairs (a[i], c[i]).
 
-    Each pair is laid out as one cell (c, a, a), whose corner
-    coefficient of reference edge 0 is that of the pair; tensors (n, 3)
-    enter through their tensor nodes, scalars q (n,) through ``g'(q)``.
+    The values are laid out a first, so pair i is the edge ``(n + i,
+    i)`` whose higher numbered end is a; tensors (n, 3) enter through
+    their tensor nodes, scalars q (n,) through ``g'(q)``.
     """
-    a, c = np.asarray(a, float), np.asarray(c, float)
-    idx = np.arange(len(a))
-    cells = np.column_stack([len(a) + idx, idx, idx])
-    values = np.concatenate([a, c])
+    values = np.concatenate([np.asarray(a, float), np.asarray(c, float)])
+    n = len(values) // 2
+    ends = np.column_stack([n + np.arange(n), np.arange(n)])
+    return corner_coefficients(ends, vertex_nodes(values, rp), rp)
+
+
+def vertex_nodes(values, rp):
+    """What the transport coefficients of a vertex field depend on: the
+    tensor nodes of a tensor field (n, 3), ``g'`` of a scalar field."""
     if values.ndim == 2:
-        nodes = tc.tensor_nodes(*tc.eig_sym(values), rp)
+        return tc.tensor_nodes(*tc.eig_sym(values), rp)
+    return tc.g_delta(values, rp)[1]
+
+
+def cell_lambda_pair(a, c):
+    """The matching-weight combination of beta(a) and beta(c), through
+    the tensor calculus's double contractions and norms: the form the
+    step evaluated per cell before it evaluated per edge."""
+    d_tr = a.tr_h - c.tr_h
+    d_gp = a.gprime - c.gprime
+    num = d_tr - tc.ddot(a.beta, d_gp)
+    den = tc.ddot(c.beta - a.beta, d_gp)
+    scale = tc.frob_norm(c.beta - a.beta) * tc.frob_norm(d_gp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(np.abs(den) > 1e-13 * scale + 1e-300, num / den, 0.0)
+    lam = np.clip(np.nan_to_num(lam, nan=0.0), 0.0, 1.0)
+    return (1.0 - lam)[..., None] * a.beta + lam[..., None] * c.beta
+
+
+def cell_corner_coefficients(cells, nodes, rp):
+    """Per-cell transport coefficients (n_cells, 2[, 3]): entry [k, j]
+    belongs to the pair (a, c) of vertices j + 1 and 0 of cell k, the
+    edge along reference direction j."""
+    if isinstance(nodes, tc.TensorNodes):
+        corner0 = nodes.take(cells[:, 0])
+        hat = [cell_lambda_pair(nodes.take(cells[:, j]), corner0)
+               for j in (1, 2)]
     else:
-        nodes = tc.g_delta(values, rp)[1]
-    return corner_coefficients(cells, nodes, rp)[:, 0]
+        hat = [tc._h_delta_dd(nodes[cells[:, j]], nodes[cells[:, 0]], rp)
+               for j in (1, 2)]
+    return np.stack(hat, axis=1)

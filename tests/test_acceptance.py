@@ -120,10 +120,12 @@ def test_criterion_01_inequality_oracles():
 
 
 def disjoint_copies(mesh, count):
-    """The cells of ``count`` disjoint copies of ``mesh``; vertex block c
-    belongs to copy c, so one field over the union is ``count`` fields."""
+    """The edge ends of ``count`` disjoint copies of ``mesh``; vertex
+    block c and edge block c belong to copy c, so one field over the
+    union is ``count`` fields, and the block diagonal of ``count``
+    transposed advection maps of ``mesh`` is the union's."""
     offsets = mesh.n_vertices * np.arange(count)
-    return (mesh.cells[None] + offsets[:, None, None]).reshape(-1, 3)
+    return (mesh.edge_vertices[None] + offsets[:, None, None]).reshape(-1, 2)
 
 
 def test_criterion_02_transport_identities():
@@ -132,7 +134,7 @@ def test_criterion_02_transport_identities():
     worst = 0.0
     fields = 0
     for n, count in ((2, 4000), (4, 3000), (8, 3000)):
-        # the corner coefficients are cellwise, so the fields of one n are
+        # the corner coefficients are edgewise, so the fields of one n are
         # evaluated together, one per copy of the mesh; each copy is
         # advected by the same random cell velocity
         base = structured_unit_square(n)

@@ -5,6 +5,7 @@ codes and file outputs are checked exactly as a shell user would see
 them.
 """
 
+import copy
 import json
 import math
 import re
@@ -26,7 +27,7 @@ from fenep.cli import (
     run_simulation,
     scenario_fields,
 )
-from fenep.meshing import load_mesh
+from fenep.meshing import TriMesh, load_mesh, save_mesh, structured_unit_square
 from fenep.params import ModelParams
 
 
@@ -577,6 +578,39 @@ def test_run_with_mesh_file(tmp_path, capsys):
     assert summary["mesh"]["file"] == str(mesh_path)
 
 
+@pytest.mark.filterwarnings("ignore:some cells have all vertices")
+@pytest.mark.filterwarnings("ignore::fenep.scheme_p1diff.TimeStepWarning")
+def test_p1diff_run_is_invariant_under_vertex_renumbering(tmp_path):
+    """The corner coefficients belong to the mesh edges, not to the cells
+    that ask for them: a driven p1diff cavity on a mesh and on the same
+    mesh with its vertex numbers reversed, which turns every edge around,
+    takes the same Picard counts and lands on the same energy rows.  Each
+    cell keeps its local vertex 0: the two edges there carry the cell's
+    transport, so rotating a cell's vertex list changes the scheme
+    (min_eig_sigma moves by 9e-6 on this run)."""
+    mesh = structured_unit_square(4)
+    new_index = mesh.n_vertices - 1 - np.arange(mesh.n_vertices)
+    renumbered = TriMesh(mesh.vertices[::-1], new_index[mesh.cells])
+    rows = []
+    for name, m in (("base", mesh), ("renumbered", renumbered)):
+        save_mesh(m, tmp_path / f"{name}.txt")
+        cfg = base_config(tmp_path, scheme="p1diff", scenario="forced-cavity",
+                          mesh=f"file = {tmp_path / name}.txt", out=name)
+        setup = build_setup(parse_config(cfg), {"tmax": 0.2})
+        assert setup.steps == 2
+        run_simulation(setup)
+        rows.append(read_energy_csv(tmp_path / name / "energy.csv"))
+    base, other = rows
+    assert len(base) == len(other) == 3
+    values = [c for c in ENERGY_COLUMNS
+              if c not in ("step", "picard_iters", "residual", "audit_pass")]
+    for got, want in zip(other, base):
+        assert got["picard_iters"] == want["picard_iters"]
+        assert got["audit_pass"] and want["audit_pass"]
+        for c in values:
+            assert abs(got[c] - want[c]) <= 1e-12 * (1.0 + abs(want[c])), c
+
+
 @pytest.mark.parametrize("n, out, message", [
     ("0", "m.txt", "config error: --n must be at least 1"),
     ("2", "no/such/dir/m.txt", "config error: cannot write mesh file"),
@@ -777,13 +811,15 @@ def test_verify_command(capsys):
 
 
 def test_verify_checks_the_advection_map_the_step_applies(monkeypatch):
-    """A map that swaps the two reference directions of every cell fails
-    the transport check and nothing else: the check reads the map the
-    diffusive scheme's step calls."""
+    """A map that swaps the edges of the two reference directions of
+    every cell fails the transport check and nothing else: the check
+    reads the map the diffusive scheme's step calls."""
     original = scheme_p1diff.advection_map
 
     def swapped(mesh, u_cell):
-        return original(mesh, u_cell)[:, np.arange(2 * mesh.n_cells) ^ 1]
+        mesh = copy.copy(mesh)
+        mesh.cell_edges = mesh.cell_edges[:, [0, 2, 1]]
+        return original(mesh, u_cell)
 
     monkeypatch.setattr(scheme_p1diff, "advection_map", swapped)
     passed = {name: ok for name, ok, _ in verify.run_all()}

@@ -89,6 +89,25 @@ def test_relaxation_dissipation_nonnegative_on_random_states():
     assert np.all(vals >= -1e-12)
 
 
+def test_derivative_only_terms_keep_a_nan():
+    """The terms that need only g' take ``1 / beta_delta``: the same
+    value as the derivative of ``g_delta`` for finite input, and a NaN,
+    not ``1 / delta``, for a NaN."""
+    rp = PARAMS.reg
+    s = np.random.default_rng(41).uniform(-3.0, 3.0, size=1000)
+    assert np.array_equal(1.0 / tc.beta_delta(s, rp), tc.g_delta(s, rp)[1])
+    assert tc.g_delta(math.nan, rp)[1] == 1.0 / rp.delta
+
+    nodes = tc.tensor_nodes(np.array([[math.nan, 1.0]]),
+                            tc.tensor(1.0, 0.0, -1.0)[None], rp)
+    assert np.isnan(nodes.gprime).all() and np.isnan(nodes.tr_h).all()
+    assert np.isnan(tc.relax_flux_of_beta(tc.IDENTITY, math.nan, rp)).all()
+    assert np.isnan(relaxation_integrand(
+        PARAMS, np.array([[math.nan, 1.0]]), np.array([2.0]))).all()
+    assert np.isnan(relaxation_integrand(
+        PARAMS, np.array([[0.5, 1.0]]), np.array([math.nan]))).all()
+
+
 def test_relaxation_dissipation_zero_at_equilibrium():
     b = PARAMS.b
     c = b / (b + 2.0)

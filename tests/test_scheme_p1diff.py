@@ -16,7 +16,7 @@ import pytest
 
 import fenep.fespaces as fe
 import fenep.tensorcalc as tc
-from fe_oracles import pair_coefficients
+from fe_oracles import cell_corner_coefficients, pair_coefficients, vertex_nodes
 from fenep.meshing import TriMesh, structured_unit_square
 from fenep.nlsolve import BlockStep, PicardConfig, SolverError
 from fenep.params import ModelParams
@@ -98,8 +98,8 @@ def test_corner_coefficients_of_a_constant_field_are_beta():
     value = np.array([1.3, 0.1, 0.8])
     field = np.tile(value, (mesh.n_vertices, 1))
     coef = corner_coefficients(
-        mesh.cells, tc.tensor_nodes(*tc.eig_sym(field), RP), RP)
-    assert coef.shape == (mesh.n_cells, 2, 3)
+        mesh.edge_vertices, tc.tensor_nodes(*tc.eig_sym(field), RP), RP)
+    assert coef.shape == (len(mesh.edge_vertices), 3)
     assert np.allclose(coef, tc.beta_delta_mat(value, RP), atol=1e-13)
     # in the physical frame, beta times the identity
     lam = physical_frame(mesh, coef)
@@ -128,7 +128,8 @@ def test_transport_chain_rule_tensor(make_mesh, seed):
         amap_t = advection_map(
             mesh, rng.standard_normal((mesh.n_cells, 2))).T
         field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
-        worst = max(worst, chain_rule_residual(mesh.cells, amap_t, field, RP))
+        worst = max(worst, chain_rule_residual(
+            mesh.edge_vertices, amap_t, field, RP))
     assert worst <= 1e-13, f"relative chain-rule residual {worst:.3e}"
 
 
@@ -140,48 +141,115 @@ def test_transport_chain_rule_scalar():
         amap_t = advection_map(
             mesh, rng.standard_normal((mesh.n_cells, 2))).T
         q = rng.uniform(-1.5, 1.5, size=mesh.n_vertices)
-        worst = max(worst, chain_rule_residual(mesh.cells, amap_t, q, RP))
+        worst = max(worst, chain_rule_residual(
+            mesh.edge_vertices, amap_t, q, RP))
     assert worst <= 1e-13, f"relative scalar chain-rule residual {worst:.3e}"
 
 
 def test_corner_coefficients_are_pairwise_stacking():
     """Vertex-first evaluation equals evaluation pair by pair."""
-    mesh = structured_unit_square(4)
-    cells = mesh.cells
+    n = 4
+    mesh = structured_unit_square(n)
+    ends = mesh.edge_vertices
     rng = np.random.default_rng(11)
     # eigenvalues on both sides of delta, and traces up to 1.2 b
     field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
     rho = rng.uniform(0.0, 1.2 * RP.b, size=mesh.n_vertices)
-    field[cells[:6, 1]] = field[cells[:6, 0]]         # coincident pairs
-    rho[cells[:6, 2]] = rho[cells[:6, 0]]
-    field[cells[6:12, 0]] = np.outer(                 # isotropic tensors
+    # coincident pairs on disjoint edges: horizontal, from an even column
+    col = ends[:, 0] % (n + 1)
+    same = np.flatnonzero((ends[:, 1] == ends[:, 0] + 1) & (col % 2 == 0))[:6]
+    field[ends[same, 1]] = field[ends[same, 0]]
+    rho[ends[same, 1]] = rho[ends[same, 0]]
+    field[-6:] = np.outer(                            # isotropic tensors
         [0.05, 0.1, 0.5, 1.0, 2.0, -0.3], tc.IDENTITY)
     q = 1.0 - rho / RP.b
     assert (q < RP.delta).any() and (q > RP.delta).any()
     w, _ = tc.eig_sym(field)
     assert (w < RP.delta).any() and (w > RP.delta).any()
+    assert (field[ends[:, 1]] == field[ends[:, 0]]).all(axis=1).sum() == 6
 
-    want = np.stack([pair_coefficients(field[cells[:, j]], field[cells[:, 0]],
-                                       RP) for j in (1, 2)], axis=1)
-    got = corner_coefficients(cells, tc.tensor_nodes(*tc.eig_sym(field), RP),
-                              RP)
-    assert np.array_equal(got, want)
+    for values in (field, q):
+        want = pair_coefficients(values[ends[:, 1]], values[ends[:, 0]], RP)
+        got = corner_coefficients(ends, vertex_nodes(values, RP), RP)
+        assert np.array_equal(got, want)
 
-    want = np.stack([pair_coefficients(q[cells[:, j]], q[cells[:, 0]], RP)
-                     for j in (1, 2)], axis=1)
-    assert np.array_equal(
-        corner_coefficients(cells, tc.g_delta(q, RP)[1], RP), want)
+
+def random_pairs(rng, count):
+    """Tensor pairs (a, c) with eigenvalues on both sides of delta and
+    traces up to 1.2 b, coincident and isotropic ones among them, and
+    scalar pairs of ``1 - rho / b`` with rho up to 1.2 b."""
+    def tensors():
+        diag = rng.uniform(-1.0, 0.6 * RP.b, size=(count, 2))
+        return tc.tensor(diag[:, 0], rng.uniform(-1.5, 1.5, count), diag[:, 1])
+
+    a, c = tensors(), tensors()
+    c[:50] = a[:50]
+    a[50:100] = np.outer(rng.uniform(-0.5, 2.0, 50), tc.IDENTITY)
+    c[75:125] = np.outer(rng.uniform(-0.5, 2.0, 50), tc.IDENTITY)
+    w, _ = tc.eig_sym(np.concatenate([a, c]))
+    assert (w < RP.delta).any() and (w > RP.delta).any()
+    assert tc.trace(a).max() > RP.b
+    rho = rng.uniform(0.0, 1.2 * RP.b, size=(2, count))
+    rho[1, :50] = rho[0, :50]
+    return (a, c), tuple(1.0 - rho / RP.b)
+
+
+def test_corner_coefficients_match_the_per_cell_oracle():
+    """The per-edge kernel against the per-cell evaluation it replaced,
+    with the pair's ends in the oracle's order and swapped: the tensor
+    coefficient is symmetric in its ends up to round-off, and the
+    scalar one exactly."""
+    rng = np.random.default_rng(21)
+    count = 20_000
+    tensors, scalars = random_pairs(rng, count)
+    idx = np.arange(count)
+    # the oracle's pair (a, c) is (vertex 1, vertex 0) of cell (c, a, a)
+    cells = np.column_stack([count + idx, idx, idx])
+    ends = cells[:, :2]
+    for a, c in (tensors, scalars):
+        nodes = vertex_nodes(np.concatenate([a, c]), RP)
+        want = cell_corner_coefficients(cells, nodes, RP)[:, 0]
+        same = corner_coefficients(ends, nodes, RP)
+        swapped = corner_coefficients(ends[:, ::-1], nodes, RP)
+        if a.ndim == 1:
+            assert np.array_equal(same, want)
+            assert np.array_equal(swapped, want)
+            continue
+        beta = tc.beta_delta_mat(np.concatenate([a, c]), RP)
+        scale = (tc.frob_norm(beta[:count])
+                 + tc.frob_norm(beta[count:]))[:, None]
+        assert (np.abs(same - want) <= 1e-15 * scale).all()
+        assert (np.abs(swapped - want) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("n", [4, 8, 32])
+def test_edge_orientation_is_the_per_cell_one_on_the_unit_square(n):
+    """On the structured meshes local vertex 0 is each cell's lowest
+    index, so the higher numbered end of an edge is the per-cell a, and
+    each cell reads the coefficients the per-cell oracle gives it."""
+    mesh = structured_unit_square(n)
+    assert (mesh.cells[:, 0] < mesh.cells[:, 1:].min(axis=1)).all()
+    rng = np.random.default_rng(n)
+    field = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
+    nodes = vertex_nodes(field, RP)
+    want = cell_corner_coefficients(mesh.cells, nodes, RP)
+    got = corner_coefficients(mesh.edge_vertices, nodes, RP)
+    scale = (tc.frob_norm(nodes.beta[mesh.cells[:, 1:]])
+             + tc.frob_norm(nodes.beta[mesh.cells[:, :1]]))[..., None]
+    assert (np.abs(got[mesh.cell_edges[:, [2, 1]]] - want)
+            <= 1e-15 * scale).all()
 
 
 def physical_frame(mesh, coef):
-    """The corner coefficients (n_cells, 2[, 3]) of each cell as the
-    physical-frame Lambda, ``B^{-1}`` and ``B`` of the cell's affine map
-    around them: entry [k, m, p] multiplies the m-th velocity component
-    against the p-th test derivative."""
+    """The edge coefficients (n_edges[, 3]) of each cell's two reference
+    directions as the physical-frame Lambda, ``B^{-1}`` and ``B`` of the
+    cell's affine map around them: entry [k, m, p] multiplies the m-th
+    velocity component against the p-th test derivative."""
     corners = mesh.vertices[mesh.cells]
     b = np.stack([corners[:, 1] - corners[:, 0],
                   corners[:, 2] - corners[:, 0]], axis=2)
-    return np.einsum("kjm,kpj,kj...->kmp...", np.linalg.inv(b), b, coef)
+    return np.einsum("kjm,kpj,kj...->kmp...", np.linalg.inv(b), b,
+                     coef[mesh.cell_edges[:, [2, 1]]])
 
 
 def einsum_advection(mesh, u_cell, lam):
@@ -209,9 +277,9 @@ def test_advection_map_matches_einsum_contraction():
     sig = rng.uniform(-2.0, 2.0, size=(mesh.n_vertices, 3))
     rho = rng.uniform(0.0, 1.2 * RP.b, size=mesh.n_vertices)
     coef = corner_coefficients(
-        mesh.cells, tc.tensor_nodes(*tc.eig_sym(sig), RP), RP)
+        mesh.edge_vertices, tc.tensor_nodes(*tc.eig_sym(sig), RP), RP)
     coef_r = corner_coefficients(
-        mesh.cells, tc.g_delta(1.0 - rho / RP.b, RP)[1], RP)
+        mesh.edge_vertices, tc.g_delta(1.0 - rho / RP.b, RP)[1], RP)
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -225,9 +293,9 @@ def test_advection_map_matches_einsum_contraction():
         want = einsum_advection(mesh, u_cell, physical_frame(mesh, coef))
         want_r = einsum_advection(mesh, u_cell, physical_frame(mesh, coef_r))
         amap = advection_map(mesh, u_cell)
-        assert amap.shape == (mesh.n_vertices, 2 * mesh.n_cells)
-        assert close(amap @ coef.reshape(-1, 3), want)
-        assert close(amap @ coef_r.reshape(-1), want_r)
+        assert amap.shape == (mesh.n_vertices, len(mesh.edge_vertices))
+        assert close(amap @ coef, want)
+        assert close(amap @ coef_r, want_r)
         adv = problem.stress_terms(sig, rho)[1][3]
         assert close(adv[:, :3], want)
         assert close(adv[:, 3], -RP.b * want_r)
